@@ -29,7 +29,13 @@ from .crystal import (
     polygons,
     weak_admissibility,
 )
-from .errors import BadReduction, EngineError, Inconclusive
+from .errors import (
+    BadReduction,
+    DegreeCapTooSmall,
+    EngineError,
+    Inconclusive,
+    InvalidParameters,
+)
 from .fgl import (
     formal_group_from_weierstrass,
     multiplicative_law,
@@ -90,15 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _flags(args) -> dict:
+    return {k: getattr(args, k) for k in DEFAULTS
+            if getattr(args, k) is not None}
+
+
 def resolve_params(argv) -> dict:
+    """Defaults, overridden by the config file, overridden by flags."""
     args = build_parser().parse_args(argv)
     params = dict(DEFAULTS)
     if args.config:
-        params.update(read_config(args.config))
-    for key in DEFAULTS:
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
+        try:
+            params.update(read_config(args.config))
+        except (OSError, ValueError) as exc:
+            raise InvalidParameters(f"config {args.config!r}: {exc}") from exc
+    params.update(_flags(args))
     return params
 
 
@@ -117,14 +129,14 @@ def _curve(spec: BaseRingSpec, params):
 
 def cmd_verify(spec: BaseRingSpec, params) -> dict:
     suites = run_witt_suites(spec, n=2, trials=100, seed=params["seed"])
-    if params["a4"] is not None and params["a6"] is not None:
+    if params["a4"] is not None:
         suites.extend(run_character_suites(_curve(spec, params)))
     return {"command": "verify", "suites": suites,
             "status": summarize(suites)}
 
 
 def cmd_crystal(spec: BaseRingSpec, params) -> dict:
-    if params["a4"] is not None and params["a6"] is not None:
+    if params["a4"] is not None:
         F = _curve(spec, params)
         ap = trace_of_frobenius(spec, *F.curve)
         extra = {"curve": {"a4": params["a4"], "a6": params["a6"],
@@ -194,19 +206,23 @@ def cmd_witt(spec: BaseRingSpec, params) -> dict:
     return out
 
 
+COMMANDS = {"verify": cmd_verify, "crystal": cmd_crystal, "witt": cmd_witt}
+
+
 def run(argv=None) -> int:
-    params = resolve_params(argv)
-    spec = BaseRingSpec(p=params["p"], e=params["e"])
-    if params["deg"] is None:
-        params["deg"] = spec.p ** 2 + 2
+    params = {**DEFAULTS, **_flags(build_parser().parse_args(argv))}
     try:
-        if params["cmd"] == "verify":
-            report = cmd_verify(spec, params)
-        elif params["cmd"] == "crystal":
-            report = cmd_crystal(spec, params)
-        else:
-            report = cmd_witt(spec, params)
-    except Inconclusive as exc:
+        params = resolve_params(argv)
+        spec = BaseRingSpec(p=params["p"], e=params["e"])
+        if params["deg"] is None:
+            params["deg"] = spec.p ** 2 + 2
+        if (params["a4"] is None) != (params["a6"] is None):
+            raise InvalidParameters("a4 and a6 must be given together")
+        cmd = COMMANDS.get(params["cmd"])
+        if cmd is None:
+            raise InvalidParameters(f"unknown command {params['cmd']!r}")
+        report = cmd(spec, params)
+    except (Inconclusive, DegreeCapTooSmall) as exc:
         report = {"command": params["cmd"], "status": "inconclusive",
                   "error": str(exc)}
     except EngineError as exc:

@@ -1,14 +1,13 @@
 """One-dimensional formal group laws and their logarithms.
 
-Laws are truncated two-variable series F(X, Y) over R.  The elliptic
-constructor expands the chord-tangent law of a short Weierstrass model in
-the parameter t = -x/y; the logarithm integrates the invariant differential
-and therefore lives in K (FracSeries with a bounded pi-power denominator).
+Laws are truncated two-variable series F(X, Y) over R, built on first
+access.  The elliptic constructor expands only w(t) of a short Weierstrass
+model (t = -x/y) and reads the invariant differential off it.  The
+logarithm integrates the invariant differential and therefore lives in K
+(FracSeries with a bounded pi-power denominator).
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import BadReduction, IncompatibleSpec, PrecisionExhausted
 from .ring import BaseRingSpec, PadicScalar, _vp
@@ -18,30 +17,46 @@ VARS = ("X", "Y")
 
 
 def log_denominator_exponent(spec: BaseRingSpec, D: int) -> int:
-    """Largest pi-valuation of k for k <= D (bounds log denominators)."""
-    if D < spec.p:
-        return 0
-    return spec.e * int(math.log(D) / math.log(spec.p) + 1e-9)
+    """e * floor(log_p D): the largest pi-valuation of k for k <= D."""
+    k, pk = 0, spec.p
+    while pk <= D:
+        k, pk = k + 1, pk * spec.p
+    return spec.e * k
 
 
 class FormalGroupLaw:
-    """A commutative one-dimensional formal group law to degree `cap`."""
+    """A commutative one-dimensional formal group law to degree `cap`.
 
-    def __init__(self, law: TruncSeries, name: str = "fgl",
-                 curve=None):
-        if law.vars != VARS:
-            raise IncompatibleSpec("law must be a series in (X, Y)")
-        self.spec = law.spec
-        self.law = law
-        self.cap = law.cap
-        self.prec = law.prec
+    `build()` returns the law F(X, Y); it runs on the first access to
+    `law`, which validates the result.  `omega`, when given, is the
+    invariant differential P(T) = 1/F_X(0, T), known without the law.
+    """
+
+    def __init__(self, spec: BaseRingSpec, cap: int, prec: int, build,
+                 name: str = "fgl", curve=None, omega=None):
+        self.spec = spec
+        self.cap = cap
+        self.prec = prec
         self.name = name
         self.dimension = 1
         self.curve = curve  # (a4, a6) when the law comes from a curve
-        self._validate()
+        self.omega = omega
+        self._build = build
+        self._law = None
 
-    def _validate(self):
-        F = self.law
+    @property
+    def law(self) -> TruncSeries:
+        if self._law is None:
+            law = self._build()
+            self._validate(law)
+            self._law = law
+        return self._law
+
+    def _validate(self, F: TruncSeries):
+        if F.vars != VARS:
+            raise IncompatibleSpec("law must be a series in (X, Y)")
+        if (F.spec, F.cap, F.prec) != (self.spec, self.cap, self.prec):
+            raise IncompatibleSpec("law does not match its group's context")
         X = TruncSeries.gen(self.spec, VARS, "X", self.cap, self.prec)
         Y = TruncSeries.gen(self.spec, VARS, "Y", self.cap, self.prec)
         one = self.spec.one(self.prec)
@@ -80,13 +95,14 @@ class FormalGroupLaw:
 def additive_law(spec: BaseRingSpec, D: int, N: int) -> FormalGroupLaw:
     X = TruncSeries.gen(spec, VARS, "X", D, N)
     Y = TruncSeries.gen(spec, VARS, "Y", D, N)
-    return FormalGroupLaw(X + Y, name="additive")
+    return FormalGroupLaw(spec, D, N, lambda: X + Y, name="additive")
 
 
 def multiplicative_law(spec: BaseRingSpec, D: int, N: int) -> FormalGroupLaw:
     X = TruncSeries.gen(spec, VARS, "X", D, N)
     Y = TruncSeries.gen(spec, VARS, "Y", D, N)
-    return FormalGroupLaw(X + Y + X * Y, name="multiplicative")
+    return FormalGroupLaw(spec, D, N, lambda: X + Y + X * Y,
+                          name="multiplicative")
 
 
 def _unit_inverse(u: TruncSeries) -> TruncSeries:
@@ -111,10 +127,13 @@ def _unit_inverse(u: TruncSeries) -> TruncSeries:
 def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
                                   a6: PadicScalar, D: int,
                                   N: int | None = None) -> FormalGroupLaw:
-    """Expand the chord-tangent law of y^2 = x^3 + a4 x + a6 at the origin.
+    """The formal group of y^2 = x^3 + a4 x + a6 at the origin.
 
     Requires good reduction: v(disc) = 0.  Works in the parameter
     t = -x/y, w = -1/y, where the curve reads w = t^3 + a4 t w^2 + a6 w^3.
+    Only w(t) is expanded here: the invariant differential
+    omega = (t w' - w)/(2w) dt (Silverman, GTM 106, IV.1) gives the
+    logarithm, and the chord-tangent law is built on first access.
     """
     if N is None:
         N = min(a4.prec, a6.prec)
@@ -126,8 +145,7 @@ def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
         raise BadReduction(f"v(disc) != 0 (disc = {disc!r})")
 
     # w(t) = t^3 (1 + ...) by fixed-point iteration, exact to degree D + 3
-    tcap = D + 3
-    t = TruncSeries.gen(spec, ("T",), "T", tcap, N)
+    t = TruncSeries.gen(spec, ("T",), "T", D + 3, N)
     t3 = t ** 3
     w = t3
     while True:
@@ -136,13 +154,27 @@ def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
             break
         w = w_next
 
+    # with w = sum c_k t^k: omega = sum (k-1) c_k t^(k-3) / sum 2 c_k t^(k-3)
+    num = {(k - 3,): [(k - 1) * x for x in d] for (k,), d in w.coeffs.items()}
+    den = {(k - 3,): [2 * x for x in d] for (k,), d in w.coeffs.items()}
+    omega = TruncSeries(spec, ("T",), num, D, N) \
+        * _unit_inverse(TruncSeries(spec, ("T",), den, D, N))
+    return FormalGroupLaw(spec, D, N,
+                          lambda: _chord_tangent_law(spec, a4, a6, w, D, N),
+                          name=f"weierstrass(a4={a4.digits},a6={a6.digits})",
+                          curve=(a4, a6), omega=omega)
+
+
+def _chord_tangent_law(spec: BaseRingSpec, a4: PadicScalar, a6: PadicScalar,
+                       w: TruncSeries, D: int, N: int) -> TruncSeries:
+    """F(X, Y) = -(third intersection of the chord through t = X and Y)."""
     # slope lambda = (w(t2) - w(t1))/(t2 - t1), divided exactly via
     # (t2^n - t1^n)/(t2 - t1) = sum_{i+j=n-1} t1^i t2^j
     t1 = TruncSeries.gen(spec, VARS, "X", D, N)
     t2 = TruncSeries.gen(spec, VARS, "Y", D, N)
     pow1 = [TruncSeries.const(spec, VARS, spec.one(N), D, N)]
     pow2 = [TruncSeries.const(spec, VARS, spec.one(N), D, N)]
-    for _ in range(tcap + 1):
+    for _ in range(D + 4):
         pow1.append(pow1[-1] * t1)
         pow2.append(pow2[-1] * t2)
     lam = TruncSeries.zero(spec, VARS, D, N)
@@ -163,10 +195,7 @@ def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
         + lam2.scalar_mul(a4) + (lam2 * lam).scalar_mul(a6)
     t3_root = -(t1 + t2) - a2_coef * _unit_inverse(a3_coef)
     # inversion is t -> -t for a1 = a3 = 0
-    law = -t3_root
-    return FormalGroupLaw(law,
-                          name=f"weierstrass(a4={a4.digits},a6={a6.digits})",
-                          curve=(a4, a6))
+    return -t3_root
 
 
 def trace_of_frobenius(spec: BaseRingSpec, a4: PadicScalar,
@@ -213,18 +242,25 @@ def frobenius_unit_root(spec: BaseRingSpec, ap: int,
     return x.reduce_prec(prec)
 
 
+def _x_linear_part(law: TruncSeries) -> TruncSeries:
+    """F_X(0, T): the coefficients of X^1 Y^k of the law, as a T-series."""
+    pods = {(k,): d for (i, k), d in law.coeffs.items() if i == 1}
+    return TruncSeries(law.spec, ("T",), pods, law.cap, law.prec)
+
+
 def formal_logarithm(F: FormalGroupLaw) -> FracSeries:
-    """L with L'(T) = 1/F_X(0, T), L(0) = 0; linearizes the law over K."""
+    """L with L'(T) = 1/F_X(0, T), L(0) = 0; linearizes the law over K.
+
+    1/F_X(0, T) is the curve's invariant differential `F.omega` when F
+    comes from a curve, so the law is not built; otherwise it is read off
+    the law.
+    """
     spec = F.spec
     D = F.cap
     N = F.prec
-    # F_X(0, T): coefficient of X^1 Y^k in the law
-    pods = {}
-    for (i, k), d in F.law.coeffs.items():
-        if i == 1:
-            pods[(k,)] = [x * 1 for x in d]
-    fx0 = TruncSeries(spec, ("T",), pods, D, N)
-    P = _unit_inverse(fx0)
+    P = F.omega
+    if P is None:
+        P = _unit_inverse(_x_linear_part(F.law))
     shift = log_denominator_exponent(spec, D)
     out = {}
     for (k,), d in P.coeffs.items():
@@ -248,55 +284,3 @@ def check_log_linearizes(F: FormalGroupLaw, L: FracSeries) -> bool:
     ly = L.substitute({"T": TruncSeries.gen(F.spec, VARS, "Y", F.cap, F.prec)})
     lf = L.substitute({"T": F.law})
     return (lf.num == (lx + ly).num)
-
-
-def frac_compose_1var(L: FracSeries, E: FracSeries) -> FracSeries:
-    """Compose one-variable K-series: L(E(T)), tracking denominators."""
-    spec = L.num.spec
-    var = E.num.vars[0]
-    acc = FracSeries(TruncSeries.zero(spec, E.num.vars, E.num.cap,
-                                      E.num.prec), 0)
-    powers = [TruncSeries.const(spec, E.num.vars, spec.one(E.num.prec),
-                                E.num.cap, E.num.prec)]
-    for (k,), d in sorted(L.num.coeffs.items()):
-        while len(powers) <= k:
-            powers.append(powers[-1] * E.num)
-        c = PadicScalar(spec, d, L.num.prec)
-        acc = acc + FracSeries(powers[k].scalar_mul(c),
-                               L.shift + E.shift * k)
-    return acc
-
-
-def reverse_series(L: FracSeries, shift_budget: int) -> FracSeries:
-    """Compositional inverse of a one-variable K-series T + O(T^2).
-
-    The result is returned as pi^(-shift_budget) * integral; raises
-    PrecisionExhausted when the true denominators exceed the budget.
-    Degree-by-degree recursion: the T^k coefficient of L(E_<k) fixes b_k.
-    """
-    spec = L.num.spec
-    D = L.num.cap
-    var = L.num.vars[0]
-    if D is None:
-        raise IncompatibleSpec("reversion needs a capped series")
-    l1 = L.num.coeff((1,))
-    if L.shift:
-        l1 = l1.exact_div_pi(L.shift)
-    if not l1.is_unit():
-        raise IncompatibleSpec("reversion needs a unit linear coefficient")
-    P = L.num.prec
-    l1_inv = l1.inverse()
-    E = FracSeries(TruncSeries.gen(spec, (var,), var, D, P)
-                   .scalar_mul(l1_inv), 0)
-    for k in range(2, D + 1):
-        comp = frac_compose_1var(L, E).normalize()
-        ck = comp.num.coeff((k,))
-        if ck.is_zero():
-            continue
-        mk = -(l1_inv * ck)
-        mono = FracSeries(TruncSeries(spec, (var,), {(k,): mk.digits}, D,
-                                      mk.prec), comp.shift).normalize()
-        if mono.shift > shift_budget:
-            raise PrecisionExhausted("reversion denominator exceeds budget")
-        E = E + mono
-    return E.normalize()

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from arithjet import fgl
 from arithjet.cli import read_config, resolve_params, run
 
 
@@ -106,3 +108,81 @@ def test_exit_codes_mapping(tmp_path):
     code, _ = _run(tmp_path, ["--cmd", "crystal", "--p", "3",
                               "--a4", "0", "--a6", "1"])  # disc = -432: bad at 3
     assert code == 1
+
+
+# sha256 of the --out report; the values were computed before the curve
+# pipeline stopped expanding the bivariate law, and must not move
+PINNED_REPORTS = {
+    "--cmd crystal --p 3 --a4 1 --a6 1 --deg 11":
+        "a89b0da97e39025ebd7250006b9e7db27aa1be5b491299d81ab2bd6a4fb67265",
+    "--cmd crystal --p 3 --a4 1 --a6 2 --deg 27":
+        "41fe3767f0ec65df22853f0d810de7a7218fda8ae4f7cb48e665720a04d8f5ab",
+    "--cmd crystal --p 5 --a4 1 --a6 1 --deg 27":
+        "b1ae7552fdf57dcbd6a18f3a632f34d23ea3a2e62c97902d72627883d5576a10",
+    "--cmd crystal --p 5 --a4 0 --a6 1 --deg 27":
+        "5e0573009bbe305b2e7ef4758831e834b5c5da4dd5eed18ba1727911e48c998f",
+    "--cmd crystal --p 5 --a4 2 --a6 0 --deg 27":
+        "4b3f47fa650e360ddf034557a97c5441007354eddf03b277c7cce81a1500d677",
+    "--cmd crystal --p 5 --e 2 --a4 1 --a6 1 --deg 27":
+        "fbafae8d5a0712285335eea60186192b7d417b6cc1283b15ff0143ddee6999eb",
+    "--cmd crystal --p 7 --a4 1 --a6 1 --deg 51":
+        "66235b29ae7d1258a80d96e9bbed8128e9c12eacb1ae661c5488cfb3ca818105",
+    "--cmd crystal --p 5 --deg 27":
+        "fe7dc91fc614eb2073aa2f319d76e8317bdbe7c6258af374d4c21beb6e4ad29f",
+    "--cmd witt --p 5 --e 2 --nmax 2 --prec 6 --seed 3":
+        "5bbf80cd9bf0b546e2f8afb57494fc2839b23c44cf5e606e585e80c9980e6b63",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(tmp_path, args):
+    out = tmp_path / "report.json"
+    assert run(args.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[args]
+
+
+def test_crystal_on_curve_never_builds_law(tmp_path, monkeypatch):
+    def no_law(*args):
+        raise AssertionError("the bivariate law was built")
+
+    monkeypatch.setattr(fgl, "_chord_tangent_law", no_law)
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5",
+                                "--a4", "1", "--a6", "1", "--deg", "27"])
+    assert code == 0 and rep["m"] == 2
+
+
+@pytest.mark.parametrize("cmd", ["crystal", "verify"])
+@pytest.mark.parametrize("half", [["--a4", "1"], ["--a6", "1"]])
+def test_half_curve_fails(tmp_path, cmd, half):
+    code, rep = _run(tmp_path, ["--cmd", cmd, "--p", "5"] + half)
+    assert code == 1 and rep["status"] == "fail"
+    assert "InvalidParameters" in rep["error"]
+    assert "law" not in rep and "suites" not in rep
+
+
+def test_non_prime_p_fails(tmp_path):
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "4"])
+    assert code == 1 and rep["status"] == "fail"
+    assert "IncompatibleSpec" in rep["error"]
+
+
+def test_missing_config_fails(tmp_path):
+    missing = str(tmp_path / "absent.cfg")
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--config", missing])
+    assert code == 1 and rep["status"] == "fail"
+    assert "InvalidParameters" in rep["error"] and "absent.cfg" in rep["error"]
+    assert rep["command"] == "crystal"
+
+
+def test_unknown_config_command_fails(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cmd = crystals\n")
+    code, rep = _run(tmp_path, ["--config", str(cfg)])
+    assert code == 1 and "unknown command" in rep["error"]
+
+
+def test_degree_cap_too_small_is_inconclusive(tmp_path):
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5",
+                                "--deg", "20", "--a4", "1", "--a6", "1"])
+    assert code == 2 and rep["status"] == "inconclusive"
+    assert "degree cap 20" in rep["error"]

@@ -1,16 +1,21 @@
 import pytest
 
-from arithjet.errors import BadReduction
+from arithjet import fgl
+from arithjet.errors import BadReduction, IncompatibleSpec
 from arithjet.fgl import (
+    VARS,
+    FormalGroupLaw,
     additive_law,
     check_log_linearizes,
     formal_group_from_weierstrass,
     formal_logarithm,
     frobenius_unit_root,
+    log_denominator_exponent,
     multiplicative_law,
     trace_of_frobenius,
 )
 from arithjet.ring import BaseRingSpec
+from arithjet.series import TruncSeries
 
 SPEC3 = BaseRingSpec(3, 1)
 SPEC5 = BaseRingSpec(5, 1)
@@ -92,3 +97,74 @@ def test_bad_reduction_detected_via_cli_guard():
     E = formal_group_from_weierstrass(
         SPEC5, SPEC5.scalar(2, 10), SPEC5.scalar(1, 10), 10)
     assert E.check_associativity(cap=8)
+
+
+@pytest.mark.parametrize("p,e,a4,a6,D", [
+    (3, 1, 1, 1, 11),
+    (5, 1, 1, 1, 27),
+    (5, 2, 1, 1, 27),
+    (5, 1, 0, 1, 27),   # a4 = 0
+    (5, 1, 2, 0, 27),   # a6 = 0
+    (7, 1, 1, 1, 51),
+])
+def test_invariant_differential_is_inverse_of_law_x_part(p, e, a4, a6, D):
+    # omega = (t w' - w)/(2w) from w(t) alone equals 1/F_X(0, T) read off
+    # the chord-tangent law, coefficient for coefficient
+    spec = BaseRingSpec(p, e)
+    E = formal_group_from_weierstrass(
+        spec, spec.scalar(a4, 10), spec.scalar(a6, 10), D)
+    from_law = fgl._unit_inverse(fgl._x_linear_part(E.law))
+    assert (E.omega.cap, E.omega.prec) == (from_law.cap, from_law.prec)
+    assert E.omega.coeffs == from_law.coeffs
+
+
+def test_weierstrass_log_does_not_build_law(monkeypatch):
+    def no_law(*args):
+        raise AssertionError("the bivariate law was built")
+
+    monkeypatch.setattr(fgl, "_chord_tangent_law", no_law)
+    E = formal_group_from_weierstrass(
+        SPEC5, SPEC5.scalar(1, 10), SPEC5.scalar(1, 10), 27)
+    L = formal_logarithm(E)
+    # L = T + ..., carried as pi^(-2) * num at D = 27
+    assert L.shift == 2 and L.num.coeff((1,)) == SPEC5.scalar(25, L.num.prec)
+    with pytest.raises(AssertionError):
+        E.law
+
+
+def test_law_is_validated_once_when_built(monkeypatch):
+    calls = []
+    validate = FormalGroupLaw._validate
+
+    def spy(self, law):
+        calls.append(self.name)
+        validate(self, law)
+
+    monkeypatch.setattr(FormalGroupLaw, "_validate", spy)
+    E = formal_group_from_weierstrass(
+        SPEC3, SPEC3.scalar(1, 8), SPEC3.scalar(1, 8), 9)
+    assert calls == []
+    assert E.law is E.law
+    assert calls == [E.name]
+
+
+def test_built_law_is_validated():
+    X = TruncSeries.gen(SPEC3, VARS, "X", 6, 5)
+    Y = TruncSeries.gen(SPEC3, VARS, "Y", 6, 5)
+    not_commutative = FormalGroupLaw(SPEC3, 6, 5, lambda: X + Y + X * X * Y)
+    with pytest.raises(IncompatibleSpec, match="commutative"):
+        not_commutative.law
+    wrong_cap = FormalGroupLaw(SPEC3, 7, 5, lambda: X + Y)
+    with pytest.raises(IncompatibleSpec, match="context"):
+        wrong_cap.law
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_log_denominator_exponent_at_powers(p, e):
+    spec = BaseRingSpec(p, e)
+    for D in range(1, p):
+        assert log_denominator_exponent(spec, D) == 0
+    for k in range(1, 7):
+        assert log_denominator_exponent(spec, p ** k - 1) == e * (k - 1)
+        assert log_denominator_exponent(spec, p ** k) == e * k
+        assert log_denominator_exponent(spec, p ** k + 1) == e * k
