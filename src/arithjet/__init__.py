@@ -18,8 +18,8 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedDimension,
 )
-from .ring import BaseRingSpec, PadicScalar, c_pi, exact_div_pi, pi_derivation_scalar
-from .series import FracSeries, TruncSeries, series_ops
+from .ring import BaseRingSpec, PadicScalar, c_pi
+from .series import FracSeries, TruncSeries
 from .witt import (
     WittVector,
     f_tilde,
@@ -27,7 +27,6 @@ from .witt import (
     structural_polynomials,
     teichmuller,
     verschiebung,
-    witt_ring_op,
 )
 from .lateral import (
     TildeWittVector,
@@ -80,24 +79,22 @@ from .crystal import (
 
 __all__ = [
     "BadReduction", "BaseRingSpec", "BasisExpansionFailed", "Character",
-    "DegreeCapTooSmall", "EngineError", "FilteredIsocrystal",
-    "FormalGroupLaw", "FracSeries", "IncompatibleSpec", "Inconclusive",
-    "IntegralityViolation", "InvalidParameters", "NonNilpotentComposition",
-    "NotDivisible", "NotInImage", "NotInVImage", "PadicScalar",
-    "PrecisionExhausted", "RankTable", "TildeWittVector", "TruncSeries",
-    "UnsupportedDimension", "WittVector", "additive_law", "build_crystal",
-    "c_pi", "de_rham_shadow", "exact_div_pi", "expand_in_psi_basis",
-    "extract_lambda_gamma", "f_tilde", "formal_group_from_weierstrass",
-    "formal_logarithm", "frobenius_W", "frobenius_pullback",
-    "frobenius_unit_root", "from_witt", "generic_tilde", "howell_form",
-    "i_star", "jet_group_law", "kernel_group_law", "lateral_frobenius",
-    "lateral_pullback", "left_kernel_basis", "module_rank",
-    "multiplicative_law", "pi_derivation_scalar", "polygons", "psi_basis",
-    "rank_table", "right_kernel_basis", "series_ops", "solve_additive",
-    "solve_delta_characters", "splitting_number", "structural_polynomials",
-    "teichmuller", "tilde_pack", "tilde_unpack", "trace_of_frobenius",
-    "u_star", "upsilon", "verschiebung", "weak_admissibility",
-    "witt_ring_op",
+    "DegreeCapTooSmall", "EngineError", "FilteredIsocrystal", "FormalGroupLaw",
+    "FracSeries", "IncompatibleSpec", "Inconclusive", "IntegralityViolation",
+    "InvalidParameters", "NonNilpotentComposition", "NotDivisible",
+    "NotInImage", "NotInVImage", "PadicScalar", "PrecisionExhausted",
+    "RankTable", "TildeWittVector", "TruncSeries", "UnsupportedDimension",
+    "WittVector", "additive_law", "build_crystal", "c_pi", "de_rham_shadow",
+    "expand_in_psi_basis", "extract_lambda_gamma", "f_tilde",
+    "formal_group_from_weierstrass", "formal_logarithm", "frobenius_W",
+    "frobenius_pullback", "frobenius_unit_root", "from_witt", "generic_tilde",
+    "howell_form", "i_star", "jet_group_law", "kernel_group_law",
+    "lateral_frobenius", "lateral_pullback", "left_kernel_basis",
+    "module_rank", "multiplicative_law", "polygons", "psi_basis", "rank_table",
+    "right_kernel_basis", "solve_additive", "solve_delta_characters",
+    "splitting_number", "structural_polynomials", "teichmuller", "tilde_pack",
+    "tilde_unpack", "trace_of_frobenius", "u_star", "upsilon", "verschiebung",
+    "weak_admissibility",
 ]
 
 __version__ = "0.1.0"

@@ -12,6 +12,9 @@ every additive K-valued series on the group is a K-combination of these
 (the ghost components w_i are ring maps and L linearizes F), so solving
 for characters reduces to an integrality lattice over R/pi^M, handled by
 Howell forms.  A direct monomial-level solver is kept as a cross-check.
+
+The logarithm, the l_i and the solved modules are computed once per
+formal group law and kept in the law's own memo (`FormalGroupLaw._memo`).
 """
 
 from __future__ import annotations
@@ -30,15 +33,10 @@ from .fgl import (
     frobenius_unit_root,
     trace_of_frobenius,
 )
-from .howell import howell_form, module_rank, right_kernel_basis
+from .howell import module_rank, right_kernel_basis
 from .ring import PadicScalar
 from .series import FracSeries, TruncSeries, monomial_key
-from .witt import (
-    WittVector,
-    fgl_eval_witt,
-    frobenius_W,
-    structural_polynomials,
-)
+from .witt import WittVector, fgl_eval_witt, frobenius_W
 
 
 def kernel_vars(n: int) -> tuple:
@@ -222,17 +220,50 @@ def ghost_witt_polynomials(spec, n: int, kind: str, cap, prec):
     return vars_, out
 
 
+def _memoized(F: FormalGroupLaw, key, compute):
+    """F._memo[key], computed on first use.  An exception is not stored,
+    so a failing computation raises again on every call."""
+    memo = F._memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _log_ghost(F: FormalGroupLaw, i: int) -> FracSeries:
+    """l_i = L(w_i) over jet_vars(i), computed once per law."""
+    def compute():
+        L = _memoized(F, "log", lambda: formal_logarithm(F))
+        _, ws = ghost_witt_polynomials(F.spec, i, "jet", F.cap, F.prec)
+        return L.substitute({"T": ws[i]})
+    return _memoized(F, ("log_ghost", i), compute)
+
+
+def _drop_x0(num: TruncSeries) -> TruncSeries:
+    """A series in x0..xn restricted to x0 = 0, as a series in x1..xn."""
+    coeffs = {m[1:]: d for m, d in num.coeffs.items() if m[0] == 0}
+    return TruncSeries(num.spec, kernel_vars(len(num.vars) - 1), coeffs,
+                       num.cap, num.prec)
+
+
 def log_ghost_generators(F: FormalGroupLaw, n: int, kind: str):
-    """l_i = L(w_i) (jet) or Psi_i = pi^(-1) L(kappa_i) (kernel)."""
-    L = formal_logarithm(F)
-    vars_, ws = ghost_witt_polynomials(F.spec, n, kind, F.cap, F.prec)
-    gens = []
-    for w in ws:
-        g = L.substitute({"T": w})
-        if kind == "kernel":
-            g = FracSeries(g.num, g.shift + 1)
-        gens.append(g)
-    return vars_, gens
+    """l_i = L(w_i), i = 0..n (jet), or Psi_i = pi^(-1) L(kappa_i),
+    i = 1..n (kernel), as series over jet_vars(n) or kernel_vars(n).
+
+    Each l_i is computed once per law, over jet_vars(i), and shared by
+    every order and kind; the generators returned here are new series
+    padded from it, and the shared l_i is never mutated.  The kernel side
+    restricts l_i to x0 = 0: that is a ring map keeping degrees, so
+    L(w_i)|x0=0 = L(kappa_i) exactly, truncation included.
+    """
+    if kind == "jet":
+        vars_ = jet_vars(n)
+        gens = [_log_ghost(F, i) for i in range(n + 1)]
+        return vars_, [FracSeries(g.num.extend_vars(vars_), g.shift)
+                       for g in gens]
+    vars_ = kernel_vars(n)
+    gens = [_log_ghost(F, i) for i in range(1, n + 1)]
+    return vars_, [FracSeries(_drop_x0(g.num).extend_vars(vars_),
+                              g.shift + 1) for g in gens]
 
 
 # --------------------------------------------------------------------------
@@ -319,8 +350,13 @@ def solve_additive(law: KernelGroupLaw, D: int | None = None,
     """Basis of the additive-series module of a group law.
 
     Returns (characters, rank): `characters` are the unit-content Howell
-    generators of the solution lattice (each rechecked for additivity by
-    substitution is left to callers/tests); `rank` counts them.
+    generators of the solution lattice (rechecking their additivity by
+    substitution is left to callers and tests); `rank` counts them.
+
+    The module is solved once per law and (kind, n, D, N, method), with
+    the defaults of D and N resolved first; later calls return the same
+    characters in a new list.  The shared characters are never mutated.
+    DegreeCapTooSmall is raised again on every call.
     """
     spec = law.spec
     n = law.n
@@ -329,11 +365,24 @@ def solve_additive(law: KernelGroupLaw, D: int | None = None,
     if law.kind == "kernel" and D < spec.q ** (n - 1) + 1:
         raise DegreeCapTooSmall(
             f"degree cap {D} < q^(n-1) + 1 = {spec.q ** (n - 1) + 1}")
-    if method == "direct":
-        return _solve_direct(law, D, N)
-    if method != "log":
+    if method not in ("log", "direct"):
         raise IncompatibleSpec(f"unknown solver method {method!r}")
-    vars_, gens = log_ghost_generators(law.F, n, law.kind)
+
+    def solve():
+        if method == "direct":
+            return _solve_direct(law, D, N)
+        return _solve_log(law)
+
+    chars, rank = _memoized(law.F, ("solve", law.kind, n, D, N, method),
+                            solve)
+    return list(chars), rank
+
+
+def _solve_log(law: KernelGroupLaw):
+    """solve_additive over the log-ghost generators of the law."""
+    spec = law.spec
+    n = law.n
+    _, gens = log_ghost_generators(law.F, n, law.kind)
     if law.kind == "kernel":
         # candidate characters are R-combinations of the Psi_i
         tshift = 0
@@ -485,11 +534,8 @@ def i_star(theta: Character) -> Character:
     """Restriction along i: N^n -> J^n (set x_0 = 0)."""
     if theta.kind != "jet":
         raise IncompatibleSpec("i_star acts on jet characters")
-    num = theta.frac.num
-    spec = theta.spec
-    coeffs = {m[1:]: d for m, d in num.coeffs.items() if m[0] == 0}
-    out = TruncSeries(spec, kernel_vars(theta.n), coeffs, num.cap, num.prec)
-    return Character("kernel", theta.n, FracSeries(out, theta.frac.shift))
+    return Character("kernel", theta.n,
+                     FracSeries(_drop_x0(theta.frac.num), theta.frac.shift))
 
 
 def u_star(psi: Character, n: int) -> Character:

@@ -30,6 +30,11 @@ class FormalGroupLaw:
     `build()` returns the law F(X, Y); it runs on the first access to
     `law`, which validates the result.  `omega`, when given, is the
     invariant differential P(T) = 1/F_X(0, T), known without the law.
+
+    `_memo` holds what `characters` derives from the law once: the
+    formal logarithm, the log-ghost generators L(w_i) and the solved
+    character modules.  It lives and dies with the instance; its entries
+    are shared between callers and never mutated.
     """
 
     def __init__(self, spec: BaseRingSpec, cap: int, prec: int, build,
@@ -43,6 +48,7 @@ class FormalGroupLaw:
         self.omega = omega
         self._build = build
         self._law = None
+        self._memo = {}
 
     @property
     def law(self) -> TruncSeries:

@@ -297,16 +297,6 @@ class PadicScalar:
                 "pi_power_basis": self.spec.e}
 
 
-def exact_div_pi(a: PadicScalar, k: int) -> PadicScalar:
-    """Module-level alias for the primitive (see PadicScalar.exact_div_pi)."""
-    return a.exact_div_pi(k)
-
-
-def pi_derivation_scalar(a: PadicScalar) -> PadicScalar:
-    """delta(a) = (phi(a) - a^q)/pi."""
-    return a.delta()
-
-
 def c_pi(spec: BaseRingSpec, x: PadicScalar, y: PadicScalar) -> PadicScalar:
     """C_pi(x, y) = (x^q + y^q - (x+y)^q)/pi, the sum-rule correction."""
     q = spec.q

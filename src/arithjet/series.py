@@ -367,21 +367,6 @@ class TruncSeries:
                 "prec": self.prec, "coeffs": items}
 
 
-def series_ops(f: TruncSeries, g: TruncSeries, op: str, var: str | None = None):
-    """Dispatch helper: op in {add, mul, compose, substitute}."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op in ("compose", "substitute"):
-        if var is None:
-            if len(f.vars) != 1:
-                raise IncompatibleSpec("compose needs a single-variable f")
-            var = f.vars[0]
-        return f.substitute({var: g})
-    raise IncompatibleSpec(f"unknown op {op!r}")
-
-
 class FracSeries:
     """A series with a global denominator: value = pi^(-shift) * num.
 

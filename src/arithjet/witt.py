@@ -286,14 +286,6 @@ class WittVector:
         return f_tilde(self.spec, r, self.n, like=self) * self
 
 
-def witt_ring_op(x: WittVector, y: WittVector, op: str) -> WittVector:
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    raise IncompatibleSpec(f"unknown Witt op {op!r}")
-
-
 def frobenius_W(x: WittVector) -> WittVector:
     """F: W_n -> W_(n-1); ghost left-shift over phi."""
     if x.length < 2:

@@ -4,10 +4,12 @@ from arithjet.characters import (
     expand_in_psi_basis,
     extract_lambda_gamma,
     frobenius_pullback,
+    ghost_witt_polynomials,
     i_star,
     jet_group_law,
     kernel_group_law,
     lateral_pullback,
+    log_ghost_generators,
     psi_basis,
     rank_table,
     solve_additive,
@@ -16,7 +18,12 @@ from arithjet.characters import (
     u_star,
     upsilon,
 )
-from arithjet.fgl import formal_group_from_weierstrass, multiplicative_law
+from arithjet.errors import DegreeCapTooSmall
+from arithjet.fgl import (
+    formal_group_from_weierstrass,
+    formal_logarithm,
+    multiplicative_law,
+)
 from arithjet.howell import module_rank
 from arithjet.ring import BaseRingSpec
 
@@ -65,6 +72,51 @@ def test_solved_characters_are_additive_z3():
         chars, rank = solve_additive(law, 9, N_DESK)
         for ch in chars:
             assert ch.check_additive(law)
+
+
+def _curve(p, e, D):
+    spec = BaseRingSpec(p, e)
+    return formal_group_from_weierstrass(
+        spec, spec.scalar(1, N_DESK + 4), spec.scalar(1, N_DESK + 4), D)
+
+
+def test_solve_returns_a_fresh_list():
+    law = kernel_group_law(_curve(3, 1, 11), 1)
+    chars, rank = solve_additive(law)
+    kept = list(chars)
+    chars.clear()
+    again, rank_again = solve_additive(law)
+    assert rank_again == rank == 1
+    assert len(again) == len(kept)
+    assert all(a is b for a, b in zip(again, kept))
+
+
+def test_degree_cap_too_small_raises_on_every_call():
+    law = kernel_group_law(_curve(3, 1, 9), 3)  # needs D >= 3^2 + 1
+    for _ in range(2):
+        with pytest.raises(DegreeCapTooSmall):
+            solve_additive(law)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 2)])
+def test_shared_generators_match_direct_substitution(p, e):
+    # the shared l_i, padded (jet) or restricted to x0 = 0 (kernel), equal
+    # L(w_i) and L(kappa_i) substituted over the order-n variables
+    E = _curve(p, e, 27)
+    L = formal_logarithm(E)
+    for kind, orders in (("jet", range(0, 4)), ("kernel", range(1, 4))):
+        for n in orders:
+            vars_, gens = log_ghost_generators(E, n, kind)
+            wvars, ws = ghost_witt_polynomials(E.spec, n, kind, E.cap,
+                                               E.prec)
+            assert vars_ == wvars and len(gens) == len(ws)
+            extra = 1 if kind == "kernel" else 0
+            for g, w in zip(gens, ws):
+                direct = L.substitute({"T": w})
+                assert g.shift == direct.shift + extra
+                assert ((g.num.vars, g.num.cap, g.num.prec, g.num.coeffs)
+                        == (direct.num.vars, direct.num.cap,
+                            direct.num.prec, direct.num.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from arithjet import fgl
+from arithjet import characters, fgl
 from arithjet.cli import read_config, resolve_params, run
 
 
@@ -139,6 +139,56 @@ def test_report_bytes_pinned(tmp_path, args):
     out = tmp_path / "report.json"
     assert run(args.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[args]
+
+
+# exit code and sha256 of the --out report; the values were computed before
+# the character modules were solved once per formal group law
+PINNED_CODED_REPORTS = {
+    "--cmd crystal --p 5 --a4 1 --a6 1 --deg 27 --nmax 1": (
+        2, "be0da0866b7e8eb2c249ac6c267e13328eab0a19cd82146ee1a14c12e0a5a897"),
+    "--cmd crystal --p 5 --a4 1 --a6 1 --deg 27 --nmax 2": (
+        0, "f2d8270e3fe1b1e1db91ffad9561048a22f244dea7328c3f3580c9a63561735f"),
+    "--cmd crystal --p 5 --a4 1 --a6 1 --deg 27 --nmax 4": (
+        2, "5c7c9637106a7c5ee14ed661e9dcaf6f6dbaf802cb1ff278828a63e61d727606"),
+    "--cmd crystal --p 3 --deg 27 --nmax 2": (
+        0, "24162a8e0c26905fe9b29e7c9c2cd14d8956b318b74c92ba61e36c0831655e6e"),
+    "--cmd crystal --p 3 --a4 1 --a6 1 --prec 4": (
+        0, "a005aa1f7f6076bb169d14c5054844e1367d5c0589f13f4479431f71cb89c62e"),
+    "--cmd verify --p 3 --a4 1 --a6 1 --deg 11": (
+        0, "f1c861561b38143534d001a01310f80ed3de0773e27ca6624d5b755080acd40a"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_CODED_REPORTS))
+def test_report_bytes_and_code_pinned(tmp_path, args):
+    out = tmp_path / "report.json"
+    code = run(args.split() + ["--out", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert (code, digest) == PINNED_CODED_REPORTS[args]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_crystal_solves_each_module_once(tmp_path, monkeypatch):
+    # m = 2 and nmax = 3: jet orders 1..3 and kernel orders 1..3 are the
+    # six distinct modules, all on one formal group law
+    kernels = _count_calls(monkeypatch, characters, "right_kernel_basis")
+    logs = _count_calls(monkeypatch, characters, "formal_logarithm")
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5", "--a4", "1",
+                                "--a6", "1", "--deg", "27", "--nmax", "3"])
+    assert code == 0 and rep["m"] == 2
+    assert len(kernels) == 6
+    assert len(logs) == 1
 
 
 def test_crystal_on_curve_never_builds_law(tmp_path, monkeypatch):
