@@ -11,7 +11,7 @@ Characters are found through the logarithm-ghost generators
 every additive K-valued series on the group is a K-combination of these
 (the ghost components w_i are ring maps and L linearizes F), so solving
 for characters reduces to an integrality lattice over R/pi^M, handled by
-Howell forms.  A direct monomial-level solver is kept as a cross-check.
+Howell forms.
 
 The logarithm, the l_i and the solved modules are computed once per
 formal group law and kept in the law's own memo (`FormalGroupLaw._memo`).
@@ -55,8 +55,9 @@ class KernelGroupLaw:
     """Componentwise group law of N^n (kind 'kernel') or J^n (kind 'jet').
 
     The componentwise series (a Witt-ring evaluation of F) are expensive
-    at large degree caps and are only needed for substitution checks and
-    the direct solver, so they are computed on first access.
+    at large degree caps and are only needed for the additivity check by
+    substitution (`Character.check_additive`), so they are computed on
+    first access.
     """
 
     def __init__(self, F: FormalGroupLaw, n: int, kind: str):
@@ -129,18 +130,18 @@ class Character:
 
     The series is stored as a FracSeries (characters of interest are
     integral, but normalized representatives carry a bounded pi-power
-    denominator during extraction).  `lcoeffs`, when present, is the
-    coefficient vector in the logarithm-ghost basis: the character equals
-    pi^(-lshift) * sum(lcoeffs[i] * l_i).
+    denominator during extraction).  `lcoeffs`, present on solved
+    characters, is the solution vector over the log-ghost generators G_i
+    of the solve, modulo pi^M: the character is a lift of
+    pi^(-t) * sum(lcoeffs[i] * G_i), with t = 1 on the jet side and 0 on
+    the kernel side.
     """
 
-    def __init__(self, kind: str, n: int, frac: FracSeries,
-                 lcoeffs=None, lshift: int = 0):
+    def __init__(self, kind: str, n: int, frac: FracSeries, lcoeffs=None):
         self.kind = kind
         self.n = n
         self.frac = frac.normalize()
         self.lcoeffs = lcoeffs
-        self.lshift = lshift
 
     @property
     def spec(self):
@@ -154,16 +155,12 @@ class Character:
         """The character as an integral series (NotDivisible if it isn't)."""
         return self.frac.to_integral()
 
-    def is_integral(self) -> bool:
-        return self.frac.is_integral()
-
     def linear_coeff(self, name: str):
         """K-valued linear coefficient, as (numerator scalar, shift)."""
         return self.frac.num.linear_coeff(name), self.frac.shift
 
     def scalar_mul(self, c: PadicScalar) -> "Character":
-        return Character(self.kind, self.n, self.frac.scalar_mul(c),
-                         None, self.lshift)
+        return Character(self.kind, self.n, self.frac.scalar_mul(c))
 
     def __sub__(self, other: "Character") -> "Character":
         return Character(self.kind, self.n, self.frac - other.frac)
@@ -342,44 +339,35 @@ def _combine(kind, n, gens, digits, M, tshift):
         acc = term if acc is None else acc + term
     if acc is None:
         raise IncompatibleSpec("zero solution vector")
-    return Character(kind, n, acc, lcoeffs=coeffs, lshift=tshift)
+    return Character(kind, n, acc, lcoeffs=coeffs)
 
 
-def solve_additive(law: KernelGroupLaw, D: int | None = None,
-                   N: int | None = None, method: str = "log"):
+def solve_additive(law: KernelGroupLaw):
     """Basis of the additive-series module of a group law.
 
     Returns (characters, rank): `characters` are the unit-content Howell
     generators of the solution lattice (rechecking their additivity by
     substitution is left to callers and tests); `rank` counts them.
 
-    The module is solved once per law and (kind, n, D, N, method), with
-    the defaults of D and N resolved first; later calls return the same
-    characters in a new list.  The shared characters are never mutated.
-    DegreeCapTooSmall is raised again on every call.
+    The module is solved at the law's own degree cap and precision (those
+    of its formal group law); to solve at another D or precision, build
+    the formal group law at them.  It is solved once per law and
+    (kind, n); later calls return the same characters in a new list.  The
+    shared characters are never mutated.  DegreeCapTooSmall is raised
+    again on every call.
     """
     spec = law.spec
     n = law.n
-    D = law.cap if D is None else D
-    N = spec.precision_default if N is None else N
-    if law.kind == "kernel" and D < spec.q ** (n - 1) + 1:
+    if law.kind == "kernel" and law.cap < spec.q ** (n - 1) + 1:
         raise DegreeCapTooSmall(
-            f"degree cap {D} < q^(n-1) + 1 = {spec.q ** (n - 1) + 1}")
-    if method not in ("log", "direct"):
-        raise IncompatibleSpec(f"unknown solver method {method!r}")
-
-    def solve():
-        if method == "direct":
-            return _solve_direct(law, D, N)
-        return _solve_log(law)
-
-    chars, rank = _memoized(law.F, ("solve", law.kind, n, D, N, method),
-                            solve)
+            f"degree cap {law.cap} < q^(n-1) + 1 = {spec.q ** (n - 1) + 1}")
+    chars, rank = _memoized(law.F, ("solve", law.kind, n),
+                            lambda: _solve_log(law))
     return list(chars), rank
 
 
 def _solve_log(law: KernelGroupLaw):
-    """solve_additive over the log-ghost generators of the law."""
+    """The additive-series module over the log-ghost generators of the law."""
     spec = law.spec
     n = law.n
     _, gens = log_ghost_generators(law.F, n, law.kind)
@@ -402,88 +390,6 @@ def _solve_log(law: KernelGroupLaw):
             units.append(d)
     rank = module_rank(spec, units, len(gens), M) if units else 0
     chars = [_combine(law.kind, n, gens, d, M, tshift) for d in units]
-    return chars, rank
-
-
-def _axis_constraints(law: KernelGroupLaw, j: int):
-    """The law specialized to y = y_j e_j (single-variable y-block)."""
-    spec = law.spec
-    tvars = law.vars_x + (law.vars_y[j],)
-    cap, prec = law.cap, law.prec
-    imgs = {}
-    for v in law.vars_x:
-        imgs[v] = TruncSeries.gen(spec, tvars, v, cap, prec)
-    for k, v in enumerate(law.vars_y):
-        imgs[v] = (TruncSeries.gen(spec, tvars, v, cap, prec) if k == j
-                   else TruncSeries.zero(spec, tvars, cap, prec))
-    return tvars, [s.substitute(imgs) for s in law.laws]
-
-
-def _solve_direct(law: KernelGroupLaw, D: int, N: int):
-    """Monomial-level solver: unknown coefficients b_m, additivity rows."""
-    spec = law.spec
-    xs = law.vars_x
-    k = len(xs)
-    # candidate monomials: total degree 1..D in the x-variables
-    monos = []
-
-    def _enum(prefix, rem, idx):
-        if idx == k:
-            m = tuple(prefix)
-            if sum(m) >= 1:
-                monos.append(m)
-            return
-        for e_ in range(rem + 1):
-            _enum(prefix + [e_], rem - e_, idx + 1)
-
-    _enum([], D, 0)
-    monos.sort(key=monomial_key)
-    col = {m: i for i, m in enumerate(monos)}
-    one = [1] + [0] * (spec.e - 1)
-    rows = {}
-    for j in range(k):
-        tvars, laws_j = _axis_constraints(law, j)
-        # defect(m) = (x (+) y_j e_j)^m - x^m - (y_j e_j)^m, coefficientwise
-        powers = [[TruncSeries.const(spec, tvars, spec.one(law.prec),
-                                     law.cap, law.prec)]
-                  for _ in range(k)]
-        for m in monos:
-            term = None
-            for i, e_ in enumerate(m):
-                if e_ == 0:
-                    continue
-                plist = powers[i]
-                while len(plist) <= e_:
-                    plist.append(plist[-1] * laws_j[i])
-                piece = plist[e_]
-                term = piece if term is None else term * piece
-            # subtract the pure-x part, and the pure-y part when m is a
-            # power of x_j alone (otherwise psi(y_j e_j) has no m-term)
-            sub = {tuple(list(m) + [0]): list(one)}
-            if all(e_ == 0 for i, e_ in enumerate(m) if i != j):
-                sub[tuple([0] * k + [m[j]])] = list(one)
-            term = term - TruncSeries(spec, tvars, sub, law.cap, term.prec)
-            for mm, d in term.coeffs.items():
-                key = (j, mm)
-                if key not in rows:
-                    rows[key] = [[0] * spec.e for _ in range(len(monos))]
-                cell = rows[key][col[m]]
-                for t_, x_ in enumerate(d):
-                    cell[t_] += x_
-    matrix = [[spec.reduce_digits(cell, N) for cell in row]
-              for row in rows.values()]
-    sols = right_kernel_basis(spec, matrix, len(monos), N)
-    units = []
-    for d in sols:
-        vals = [PadicScalar(spec, dig, N).valuation() for dig in d]
-        if any(v == 0 for v in vals if v is not None):
-            units.append(d)
-    rank = module_rank(spec, units, len(monos), N) if units else 0
-    chars = []
-    for d in units:
-        coeffs = {m: dig for m, dig in zip(monos, d)}
-        num = TruncSeries(spec, xs, coeffs, law.cap, N)
-        chars.append(Character(law.kind, law.n, FracSeries(num, 0)))
     return chars, rank
 
 
@@ -613,22 +519,20 @@ def expand_in_psi_basis(psi: Character, psis):
 # delta-characters of the curve, splitting number, invariants
 # --------------------------------------------------------------------------
 
-def solve_delta_characters(F: FormalGroupLaw, n: int,
-                           D: int | None = None, N: int | None = None):
+def solve_delta_characters(F: FormalGroupLaw, n: int):
     """Basis of the order-n delta-character module at precision.
 
     Jet-side solve with the extension-class constraint; every returned
     character vanishes at the origin and carries denominator pi."""
-    return solve_additive(jet_group_law(F, n), D, N)
+    return solve_additive(jet_group_law(F, n))
 
 
-def splitting_number(F: FormalGroupLaw, D: int | None = None,
-                     N: int | None = None) -> int:
+def splitting_number(F: FormalGroupLaw) -> int:
     """Smallest order m of a nonzero delta-character; m is 1 or 2."""
-    _, r1 = solve_delta_characters(F, 1, D, N)
+    _, r1 = solve_delta_characters(F, 1)
     if r1 >= 1:
         return 1
-    _, r2 = solve_delta_characters(F, 2, D, N)
+    _, r2 = solve_delta_characters(F, 2)
     if r2 >= 1:
         return 2
     raise Inconclusive(
@@ -741,8 +645,7 @@ def _dvec(ch: Character, M: int):
     return [PadicScalar(ch.spec, c.digits, M) for c in ch.lcoeffs]
 
 
-def rank_table(F: FormalGroupLaw, n_max: int,
-               D: int | None = None, N: int | None = None) -> RankTable:
+def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
     """Solve for the character modules at n = 0..n_max and tabulate ranks.
 
     The l-ranks are computed independently as ranks of the quotients by
@@ -756,10 +659,10 @@ def rank_table(F: FormalGroupLaw, n_max: int,
     sols = {0: []}
     M = None
     for n in range(1, n_max + 1):
-        chars, r = solve_delta_characters(F, n, D, N)
+        chars, r = solve_delta_characters(F, n)
         rk_X.append(r)
         sols[n] = chars
-        _, rk = solve_additive(kernel_group_law(F, n), D, N)
+        _, rk = solve_additive(kernel_group_law(F, n))
         rk_hom.append(rk)
         if chars:
             Mn = chars[0].lcoeffs[0].prec

@@ -145,12 +145,12 @@ def cmd_crystal(spec: BaseRingSpec, params) -> dict:
     else:
         F = multiplicative_law(spec, params["deg"], params["prec"])
         extra = {"law": "multiplicative"}
-    m = splitting_number(F, params["deg"])
-    chars, _ = solve_delta_characters(F, m, params["deg"])
+    m = splitting_number(F)
+    chars, _ = solve_delta_characters(F, m)
     theta = chars[0]
     psis = psi_basis(F, m)
     lam, gamma = extract_lambda_gamma(theta, psis)
-    table = rank_table(F, params["nmax"], params["deg"])
+    table = rank_table(F, params["nmax"])
     crys = build_crystal(spec, m, lam, gamma)
     hodge, newton = polygons(crys)
     cert = weak_admissibility(crys)

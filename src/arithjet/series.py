@@ -381,10 +381,6 @@ class FracSeries:
         self.num = num
         self.shift = shift
 
-    @property
-    def value_prec(self) -> int:
-        return self.num.prec - self.shift
-
     def aligned(self, shift: int) -> "FracSeries":
         if shift < self.shift:
             raise ValueError("cannot lower the denominator exponent")

@@ -60,11 +60,13 @@ def _generic_ghost(spec, gens, prec):
     return out
 
 
-def _ghost_invert(spec, ghosts, prec):
-    """Recover components from ghost components in a flat generic algebra.
+def _ghost_invert(spec, ghosts):
+    """Recover components from ghost components in a pi-torsion-free
+    algebra (generic series, or the scalars R).
 
-    Division failures here mean the would-be structural polynomial is not
-    integral, which the existence theorem forbids: report a red alert.
+    Division failures here mean the ghost vector has no integral Witt
+    preimage; for the structural polynomials and the constant-ghost lift
+    the existence theorem forbids that: report a red alert.
     """
     comps = []
     for i, g in enumerate(ghosts):
@@ -76,7 +78,7 @@ def _ghost_invert(spec, ghosts, prec):
                 acc = acc.exact_div_pi(i)
             except NotDivisible as exc:
                 raise IntegralityViolation(
-                    f"slot {i} polynomial not divisible by pi^{i}") from exc
+                    f"slot {i} component not divisible by pi^{i}") from exc
         comps.append(acc)
     return comps
 
@@ -113,7 +115,7 @@ def structural_polynomials(spec: BaseRingSpec, n: int, op: str,
             target = [a + b for a, b in zip(gx, gy)]
         else:
             target = [a * b for a, b in zip(gx, gy)]
-    polys = _ghost_invert(spec, target, budget)
+    polys = _ghost_invert(spec, target)
     polys = [p.reduce_prec(prec) for p in polys]
     table = StructuralPolynomialTable(op, n, polys, budget, cap)
     _TABLE_CACHE[key] = table
@@ -336,18 +338,7 @@ def f_tilde_scalar(spec: BaseRingSpec, r: PadicScalar, n: int) -> WittVector:
     hit = _FTILDE_CACHE.get(key)
     if hit is not None:
         return hit
-    comps = []
-    for i in range(n + 1):
-        acc = r
-        for j in range(i):
-            acc = acc - (comps[j] ** (spec.q ** (i - j))).mul_pi(j)
-        if i:
-            try:
-                acc = acc.exact_div_pi(i)
-            except NotDivisible as exc:
-                raise IntegralityViolation(
-                    "constant-ghost lift failed integrality") from exc
-        comps.append(acc)
+    comps = _ghost_invert(spec, [r] * (n + 1))
     prec = min(c.prec for c in comps)
     comps = [c.reduce_prec(prec) for c in comps]
     vec = WittVector(spec, comps)

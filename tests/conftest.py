@@ -45,7 +45,7 @@ def mult5(spec5):
 
 @pytest.fixture(scope="session")
 def theta2_5(curve5):
-    chars, rank = solve_delta_characters(curve5, 2, 27, N_DESK)
+    chars, rank = solve_delta_characters(curve5, 2)
     assert rank >= 1
     return chars[0]
 
@@ -62,4 +62,4 @@ def psis3_5(curve5):
 
 @pytest.fixture(scope="session")
 def table5(curve5):
-    return rank_table(curve5, 3, 27, N_DESK)
+    return rank_table(curve5, 3)

@@ -123,7 +123,7 @@ def test_f2_I_equals_F_I_Ftilde(spec, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernel_hom_rank_is_n(curve5, n):
-    _, rank = solve_additive(kernel_group_law(curve5, n), 27, N_DESK)
+    _, rank = solve_additive(kernel_group_law(curve5, n))
     assert rank == n
 
 
@@ -210,9 +210,9 @@ def test_lambda_integral_many_curves(p):
         assert disc % p != 0
         F = formal_group_from_weierstrass(
             spec, spec.scalar(a4, prec), spec.scalar(a6, prec), D)
-        m = splitting_number(F, D, N_DESK)
+        m = splitting_number(F)
         assert m == 2
-        chars, _ = solve_delta_characters(F, 2, D, N_DESK)
+        chars, _ = solve_delta_characters(F, 2)
         lam, gamma = extract_lambda_gamma(chars[0], psi_basis(F, 2))
         # integrality (a violation raises IntegralityViolation upstream;
         # re-assert the valuation here)
@@ -248,7 +248,7 @@ def test_crystal_shape_and_admissibility_sweep(theta2_5, psis2_5, spec5):
 # ---------------------------------------------------------------------------
 
 def test_rank_arithmetic_consistency(table5, mult5):
-    for tab in (table5, rank_table(mult5, 2, 27, N_DESK)):
+    for tab in (table5, rank_table(mult5, 2)):
         tab.check()  # h decreasing, l_n = h_(n-1) - h_n, m_low = m_up <= 2
         assert all(a >= b for a, b in zip(tab.h, tab.h[1:]))
         assert all(l == a - b for l, a, b
@@ -264,7 +264,7 @@ def test_rank_arithmetic_consistency(table5, mult5):
 
 def test_upsilon_kills_frobenius_pullback(theta2_5, mult5):
     assert upsilon(frobenius_pullback(theta2_5)).is_zero()
-    chars, _ = solve_delta_characters(mult5, 1, 27, N_DESK)
+    chars, _ = solve_delta_characters(mult5, 1)
     assert upsilon(frobenius_pullback(chars[0])).is_zero()
 
 
@@ -273,8 +273,8 @@ def test_upsilon_kills_frobenius_pullback(theta2_5, mult5):
 # ---------------------------------------------------------------------------
 
 def test_multiplicative_analog_pinned(mult5, spec5):
-    assert splitting_number(mult5, 27, N_DESK) == 1
-    chars, _ = solve_delta_characters(mult5, 1, 27, N_DESK)
+    assert splitting_number(mult5) == 1
+    chars, _ = solve_delta_characters(mult5, 1)
     theta = chars[0]
     c = theta.series().linear_coeff("x1")
     theta = theta.scalar_mul(c.inverse())

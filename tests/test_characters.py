@@ -36,40 +36,41 @@ N_DESK = 6
 
 def test_kernel_ranks_are_n(curve5):
     for n in (1, 2, 3):
-        _, rank = solve_additive(kernel_group_law(curve5, n), 27, N_DESK)
+        _, rank = solve_additive(kernel_group_law(curve5, n))
         assert rank == n
 
 
 def test_jet_ranks_ordinary(curve5):
     for n, want in ((1, 0), (2, 1), (3, 2)):
-        _, rank = solve_delta_characters(curve5, n, 27, N_DESK)
+        _, rank = solve_delta_characters(curve5, n)
         assert rank == want
 
 
 def test_jet_ranks_supersingular(curve5_ss):
     for n, want in ((1, 0), (2, 1)):
-        _, rank = solve_delta_characters(curve5_ss, n, 27, N_DESK)
+        _, rank = solve_delta_characters(curve5_ss, n)
         assert rank == want
 
 
 def test_jet_rank_multiplicative(mult5):
-    chars, rank = solve_delta_characters(mult5, 1, 27, N_DESK)
+    chars, rank = solve_delta_characters(mult5, 1)
     assert rank == 1
 
 
 def test_splitting_numbers(curve5, mult5):
-    assert splitting_number(curve5, 27, N_DESK) == 2
-    assert splitting_number(mult5, 27, N_DESK) == 1
+    assert splitting_number(curve5) == 2
+    assert splitting_number(mult5) == 1
 
 
-def test_solved_characters_are_additive_z3():
+@pytest.mark.parametrize("p,e,D", [(3, 1, 9), (5, 2, 7)])
+def test_solved_characters_are_additive(p, e, D):
     # additivity verified against the explicit product law at a degree
-    # cap where building the 2n-variable law is cheap
-    spec = BaseRingSpec(3, 1)
-    E = formal_group_from_weierstrass(
-        spec, spec.scalar(1, 10), spec.scalar(1, 10), 9)
-    for law in (kernel_group_law(E, 2), jet_group_law(E, 2)):
-        chars, rank = solve_additive(law, 9, N_DESK)
+    # cap where building the 2n-variable law is cheap; the ramified case
+    # covers the solve where pi is not p
+    E = _curve(p, e, D)
+    for law, want in ((kernel_group_law(E, 2), 2), (jet_group_law(E, 2), 1)):
+        chars, rank = solve_additive(law)
+        assert rank == len(chars) == want
         for ch in chars:
             assert ch.check_additive(law)
 
@@ -172,7 +173,7 @@ def test_lambda_gamma_elliptic(theta2_5, psis2_5, spec5):
 
 
 def test_gamma_multiplicative(mult5, spec5):
-    chars, _ = solve_delta_characters(mult5, 1, 27, N_DESK)
+    chars, _ = solve_delta_characters(mult5, 1)
     psis = psi_basis(mult5, 1)
     lam, gamma = extract_lambda_gamma(chars[0], psis)
     assert lam is None
@@ -209,7 +210,7 @@ def test_rank_table_elliptic(table5):
 
 
 def test_rank_table_multiplicative(mult5):
-    tab = rank_table(mult5, 2, 27, N_DESK)
+    tab = rank_table(mult5, 2)
     assert tab.m_low == 1 and tab.m_up == 1
     assert tab.h[0] == 1 and tab.h[1] == 0
     tab.check()
@@ -219,7 +220,7 @@ def test_rank_table_z3():
     spec = BaseRingSpec(3, 1)
     E = formal_group_from_weierstrass(
         spec, spec.scalar(1, 10), spec.scalar(1, 10), 11)
-    tab = rank_table(E, 3, 11, N_DESK)
+    tab = rank_table(E, 3)
     assert tab.m_low == tab.m_up <= 2
     assert all(a >= b for a, b in zip(tab.h, tab.h[1:]))
     tab.check()
