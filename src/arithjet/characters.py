@@ -33,7 +33,7 @@ from .fgl import (
     frobenius_unit_root,
     trace_of_frobenius,
 )
-from .howell import module_rank, right_kernel_basis
+from .howell import module_rank, right_kernel_basis, unit_vectors
 from .ring import PadicScalar
 from .series import FracSeries, TruncSeries, monomial_key
 from .witt import WittVector, fgl_eval_witt, frobenius_W
@@ -132,9 +132,9 @@ class Character:
     integral, but normalized representatives carry a bounded pi-power
     denominator during extraction).  `lcoeffs`, present on solved
     characters, is the solution vector over the log-ghost generators G_i
-    of the solve, modulo pi^M: the character is a lift of
-    pi^(-t) * sum(lcoeffs[i] * G_i), with t = 1 on the jet side and 0 on
-    the kernel side.
+    of the solve, as the Howell kernel's scalars at precision M: the
+    character is a lift of pi^(-t) * sum(lcoeffs[i] * G_i), with t = 1 on
+    the jet side and 0 on the kernel side.
     """
 
     def __init__(self, kind: str, n: int, frac: FracSeries, lcoeffs=None):
@@ -283,8 +283,7 @@ def _lattice_solve(spec, gens, M: int, extra_rows=()):
                        key=monomial_key)
     rows = [[nm.coeff(m) for nm in nums] for m in monomials]
     rows.extend(list(r) for r in extra_rows)
-    sols = right_kernel_basis(spec, rows, len(gens), M)
-    return s, sols
+    return right_kernel_basis(spec, rows, len(gens), M)
 
 
 def unit_root_row(F: FormalGroupLaw, n: int, M: int):
@@ -319,10 +318,10 @@ def unit_root_row(F: FormalGroupLaw, n: int, M: int):
     return row
 
 
-def _combine(kind, n, gens, digits, M, tshift):
+def _combine(kind, n, gens, coeffs, tshift):
     """Character pi^(-tshift) * sum(d_i * G_i) from a solution vector.
 
-    The solution digits are defined modulo pi^M; any lift differs by a
+    The solution scalars are defined modulo pi^M; any lift differs by a
     multiple of pi^M = pi^(shift + tshift), which changes the combination
     by an integral additive series, so the specific lift below is a valid
     representative at the full generator precision.
@@ -330,7 +329,6 @@ def _combine(kind, n, gens, digits, M, tshift):
     spec = gens[0].num.spec
     P = min(g.num.prec for g in gens)
     acc = None
-    coeffs = [PadicScalar(spec, d, M) for d in digits]
     for c, g in zip(coeffs, gens):
         if c.is_zero():
             continue
@@ -371,25 +369,17 @@ def _solve_log(law: KernelGroupLaw):
     spec = law.spec
     n = law.n
     _, gens = log_ghost_generators(law.F, n, law.kind)
-    if law.kind == "kernel":
-        # candidate characters are R-combinations of the Psi_i
-        tshift = 0
-        extra = ()
-    else:
-        # delta-characters may carry one pi in the denominator, and must
-        # satisfy the global extension-class constraint of the curve
-        tshift = 1
-        row = unit_root_row(law.F, n, max(g.shift for g in gens) + tshift)
-        extra = (row,) if row is not None else ()
+    # kernel characters are R-combinations of the Psi_i; delta-characters
+    # may carry one pi in the denominator, and must satisfy the global
+    # extension-class constraint of the curve
+    tshift = 0 if law.kind == "kernel" else 1
     M = max(g.shift for g in gens) + tshift
-    s, sols = _lattice_solve(spec, gens, M, extra_rows=extra)
-    units = []
-    for d in sols:
-        vals = [PadicScalar(spec, dig, M).valuation() for dig in d]
-        if any(v == 0 for v in vals if v is not None):
-            units.append(d)
-    rank = module_rank(spec, units, len(gens), M) if units else 0
-    chars = [_combine(law.kind, n, gens, d, M, tshift) for d in units]
+    row = unit_root_row(law.F, n, M) if tshift else None
+    extra = () if row is None else (row,)
+    sols = _lattice_solve(spec, gens, M, extra_rows=extra)
+    units, _ = unit_vectors(sols)
+    rank = module_rank(spec, units, len(gens))
+    chars = [_combine(law.kind, n, gens, d, tshift) for d in units]
     return chars, rank
 
 
@@ -642,7 +632,7 @@ class RankTable:
 
 
 def _dvec(ch: Character, M: int):
-    return [PadicScalar(ch.spec, c.digits, M) for c in ch.lcoeffs]
+    return [c.reduce_prec(M) for c in ch.lcoeffs]
 
 
 def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
@@ -679,8 +669,8 @@ def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
             v = _dvec(ch, M)
             images.append(v + [spec.scalar(0, M)])          # u^* padding
             images.append([spec.scalar(0, M)] + v)          # phi^* shift
-        full = module_rank(spec, vecs + images, n + 1, M)
-        sub = module_rank(spec, images, n + 1, M)
+        full = module_rank(spec, vecs + images, n + 1)
+        sub = module_rank(spec, images, n + 1)
         l[n] = full - sub
     m_low = next((n for n in range(1, n_max + 1) if rk_X[n] > 0), None)
     if m_low is None:

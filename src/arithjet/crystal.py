@@ -16,12 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    Inconclusive,
-    InvalidParameters,
-    UnsupportedDimension,
-)
-from .ring import BaseRingSpec, PadicScalar
+from .errors import Inconclusive, InvalidParameters
+from .ring import BaseRingSpec, PadicScalar, unit_quadratic_root
 
 
 def _ordp(x: PadicScalar) -> Fraction | None:
@@ -97,11 +93,8 @@ class FilteredIsocrystal:
 
 def build_crystal(spec: BaseRingSpec, m: int, lam: PadicScalar | None,
                   gamma: PadicScalar) -> FilteredIsocrystal:
-    """Assemble the crystal from the splitting data; rank <= 2 asserted."""
-    crys = FilteredIsocrystal(spec, m, lam, gamma)
-    if crys.dim > 2:
-        raise UnsupportedDimension("rank exceeds 2g with g = 1")
-    return crys
+    """Assemble the crystal from the splitting data (rank m in {1, 2})."""
+    return FilteredIsocrystal(spec, m, lam, gamma)
 
 
 def polygons(crys: FilteredIsocrystal):
@@ -135,7 +128,6 @@ def _stable_lines(crys: FilteredIsocrystal):
     """
     spec = crys.spec
     lam, gamma = crys.lam, crys.gamma
-    prec = min(lam.prec, gamma.prec)
     if lam.valuation() is None or lam.valuation() > 0:
         # both roots have positive valuation; x^2 - lam x + gamma has a
         # root in R only if it splits at slope v(gamma)/2 -- outside the
@@ -144,25 +136,18 @@ def _stable_lines(crys: FilteredIsocrystal):
         # gamma = 0 which was excluded up to precision).
         return []
     # ordinary shape: one unit root and one root of valuation v(gamma)
-    x = lam.reduce_prec(prec)
-    for _ in range(prec + 2):
-        f = x * x - lam.reduce_prec(prec) * x + gamma.reduce_prec(prec)
-        if f.is_zero():
-            break
-        fp = x.scale_int(2) - lam.reduce_prec(prec)
-        x = x - f * fp.inverse()
-    mu1 = x
-    mu2 = gamma.reduce_prec(prec) * mu1.inverse()
+    mu1 = unit_quadratic_root(lam, gamma)
+    mu2 = gamma * mu1.inverse()
     lines = []
     for mu in (mu1, mu2):
         # from the companion shape: v1 = (mu - lambda) v2, so the
         # eigenline is span(mu - lambda, 1); note mu - lambda = -gamma/mu
-        coords = (mu - lam.reduce_prec(prec), spec.one(prec))
+        coords = (mu - lam, spec.one(mu.prec))
         lines.append((mu, coords))
     return lines
 
 
-def _lines_equal(a, b, spec) -> bool | None:
+def _lines_equal(a, b) -> bool | None:
     """Projective equality of two lines given as (c, 1) coordinates.
 
     Returns None (inconclusive) when the difference of the affine
@@ -183,9 +168,6 @@ def weak_admissibility(crys: FilteredIsocrystal) -> dict:
     with equality required for the whole space.  Returns a certificate
     dict; the closed-form criterion v(gamma) = 1 is evaluated alongside.
     """
-    if crys.dim > 2:
-        raise UnsupportedDimension("weak admissibility only for dim <= 2")
-    spec = crys.spec
     vg = crys.gamma.valuation()
     closed_form = (vg == 1)
     cert = {"subobjects": [], "closed_form_v_gamma_1": closed_form}
@@ -206,7 +188,7 @@ def weak_admissibility(crys: FilteredIsocrystal) -> dict:
                        "equal": top_ok}
         verdict = top_ok
         for mu, coords in _stable_lines(crys):
-            same = _lines_equal(coords, crys.fil1, spec)
+            same = _lines_equal(coords, crys.fil1)
             if same is None:
                 raise Inconclusive(
                     "cannot separate a stable line from fil1 at precision")

@@ -10,7 +10,7 @@ logarithm integrates the invariant differential and therefore lives in K
 from __future__ import annotations
 
 from .errors import BadReduction, IncompatibleSpec, PrecisionExhausted
-from .ring import BaseRingSpec, PadicScalar, _vp
+from .ring import BaseRingSpec, PadicScalar, _vp, unit_quadratic_root
 from .series import FracSeries, TruncSeries
 
 VARS = ("X", "Y")
@@ -235,17 +235,8 @@ def frobenius_unit_root(spec: BaseRingSpec, ap: int,
     """
     if ap % spec.p == 0:
         raise BadReduction("supersingular reduction has no unit root")
-    P = prec + 2
-    x = spec.scalar(ap, P)
-    pconst = spec.scalar(spec.p, P)
-    apc = spec.scalar(ap, P)
-    for _ in range(P + 2):
-        f = x * x - apc * x + pconst
-        if f.is_zero():
-            break
-        fp = x.scale_int(2) - apc
-        x = x - f * fp.inverse()
-    return x.reduce_prec(prec)
+    return unit_quadratic_root(spec.scalar(ap, prec),
+                               spec.scalar(spec.p, prec))
 
 
 def _x_linear_part(law: TruncSeries) -> TruncSeries:

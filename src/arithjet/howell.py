@@ -7,10 +7,12 @@ which makes the row span closed under "multiply and project".  Kernels are
 read off an augmented [A | I] reduction: rows whose A-part vanishes give a
 generating set of the left kernel.
 
-Entries are digit vectors (see ring.py) interpreted modulo pi^M; arithmetic
-is modular, not precision-tracked -- exact division by pi^v is well defined
-modulo pi^(M-v), and every place a division result is used multiplies it
-back by something of valuation >= v, so any lift is consistent.
+Entries are `PadicScalar`s at precision M, from input to output: input
+entries known to a higher precision are reduced to M on entry, and every
+returned row or kernel vector holds scalars at M.  Exact division by pi^v
+is only defined modulo pi^(M-v); its result is re-lifted to M, which is
+consistent because every place a division result is used multiplies it
+back by something of valuation >= v.
 """
 
 from __future__ import annotations
@@ -19,55 +21,15 @@ from .errors import IncompatibleSpec
 from .ring import BaseRingSpec, PadicScalar
 
 
-def _as_digits(spec: BaseRingSpec, x, M: int):
-    if isinstance(x, PadicScalar):
-        return spec.reduce_digits(x.digits, M)
-    if isinstance(x, int):
-        return spec.reduce_digits([x] + [0] * (spec.e - 1), M)
-    return spec.reduce_digits(list(x), M)
+def _div_pi(x: PadicScalar, k: int, M: int) -> PadicScalar:
+    """A lift to precision M of x / pi^k (defined modulo pi^(M-k))."""
+    if k == 0:
+        return x
+    return PadicScalar(x.spec, x.exact_div_pi(k).digits, M)
 
 
-class _Mod:
-    """Helper bundle: arithmetic on digit vectors modulo pi^M."""
-
-    def __init__(self, spec: BaseRingSpec, M: int):
-        self.spec = spec
-        self.M = M
-        self.zero = tuple(spec.reduce_digits([0] * spec.e, M))
-
-    def scalar(self, d):
-        return PadicScalar(self.spec, d, self.M)
-
-    def val(self, d):
-        return self.scalar(d).valuation()
-
-    def is_zero(self, d):
-        return not any(self.spec.reduce_digits(d, self.M))
-
-    def add(self, a, b):
-        return self.spec.reduce_digits([x + y for x, y in zip(a, b)], self.M)
-
-    def mul(self, a, b):
-        return (self.scalar(a) * self.scalar(b)).digits
-
-    def neg(self, a):
-        return self.spec.reduce_digits([-x for x in a], self.M)
-
-    def div_pi(self, a, k):
-        """A lift of a / pi^k (defined modulo pi^(M-k))."""
-        if k == 0:
-            return self.spec.reduce_digits(list(a), self.M)
-        d = self.scalar(a).exact_div_pi(k).digits
-        return self.spec.reduce_digits(list(d), self.M)
-
-    def mul_pi(self, a, k):
-        if k == 0:
-            return self.spec.reduce_digits(list(a), self.M)
-        d = self.scalar(a).mul_pi_power(k).digits
-        return self.spec.reduce_digits(list(d), self.M)
-
-    def inv(self, a):
-        return self.scalar(a).inverse().digits
+def _nonzero(row) -> bool:
+    return any(not d.is_zero() for d in row)
 
 
 class HowellForm:
@@ -76,7 +38,7 @@ class HowellForm:
     def __init__(self, spec: BaseRingSpec, M: int, rows, pivots):
         self.spec = spec
         self.M = M
-        self.rows = rows              # list of row lists of digit tuples
+        self.rows = rows              # list of rows of PadicScalar at M
         self.pivots = pivots          # list of (column, valuation)
 
     @property
@@ -89,7 +51,7 @@ class HowellForm:
         return [v for _, v in self.pivots]
 
 
-def _sweep(md: _Mod, work, ncols: int):
+def _sweep(work, ncols: int, M: int):
     """One echelon pass with Howell closures; returns (pivot rows, pivots,
     leftover nonzero rows whose earliest entry sits left of the frontier)."""
     pivots = []
@@ -98,7 +60,7 @@ def _sweep(md: _Mod, work, ncols: int):
         best = None
         best_v = None
         for i in range(top, len(work)):
-            v = md.val(work[i][c])
+            v = work[i][c].valuation()
             if v is not None and (best_v is None or v < best_v):
                 best, best_v = i, v
                 if v == 0:
@@ -108,28 +70,26 @@ def _sweep(md: _Mod, work, ncols: int):
         work[top], work[best] = work[best], work[top]
         v = best_v
         # normalize the pivot entry to exactly pi^v
-        u_inv = md.inv(md.div_pi(work[top][c], v))
-        work[top] = [md.mul(u_inv, d) for d in work[top]]
+        u_inv = _div_pi(work[top][c], v, M).inverse()
+        work[top] = [u_inv * d for d in work[top]]
         # eliminate the column everywhere else (entries with val >= v)
         for i in range(len(work)):
             if i == top:
                 continue
-            e = work[i][c]
-            ev = md.val(e)
+            ev = work[i][c].valuation()
             if ev is None or ev < v:
                 continue
-            factor = md.div_pi(e, v)
-            work[i] = [md.add(d, md.neg(md.mul(factor, pd)))
-                       for d, pd in zip(work[i], work[top])]
+            factor = _div_pi(work[i][c], v, M)
+            work[i] = [d - factor * pd for d, pd in zip(work[i], work[top])]
         # Howell closure: pi^(M-v) * row kills the pivot, keeps the tail
         if v > 0:
-            closure = [md.mul_pi(d, md.M - v) for d in work[top]]
-            if any(not md.is_zero(d) for d in closure):
+            closure = [d.mul_pi_power(M - v).reduce_prec(M)
+                       for d in work[top]]
+            if _nonzero(closure):
                 work.append(closure)
         pivots.append((c, v))
         top += 1
-    leftovers = [row for row in work[top:]
-                 if any(not md.is_zero(d) for d in row)]
+    leftovers = [row for row in work[top:] if _nonzero(row)]
     return work[:top], pivots, leftovers
 
 
@@ -143,25 +103,22 @@ def howell_form(spec: BaseRingSpec, rows, ncols: int, M: int) -> HowellForm:
     """
     if M < 1:
         raise IncompatibleSpec("modulus exponent must be >= 1")
-    md = _Mod(spec, M)
     work = []
     for r in rows:
         if len(r) != ncols:
             raise IncompatibleSpec("ragged matrix")
-        row = [list(_as_digits(spec, x, M)) for x in r]
-        if any(not md.is_zero(d) for d in row):
+        row = [x.reduce_prec(M) for x in r]
+        if _nonzero(row):
             work.append(row)
     pivots = []
     for _ in range(M * ncols + 2):
-        work, pivots, leftovers = _sweep(md, work, ncols)
+        work, pivots, leftovers = _sweep(work, ncols, M)
         if not leftovers:
             break
         work = work + leftovers
     else:  # pragma: no cover - the bound is generous
         raise IncompatibleSpec("Howell reduction failed to stabilize")
-    rows_out = [[tuple(spec.reduce_digits(d, M)) for d in row]
-                for row in work]
-    return HowellForm(spec, M, rows_out, pivots)
+    return HowellForm(spec, M, work, pivots)
 
 
 def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
@@ -171,24 +128,12 @@ def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
     vanishes have right parts generating the left kernel.
     """
     nrows = len(rows)
-    md = _Mod(spec, M)
-    one = _as_digits(spec, 1, M)
-    aug = []
-    for i, r in enumerate(rows):
-        if len(r) != ncols:
-            raise IncompatibleSpec("ragged matrix")
-        row = [_as_digits(spec, x, M) for x in r]
-        row += [list(one) if j == i else list(md.zero) for j in range(nrows)]
-        aug.append(row)
+    one, zero = spec.one(M), spec.zero(M)
+    aug = [list(r) + [one if j == i else zero for j in range(nrows)]
+           for i, r in enumerate(rows)]
     H = howell_form(spec, aug, ncols + nrows, M)
-    out = []
-    for row in H.rows:
-        if all(md.is_zero(d) for d in row[:ncols]):
-            vec = row[ncols:]
-            if any(not md.is_zero(d) for d in vec):
-                out.append([tuple(spec.reduce_digits(list(d), M))
-                            for d in vec])
-    return out
+    return [row[ncols:] for row in H.rows
+            if not _nonzero(row[:ncols]) and _nonzero(row[ncols:])]
 
 
 def right_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
@@ -198,48 +143,23 @@ def right_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
     return left_kernel_basis(spec, cols, nrows, M)
 
 
-def unit_vectors(spec: BaseRingSpec, vectors, M: int):
+def unit_vectors(vectors):
     """Split a generating set into unit-content and pi-divisible members.
 
     A vector with a unit entry contributes to the free rank of the solution
     module; pi-divisible generators are precision shadows of unit ones.
     """
-    md = _Mod(spec, M)
     units, shadows = [], []
     for vec in vectors:
-        if any(md.val(d) == 0 for d in vec):
-            units.append(vec)
-        else:
-            shadows.append(vec)
+        (units if any(d.is_unit() for d in vec) else shadows).append(vec)
     return units, shadows
 
 
-def module_rank(spec: BaseRingSpec, vectors, ncols: int, M: int) -> int:
-    """Free rank of the span of `vectors` in (R/pi^M)^ncols.
+def module_rank(spec: BaseRingSpec, vectors, ncols: int) -> int:
+    """Free rank of the span of `vectors` in (R/pi^M)^ncols, for any M.
 
     Equals the number of unit elementary divisors (Smith form over the
-    chain ring), which is the F_p-rank of the generator matrix modulo pi.
+    chain ring), which is the F_p-rank of the generator matrix modulo pi:
+    the rank of its Howell form at M = 1.
     """
-    if not vectors:
-        return 0
-    p = spec.p
-    rows = []
-    for vec in vectors:
-        row = [_as_digits(spec, d, M)[0] % p for d in vec]
-        if any(row):
-            rows.append(row)
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in
-                           zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return howell_form(spec, vectors, ncols, 1).rank

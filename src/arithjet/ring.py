@@ -301,3 +301,21 @@ def c_pi(spec: BaseRingSpec, x: PadicScalar, y: PadicScalar) -> PadicScalar:
     """C_pi(x, y) = (x^q + y^q - (x+y)^q)/pi, the sum-rule correction."""
     q = spec.q
     return (x ** q + y ** q - (x + y) ** q).exact_div_pi(1)
+
+
+def unit_quadratic_root(lam: PadicScalar, c: PadicScalar) -> PadicScalar:
+    """The root x = lam (mod pi) of x^2 - lam x + c, for a unit lam, pi | c.
+
+    Newton's iteration from x = lam, at precision min(lam.prec, c.prec):
+    f'(x) = 2x - lam = lam (mod pi) is a unit, so the root modulo pi^prec
+    depends only on lam and c modulo pi^prec.
+    """
+    prec = min(lam.prec, c.prec)
+    lam, c = lam.reduce_prec(prec), c.reduce_prec(prec)
+    x = lam
+    for _ in range(prec + 2):
+        f = x * x - lam * x + c
+        if f.is_zero():
+            break
+        x = x - f * (x.scale_int(2) - lam).inverse()
+    return x

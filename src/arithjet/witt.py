@@ -253,12 +253,6 @@ class WittVector:
             vals[f"y{i}"] = c
         return vals
 
-    def _table(self, op, length=None):
-        n = (length if length is not None else self.length) - 1
-        return structural_polynomials(
-            self.spec, n, op, cap=self.cap(),
-            prec=max(c.prec for c in self.components))
-
     def __add__(self, other: "WittVector") -> "WittVector":
         self._check(other)
         table = structural_polynomials(
@@ -295,11 +289,7 @@ def frobenius_W(x: WittVector) -> WittVector:
     table = structural_polynomials(
         x.spec, x.n, "frobenius", cap=_op_cap(x), prec=x.prec())
     values = {f"x{i}": c for i, c in enumerate(x.components)}
-    out = []
-    for poly in table.polys:
-        out.append(poly.substitute(values) if x.is_series()
-                   else poly.evaluate(values))
-    return WittVector(x.spec, out)
+    return x._eval_table(table, values)
 
 
 def verschiebung(x: WittVector) -> WittVector:

@@ -10,19 +10,37 @@ from arithjet.howell import (
     right_kernel_basis,
     unit_vectors,
 )
-from arithjet.ring import BaseRingSpec
+from arithjet.ring import BaseRingSpec, PadicScalar
 
 SPEC = BaseRingSpec(5, 1)
 M = 3
-MOD = 5 ** M
+SPECS = pytest.mark.parametrize(
+    "spec", [BaseRingSpec(5, 1), BaseRingSpec(5, 2)], ids=["5-1", "5-2"])
 
 
-def _mat_mul_vec(rows, vec):
-    return [sum(r * v for r, v in zip(row, vec)) % MOD for row in rows]
+def _mat(spec, rows):
+    """Integer entries as scalars of R/pi^M."""
+    return [[spec.scalar(x, M) for x in row] for row in rows]
+
+
+def _annihilates(rows, vec):
+    """rows . vec == 0 in (R/pi^M)^len(rows)."""
+    for row in rows:
+        acc = vec[0].spec.zero(M)
+        for r, v in zip(row, vec):
+            acc = acc + r * v
+        if not acc.is_zero():
+            return False
+    return True
+
+
+def _random_scalar(spec, rng):
+    digits = [rng.randrange(spec.digit_modulus(i, M)) for i in range(spec.e)]
+    return PadicScalar(spec, digits, M)
 
 
 def test_howell_rank_identity():
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    rows = _mat(SPEC, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     hf = howell_form(SPEC, rows, 3, M)
     assert hf.rank == 3
 
@@ -30,51 +48,60 @@ def test_howell_rank_identity():
 def test_howell_detects_pi_torsion():
     # the row 5*e1 is not in the span of e1 over Z/125 ... it is, but
     # Howell form must still expose the saturated span: x with 25x = 0
-    rows = [[25, 0]]
+    rows = _mat(SPEC, [[25, 0]])
     hf = howell_form(SPEC, rows, 2, M)
     # rank counts unit pivots: a pi^2-torsion row contributes none
     assert hf.rank == 0
     assert hf.pivot_valuations == [2]
+    assert all(d.prec == M for row in hf.rows for d in row)
 
 
 def test_right_kernel_annihilates():
-    rows = [[1, 2, 3], [0, 5, 10]]
+    rows = _mat(SPEC, [[1, 2, 3], [0, 5, 10]])
     basis = right_kernel_basis(SPEC, rows, 3, M)
     assert basis
     for vec in basis:
-        ints = [v[0] if isinstance(v, tuple) else int(v) for v in vec]
-        assert all(x % MOD == 0 for x in _mat_mul_vec(rows, ints))
+        assert all(isinstance(v, PadicScalar) and v.prec == M for v in vec)
+        assert _annihilates(rows, vec)
 
 
 def test_left_kernel_annihilates():
-    rows = [[1, 0], [5, 0], [0, 25]]
+    rows = _mat(SPEC, [[1, 0], [5, 0], [0, 25]])
     basis = left_kernel_basis(SPEC, rows, 2, M)
     assert basis
+    cols = [[rows[i][j] for i in range(3)] for j in range(2)]
     for vec in basis:
-        ints = [v[0] if isinstance(v, tuple) else int(v) for v in vec]
-        for j in range(2):
-            assert sum(ints[i] * rows[i][j] for i in range(3)) % MOD == 0
+        assert _annihilates(cols, vec)
 
 
+@SPECS
 @given(seed=st.integers(0, 10 ** 6))
 @settings(max_examples=30, deadline=None)
-def test_right_kernel_random(seed):
+def test_right_kernel_random(spec, seed):
     rng = random.Random(seed)
-    rows = [[rng.randrange(MOD) for _ in range(4)] for _ in range(3)]
-    for vec in right_kernel_basis(SPEC, rows, 4, M):
-        ints = [v[0] if isinstance(v, tuple) else int(v) for v in vec]
-        assert all(x % MOD == 0 for x in _mat_mul_vec(rows, ints))
+    rows = [[_random_scalar(spec, rng) for _ in range(4)] for _ in range(3)]
+    for vec in right_kernel_basis(spec, rows, 4, M):
+        assert _annihilates(rows, vec)
 
 
-def test_module_rank():
-    assert module_rank(SPEC, [[1, 0], [0, 1]], 2, M) == 2
-    assert module_rank(SPEC, [[1, 0], [2, 0]], 2, M) == 1
-    assert module_rank(SPEC, [[5, 0]], 2, M) == 0  # no unit content mod pi
-    assert module_rank(SPEC, [], 2, M) == 0
+@SPECS
+def test_module_rank(spec):
+    def rank(rows):
+        return module_rank(spec, _mat(spec, rows), 2)
+
+    assert rank([[1, 0], [0, 1]]) == 2
+    assert rank([[1, 0], [2, 0]]) == 1
+    assert rank([[5, 0]]) == 0  # no unit content mod pi
+    assert module_rank(spec, [], 2) == 0
+    if spec.e == 2:
+        pi, one = spec.pi(M), spec.one(M)
+        zero = spec.zero(M)
+        assert module_rank(spec, [[pi, zero]], 2) == 0
+        assert module_rank(spec, [[one + pi, pi]], 2) == 1
 
 
 def test_unit_vectors():
-    vecs = [[(5,), (25,)], [(1,), (3,)], [(0,), (125,)]]
-    units, rest = unit_vectors(SPEC, vecs, M)
-    assert units == [[(1,), (3,)]]
-    assert rest == [[(5,), (25,)], [(0,), (125,)]]
+    vecs = _mat(SPEC, [[5, 25], [1, 3], [0, 125]])
+    units, rest = unit_vectors(vecs)
+    assert units == [vecs[1]]
+    assert rest == [vecs[0], vecs[2]]

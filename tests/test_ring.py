@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithjet.errors import IncompatibleSpec, NotDivisible, PrecisionExhausted
-from arithjet.ring import BaseRingSpec, PadicScalar, c_pi
+from arithjet.ring import BaseRingSpec, PadicScalar, c_pi, unit_quadratic_root
 
 SPECS = [BaseRingSpec(2, 1), BaseRingSpec(3, 1), BaseRingSpec(5, 1),
          BaseRingSpec(5, 2)]
@@ -111,3 +111,18 @@ def test_to_json_shape():
     j = x.to_json()
     assert set(j) == {"digits", "prec", "pi_power_basis"}
     assert j["pi_power_basis"] == 2 and j["prec"] == 4
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+@given(a=ints, b=ints)
+@settings(max_examples=30, deadline=None)
+def test_unit_quadratic_root(spec, a, b):
+    prec = 5
+    lam = spec.scalar(a * spec.p + 1, prec + 3)
+    c = spec.pi(prec + 3) * spec.scalar(b, prec + 3)
+    x = unit_quadratic_root(lam.reduce_prec(prec), c.reduce_prec(prec))
+    assert x.prec == prec
+    assert (x * x - lam * x + c).is_zero()
+    assert (x - lam).reduce_prec(1).is_zero()
+    # the root mod pi^prec depends only on the inputs mod pi^prec
+    assert unit_quadratic_root(lam, c).reduce_prec(prec).digits == x.digits
