@@ -13,10 +13,8 @@ from .errors import (
     InvalidParameters,
     NonNilpotentComposition,
     NotDivisible,
-    NotInImage,
     NotInVImage,
     PrecisionExhausted,
-    UnsupportedDimension,
 )
 from .ring import BaseRingSpec, PadicScalar, c_pi
 from .series import FracSeries, TruncSeries
@@ -82,15 +80,15 @@ __all__ = [
     "DegreeCapTooSmall", "EngineError", "FilteredIsocrystal", "FormalGroupLaw",
     "FracSeries", "IncompatibleSpec", "Inconclusive", "IntegralityViolation",
     "InvalidParameters", "NonNilpotentComposition", "NotDivisible",
-    "NotInImage", "NotInVImage", "PadicScalar", "PrecisionExhausted",
-    "RankTable", "TildeWittVector", "TruncSeries", "UnsupportedDimension",
-    "WittVector", "additive_law", "build_crystal", "c_pi", "de_rham_shadow",
-    "expand_in_psi_basis", "extract_lambda_gamma", "f_tilde",
-    "formal_group_from_weierstrass", "formal_logarithm", "frobenius_W",
-    "frobenius_pullback", "frobenius_unit_root", "from_witt", "generic_tilde",
-    "howell_form", "i_star", "jet_group_law", "kernel_group_law",
-    "lateral_frobenius", "lateral_pullback", "left_kernel_basis",
-    "module_rank", "multiplicative_law", "polygons", "psi_basis", "rank_table",
+    "NotInVImage", "PadicScalar", "PrecisionExhausted", "RankTable",
+    "TildeWittVector", "TruncSeries", "WittVector", "additive_law",
+    "build_crystal", "c_pi", "de_rham_shadow", "expand_in_psi_basis",
+    "extract_lambda_gamma", "f_tilde", "formal_group_from_weierstrass",
+    "formal_logarithm", "frobenius_W", "frobenius_pullback",
+    "frobenius_unit_root", "from_witt", "generic_tilde", "howell_form",
+    "i_star", "jet_group_law", "kernel_group_law", "lateral_frobenius",
+    "lateral_pullback", "left_kernel_basis", "module_rank",
+    "multiplicative_law", "polygons", "psi_basis", "rank_table",
     "right_kernel_basis", "solve_additive", "solve_delta_characters",
     "splitting_number", "structural_polynomials", "teichmuller", "tilde_pack",
     "tilde_unpack", "trace_of_frobenius", "u_star", "upsilon", "verschiebung",

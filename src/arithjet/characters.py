@@ -300,7 +300,11 @@ def unit_root_row(F: FormalGroupLaw, n: int, M: int):
 
     Returns None when no constraint applies: laws without curve data
     (formal-local models such as the multiplicative analog), and
-    supersingular reduction, where the lattice is already exact.
+    supersingular reduction.  The supersingular lattice is not exact
+    without such a row: the pi-divisible "shadow" generators that
+    `_solve_log` drops leave the solved vector, and so lambda and gamma,
+    determined only modulo their span, not modulo pi^M (ROADMAP item 1,
+    "Report only the digits the lattice determines").
     """
     if F.curve is None:
         return None

@@ -23,10 +23,6 @@ class PrecisionExhausted(EngineError):
     """Not enough pi-adic digits left to perform the operation."""
 
 
-class NotInImage(EngineError):
-    """A ghost vector is not in the image of the ghost map."""
-
-
 class NotInVImage(EngineError):
     """A Witt vector expected to lie in the image of V does not."""
 
@@ -53,10 +49,6 @@ class BasisExpansionFailed(EngineError):
 
 class Inconclusive(EngineError):
     """The finite precision/degree window cannot decide the question."""
-
-
-class UnsupportedDimension(EngineError):
-    """Crystal operations are only implemented for dimension <= 2."""
 
 
 class InvalidParameters(EngineError):

@@ -2,8 +2,10 @@
 
 Laws are truncated two-variable series F(X, Y) over R, built on first
 access.  The elliptic constructor expands only w(t) of a short Weierstrass
-model (t = -x/y) and reads the invariant differential off it.  The
-logarithm integrates the invariant differential and therefore lives in K
+model (t = -x/y), by Newton's iteration, and reads the invariant
+differential off it; unit series are inverted by Newton's iteration too,
+so both cost a few products at doubling degree caps.  The logarithm
+integrates the invariant differential and therefore lives in K
 (FracSeries with a bounded pi-power denominator).
 """
 
@@ -111,23 +113,33 @@ def multiplicative_law(spec: BaseRingSpec, D: int, N: int) -> FormalGroupLaw:
                           name="multiplicative")
 
 
+def _newton_inverse_step(u: TruncSeries, v: TruncSeries,
+                         cap: int) -> TruncSeries:
+    """v (2 - u v) at cap: an inverse of u to degree k - 1 becomes one to
+    degree min(2k - 1, cap)."""
+    u, v = u.with_cap(cap), v.with_cap(cap)
+    two = TruncSeries.const(u.spec, u.vars, u.spec.scalar(2, u.prec), cap,
+                            u.prec)
+    return v * (two - u * v)
+
+
 def _unit_inverse(u: TruncSeries) -> TruncSeries:
-    """Inverse of a series with unit constant term (geometric expansion)."""
-    c0 = u.constant_term()
-    c0_inv = c0.inverse()
-    nil = u.scalar_mul(c0_inv) - TruncSeries.const(
-        u.spec, u.vars, u.spec.one(u.prec), u.cap, u.prec)
-    # 1/(1 + nil) = sum (-nil)^k; nil has positive min-degree
-    acc = TruncSeries.const(u.spec, u.vars, u.spec.one(u.prec), u.cap, u.prec)
-    term = acc
-    mind = nil.min_degree()
-    if mind is not None and u.cap is not None:
-        for _ in range(u.cap // mind + 1):
-            term = term * (-nil)
-            if term.is_zero():
-                break
-            acc = acc + term
-    return acc.scalar_mul(c0_inv)
+    """Inverse of a series with unit constant term (Newton inversion).
+
+    An uncapped series has an exact inverse only when it is a constant.
+    """
+    v = TruncSeries.const(u.spec, u.vars, u.constant_term().inverse(),
+                          u.cap, u.prec)
+    if u.cap is None:
+        if u.max_degree():
+            raise IncompatibleSpec("an exact non-constant series has no "
+                                   "polynomial inverse")
+        return v
+    k = 1  # v is the inverse to degree k - 1
+    while k <= u.cap:
+        k = min(2 * k, u.cap + 1)
+        v = _newton_inverse_step(u, v, k - 1)
+    return v
 
 
 def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
@@ -137,9 +149,12 @@ def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
 
     Requires good reduction: v(disc) = 0.  Works in the parameter
     t = -x/y, w = -1/y, where the curve reads w = t^3 + a4 t w^2 + a6 w^3.
-    Only w(t) is expanded here: the invariant differential
-    omega = (t w' - w)/(2w) dt (Silverman, GTM 106, IV.1) gives the
-    logarithm, and the chord-tangent law is built on first access.
+    Only w(t) is expanded here, by Newton's iteration on
+    G(w) = w - t^3 - a4 t w^2 - a6 w^3: G'(w) = 1 - 2 a4 t w - 3 a6 w^2 is
+    a unit, so each step doubles the number of exact t-adic digits.  The
+    invariant differential omega = (t w' - w)/(2w) dt (Silverman, GTM 106,
+    IV.1) gives the logarithm, and the chord-tangent law is built on first
+    access.
     """
     if N is None:
         N = min(a4.prec, a6.prec)
@@ -149,16 +164,7 @@ def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
     disc = disc.scale_int(-16)
     if disc.is_zero() or disc.valuation() != 0:
         raise BadReduction(f"v(disc) != 0 (disc = {disc!r})")
-
-    # w(t) = t^3 (1 + ...) by fixed-point iteration, exact to degree D + 3
-    t = TruncSeries.gen(spec, ("T",), "T", D + 3, N)
-    t3 = t ** 3
-    w = t3
-    while True:
-        w_next = t3 + (t * w * w).scalar_mul(a4) + (w ** 3).scalar_mul(a6)
-        if w_next == w:
-            break
-        w = w_next
+    w = _weierstrass_w(spec, a4, a6, D + 3, N)
 
     # with w = sum c_k t^k: omega = sum (k-1) c_k t^(k-3) / sum 2 c_k t^(k-3)
     num = {(k - 3,): [(k - 1) * x for x in d] for (k,), d in w.coeffs.items()}
@@ -169,6 +175,42 @@ def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
                           lambda: _chord_tangent_law(spec, a4, a6, w, D, N),
                           name=f"weierstrass(a4={a4.digits},a6={a6.digits})",
                           curve=(a4, a6), omega=omega)
+
+
+def _weierstrass_w(spec: BaseRingSpec, a4: PadicScalar, a6: PadicScalar,
+                   cap: int, N: int) -> TruncSeries:
+    """The root w = t^3 + ... of G(w) = w - t^3 - a4 t w^2 - a6 w^3, to
+    degree cap, by Newton's iteration w <- w - G(w)/G'(w).
+
+    If w is exact to degree k - 1, then G(w) = 0 to degree k - 1, so the
+    step is exact to degree 2k - 1 and needs 1/G'(w) only to degree k - 1.
+    That inverse is carried from step to step and refined by one Newton
+    inversion step each time.  Each step works at its own degree cap.
+    """
+    T = ("T",)
+    t3 = TruncSeries.gen(spec, T, "T", cap, N) ** 3
+    t_a4 = TruncSeries(spec, T, {(1,): a4.digits}, cap, N)
+    one = TruncSeries.const(spec, T, spec.one(N), cap, N)
+    # w = t^3 to degree 6, since w - t^3 = a4 t w^2 + a6 w^3; and
+    # 1/G'(w) = 1 to degree 3, since t w and w^2 have degree >= 4
+    w, k = t3, 7
+    v, kv = one, 4
+    while k <= cap:
+        k2 = min(2 * k, cap + 1)
+        w = w.with_cap(k2 - 1)
+        w2 = w * w
+        if kv < k2 - k:
+            kv = min(2 * kv, k2 - k)
+            c = kv - 1
+            dG = one.with_cap(c) \
+                - (t_a4.with_cap(c) * w.with_cap(c)).int_mul(2) \
+                - w2.with_cap(c).scalar_mul(a6).int_mul(3)
+            v = _newton_inverse_step(dG, v, c)
+        G = w - t3.with_cap(k2 - 1) \
+            - w2 * (t_a4.with_cap(k2 - 1) + w.scalar_mul(a6))
+        w = w - v.with_cap(k2 - 1) * G
+        k = k2
+    return w
 
 
 def _chord_tangent_law(spec: BaseRingSpec, a4: PadicScalar, a6: PadicScalar,

@@ -90,6 +90,8 @@ class BaseRingSpec:
 
     def reduce_digits(self, digits, prec: int) -> tuple:
         """Canonically reduce a raw digit vector modulo pi^prec."""
+        if self.e == 1:
+            return (digits[0] % self.p ** max(0, prec),)
         return tuple(d % self.digit_modulus(i, prec)
                      for i, d in enumerate(digits))
 
@@ -134,8 +136,7 @@ class PadicScalar:
             raise IncompatibleSpec("digit vector has wrong length")
         self.spec = spec
         self.prec = prec
-        self.digits = tuple(
-            d % spec.digit_modulus(i, prec) for i, d in enumerate(digits))
+        self.digits = spec.reduce_digits(digits, prec)
 
     # -- bookkeeping ----------------------------------------------------------
 

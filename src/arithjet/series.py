@@ -8,6 +8,12 @@ every coefficient.
 
 Monomial order is graded lex with the first variable smallest; leading terms
 are minimal in that order (so x1 leads x1 + higher-degree corrections).
+
+One-variable products go by Kronecker substitution: each pi-digit's
+coefficients are packed into one Python int, and the builtin (Karatsuba)
+integer product does the convolution in place of a quadratic number of
+digit products.  Series in more variables use the sparse schoolbook
+product.  `substitute` sums raw digit products and reduces once.
 """
 
 from __future__ import annotations
@@ -47,6 +53,69 @@ def _raw_mul(spec: BaseRingSpec, a, b):
                 out[k] += x * y
             else:
                 out[k - e] += p * x * y
+    return out
+
+
+def _pack(coeffs: dict, lo: int, hi: int, e: int, width: int) -> list:
+    """Per pi-digit i, the degree lo..hi coefficients of a one-variable
+    series as one int, `width` bytes per degree (Kronecker substitution)."""
+    zero = bytes(width)
+    rows = [[zero] * (hi - lo + 1) for _ in range(e)]
+    for (k,), d in coeffs.items():
+        if k <= hi:
+            for i, x in enumerate(d):
+                if x:
+                    rows[i][k - lo] = x.to_bytes(width, "little")
+    return [int.from_bytes(b"".join(r), "little") for r in rows]
+
+
+def _kronecker_mul(spec: BaseRingSpec, a: dict, b: dict, cap: int | None,
+                   prec: int) -> dict:
+    """Canonical coefficients of the product of two nonzero one-variable
+    series given by canonical coefficient dicts, truncated above `cap`.
+
+    Each pi-digit's coefficients are packed into one int, with room for
+    every sum the convolution forms, so the builtin (Karatsuba) product of
+    two packed ints is the convolution.  Digit pair (i, j) lands in slot
+    i + j, times p when i + j >= e (pi^e = p).
+    """
+    e, p = spec.e, spec.p
+    lo_a, lo_b = min(k for (k,) in a), min(k for (k,) in b)
+    hi_a, hi_b = max(k for (k,) in a), max(k for (k,) in b)
+    if cap is not None:
+        hi_a, hi_b = min(hi_a, cap - lo_b), min(hi_b, cap - lo_a)
+        if hi_a < lo_a or hi_b < lo_b:
+            return {}
+    bound = (min(hi_a - lo_a, hi_b - lo_b) + 1) \
+        * max(max(d) for d in a.values()) * max(max(d) for d in b.values())
+    if e > 1:
+        bound *= e * p
+    width = (bound.bit_length() + 7) // 8
+    A = _pack(a, lo_a, hi_a, e, width)
+    B = _pack(b, lo_b, hi_b, e, width)
+    low, high = [0] * e, [0] * e
+    for i, x in enumerate(A):
+        if x:
+            for j, y in enumerate(B):
+                if y:
+                    if i + j < e:
+                        low[i + j] += x * y
+                    else:
+                        high[i + j - e] += x * y
+    top = hi_a + hi_b if cap is None else min(cap, hi_a + hi_b)
+    n = top - lo_a - lo_b + 1
+    size = (hi_a - lo_a + hi_b - lo_b + 1) * width
+    slots = []
+    for s in range(e):
+        raw = (low[s] + p * high[s]).to_bytes(size, "little")
+        slots.append([int.from_bytes(raw[k * width:(k + 1) * width], "little")
+                      for k in range(n)])
+    out = {}
+    mods = [spec.digit_modulus(i, prec) for i in range(e)]
+    for k in range(n):
+        d = tuple(col[k] % m for col, m in zip(slots, mods))
+        if any(d):
+            out[(k + lo_a + lo_b,)] = d
     return out
 
 
@@ -143,10 +212,17 @@ class TruncSeries:
         return TruncSeries(self.spec, self.vars, self.coeffs, self.cap, prec)
 
     def with_cap(self, cap: int | None) -> "TruncSeries":
-        """Tighten (or drop, for exact polynomials only) the degree cap."""
+        """The terms of degree <= cap, under that cap.
+
+        A higher cap pads with zero terms (a Newton iteration's starting
+        point); only exact polynomials may drop the cap.
+        """
         if cap is None and self.cap is not None:
             raise IncompatibleSpec("cannot remove a truncation cap")
-        return TruncSeries(self.spec, self.vars, self.coeffs, cap, self.prec)
+        coeffs = {m: d for m, d in self.coeffs.items()
+                  if cap is None or sum(m) <= cap}
+        return TruncSeries(self.spec, self.vars, coeffs, cap, self.prec,
+                           _canonical=True)
 
     def extend_vars(self, vars: tuple) -> "TruncSeries":
         """Reinterpret over a larger variable list (old vars must appear)."""
@@ -185,6 +261,10 @@ class TruncSeries:
         prec = min(self.prec, other.prec)
         cap = self.cap
         a, b = self.coeffs, other.coeffs
+        if len(self.vars) == 1:
+            out = _kronecker_mul(spec, a, b, cap, prec) if a and b else {}
+            return TruncSeries(spec, self.vars, out, cap, prec,
+                               _canonical=True)
         if len(a) > len(b):
             a, b = b, a
         b_items = sorted(b.items(), key=lambda kv: sum(kv[0]))
@@ -289,12 +369,11 @@ class TruncSeries:
         cap = ctx.cap
         one = TruncSeries.const(ctx.spec, ctx.vars, ctx.spec.one(prec), cap,
                                 prec)
-        # cache powers of each image
+        # cache powers of each image; sum raw digit products, reduce once
         powers = {v: [one] for v in self.vars}
-        out = TruncSeries.zero(ctx.spec, ctx.vars, cap, prec)
-        for m, d in sorted(self.coeffs.items(),
-                           key=lambda kv: monomial_key(kv[0])):
-            term = None
+        out: dict = {}
+        for m, d in self.coeffs.items():
+            term = one
             for v, expo in zip(self.vars, m):
                 if expo == 0:
                     continue
@@ -302,15 +381,12 @@ class TruncSeries:
                 while len(plist) <= expo:
                     plist.append(plist[-1] * images[v])
                 piece = plist[expo]
-                term = piece if term is None else term * piece
-            c = PadicScalar(self.spec, d, self.prec)
-            if term is None:
-                out = out + TruncSeries.const(ctx.spec, ctx.vars,
-                                              c.reduce_prec(min(prec, c.prec)),
-                                              cap, prec)
-            else:
-                out = out + term.scalar_mul(c)
-        return out
+                term = piece if term is one else term * piece
+            for mm, dd in term.coeffs.items():
+                prod = _raw_mul(ctx.spec, d, dd)
+                cur = out.get(mm)
+                out[mm] = _raw_add(cur, prod) if cur is not None else prod
+        return TruncSeries(ctx.spec, ctx.vars, out, cap, prec)
 
     def evaluate(self, values: dict) -> PadicScalar:
         """Evaluate an exact polynomial (cap=None) at scalar arguments."""

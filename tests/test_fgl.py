@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from arithjet import fgl
@@ -168,3 +171,82 @@ def test_log_denominator_exponent_at_powers(p, e):
         assert log_denominator_exponent(spec, p ** k - 1) == e * (k - 1)
         assert log_denominator_exponent(spec, p ** k) == e * k
         assert log_denominator_exponent(spec, p ** k + 1) == e * k
+
+
+# shapes of good reduction at each (p, e, D); at p = 3 every curve with
+# a4 = 0 has bad reduction
+W_SHAPES = [
+    (3, 1, 1, 1, 81), (3, 1, 1, 0, 81),
+    (5, 2, 1, 1, 27), (5, 2, 0, 1, 27), (5, 2, 1, 0, 27),
+    (7, 1, 1, 1, 51), (7, 1, 0, 1, 51), (7, 1, 1, 0, 51),
+]
+
+
+@pytest.mark.parametrize("p,e,a4,a6,D", W_SHAPES)
+def test_weierstrass_w_is_a_fixed_point(p, e, a4, a6, D):
+    # w = t^3 + a4 t w^2 + a6 w^3 to degree D + 3, checked with the
+    # generic (multivariate) product over (T, U)
+    spec = BaseRingSpec(p, e)
+    a4, a6 = spec.scalar(a4, 10), spec.scalar(a6, 10)
+    w = fgl._weierstrass_w(spec, a4, a6, D + 3, 10)
+    assert (w.cap, w.prec) == (D + 3, 10)
+    assert w.leading_monomial() == (3,)
+    w = w.extend_vars(("T", "U"))
+    t = TruncSeries.gen(spec, ("T", "U"), "T", D + 3, 10)
+    assert w == t * t * t + (t * w * w).scalar_mul(a4) \
+        + (w * w * w).scalar_mul(a6)
+
+
+# sha256 of the invariant differential's JSON; the values were computed
+# while w(t) was still found by fixed-point iteration
+PINNED_OMEGA = {
+    (3, 1, 1, 1, 81):
+        "152e2cd248b7b863af333d698fc488618465a67a93533407afa85871e1b0f0ef",
+    (3, 1, 1, 0, 81):
+        "a7dc18107f3723d6a28173b0937ee1991e9c04f919e48e691ba3b0acbad85328",
+    (5, 2, 1, 1, 27):
+        "4bced211451b7fd41dd2c583bd689ac2aebea01bb7e1b54f33f7731bd8342377",
+    (5, 2, 0, 1, 27):
+        "5146684b3cb9a758efdcaf6ac6b1937171bf1fc79e98c190c80a58c0e358029d",
+    (5, 2, 1, 0, 27):
+        "5544fc135391762406f8787454cf98fe159bf9c7cf9ca476615101332a1ac529",
+    (7, 1, 1, 1, 51):
+        "cf230ee0a634c87468c4d2e80adf4e4985ae484d1f310ff43ef8b4fa5fb2a9da",
+    (7, 1, 0, 1, 51):
+        "0721d404bcccb3c048db93efcb2fabcb72982a26759c4d71c86deca339f53da4",
+    (7, 1, 1, 0, 51):
+        "b921deec5c9ed96b705d38890832b5906e84a8870da8c6cad614f49e0d45a317",
+}
+
+
+@pytest.mark.parametrize("p,e,a4,a6,D", W_SHAPES)
+def test_invariant_differential_pinned(p, e, a4, a6, D):
+    spec = BaseRingSpec(p, e)
+    E = formal_group_from_weierstrass(
+        spec, spec.scalar(a4, 10), spec.scalar(a6, 10), D)
+    body = json.dumps(E.omega.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(body).hexdigest() == PINNED_OMEGA[(p, e, a4, a6, D)]
+
+
+@pytest.mark.parametrize("spec,vars", [
+    (SPEC3, ("T",)), (BaseRingSpec(5, 2), ("T",)), (SPEC5, VARS)])
+@pytest.mark.parametrize("cap", [0, 1, 2, 7, 12])
+def test_unit_inverse_is_exact(spec, vars, cap):
+    x = TruncSeries.gen(spec, vars, vars[-1], cap, 6)
+    one = TruncSeries.const(spec, vars, spec.one(6), cap, 6)
+    u = one.scalar_mul(spec.scalar(2, 6)) + x + (x * x * x).scalar_mul(
+        spec.pi(6)) + x ** 5
+    if len(vars) == 2:
+        u = u + x * TruncSeries.gen(spec, vars, "X", cap, 6)
+    inv = fgl._unit_inverse(u)
+    assert (inv.cap, inv.prec) == (cap, 6)
+    assert (u * inv).coeffs == one.coeffs
+
+
+def test_unit_inverse_of_exact_series():
+    one = TruncSeries.const(SPEC3, ("T",), SPEC3.one(5), None, 5)
+    t = TruncSeries.gen(SPEC3, ("T",), "T", None, 5)
+    two = one + one
+    assert fgl._unit_inverse(two) * two == one
+    with pytest.raises(IncompatibleSpec):
+        fgl._unit_inverse(one + t)

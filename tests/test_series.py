@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithjet.ring import BaseRingSpec
+from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.series import FracSeries, TruncSeries
 
 SPEC = BaseRingSpec(3, 1)
@@ -100,3 +102,75 @@ def test_frac_series_arithmetic_and_integrality():
     assert g.to_integral() == x.reduce_prec(g.normalize().num.prec)
     diff = f - f
     assert diff.num.is_zero()
+
+
+# every legal (p, e) with p in {3, 5, 7} and e in {1, 2, 3}
+KRONECKER_SPECS = [BaseRingSpec(p, e) for p, e in
+                   [(3, 1), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)]]
+
+
+def _random_univariate(rng, spec, cap, prec):
+    """Empty, single-term, sparse or dense, with digits of any sign."""
+    shape = rng.choice(["empty", "single", "sparse", "dense"])
+    top = 12 if cap is None else cap + 2
+    if shape == "empty":
+        degrees = []
+    elif shape == "single":
+        degrees = [rng.randint(0, top)]
+    elif shape == "sparse":
+        degrees = rng.sample(range(top + 1), min(3, top + 1))
+    else:
+        degrees = range(rng.randint(0, 2), top + 1)
+    span = spec.p ** (prec + 1)
+    coeffs = {(k,): [rng.randint(-span, span) for _ in range(spec.e)]
+              for k in degrees}
+    return TruncSeries(spec, ("T",), coeffs, cap, prec)
+
+
+@pytest.mark.parametrize("spec", KRONECKER_SPECS, ids=repr)
+def test_kronecker_product_matches_generic(spec):
+    # the one-variable product against the generic product of the same
+    # series padded to two variables, over unequal precisions and caps
+    rng = random.Random(spec.p * 10 + spec.e)
+    two = ("T", "U")
+    for cap in [None, 0, 1, 2, 5, 13]:
+        for _ in range(25):
+            f = _random_univariate(rng, spec, cap, rng.randint(1, 7))
+            g = _random_univariate(rng, spec, cap, rng.randint(1, 7))
+            product = f * g
+            generic = f.extend_vars(two) * g.extend_vars(two)
+            assert (product.cap, product.prec) == (generic.cap, generic.prec)
+            assert product.extend_vars(two).coeffs == generic.coeffs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_reduce_digits_unramified(p):
+    # the e = 1 shortcut agrees with the digit_modulus formula, also for
+    # negative digits and for precision 0
+    spec = BaseRingSpec(p, 1)
+    for prec in range(0, 6):
+        for d in [-p ** 7 - 1, -p, -1, 0, 1, p - 1, p ** 3 + 2, 10 ** 9]:
+            assert spec.reduce_digits([d], prec) \
+                == (d % spec.digit_modulus(0, prec),)
+    assert spec.reduce_digits([-1], 0) == (0,)
+
+
+@given(a=small, b=small, c=small)
+@settings(max_examples=30, deadline=None)
+def test_substitute_matches_termwise_sum(a, b, c):
+    # f(g, h) equals the sum of its terms, each reduced by the ring ops;
+    # f carries more digits than the images
+    f = TruncSeries.from_scalar_dict(
+        SPEC, VARS, {m: SPEC.scalar(v, 6) for m, v in a.items()}, 6, 6)
+    x = TruncSeries.gen(SPEC, VARS, "x", 6, 4)
+    g = poly(SPEC, b) * x
+    h = poly(SPEC, c) * x + x
+    expected = TruncSeries.zero(SPEC, VARS, 6, 4)
+    for (i, j), d in f.coeffs.items():
+        term = TruncSeries.const(SPEC, VARS, SPEC.one(4), 6, 4) \
+            * g ** i * h ** j
+        expected = expected + term.scalar_mul(
+            PadicScalar(SPEC, d, f.prec))
+    result = f.substitute({"x": g, "y": h})
+    assert (result.cap, result.prec) == (6, 4)
+    assert result.coeffs == expected.coeffs
