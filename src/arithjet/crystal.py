@@ -193,7 +193,12 @@ def weak_admissibility(crys: FilteredIsocrystal) -> dict:
                 raise Inconclusive(
                     "cannot separate a stable line from fil1 at precision")
             tH = Fraction(1) if same else Fraction(0)
-            tN = Fraction(mu.valuation())
+            v_mu = mu.valuation()
+            if v_mu is None:
+                raise Inconclusive(
+                    "stable-line eigenvalue indistinguishable from 0 at "
+                    "precision")
+            tN = Fraction(v_mu)
             line_ok = (tH <= tN)
             cert["subobjects"].append(
                 {"mu": _scalar_json(mu), "t_H": str(tH), "t_N": str(tN),

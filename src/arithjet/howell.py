@@ -7,18 +7,22 @@ which makes the row span closed under "multiply and project".  Kernels are
 read off an augmented [A | I] reduction: rows whose A-part vanishes give a
 generating set of the left kernel.
 
-Entries are `PadicScalar`s at precision M, from input to output: input
-entries known to a higher precision are reduced to M on entry, and every
-returned row or kernel vector holds scalars at M.  Exact division by pi^v
-is only defined modulo pi^(M-v); its result is re-lifted to M, which is
+Inside the reduction an entry is the canonical digit tuple of a
+`PadicScalar` at precision M and a row is a list of them; a row operation
+reduces each entry once, through the digit functions of `ring`.
+`PadicScalar`s appear at the boundary only: input entries known to a
+higher precision are reduced to digits at M on entry, every returned row
+or kernel vector holds scalars at M, and the few pivot inverses and
+elimination factors of a sweep are scalars.  Exact division by pi^v is
+only defined modulo pi^(M-v); its result is re-lifted to M, which is
 consistent because every place a division result is used multiplies it
 back by something of valuation >= v.
 """
 
 from __future__ import annotations
 
-from .errors import IncompatibleSpec
-from .ring import BaseRingSpec, PadicScalar
+from .errors import IncompatibleSpec, PrecisionExhausted
+from .ring import BaseRingSpec, PadicScalar, digit_product, digit_valuation
 
 
 def _div_pi(x: PadicScalar, k: int, M: int) -> PadicScalar:
@@ -29,7 +33,26 @@ def _div_pi(x: PadicScalar, k: int, M: int) -> PadicScalar:
 
 
 def _nonzero(row) -> bool:
-    return any(not d.is_zero() for d in row)
+    return any(any(d) for d in row)
+
+
+def _scaled(spec: BaseRingSpec, s, row, mods):
+    """The row s * row for a digit tuple s, each entry reduced once."""
+    if spec.e == 1:
+        (s,), (m,) = s, mods
+        return [(s * a % m,) for (a,) in row]
+    return [tuple(x % m for x, m in zip(digit_product(spec, s, a), mods))
+            for a in row]
+
+
+def _minus_multiple(spec: BaseRingSpec, row, f, prow, mods):
+    """The row row - f * prow for a digit tuple f, each entry reduced once."""
+    if spec.e == 1:
+        (f,), (m,) = f, mods
+        return [((a - f * b) % m,) for (a,), (b,) in zip(row, prow)]
+    return [tuple((x - y) % m
+                  for x, y, m in zip(a, digit_product(spec, f, b), mods))
+            for a, b in zip(row, prow)]
 
 
 class HowellForm:
@@ -51,7 +74,7 @@ class HowellForm:
         return [v for _, v in self.pivots]
 
 
-def _sweep(work, ncols: int, M: int):
+def _sweep(spec: BaseRingSpec, work, ncols: int, M: int, mods):
     """One echelon pass with Howell closures; returns (pivot rows, pivots,
     leftover nonzero rows whose earliest entry sits left of the frontier)."""
     pivots = []
@@ -60,7 +83,7 @@ def _sweep(work, ncols: int, M: int):
         best = None
         best_v = None
         for i in range(top, len(work)):
-            v = work[i][c].valuation()
+            v = digit_valuation(spec, work[i][c])
             if v is not None and (best_v is None or v < best_v):
                 best, best_v = i, v
                 if v == 0:
@@ -70,21 +93,22 @@ def _sweep(work, ncols: int, M: int):
         work[top], work[best] = work[best], work[top]
         v = best_v
         # normalize the pivot entry to exactly pi^v
-        u_inv = _div_pi(work[top][c], v, M).inverse()
-        work[top] = [u_inv * d for d in work[top]]
+        u_inv = _div_pi(PadicScalar(spec, work[top][c], M), v, M).inverse()
+        prow = work[top] = _scaled(spec, u_inv.digits, work[top], mods)
         # eliminate the column everywhere else (entries with val >= v)
         for i in range(len(work)):
             if i == top:
                 continue
-            ev = work[i][c].valuation()
+            ev = digit_valuation(spec, work[i][c])
             if ev is None or ev < v:
                 continue
-            factor = _div_pi(work[i][c], v, M)
-            work[i] = [d - factor * pd for d, pd in zip(work[i], work[top])]
+            factor = _div_pi(PadicScalar(spec, work[i][c], M), v, M)
+            work[i] = _minus_multiple(spec, work[i], factor.digits, prow,
+                                      mods)
         # Howell closure: pi^(M-v) * row kills the pivot, keeps the tail
         if v > 0:
-            closure = [d.mul_pi_power(M - v).reduce_prec(M)
-                       for d in work[top]]
+            shift = spec.one(M).mul_pi_power(M - v).reduce_prec(M)
+            closure = _scaled(spec, shift.digits, prow, mods)
             if _nonzero(closure):
                 work.append(closure)
         pivots.append((c, v))
@@ -93,8 +117,26 @@ def _sweep(work, ncols: int, M: int):
     return work[:top], pivots, leftovers
 
 
-def howell_form(spec: BaseRingSpec, rows, ncols: int, M: int) -> HowellForm:
-    """Howell form of the row span of `rows` inside (R/pi^M)^ncols.
+def _digit_rows(spec: BaseRingSpec, rows, ncols: int, M: int):
+    """The rows of scalars as rows of digit tuples reduced to M."""
+    out = []
+    for r in rows:
+        if len(r) != ncols:
+            raise IncompatibleSpec("ragged matrix")
+        row = []
+        for x in r:
+            if x.spec is not spec and x.spec != spec:
+                raise IncompatibleSpec("scalars over different base rings")
+            if x.prec < M:
+                raise PrecisionExhausted(
+                    f"cannot raise precision {x.prec} -> {M}")
+            row.append(spec.reduce_digits(x.digits, M))
+        out.append(row)
+    return out
+
+
+def _howell(spec: BaseRingSpec, rows, ncols: int, M: int):
+    """(rows, pivots) of the Howell form of digit rows at M.
 
     The sweep re-runs whenever a closure row lands left of the pivot
     frontier, so the final row set satisfies the Howell property: any span
@@ -103,22 +145,28 @@ def howell_form(spec: BaseRingSpec, rows, ncols: int, M: int) -> HowellForm:
     """
     if M < 1:
         raise IncompatibleSpec("modulus exponent must be >= 1")
-    work = []
-    for r in rows:
-        if len(r) != ncols:
-            raise IncompatibleSpec("ragged matrix")
-        row = [x.reduce_prec(M) for x in r]
-        if _nonzero(row):
-            work.append(row)
+    mods = tuple(spec.digit_modulus(i, M) for i in range(spec.e))
+    work = [row for row in rows if _nonzero(row)]
     pivots = []
     for _ in range(M * ncols + 2):
-        work, pivots, leftovers = _sweep(work, ncols, M)
+        work, pivots, leftovers = _sweep(spec, work, ncols, M, mods)
         if not leftovers:
             break
         work = work + leftovers
     else:  # pragma: no cover - the bound is generous
         raise IncompatibleSpec("Howell reduction failed to stabilize")
-    return HowellForm(spec, M, work, pivots)
+    return work, pivots
+
+
+def _scalars(spec: BaseRingSpec, row, M: int):
+    return [PadicScalar(spec, d, M) for d in row]
+
+
+def howell_form(spec: BaseRingSpec, rows, ncols: int, M: int) -> HowellForm:
+    """Howell form of the row span of `rows` inside (R/pi^M)^ncols."""
+    work, pivots = _howell(spec, _digit_rows(spec, rows, ncols, M), ncols, M)
+    return HowellForm(spec, M, [_scalars(spec, row, M) for row in work],
+                      pivots)
 
 
 def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
@@ -128,11 +176,11 @@ def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
     vanishes have right parts generating the left kernel.
     """
     nrows = len(rows)
-    one, zero = spec.one(M), spec.zero(M)
-    aug = [list(r) + [one if j == i else zero for j in range(nrows)]
-           for i, r in enumerate(rows)]
-    H = howell_form(spec, aug, ncols + nrows, M)
-    return [row[ncols:] for row in H.rows
+    one, zero = spec.one(M).digits, (0,) * spec.e
+    aug = [row + [one if j == i else zero for j in range(nrows)]
+           for i, row in enumerate(_digit_rows(spec, rows, ncols, M))]
+    work, _ = _howell(spec, aug, ncols + nrows, M)
+    return [_scalars(spec, row[ncols:], M) for row in work
             if not _nonzero(row[:ncols]) and _nonzero(row[ncols:])]
 
 
@@ -160,6 +208,7 @@ def module_rank(spec: BaseRingSpec, vectors, ncols: int) -> int:
 
     Equals the number of unit elementary divisors (Smith form over the
     chain ring), which is the F_p-rank of the generator matrix modulo pi:
-    the rank of its Howell form at M = 1.
+    the number of unit pivots of its Howell form at M = 1.
     """
-    return howell_form(spec, vectors, ncols, 1).rank
+    _, pivots = _howell(spec, _digit_rows(spec, vectors, ncols, 1), ncols, 1)
+    return sum(1 for _, v in pivots if v == 0)

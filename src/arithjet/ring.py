@@ -40,6 +40,37 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def digit_product(spec: "BaseRingSpec", a, b) -> list:
+    """Raw product of two digit vectors, not yet reduced: the term of
+    pi^(i+j) folds into digit i + j - e with a factor p when i + j >= e."""
+    e = spec.e
+    p = spec.p
+    out = [0] * e
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y == 0:
+                continue
+            k = i + j
+            if k < e:
+                out[k] += x * y
+            else:
+                out[k - e] += p * x * y
+    return out
+
+
+def digit_valuation(spec: "BaseRingSpec", digits) -> int | None:
+    """pi-adic valuation of a digit vector, or None when every digit is 0."""
+    v = None
+    for i, d in enumerate(digits):
+        if d != 0:
+            vi = i + spec.e * _vp(d, spec.p)
+            if v is None or vi < v:
+                v = vi
+    return v
+
+
 class BaseRingSpec:
     """Parameters of the base ring: prime p, ramification e (pi^e = p),
     Frobenius power q, and a default working precision.
@@ -155,14 +186,7 @@ class PadicScalar:
 
     def valuation(self) -> int | None:
         """pi-adic valuation, or None when the element is 0 mod pi^prec."""
-        if self.is_zero():
-            return None
-        v = None
-        for i, d in enumerate(self.digits):
-            if d != 0:
-                vi = i + self.spec.e * _vp(d, self.spec.p)
-                if v is None or vi < v:
-                    v = vi
+        v = digit_valuation(self.spec, self.digits)
         return min(v, self.prec) if v is not None else None
 
     def is_unit(self) -> bool:
@@ -184,22 +208,10 @@ class PadicScalar:
 
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
         self._check(other)
-        e = self.spec.e
-        p = self.spec.p
         prec = min(self.prec, other.prec)
-        out = [0] * e
-        for i, a in enumerate(self.digits):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.digits):
-                if b == 0:
-                    continue
-                k = i + j
-                if k < e:
-                    out[k] += a * b
-                else:
-                    out[k - e] += p * a * b
-        return PadicScalar(self.spec, out, prec)
+        return PadicScalar(self.spec,
+                           digit_product(self.spec, self.digits, other.digits),
+                           prec)
 
     def __pow__(self, n: int) -> "PadicScalar":
         if n < 0:
@@ -214,10 +226,17 @@ class PadicScalar:
         return result
 
     def inverse(self) -> "PadicScalar":
-        """Inverse modulo pi^prec (Newton lifting); requires a unit."""
+        """Inverse modulo pi^prec; requires a unit.
+
+        At e = 1 the element is an integer modulo p^prec and the builtin
+        modular inverse gives it; otherwise Newton lifting from mod pi."""
         if not self.is_unit():
             raise NotDivisible("cannot invert a non-unit")
         p = self.spec.p
+        if self.spec.e == 1:
+            return PadicScalar(
+                self.spec, (pow(self.digits[0], -1, p ** self.prec),),
+                self.prec)
         x = self.spec.scalar(pow(self.digits[0] % p, -1, p), self.prec)
         two = self.spec.scalar(2, self.prec)
         # quadratic convergence: k doublings reach precision 2^k

@@ -167,6 +167,18 @@ PINNED_CODED_REPORTS.update({
         0, "9aaf443e35686e85c18efba20e210e3d9e2f824beb4113d4286176f58d2d9b58"),
 })
 
+# exit code and sha256 of a high-D run and of ramified runs above D = 27;
+# the values were computed while the Howell sweep built a PadicScalar per
+# matrix entry
+PINNED_CODED_REPORTS.update({
+    "--cmd crystal --a4 1 --a6 1 --p 5 --deg 3125": (
+        0, "d70b5aed423e519004b4f876a491374c0c1214ef60b880aa65a3e7169e2aeaa3"),
+    "--cmd crystal --p 5 --e 2 --a4 0 --a6 1 --deg 130": (
+        0, "8822b1324ddc2f016e61267291611966e1144c18e7b5c205b8d8649afcf97b53"),
+    "--cmd crystal --p 7 --e 3 --a4 1 --a6 1 --deg 51": (
+        0, "c3d705092bda0b63819c0a33754dbb2a2166e71730cbe0ec50d5fa635c628942"),
+})
+
 
 @pytest.mark.parametrize("args", sorted(PINNED_CODED_REPORTS))
 def test_report_bytes_and_code_pinned(tmp_path, args):
@@ -245,3 +257,13 @@ def test_degree_cap_too_small_is_inconclusive(tmp_path):
                                 "--deg", "20", "--a4", "1", "--a6", "1"])
     assert code == 2 and rep["status"] == "inconclusive"
     assert "degree cap 20" in rep["error"]
+
+
+def test_stable_line_eigenvalue_zero_is_inconclusive(tmp_path):
+    # at --prec 4 a stable line's eigenvalue is 0 modulo pi^prec, so its
+    # valuation, and the slope test on that line, is unknown
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5", "--e", "2",
+                                "--a4", "1", "--a6", "1", "--deg", "27",
+                                "--prec", "4"])
+    assert code == 2 and rep["status"] == "inconclusive"
+    assert "stable-line eigenvalue" in rep["error"]

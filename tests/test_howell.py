@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -105,3 +106,52 @@ def test_unit_vectors():
     units, rest = unit_vectors(vecs)
     assert units == [vecs[1]]
     assert rest == [vecs[0], vecs[2]]
+
+
+def _ring_tables(spec, M):
+    """Every element of R/pi^M with its addition and multiplication
+    tables, as indices; the arithmetic is PadicScalar's."""
+    elems = [PadicScalar(spec, digits, M) for digits in itertools.product(
+        *(range(spec.digit_modulus(i, M)) for i in range(spec.e)))]
+    index = {x.digits: k for k, x in enumerate(elems)}
+    add = [[index[(x + y).digits] for y in elems] for x in elems]
+    mul = [[index[(x * y).digits] for y in elems] for x in elems]
+    return elems, index, add, mul
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 2)], ids=["3-1", "5-2"])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)], ids=["2x3", "3x2"])
+def test_right_kernel_complete(p, e, shape):
+    # brute force at M = 2: the R-span of the returned generators is the
+    # whole kernel, not just a part of it that annihilates the matrix
+    spec, M2 = BaseRingSpec(p, e), 2
+    elems, index, add, mul = _ring_tables(spec, M2)
+    zero = index[spec.zero(M2).digits]
+    nrows, ncols = shape
+    rng = random.Random(1000 * p + 10 * e + nrows)
+    pi = spec.pi(M2)
+    for _ in range(12):
+        # entries of mixed valuation: units, pi-multiples and zeros
+        rows = [[rng.choice(elems) * pi ** rng.randrange(M2 + 1)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        irows = [[index[x.digits] for x in row] for row in rows]
+        kernel = set()
+        for vec in itertools.product(range(len(elems)), repeat=ncols):
+            ok = True
+            for row in irows:
+                acc = zero
+                for r, v in zip(row, vec):
+                    acc = add[acc][mul[r][v]]
+                if acc != zero:
+                    ok = False
+                    break
+            if ok:
+                kernel.add(vec)
+        gens = right_kernel_basis(spec, rows, ncols, M2)
+        span = {(zero,) * ncols}
+        for g in gens:
+            assert all(x.prec == M2 for x in g)
+            ig = [index[x.digits] for x in g]
+            span = {tuple(add[s][mul[r][gi]] for s, gi in zip(vec, ig))
+                    for vec in span for r in range(len(elems))}
+        assert span == kernel

@@ -48,6 +48,27 @@ def test_inverse(spec, a):
         assert x * x.inverse() == spec.one(6)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_unramified_inverse_every_precision(p):
+    # at e = 1 the inverse is the builtin modular inverse modulo p^prec;
+    # at precision 0 every element is indistinguishable from 0 and no unit
+    spec = BaseRingSpec(p, 1)
+    inputs = [1, -1, 2, -2, p - 1, p + 1, -(p ** 9) + 1, p ** 12 - 1,
+              10 ** 40 + 1, -(10 ** 40) - 1, 0, p, -p, 11 * p ** 3,
+              -(10 ** 40) * p]
+    for prec in range(9):
+        for a in inputs:
+            x = PadicScalar(spec, [a], prec)
+            if prec == 0 or a % p == 0:
+                with pytest.raises(NotDivisible):
+                    x.inverse()
+                continue
+            inv = x.inverse()
+            assert inv.prec == prec
+            assert 0 <= inv.digits[0] < p ** prec
+            assert x * inv == spec.one(prec)
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=str)
 @given(a=ints, k=st.integers(min_value=1, max_value=3))
 @settings(max_examples=40, deadline=None)
