@@ -3,7 +3,8 @@ additive characters.
 
 Coordinates: a point of N^n is the Witt vector V(z), z = (x1, ..., xn); a
 point of the formal neighborhood of J^n is (x0, ..., xn).  The group law is
-the formal group law F evaluated by Witt ring operations.
+F evaluated in the Witt ring, in ghost coordinates: w_i(F_W(a, b)) =
+F(w_i(a), w_i(b)), one substitution per slot, one inversion.
 
 Characters are found through the logarithm-ghost generators
     l_i = L(w_i(x))      (jet side,  i = 0..n)
@@ -36,7 +37,7 @@ from .fgl import (
 from .howell import module_rank, right_kernel_basis, unit_vectors
 from .ring import PadicScalar
 from .series import FracSeries, TruncSeries, monomial_key
-from .witt import WittVector, fgl_eval_witt, frobenius_W
+from .witt import WittVector, _ghost, fgl_eval_witt, frobenius_W
 
 
 def kernel_vars(n: int) -> tuple:
@@ -54,10 +55,10 @@ def jet_vars(n: int) -> tuple:
 class KernelGroupLaw:
     """Componentwise group law of N^n (kind 'kernel') or J^n (kind 'jet').
 
-    The componentwise series (a Witt-ring evaluation of F) are expensive
-    at large degree caps and are only needed for the additivity check by
+    The componentwise series F(a, b) in W_n, in 2n (kernel) or 2n + 2
+    (jet) variables, are only needed for the additivity check by
     substitution (`Character.check_additive`), so they are computed on
-    first access.
+    first access, through the ghost map (`fgl_eval_witt`).
     """
 
     def __init__(self, F: FormalGroupLaw, n: int, kind: str):
@@ -199,22 +200,12 @@ class Character:
 
 def ghost_witt_polynomials(spec, n: int, kind: str, cap, prec):
     """w_i(x) (jet) or kappa_i = w_i|x0=0 (kernel), as TruncSeries."""
+    vars_ = jet_vars(n) if kind == "jet" else kernel_vars(n)
+    xs = [TruncSeries.gen(spec, vars_, v, cap, prec) for v in vars_]
     if kind == "jet":
-        vars_ = jet_vars(n)
-        lo = 0
-    else:
-        vars_ = kernel_vars(n)
-        lo = 1
-    q = spec.q
-    out = []
-    rng = range(n + 1) if kind == "jet" else range(1, n + 1)
-    for i in rng:
-        acc = TruncSeries.zero(spec, vars_, cap, prec)
-        for j in range(lo, i + 1):
-            g = TruncSeries.gen(spec, vars_, f"x{j}", cap, prec + j)
-            acc = acc + (g ** (q ** (i - j))).mul_pi(j).reduce_prec(prec)
-        out.append(acc)
-    return vars_, out
+        return vars_, _ghost(spec, xs, prec)
+    zero = TruncSeries.zero(spec, vars_, cap, prec)
+    return vars_, _ghost(spec, [zero] + xs, prec)[1:]
 
 
 def _memoized(F: FormalGroupLaw, key, compute):

@@ -4,7 +4,8 @@ Parameters come from an optional key=value config file overridden by
 command-line flags.  Reports are deterministic JSON for a fixed
 (config, seed) pair; p-adic scalars are serialized as
 {digits, prec, pi_power_basis}.  Exit codes: 0 all checks pass,
-1 a check failed (or the input is invalid), 2 inconclusive at the
+1 a check failed (or the input is invalid, or the --out file cannot be
+written: the report then goes to stdout), 2 inconclusive at the
 requested precision/degree.
 """
 
@@ -213,6 +214,9 @@ def run(argv=None) -> int:
     params = {**DEFAULTS, **_flags(build_parser().parse_args(argv))}
     try:
         params = resolve_params(argv)
+        if params["prec"] < 0:
+            raise InvalidParameters(
+                f"prec must be >= 0, not {params['prec']}")
         spec = BaseRingSpec(p=params["p"], e=params["e"])
         if params["deg"] is None:
             params["deg"] = spec.p ** 2 + 2
@@ -233,8 +237,14 @@ def run(argv=None) -> int:
                          "a4", "a6", "seed")}
     text = json.dumps(report, indent=2, sort_keys=True)
     if params["out"]:
-        with open(params["out"], "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(params["out"], "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            report = {"command": params["cmd"], "status": "fail",
+                      "error": f"{type(exc).__name__}: {exc}",
+                      "params": report["params"]}
+            print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(text)
     return EXIT[report["status"]]

@@ -1,7 +1,8 @@
 """The fibered ring W~_n(B) = R x_B W_n(B) and the lateral Frobenius.
 
 An element is stored as the pair (r, tail) of the bijection
-(r, z) |-> f~(r) + V(z); the embedded Witt vector is computed on demand.
+(r, z) |-> f~(r) + V(z); the embedded Witt vector is computed on demand
+by one ghost inversion, as w(f~(r)) = (r, ..., r), w(V(z)) = (0, pi w(z)).
 The lateral Frobenius acts by F~(f~(r) + V(z)) = f~(r) + V(F(z)): it fixes
 the exact R-slot and applies the ordinary Frobenius to the tail.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from .errors import IncompatibleSpec, NotInVImage
 from .ring import BaseRingSpec, PadicScalar
 from .series import TruncSeries
-from .witt import WittVector, f_tilde, frobenius_W, verschiebung
+from .witt import WittVector, _ghost, _ghost_invert, f_tilde, frobenius_W
 
 
 class TildeWittVector:
@@ -35,12 +36,22 @@ class TildeWittVector:
         return self.tail.length if self.tail is not None else 0
 
     def embed(self) -> WittVector:
-        """I(t) = f~(r) + V(tail), a plain Witt vector of length n + 1."""
-        n = self.order
-        lifted = f_tilde(self.spec, self.r, n, like=self.tail)
+        """I(t) = f~(r) + V(tail), a plain Witt vector of length n + 1: one
+        ghost inversion of (r, r + pi w_0(tail), ..., r + pi w_(n-1)(tail))
+        at P = N + n, N = min(r.prec - n, tail.prec()), the tail raised to
+        P digits (exact mod pi^N, see `witt._ghost`)."""
         if self.tail is None:
-            return lifted
-        return lifted + verschiebung(self.tail)
+            return WittVector(self.spec, [self.r])
+        n, z = self.order, self.tail
+        N = min(self.r.prec - n, z.prec())
+        r = self.r.reduce_prec(N + n)
+        if z.is_series():
+            z0 = z.components[0]
+            r = TruncSeries.const(self.spec, z0.vars, r, z0.cap, N + n)
+        ghosts = [r] + [r + w.mul_pi(1)
+                        for w in _ghost(self.spec, z.components, N + n)]
+        return WittVector(self.spec, [c.reduce_prec(N) for c in
+                                      _ghost_invert(self.spec, ghosts)])
 
     def __eq__(self, other):
         if not isinstance(other, TildeWittVector):

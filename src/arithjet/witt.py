@@ -16,6 +16,7 @@ from __future__ import annotations
 from .errors import (
     IncompatibleSpec,
     IntegralityViolation,
+    NonNilpotentComposition,
     NotDivisible,
 )
 from .ring import BaseRingSpec, PadicScalar
@@ -46,33 +47,49 @@ class StructuralPolynomialTable:
                 "slots": [p.to_json() for p in self.polys]}
 
 
-def _generic_ghost(spec, gens, prec):
-    """Ghost components of a generic vector (x_0, ..., x_n)."""
-    n = len(gens) - 1
-    out = []
-    for i in range(n + 1):
-        acc = None
-        for j in range(i + 1):
-            term = (gens[j] ** (spec.q ** (i - j))).mul_pi(j)
-            term = term.reduce_prec(prec)
-            acc = term if acc is None else acc + term
+def _at(c, prec: int):
+    """c read at precision prec; raising it keeps its canonical digits."""
+    if prec <= c.prec:
+        return c.reduce_prec(prec)
+    if _is_series(c):
+        return TruncSeries(c.spec, c.vars, c.coeffs, c.cap, prec,
+                           _canonical=True)
+    return PadicScalar(c.spec, c.digits, prec)
+
+
+def _ghost(spec, comps, prec):
+    """Ghost components w_i = sum_j pi^j x_j^(q^(i-j)) mod pi^prec, with
+    every x_j read at prec (`_at`).  Inverted at prec they give prec - n
+    digits that do not depend on how a raised x_j was lifted, since the
+    Witt polynomials have R-coefficients."""
+    q = spec.q
+    powers, out = [], []
+    for x in comps:
+        # powers[j] = x_j^(q^(i-j)), each from the previous one by ^q
+        powers = [y ** q for y in powers] + [_at(x, prec)]
+        acc = powers[0]
+        for j in range(1, len(powers)):
+            acc = acc + powers[j].mul_pi(j).reduce_prec(prec)
         out.append(acc)
     return out
 
 
 def _ghost_invert(spec, ghosts):
     """Recover components from ghost components in a pi-torsion-free
-    algebra (generic series, or the scalars R).
+    algebra (series, or the scalars R); slot i loses i digits.
 
     Division failures here mean the ghost vector has no integral Witt
-    preimage; for the structural polynomials and the constant-ghost lift
-    the existence theorem forbids that: report a red alert.
+    preimage; for the structural polynomials, the constant-ghost lift,
+    group laws and the lateral embedding the existence theorem forbids
+    that: report a red alert.
     """
-    comps = []
+    q = spec.q
+    powers, comps = [], []
     for i, g in enumerate(ghosts):
+        powers = [y ** q for y in powers]  # comps[j]^(q^(i-j))
         acc = g
-        for j in range(i):
-            acc = acc - (comps[j] ** (spec.q ** (i - j))).mul_pi(j)
+        for j, y in enumerate(powers):
+            acc = acc - y.mul_pi(j)
         if i:
             try:
                 acc = acc.exact_div_pi(i)
@@ -80,6 +97,7 @@ def _ghost_invert(spec, ghosts):
                 raise IntegralityViolation(
                     f"slot {i} component not divisible by pi^{i}") from exc
         comps.append(acc)
+        powers.append(acc)
     return comps
 
 
@@ -102,15 +120,15 @@ def structural_polynomials(spec: BaseRingSpec, n: int, op: str,
     if op == "frobenius":
         vars_ = xs
         gens = [TruncSeries.gen(spec, vars_, v, cap, budget) for v in xs]
-        gx = _generic_ghost(spec, gens, budget)
+        gx = _ghost(spec, gens, budget)
         target = gx[1:]
     else:
         ys = tuple(f"y{i}" for i in range(n + 1))
         vars_ = xs + ys
         gens_x = [TruncSeries.gen(spec, vars_, v, cap, budget) for v in xs]
         gens_y = [TruncSeries.gen(spec, vars_, v, cap, budget) for v in ys]
-        gx = _generic_ghost(spec, gens_x, budget)
-        gy = _generic_ghost(spec, gens_y, budget)
+        gx = _ghost(spec, gens_x, budget)
+        gy = _ghost(spec, gens_y, budget)
         if op == "sum":
             target = [a + b for a, b in zip(gx, gy)]
         else:
@@ -222,17 +240,6 @@ class WittVector:
     @classmethod
     def from_ints(cls, spec, ints, prec=None):
         return cls(spec, [spec.scalar(v, prec) for v in ints])
-
-    @classmethod
-    def zeros(cls, spec, length, like=None, prec=None):
-        if like is not None and like.is_series():
-            z = like.components[0]
-            comp = TruncSeries.zero(z.spec, z.vars, z.cap,
-                                    prec if prec is not None else z.prec)
-            return cls(spec, [comp] * length)
-        if prec is None:
-            prec = spec.precision_default
-        return cls(spec, [spec.zero(prec)] * length)
 
     # -- table evaluation -----------------------------------------------------
 
@@ -350,40 +357,30 @@ def f_tilde(spec: BaseRingSpec, r: PadicScalar, n: int,
 
 
 # --------------------------------------------------------------------------
-# formal group laws evaluated inside the Witt ring
+# formal group laws evaluated in ghost coordinates
 # --------------------------------------------------------------------------
 
 def fgl_eval_witt(F, a: WittVector, b: WittVector) -> WittVector:
-    """F(a, b) computed by Witt ring operations: sum of f~(c_ij) a^i b^j.
+    """F(a, b) in W_n(B) for series Witt vectors, in ghost coordinates.
 
-    Terms vanish quickly when a, b lie in the image of V (each product
-    gains a power of pi) or have positive series min-degree, so the sum
-    is effectively short for kernel computations.
+    The ghost map is an injective ring homomorphism on the pi-torsion-free
+    B and w(f~(c)) = (c, ..., c), so sum f~(c_ij) a^i b^j has ghosts
+    F(w_i(a), w_i(b)): one substitution per slot at P = min(a.prec(),
+    b.prec(), F.law.prec) and one inversion, exact mod pi^(P - n).  A
+    truncated law needs series (else IncompatibleSpec) with zero constant
+    terms (else NonNilpotentComposition).
     """
     a._check(b)
+    if not a.is_series():
+        raise IncompatibleSpec("a truncated law needs series Witt vectors")
+    for c in a.components + b.components:
+        if not c.constant_term().is_zero():
+            raise NonNilpotentComposition(
+                "Witt component with a nonzero constant term")
     spec = a.spec
-    acc = WittVector.zeros(spec, a.length, like=a, prec=a.prec())
-    pow_a = {0: None}
-    pow_b = {0: None}
-
-    def power(cache, base, k):
-        if k not in cache:
-            prev = power(cache, base, k - 1)
-            cache[k] = base if prev is None else prev * base
-        return cache[k]
-
-    for (i, j), d in sorted(F.law.coeffs.items(),
-                            key=lambda kv: sum(kv[0])):
-        c = PadicScalar(spec, d, F.law.prec)
-        pa = power(pow_a, a, i)
-        pb = power(pow_b, b, j)
-        if pa is None:
-            term = pb
-        elif pb is None:
-            term = pa
-        else:
-            term = pa * pb
-        if term is None or term.is_zero():
-            continue
-        acc = acc + term.scalar_mul(c.reduce_prec(min(c.prec, term.prec())))
-    return acc
+    P = min(a.prec(), b.prec(), F.law.prec)
+    ghosts = [F.law.substitute({"X": x, "Y": y})
+              for x, y in zip(_ghost(spec, a.components, P),
+                              _ghost(spec, b.components, P))]
+    return WittVector(spec, [c.reduce_prec(P - a.n)
+                             for c in _ghost_invert(spec, ghosts)])

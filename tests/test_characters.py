@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from arithjet import characters, witt
 from arithjet.characters import (
     expand_in_psi_basis,
     extract_lambda_gamma,
@@ -18,14 +22,21 @@ from arithjet.characters import (
     u_star,
     upsilon,
 )
-from arithjet.errors import DegreeCapTooSmall
+from arithjet.errors import (
+    DegreeCapTooSmall,
+    IncompatibleSpec,
+    IntegralityViolation,
+    NonNilpotentComposition,
+)
 from arithjet.fgl import (
     formal_group_from_weierstrass,
     formal_logarithm,
     multiplicative_law,
 )
 from arithjet.howell import module_rank
-from arithjet.ring import BaseRingSpec
+from arithjet.ring import BaseRingSpec, PadicScalar
+from arithjet.series import TruncSeries
+from arithjet.witt import WittVector, fgl_eval_witt, verschiebung
 
 N_DESK = 6
 
@@ -118,6 +129,132 @@ def test_shared_generators_match_direct_substitution(p, e):
                 assert ((g.num.vars, g.num.cap, g.num.prec, g.num.coeffs)
                         == (direct.num.vars, direct.num.cap,
                             direct.num.prec, direct.num.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# group laws in ghost coordinates
+# ---------------------------------------------------------------------------
+
+# sha256 of [c.to_json() for c in law.laws] on y^2 = x^3 + x + 1 at
+# precision N_DESK + 4; the values were computed while fgl_eval_witt summed
+# f~(c_ij) a^i b^j with table-evaluated Witt operations (the (3, 1, 27) jet
+# law took 127 s that way)
+PINNED_LAWS = {
+    (3, 1, 11, "jet", 1):
+        "c668918c0fc4aae3b7587d3488052a3f58c87c104b968442402938dd684f91e1",
+    (3, 1, 11, "jet", 2):
+        "1a50becab8984d2b4e21643f5279c7c9bc98880ed749819014292b8052802c47",
+    (3, 1, 11, "kernel", 1):
+        "336e2552c8ca37f93b3b6b9effb890d25dab381888d8e3e9dbd2c71d706e5236",
+    (3, 1, 11, "kernel", 2):
+        "636f9ec912810674bc42f4595378b05f4de8877a2976001fbfa8b58c005859b0",
+    (3, 1, 11, "kernel", 3):
+        "0d2c3d810bea2d80e1242263ecc92479af75fc1442857d66f38c29ccfdf9971b",
+    (3, 1, 27, "jet", 1):
+        "cd2d6e5ead49c578cd53d273507621317bbc83f9d264371cfbd3125ebf5b0f94",
+    (3, 1, 27, "jet", 2):
+        "3ced3d0b49d33b6076ea8a3b74c27f78f278402ff29d069a904283af038753e1",
+    (3, 1, 27, "kernel", 1):
+        "913f808246ecca70999da9a15911a61f91bd52dab0cd4b33dadd9508c9860fe2",
+    (3, 1, 27, "kernel", 2):
+        "8a8c19de252c1396d8051e0690e20ade7e89b268a27143722146ed4e84adf762",
+    (3, 1, 27, "kernel", 3):
+        "d1dfb154acf7de722422da0914985f59fc5801c686aa3e488155ebc16204c8fe",
+    (5, 1, 18, "jet", 1):
+        "3c572429878d0b0af9a695e20499d17f34c3b28bf631b6a017382460313e7efb",
+    (5, 1, 18, "jet", 2):
+        "cc574510cd8db0f95032a821eb168699249ef6ed1724e858198aacb5e78e47a6",
+    (5, 1, 18, "kernel", 1):
+        "cebfd3f098f7d5a697079939cdb03702b1efd4f85d7655316e244b08cc0afa6a",
+    (5, 1, 18, "kernel", 2):
+        "5ce1d33cf8bf46aba5c3f9554d530476f37a921e6be35bb5161142363faf189a",
+    (5, 1, 18, "kernel", 3):
+        "1b19b8f84f0b1d1b1d475ec0717dc81f55945b5ea75378fa37d2bec033dd050b",
+    (5, 2, 7, "jet", 1):
+        "18485af7683ec0c32c7b9b83f08ab97be87de2c392167f9fb851d49fa3a2e555",
+    (5, 2, 7, "jet", 2):
+        "fc40cd4ade510c72ed9e0d252afbc1b9f40cfa83b9174682f3ae09890bb63abc",
+    (5, 2, 7, "kernel", 1):
+        "e06c5dc4823fad488901e4b77f7b606559b882ec53903b736fb7fb633ba9846a",
+    (5, 2, 7, "kernel", 2):
+        "3c717376025ae4da21e0602cb9b0dd2564f0e85e2a4630396a32a1a79746f973",
+    (5, 2, 7, "kernel", 3):
+        "f3b3a3b61f26ad5db2f7fc48b5b207ba4538feeb538efaabeeb6ecbe098ccfd0",
+    (7, 1, 12, "jet", 1):
+        "b6e9774f4d04002ec58514e601019f27d4b2578d1ecd93ecf692eda05230ed9d",
+    (7, 1, 12, "jet", 2):
+        "5b8bb5093c2eab4918f3c2217199e9b4e483e80640bacd9657ab923800a8538a",
+    (7, 1, 12, "kernel", 1):
+        "55edee2f9b7ebaf9ec3384cbca37db25497e70c4fe9eaedd526b655398f78c4f",
+    (7, 1, 12, "kernel", 2):
+        "618e5c0e9ac04bfc19ab28d265d601e21834b5f8b639f8a64ce21107a7792cd8",
+    (7, 1, 12, "kernel", 3):
+        "257a27ddc352026b14f03830d99e1733ef11317b8289d5610b2bb444fc2593fb",
+}
+
+
+@pytest.mark.parametrize("p,e,D,kind,n", sorted(PINNED_LAWS))
+def test_group_laws_pinned(p, e, D, kind, n):
+    build = kernel_group_law if kind == "kernel" else jet_group_law
+    law = build(_curve(p, e, D), n)
+    body = json.dumps([c.to_json() for c in law.laws], sort_keys=True)
+    assert (hashlib.sha256(body.encode()).hexdigest()
+            == PINNED_LAWS[(p, e, D, kind, n)])
+
+
+def test_group_law_matches_witt_ring_sum():
+    # the Witt-ring definition sum f~(c_ij) a^i b^j, with the table-evaluated
+    # ring operations, at a cap where it is cheap
+    F = _curve(3, 1, 5)
+    law = kernel_group_law(F, 2)
+    spec, cap, prec = F.spec, F.cap, F.prec
+    vars_ = law.vars_x + law.vars_y
+    gens = [TruncSeries.gen(spec, vars_, v, cap, prec) for v in vars_]
+    a = verschiebung(WittVector(spec, gens[:2]))
+    b = verschiebung(WittVector(spec, gens[2:]))
+    acc = None
+    for (i, j), d in F.law.coeffs.items():
+        factors = [a] * i + [b] * j
+        term = factors[0]
+        for f in factors[1:]:
+            term = term * f
+        term = term.scalar_mul(PadicScalar(spec, d, prec))
+        acc = term if acc is None else acc + term
+    assert acc.components[0].is_zero()
+    assert law.laws == tuple(c.reduce_prec(prec - 2)
+                             for c in acc.components[1:])
+
+
+def test_fgl_eval_witt_refuses_what_a_truncated_law_cannot_evaluate():
+    F = _curve(3, 1, 11)
+    spec = F.spec
+    x = WittVector.from_ints(spec, [0, 1], 8)
+    with pytest.raises(IncompatibleSpec):
+        fgl_eval_witt(F, x, x)
+    gen = TruncSeries.gen(spec, ("x0", "x1"), "x0", 11, 8)
+    one = TruncSeries.const(spec, ("x0", "x1"), spec.one(8), 11, 8)
+    ok = WittVector(spec, [gen, gen])
+    with pytest.raises(NonNilpotentComposition):
+        fgl_eval_witt(F, ok, WittVector(spec, [gen, gen + one]))
+
+
+def test_group_law_integrality_violation_propagates(monkeypatch):
+    # with the components passed off as ghost components the slots have no
+    # integral Witt preimage, and the red alert reaches the caller
+    monkeypatch.setattr(witt, "_ghost", lambda spec, comps, prec:
+                        [c.reduce_prec(prec) for c in comps])
+    with pytest.raises(IntegralityViolation):
+        jet_group_law(_curve(3, 1, 11), 1).laws
+
+
+def test_kernel_law_slot_zero_check(monkeypatch):
+    # a kernel law whose Witt value leaks into slot 0 is refused
+    def leaky(F, a, b):
+        return WittVector(a.spec, [a.components[1]] + list(a.components[1:]))
+
+    monkeypatch.setattr(characters, "fgl_eval_witt", leaky)
+    with pytest.raises(IncompatibleSpec, match="slot 0"):
+        kernel_group_law(_curve(3, 1, 11), 1).laws
 
 
 # ---------------------------------------------------------------------------

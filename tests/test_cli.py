@@ -267,3 +267,22 @@ def test_stable_line_eigenvalue_zero_is_inconclusive(tmp_path):
                                 "--prec", "4"])
     assert code == 2 and rep["status"] == "inconclusive"
     assert "stable-line eigenvalue" in rep["error"]
+
+
+@pytest.mark.parametrize("cmd", ["witt", "verify", "crystal"])
+def test_negative_prec_fails(tmp_path, cmd):
+    code, rep = _run(tmp_path, ["--cmd", cmd, "--prec", "-3"])
+    assert code == 1 and rep["status"] == "fail"
+    assert "InvalidParameters" in rep["error"] and "prec" in rep["error"]
+    assert rep["params"]["prec"] == -3
+
+
+def test_unwritable_out_reports_on_stdout(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = run(["--cmd", "witt", "--p", "3", "--nmax", "1", "--prec", "3",
+                "--out", str(out)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1 and rep["status"] == "fail"
+    assert "FileNotFoundError" in rep["error"] and "missing" in rep["error"]
+    assert rep["command"] == "witt" and rep["params"]["p"] == 3
+    assert not out.exists()
