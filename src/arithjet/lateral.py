@@ -12,7 +12,7 @@ from __future__ import annotations
 from .errors import IncompatibleSpec, NotInVImage
 from .ring import BaseRingSpec, PadicScalar
 from .series import TruncSeries
-from .witt import WittVector, _ghost, _ghost_invert, f_tilde, frobenius_W
+from .witt import WittVector, _from_ghosts, _ghost, frobenius_W
 
 
 class TildeWittVector:
@@ -44,14 +44,10 @@ class TildeWittVector:
             return WittVector(self.spec, [self.r])
         n, z = self.order, self.tail
         N = min(self.r.prec - n, z.prec())
-        r = self.r.reduce_prec(N + n)
-        if z.is_series():
-            z0 = z.components[0]
-            r = TruncSeries.const(self.spec, z0.vars, r, z0.cap, N + n)
+        r = z._constant(self.r, N + n)
         ghosts = [r] + [r + w.mul_pi(1)
                         for w in _ghost(self.spec, z.components, N + n)]
-        return WittVector(self.spec, [c.reduce_prec(N) for c in
-                                      _ghost_invert(self.spec, ghosts)])
+        return _from_ghosts(self.spec, ghosts, N)
 
     def __eq__(self, other):
         if not isinstance(other, TildeWittVector):
@@ -102,18 +98,22 @@ def tilde_unpack(t: TildeWittVector):
 
 
 def from_witt(x: WittVector, r: PadicScalar) -> TildeWittVector:
-    """Recover (r, z) from an embedded vector: z = unshift(x - f~(r)).
+    """Recover (r, z) from an embedded vector x = f~(r) + V(z), whose
+    ghosts are w_0(x) = r and w_i(x) = r + pi w_(i-1)(z): one inversion of
+    (w_i(x) - r)/pi, i = 1..n, at P = N + n, N = min(x.prec(), r.prec - n).
 
-    Raises NotInVImage when x - f~(r) has a nonzero 0-component at the
-    working precision (x then fails the fiber condition for this r).
+    Raises NotInVImage when x_0 - r is nonzero mod pi^N (x then fails the
+    fiber condition for this r).
     """
     n = x.n
-    diff = x - f_tilde(x.spec, r, n, like=x if x.is_series() else None)
-    if not diff.components[0].is_zero():
+    N = min(x.prec(), r.prec - n)
+    c = x._constant(r, N + n)
+    ghosts = [w - c for w in _ghost(x.spec, x.components, N + n)]
+    if not ghosts[0].reduce_prec(N).is_zero():
         raise NotInVImage("component 0 of x - f~(r) is nonzero")
     if n == 0:
         return TildeWittVector(x.spec, r, None)
-    tail = WittVector(x.spec, diff.components[1:])
+    tail = _from_ghosts(x.spec, [g.exact_div_pi(1) for g in ghosts[1:]], N)
     return TildeWittVector(x.spec, r, tail)
 
 

@@ -21,7 +21,7 @@ from .characters import (
 )
 from .errors import EngineError, Inconclusive
 from .fgl import FormalGroupLaw
-from .lateral import generic_tilde, lateral_frobenius
+from .lateral import generic_tilde, lateral_frobenius, tilde_pack
 from .ring import BaseRingSpec, PadicScalar
 from .series import TruncSeries
 from .witt import WittVector, frobenius_W, verschiebung
@@ -42,7 +42,8 @@ def _inconclusive(name, anchor, details):
 # --------------------------------------------------------------------------
 
 def ghost_components(x: WittVector):
-    """w_i(x) = sum_j pi^j x_j^(q^(i-j)), computed without the tables."""
+    """w_i(x) = sum_j pi^j x_j^(q^(i-j)) by naive powers: the independent
+    oracle that tests compare `witt._ghost` and the Witt operations with."""
     q = x.spec.q
     out = []
     for i in range(x.length):
@@ -148,7 +149,6 @@ def suite_fdid(spec: BaseRingSpec, n: int, prec: int = 4) -> dict:
                        f"F^2 I != F I F~ at order {n}")
     # pinned witness: F o I and I o F~ differ already on f~(r) + V(z)
     # with a concrete scalar tail
-    from .lateral import tilde_pack
     tail = WittVector.from_ints(spec, [1] + [0] * (n - 1), prec + 2)
     tw = tilde_pack(spec.scalar(1, prec + n + 2), tail)
     a = frobenius_W(tw.embed())

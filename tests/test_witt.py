@@ -1,12 +1,24 @@
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arithjet import witt
 from arithjet.errors import IncompatibleSpec
+from arithjet.lateral import (
+    from_witt,
+    generic_tilde,
+    lateral_frobenius,
+    tilde_pack,
+)
 from arithjet.ring import BaseRingSpec
+from arithjet.series import TruncSeries
 from arithjet.verify import ghost_components
 from arithjet.witt import (
     WittVector,
-    f_tilde_scalar,
+    f_tilde,
     frobenius_W,
     structural_polynomials,
     teichmuller,
@@ -44,7 +56,7 @@ def test_additive_inverse(a):
 
 
 def test_structural_polynomial_shapes():
-    table = structural_polynomials(SPEC3, 2, "sum", cap=None, prec=5)
+    table = structural_polynomials(SPEC3, 2, "sum", prec=5)
     assert len(table.polys) == 3
     # w0 of the sum is x0 + y0 on the nose
     p0 = table.polys[0]
@@ -106,7 +118,7 @@ def test_teichmuller_multiplicative(a, b):
 
 def test_f_tilde_constant_ghost():
     r = SPEC5.scalar(7, 9)
-    x = f_tilde_scalar(SPEC5, r, 3)
+    x = f_tilde(SPEC5, r, 3)
     for w in ghost_components(x):
         assert (w - r.reduce_prec(w.prec)) .is_zero()
 
@@ -114,8 +126,272 @@ def test_f_tilde_constant_ghost():
 def test_f_tilde_frobenius_fixed():
     # F(f~(r)) = f~(phi(r)) = f~(r) one step down the tower
     r = SPEC3.scalar(5, 9)
-    x = f_tilde_scalar(SPEC3, r, 3)
+    x = f_tilde(SPEC3, r, 3)
     fx = frobenius_W(x)
-    y = f_tilde_scalar(SPEC3, r, 2)
+    y = f_tilde(SPEC3, r, 2)
     prec = min(fx.prec(), y.prec())
     assert fx.reduce_prec(prec) == y.reduce_prec(prec)
+
+
+# --------------------------------------------------------------------------
+# pinned values of the ring operations
+# --------------------------------------------------------------------------
+
+def _digest(x):
+    body = json.dumps([c.to_json() for c in x.components], sort_keys=True)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def _series_operands(p, e, n):
+    """Capped series operands over z1..zn (cap q + 1).  x = I(r, z) and
+    y = I(r', z^2 + c) have constant terms; the tails z and w do not."""
+    spec = BaseRingSpec(p, e)
+    cap = spec.q + 1
+    vars_ = tuple(f"z{i}" for i in range(1, n + 1))
+    gens = [TruncSeries.gen(spec, vars_, v, cap, 4) for v in vars_]
+    const = [TruncSeries.const(spec, vars_, spec.scalar(i + 1, 3), cap, 3)
+             for i in range(n)]
+    y_tail = WittVector(spec, [g * g + c for g, c in zip(gens, const)])
+    w = WittVector(spec, [g * g + gens[(i + 1) % n]
+                          for i, g in enumerate(gens)]).reduce_prec(3)
+    return {
+        "x": generic_tilde(spec, spec.scalar(7 * p + 2, 5 + n), n, cap,
+                           4).embed(),
+        "y": tilde_pack(spec.scalar(3 * p + 1, 4 + n), y_tail).embed(),
+        "z": WittVector(spec, gens),
+        "w": w,
+        "r": spec.scalar(p + 3, 2 + n),
+    }
+
+
+SERIES_OPS = {
+    "add": lambda v: v["x"] + v["y"],
+    "mul": lambda v: v["x"] * v["y"],
+    "neg": lambda v: -v["y"],
+    "frobenius": lambda v: frobenius_W(v["x"]),
+    "scalar_mul": lambda v: v["y"].scalar_mul(v["r"]),
+    "add0": lambda v: v["z"] + v["w"],
+    "mul0": lambda v: v["z"] * v["w"],
+    "neg0": lambda v: -v["z"],
+    "frobenius0": lambda v: frobenius_W(v["z"]),
+}
+
+# sha256 of the result components' JSON (precisions included); the values
+# were computed while these operations evaluated the structural tables:
+# uncapped ones for x and y (a component with a constant term), capped ones
+# for z and w
+PINNED_SERIES_OPS = {
+    (2, 1, 2, 'add'):
+        "abe096dbecdca2f8710d692d4b0b5fcc767ffdaeac52efa79b032e67b4b17303",
+    (2, 1, 2, 'add0'):
+        "d8c6b4a3684c39a9719f7ad1f953e35d35806f65348e336d6e455c2ca9bd03ff",
+    (2, 1, 2, 'frobenius'):
+        "9da570c32610a404b2291a873f2c432b4f77c28b1e51bd3bcbe32be0ab9922e0",
+    (2, 1, 2, 'frobenius0'):
+        "d412bd09ff8b63c3a920c182a2a1d225482a63e324819a6241db46a86f4dd743",
+    (2, 1, 2, 'mul'):
+        "72996b15f5c6b27e9980921d23e0dd815f52f0de9049273371647ed56921c2fc",
+    (2, 1, 2, 'mul0'):
+        "add161dd6ae91457c406e3dbf6db2348b8b7b79a44bb89a0c669e09715acf49b",
+    (2, 1, 2, 'neg'):
+        "2f4777bf0e41c4dc2127edd738008e21b87927a2cb289cdbfd80d09c61e23574",
+    (2, 1, 2, 'neg0'):
+        "dbce006124c2b379c0a26d4dfbd3f219f7faca2a86e919a676b77965675fcd8e",
+    (2, 1, 2, 'scalar_mul'):
+        "805f48fe2c4d20a66da4bd1f2eede477d93054bdcfd6f6970401b51bdda3a4a1",
+    (2, 1, 3, 'add'):
+        "c387ef22c28af1f6c99c1523bee3c8b78bc9cd6d9a9ac1104fc13eec816f608c",
+    (2, 1, 3, 'add0'):
+        "d5035a1270167f554bd8f9519ddec8563b0c3aa0dbecaed8cd61f25cab54b5d2",
+    (2, 1, 3, 'frobenius'):
+        "2f45ce846b390cc1d278f0027aa4f9b7d6b0c53280d4d2a97d6e7408b1251521",
+    (2, 1, 3, 'frobenius0'):
+        "c9621764210673077142a2026ddf19084a0d73a085b81c290567fe35a39369d3",
+    (2, 1, 3, 'mul'):
+        "c089a644bbdce0a90c26c1643beb7e9c089fa96d4d5429c1e0f5da77c10bc1d4",
+    (2, 1, 3, 'mul0'):
+        "bad559f16ee6061df7df0d8c3bfe287ba41d87dae27a460fc70d286e6c892618",
+    (2, 1, 3, 'neg'):
+        "3b9ec10c0fb33a068fd2221f3f5b80e876fb98addba66ea560099a3a583ed7c5",
+    (2, 1, 3, 'neg0'):
+        "34eb128c8e2817dc02126c7c2d247a8b2ae4e31c940c464f9d02c60b6618ccb3",
+    (2, 1, 3, 'scalar_mul'):
+        "b65a1fc88211131656f76a890adb776b8326c0d478fd06ba46eaade9729ba8c0",
+    (3, 1, 2, 'add'):
+        "fb6a9b843fa90f40c0b36e26f0723313e9e970d832166f4d33877a8b8ae81687",
+    (3, 1, 2, 'add0'):
+        "a2387bfa722563ef022a0ecff9b9c83f51d456f3c8f1866e95293974dcf502fe",
+    (3, 1, 2, 'frobenius'):
+        "15e48791397d0978b3368ef638d07e17a2cfe9791bbe4df650fefb91c543a461",
+    (3, 1, 2, 'frobenius0'):
+        "adc53ee9eaef92fa9a10a2224219166023b3fad36d21aaef50d0f94b9a5abb1c",
+    (3, 1, 2, 'mul'):
+        "6c013bad6bebb31328bd81b440f9fd324525c2ca4480d81c41fcaf40e4fc828a",
+    (3, 1, 2, 'mul0'):
+        "f7b34464285e3c72b6684387f56f55121c0100066acbe9c371028f638a3e1bb7",
+    (3, 1, 2, 'neg'):
+        "11c9a4ddabae1a1b5ccd3eacd5c8ae280477d3086d159529b7c3e1b0aafe2724",
+    (3, 1, 2, 'neg0'):
+        "31dc333ccfa91c68724f9404ea6aa7f7bfba2cd5cb446a0e09cc0c03f5920493",
+    (3, 1, 2, 'scalar_mul'):
+        "09437ce9349bb1d69a97f01ecfc3000e5371380d71c3b16ede0179cef9ca1539",
+    (5, 1, 1, 'add'):
+        "84494d81fe136ecacc41aa967fcf27961f38d6c25031a5d8d6e202e4370aedbc",
+    (5, 1, 1, 'add0'):
+        "a2482ed721550524b8c1bcb2e849ebed892826644466003d1f8a3b3b3add9b63",
+    (5, 1, 1, 'frobenius'):
+        "25c5e43146e98975b7ec799351525bae210d66a7b1a72e052498aa6b0113f00b",
+    (5, 1, 1, 'mul'):
+        "4462dea5cb7e35defcd30755bb254efcb02a8fa91ebc4b909420a05ec5315d3b",
+    (5, 1, 1, 'mul0'):
+        "7c570c72207d783f3374024bafd6e1ad8ec6a7df323026d9c0fe640ca48930a3",
+    (5, 1, 1, 'neg'):
+        "46f81b8edcc35db023e80d6d12e2dcbef126640e9df3874d46463e4381c1a478",
+    (5, 1, 1, 'neg0'):
+        "05beb48ee6f212710a91ea90f5d02064f80e2fd79e4b0a5191dbb0c197359552",
+    (5, 1, 1, 'scalar_mul'):
+        "9d9aa7f6b735152afe5c0475d73e6f4b73f69073548128ebeca56d2031ae053b",
+    (5, 2, 1, 'add'):
+        "cc567ffaabd7a37731c874db4050ae1666c8891638928c65e96b4ac58255c9da",
+    (5, 2, 1, 'add0'):
+        "26fe7175cd648cf416ba7a46c9b38679dbcbda3d64ba4ef63e53d2ce5fa44c06",
+    (5, 2, 1, 'frobenius'):
+        "d4ea41b2e822cef156e4e2bad8d249328e03a97e0f495e265d7165dd597ebd60",
+    (5, 2, 1, 'mul'):
+        "049478f2c17c17893428ae243e23315b44fbc10864049981fbe4c802441d3033",
+    (5, 2, 1, 'mul0'):
+        "2ebde6e495f9a1e9cce6e2b13a608ffbfed8a6ecae64731dc5e7418e4132e4bf",
+    (5, 2, 1, 'neg'):
+        "ed6e1ae2c419eedaf96e979b990dda523ce0a27b2fd3877be530385874374961",
+    (5, 2, 1, 'neg0'):
+        "81904f40f716ae11d8c5d6ece86539432d3fae64a878ffbe2357ef469f46cfb9",
+    (5, 2, 1, 'scalar_mul'):
+        "6e34ec3f2739707a4d659107df1014cadf1be026a5bd055e3141af2a7c2b8de1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SERIES_OPS))
+def test_series_ops_pinned(key):
+    *config, op = key
+    assert _digest(SERIES_OPS[op](_series_operands(*config))) == \
+        PINNED_SERIES_OPS[key]
+
+
+def _scalar_operand(p, e, n):
+    """A scalar vector whose components carry precision 6 or 7, and the
+    integer that the R-action multiplies by."""
+    spec = BaseRingSpec(p, e)
+    rng = random.Random(1000 * p + 10 * e + n)
+    x = WittVector(spec, [spec.scalar(rng.randrange(p ** 8), 6 + i % 2)
+                          for i in range(n + 1)])
+    return x, rng.randrange(p ** 8)
+
+
+# the R-action at r.prec - n below, at and above x.prec() = 6
+SCALAR_OPS = {
+    "neg": lambda x, s: -x,
+    "scalar_mul_low": lambda x, s: x.scalar_mul(x.spec.scalar(s, 4 + x.n)),
+    "scalar_mul_even": lambda x, s: x.scalar_mul(x.spec.scalar(s, 6 + x.n)),
+    "scalar_mul_high": lambda x, s: x.scalar_mul(x.spec.scalar(s, 9 + x.n)),
+}
+
+
+# as PINNED_SERIES_OPS, for scalar negation and the R-action: computed while
+# both multiplied by a table-evaluated lift f~(r)
+PINNED_SCALAR_OPS = {
+    (2, 1, 3, 'neg'):
+        "72d10f14bd49f53711946bc58888c59dc4be8e3b81d7eac8c4539f20cf4835d1",
+    (2, 1, 3, 'scalar_mul_even'):
+        "d843f06dcde47774b302e87db6ef892dcdaa148cb62b8f59d3b3c39bd0064b6b",
+    (2, 1, 3, 'scalar_mul_high'):
+        "d843f06dcde47774b302e87db6ef892dcdaa148cb62b8f59d3b3c39bd0064b6b",
+    (2, 1, 3, 'scalar_mul_low'):
+        "462693cc5fb0a6c2d456159e1d791afc769cfdedaeffbbcf6bf8445370baf7c5",
+    (3, 1, 2, 'neg'):
+        "5760031067a1b6a25e0c0fb058cd1edba06c6868ef59caf008ab12eb31eb473e",
+    (3, 1, 2, 'scalar_mul_even'):
+        "2322b8f206a41f898a3eb2af41b654e2dd255f166667fa02631fd54a31505b1e",
+    (3, 1, 2, 'scalar_mul_high'):
+        "2322b8f206a41f898a3eb2af41b654e2dd255f166667fa02631fd54a31505b1e",
+    (3, 1, 2, 'scalar_mul_low'):
+        "6d57cc09f90ce4ca96bf678a6a19a976c9e904078618aa96887693f2cbb5c859",
+    (5, 1, 2, 'neg'):
+        "8dbd0a693e8ba91fe43ac786b22b8018c3a8c7673357547a986ff30e2cd9becf",
+    (5, 1, 2, 'scalar_mul_even'):
+        "dde082c5ba5757998f64aaf0ac9aa02f91f1116ec6afcaf77b6f73cae1739ae0",
+    (5, 1, 2, 'scalar_mul_high'):
+        "dde082c5ba5757998f64aaf0ac9aa02f91f1116ec6afcaf77b6f73cae1739ae0",
+    (5, 1, 2, 'scalar_mul_low'):
+        "f71cdac1c65d0821ed5fe766d631d6204a64b25e6fe014c00bb05d8cf16ac16c",
+    (5, 2, 2, 'neg'):
+        "ea79a40a1f362ef0caddc95ab12410cc51af6c2ddeb7ce37786e481cc5f2319a",
+    (5, 2, 2, 'scalar_mul_even'):
+        "90324044f0ee20558c09bf4185ac75247d25184bd879ae1040f2ea413331e898",
+    (5, 2, 2, 'scalar_mul_high'):
+        "90324044f0ee20558c09bf4185ac75247d25184bd879ae1040f2ea413331e898",
+    (5, 2, 2, 'scalar_mul_low'):
+        "9d7503b6ced6146096d3223c48f0625b3094e320b2f5f9ad4b146638a39e4c22",
+    (7, 1, 1, 'neg'):
+        "b8bf63bd93e39615d409de2308cde951d65a6d0948d084d5f45c0a29d029831a",
+    (7, 1, 1, 'scalar_mul_even'):
+        "09e8348243bb3c59e45fcc8d02eca759f4a6060c2e7ba960f9079fc4fc678bfe",
+    (7, 1, 1, 'scalar_mul_high'):
+        "09e8348243bb3c59e45fcc8d02eca759f4a6060c2e7ba960f9079fc4fc678bfe",
+    (7, 1, 1, 'scalar_mul_low'):
+        "068e4fb645cccca51d0c8c9ca255e058005bb428d9f9db92ae6051b0be26e6b0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SCALAR_OPS))
+def test_scalar_ops_pinned(key):
+    *config, op = key
+    assert _digest(SCALAR_OPS[op](*_scalar_operand(*config))) == \
+        PINNED_SCALAR_OPS[key]
+
+
+# --------------------------------------------------------------------------
+# series operations against the naive ghost oracle, and their routing
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("config", [(2, 1, 3), (3, 1, 2), (5, 2, 1)])
+def test_series_ops_ghost_oracle(config):
+    # x and y have constant terms; every identity holds mod pi^N
+    v = _series_operands(*config)
+    x, y, r = v["x"], v["y"], v["r"]
+    wx, wy = ghost_components(x), ghost_components(y)
+    assert witt._ghost(x.spec, x.components, x.prec()) == wx
+
+    def agree(result, expected):
+        got = ghost_components(result)
+        assert len(got) == len(expected)
+        assert all((a - b).is_zero() for a, b in zip(got, expected))
+
+    agree(x + y, [a + b for a, b in zip(wx, wy)])
+    agree(x * y, [a * b for a, b in zip(wx, wy)])
+    agree(-x, [-a for a in wx])
+    agree(frobenius_W(x), wx[1:])
+    agree(y.scalar_mul(r), [a.scalar_mul(r) for a in wy])
+
+
+def test_series_ops_skip_the_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("structural table requested")
+
+    monkeypatch.setattr(witt, "structural_polynomials", refuse)
+    v = _series_operands(3, 1, 2)
+    x, y, r = v["x"], v["y"], v["r"]
+    for result in (x + y, x * y, x - y, -x, frobenius_W(x),
+                   x.scalar_mul(r)):
+        assert result.is_series()
+    t = generic_tilde(SPEC3, SPEC3.scalar(11, 8), 2, 4, 4)
+    assert from_witt(t.embed(), t.r) == t
+    assert lateral_frobenius(t).tail.is_series()
+    assert (t + t).tail.is_series() and (t * t).tail.is_series()
+    # scalar negation, the R-action and from_witt need no table either
+    z = vec(SPEC3, [4, 1, 7])
+    assert (-z).prec() == 6
+    assert z.scalar_mul(SPEC3.pi(8)).prec() == 6
+    s = tilde_pack(SPEC3.scalar(2, 10), vec(SPEC3, [5, 1]))
+    assert from_witt(s.embed(), s.r) == s
+    with pytest.raises(AssertionError, match="structural table"):
+        z + z
