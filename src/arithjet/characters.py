@@ -183,11 +183,6 @@ class Character:
             dict(zip(law.vars_x, (gx[v] for v in law.vars_y))))
         return lhs == px + py
 
-    def to_json(self):
-        return {"kind": self.kind, "order": self.n,
-                "denominator_exponent": self.frac.shift,
-                "numerator": self.frac.num.to_json()}
-
     def __repr__(self):
         lead = self.frac.num.leading_monomial()
         return (f"Character({self.kind}, n={self.n}, shift={self.frac.shift},"
@@ -319,20 +314,23 @@ def _combine(kind, n, gens, coeffs, tshift):
     The solution scalars are defined modulo pi^M; any lift differs by a
     multiple of pi^M = pi^(shift + tshift), which changes the combination
     by an integral additive series, so the specific lift below is a valid
-    representative at the full generator precision.
+    representative at the full generator precision.  Each numerator is
+    scaled by its lift at P, then shifted by pi^(s - shift_i) to the
+    common exponent s (so term i keeps precision P + s - shift_i); the
+    sum is normalized once, by `Character`.
     """
     spec = gens[0].num.spec
     P = min(g.num.prec for g in gens)
-    acc = None
-    for c, g in zip(coeffs, gens):
-        if c.is_zero():
-            continue
-        lift = PadicScalar(spec, c.digits, P)  # exact integer lift of c
-        term = FracSeries(g.num.scalar_mul(lift), g.shift + tshift)
-        acc = term if acc is None else acc + term
-    if acc is None:
+    terms = [(c, g) for c, g in zip(coeffs, gens) if not c.is_zero()]
+    if not terms:
         raise IncompatibleSpec("zero solution vector")
-    return Character(kind, n, acc, lcoeffs=coeffs)
+    s = max(g.shift for _, g in terms)
+    acc = None
+    for c, g in terms:
+        lift = PadicScalar(spec, c.digits, P)  # exact integer lift of c
+        term = g.num.scalar_mul(lift).mul_pi(s - g.shift)
+        acc = term if acc is None else acc + term
+    return Character(kind, n, FracSeries(acc, s + tshift), lcoeffs=coeffs)
 
 
 def solve_additive(law: KernelGroupLaw):
@@ -563,7 +561,7 @@ def extract_lambda_gamma(theta: Character, psis):
         except NotDivisible:
             raise IntegralityViolation("gamma = pi*A0 is not divisible by pi")
     else:
-        gamma = c.mul_pi_power(1 - shift)
+        gamma = c.mul_pi(1 - shift)
     if not gamma.is_zero() and gamma.valuation() < 1:
         raise IntegralityViolation("gamma is not divisible by pi")
     if M is not None:

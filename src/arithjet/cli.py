@@ -102,9 +102,9 @@ def _flags(args) -> dict:
             if getattr(args, k) is not None}
 
 
-def resolve_params(argv) -> dict:
-    """Defaults, overridden by the config file, overridden by flags."""
-    args = build_parser().parse_args(argv)
+def resolve_params(args) -> dict:
+    """Defaults, overridden by the config file, overridden by the flags
+    of the parsed command line `args`."""
     params = dict(DEFAULTS)
     if args.config:
         try:
@@ -211,9 +211,10 @@ COMMANDS = {"verify": cmd_verify, "crystal": cmd_crystal, "witt": cmd_witt}
 
 
 def run(argv=None) -> int:
-    params = {**DEFAULTS, **_flags(build_parser().parse_args(argv))}
+    args = build_parser().parse_args(argv)
+    params = {**DEFAULTS, **_flags(args)}
     try:
-        params = resolve_params(argv)
+        params = resolve_params(args)
         if params["prec"] < 0:
             raise InvalidParameters(
                 f"prec must be >= 0, not {params['prec']}")

@@ -25,13 +25,6 @@ def _ordp(x: PadicScalar) -> Fraction | None:
     return None if v is None else Fraction(v, x.spec.e)
 
 
-def _scalar_json(x: PadicScalar | None):
-    if x is None:
-        return None
-    return {"digits": list(x.digits), "prec": x.prec,
-            "pi_power_basis": x.spec.e}
-
-
 class FilteredIsocrystal:
     """A filtered isocrystal of rank 1 or 2 in the Psi basis.
 
@@ -78,12 +71,12 @@ class FilteredIsocrystal:
             "m": self.m,
             "dim": self.dim,
             "basis": list(self.basis_labels),
-            "lambda": _scalar_json(self.lam),
-            "gamma": _scalar_json(self.gamma),
-            "Gamma": [[_scalar_json(x) for x in row]
+            "lambda": None if self.lam is None else self.lam.to_json(),
+            "gamma": self.gamma.to_json(),
+            "Gamma": [[x.to_json() for x in row]
                       for row in self.frobenius_matrix],
             "fil1": ("whole" if self.fil1 is None
-                     else [_scalar_json(x) for x in self.fil1]),
+                     else [x.to_json() for x in self.fil1]),
         }
 
     def __repr__(self):
@@ -170,23 +163,16 @@ def weak_admissibility(crys: FilteredIsocrystal) -> dict:
     """
     vg = crys.gamma.valuation()
     closed_form = (vg == 1)
-    cert = {"subobjects": [], "closed_form_v_gamma_1": closed_form}
     # slope comparison in pi-units: t_N = v_pi(det), one per Hodge jump;
     # this is the normalization in which the closed-form criterion holds
-    # for every ramification index
-    tN_top = Fraction(vg)
-    if crys.dim == 1:
-        tH_top = Fraction(1)
-        ok = (tH_top == tN_top)
-        cert["top"] = {"t_H": str(tH_top), "t_N": str(tN_top),
-                       "equal": ok}
-        verdict = ok
-    else:
-        tH_top = Fraction(1)  # fil1 is a line, jump at 1
-        top_ok = (tH_top == tN_top)
-        cert["top"] = {"t_H": str(tH_top), "t_N": str(tN_top),
-                       "equal": top_ok}
-        verdict = top_ok
+    # for every ramification index.  The top Hodge jump is at 1 in both
+    # shapes (dim 1: the whole space; dim 2: fil1 is a line).
+    tH_top, tN_top = Fraction(1), Fraction(vg)
+    verdict = (tH_top == tN_top)
+    cert = {"subobjects": [], "closed_form_v_gamma_1": closed_form,
+            "top": {"t_H": str(tH_top), "t_N": str(tN_top),
+                    "equal": verdict}}
+    if crys.dim == 2:
         for mu, coords in _stable_lines(crys):
             same = _lines_equal(coords, crys.fil1)
             if same is None:
@@ -201,7 +187,7 @@ def weak_admissibility(crys: FilteredIsocrystal) -> dict:
             tN = Fraction(v_mu)
             line_ok = (tH <= tN)
             cert["subobjects"].append(
-                {"mu": _scalar_json(mu), "t_H": str(tH), "t_N": str(tN),
+                {"mu": mu.to_json(), "t_H": str(tH), "t_N": str(tN),
                  "ok": line_ok, "is_fil1": same})
             verdict = verdict and line_ok
     cert["verdict"] = "admissible" if verdict else "not_admissible"
@@ -221,8 +207,8 @@ def de_rham_shadow(crys: FilteredIsocrystal, upsilon_value: PadicScalar):
     """
     gamma = crys.gamma
     report = {
-        "upsilon_theta_m": _scalar_json(upsilon_value),
-        "gamma_over_pi": _scalar_json(gamma.exact_div_pi(1)),
+        "upsilon_theta_m": upsilon_value.to_json(),
+        "gamma_over_pi": gamma.exact_div_pi(1).to_json(),
         "phi_injective": (True if not gamma.is_zero() else "inconclusive"),
         "rows": {"X_prim_rank": 1, "H_rank": crys.dim,
                  "I_rank": crys.dim - 1},

@@ -45,7 +45,6 @@ class FormalGroupLaw:
         self.cap = cap
         self.prec = prec
         self.name = name
-        self.dimension = 1
         self.curve = curve  # (a4, a6) when the law comes from a curve
         self.omega = omega
         self._build = build
@@ -311,7 +310,7 @@ def formal_logarithm(F: FormalGroupLaw) -> FracSeries:
         if shift < v:
             raise PrecisionExhausted("log denominator exceeds budget")
         unit = spec.scalar(deg // spec.p ** (v // spec.e), N + shift)
-        num = c.mul_pi_power(shift - v) * unit.inverse()
+        num = c.mul_pi(shift - v) * unit.inverse()
         out[(deg,)] = num.reduce_prec(N).digits
     num_series = TruncSeries(spec, ("T",), out, D, N)
     return FracSeries(num_series, shift)

@@ -12,24 +12,18 @@ Inside the reduction an entry is the canonical digit tuple of a
 reduces each entry once, through the digit functions of `ring`.
 `PadicScalar`s appear at the boundary only: input entries known to a
 higher precision are reduced to digits at M on entry, every returned row
-or kernel vector holds scalars at M, and the few pivot inverses and
-elimination factors of a sweep are scalars.  Exact division by pi^v is
-only defined modulo pi^(M-v); its result is re-lifted to M, which is
-consistent because every place a division result is used multiplies it
-back by something of valuation >= v.
+or kernel vector holds scalars at M, and the few pivot inverses of a
+sweep are scalars.  Exact division by pi^v (`digit_div_pi`) is only
+defined modulo pi^(M-v); its digits are read at M, which is consistent
+because every place a division result is used multiplies it back by
+something of valuation >= v.
 """
 
 from __future__ import annotations
 
 from .errors import IncompatibleSpec, PrecisionExhausted
-from .ring import BaseRingSpec, PadicScalar, digit_product, digit_valuation
-
-
-def _div_pi(x: PadicScalar, k: int, M: int) -> PadicScalar:
-    """A lift to precision M of x / pi^k (defined modulo pi^(M-k))."""
-    if k == 0:
-        return x
-    return PadicScalar(x.spec, x.exact_div_pi(k).digits, M)
+from .ring import (BaseRingSpec, PadicScalar, digit_div_pi, digit_mul_pi,
+                   digit_product, digit_valuation)
 
 
 def _nonzero(row) -> bool:
@@ -93,7 +87,8 @@ def _sweep(spec: BaseRingSpec, work, ncols: int, M: int, mods):
         work[top], work[best] = work[best], work[top]
         v = best_v
         # normalize the pivot entry to exactly pi^v
-        u_inv = _div_pi(PadicScalar(spec, work[top][c], M), v, M).inverse()
+        u_inv = PadicScalar(spec, digit_div_pi(spec, work[top][c], v),
+                            M).inverse()
         prow = work[top] = _scaled(spec, u_inv.digits, work[top], mods)
         # eliminate the column everywhere else (entries with val >= v)
         for i in range(len(work)):
@@ -102,13 +97,12 @@ def _sweep(spec: BaseRingSpec, work, ncols: int, M: int, mods):
             ev = digit_valuation(spec, work[i][c])
             if ev is None or ev < v:
                 continue
-            factor = _div_pi(PadicScalar(spec, work[i][c], M), v, M)
-            work[i] = _minus_multiple(spec, work[i], factor.digits, prow,
-                                      mods)
+            factor = digit_div_pi(spec, work[i][c], v)
+            work[i] = _minus_multiple(spec, work[i], factor, prow, mods)
         # Howell closure: pi^(M-v) * row kills the pivot, keeps the tail
         if v > 0:
-            shift = spec.one(M).mul_pi_power(M - v).reduce_prec(M)
-            closure = _scaled(spec, shift.digits, prow, mods)
+            shift = digit_mul_pi(spec, spec.one(M).digits, M - v)
+            closure = _scaled(spec, shift, prow, mods)
             if _nonzero(closure):
                 work.append(closure)
         pivots.append((c, v))

@@ -3,19 +3,18 @@
 Elements are canonical residues modulo pi^N stored as integer digit vectors
 of length e in the basis 1, pi, ..., pi^(e-1).  With that representation
 exact division by pi is a shift-and-borrow, never a rational division.
-Precision is carried per element and only ever decreases.
+Digit vectors are multiplied, shifted, divided by pi and valued here only
+(`digit_*`, `reduce_digits`); `series` and `howell` call these.  Every
+precision is explicit (there is no default), carried per element, and
+only ever decreases, except under multiplication by pi^k.
 
-The Frobenius lift phi is the identity (valid because the residue field is
-F_p, so x == x^q mod pi); the pi-derivation is delta(x) = (phi(x) - x^q)/pi.
+The residue field is F_p, so q = p and the Frobenius lift phi is the
+identity (x == x^q mod pi); the pi-derivation is delta(x) = (phi(x) - x^q)/pi.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    IncompatibleSpec,
-    NotDivisible,
-    PrecisionExhausted,
-)
+from .errors import IncompatibleSpec, NotDivisible, PrecisionExhausted
 
 
 def _is_prime(n: int) -> bool:
@@ -40,10 +39,12 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def digit_product(spec: "BaseRingSpec", a, b) -> list:
+def digit_product(spec: "BaseRingSpec", a, b):
     """Raw product of two digit vectors, not yet reduced: the term of
     pi^(i+j) folds into digit i + j - e with a factor p when i + j >= e."""
     e = spec.e
+    if e == 1:
+        return (a[0] * b[0],)
     p = spec.p
     out = [0] * e
     for i, x in enumerate(a):
@@ -60,6 +61,35 @@ def digit_product(spec: "BaseRingSpec", a, b) -> list:
     return out
 
 
+def digit_mul_pi(spec: "BaseRingSpec", digits, k: int) -> tuple:
+    """A digit tuple times pi^k, k >= 0: digit i moves to (i + k) mod e
+    times p^(k // e), and p once more if it wraps.  Canonical digits mod
+    pi^N come out canonical mod pi^(N+k)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    q, r = divmod(k, spec.e)
+    pq = spec.p ** q
+    rot = digits[spec.e - r:] + digits[:spec.e - r]
+    return tuple(d * pq * (spec.p if i < r else 1) for i, d in enumerate(rot))
+
+
+def digit_div_pi(spec: "BaseRingSpec", digits, k: int) -> tuple:
+    """A digit tuple divided exactly by pi^k, k >= 0 (else NotDivisible):
+    the inverse of `digit_mul_pi`.  Canonical digits mod pi^N come out
+    canonical mod pi^(N-k)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    q, r = divmod(k, spec.e)
+    pq = spec.p ** q
+    out = []
+    for i, d in enumerate(digits[r:] + digits[:r]):
+        m = pq * (spec.p if i >= spec.e - r else 1)
+        if d % m:
+            raise NotDivisible("element is not divisible by pi")
+        out.append(d // m)
+    return tuple(out)
+
+
 def digit_valuation(spec: "BaseRingSpec", digits) -> int | None:
     """pi-adic valuation of a digit vector, or None when every digit is 0."""
     v = None
@@ -72,15 +102,14 @@ def digit_valuation(spec: "BaseRingSpec", digits) -> int | None:
 
 
 class BaseRingSpec:
-    """Parameters of the base ring: prime p, ramification e (pi^e = p),
-    Frobenius power q, and a default working precision.
+    """Parameters of the base ring: prime p and ramification e (pi^e = p);
+    the residue field is F_p, so the Frobenius power q is p.
 
     Ramified specs (e >= 2) must satisfy e <= p - 2; the unramified case
     e = 1 is always legal.
     """
 
-    def __init__(self, p: int, e: int = 1, q: int | None = None,
-                 precision_default: int = 6):
+    def __init__(self, p: int, e: int = 1):
         if not _is_prime(p):
             raise IncompatibleSpec(f"p = {p} is not prime")
         if e < 1:
@@ -88,26 +117,16 @@ class BaseRingSpec:
         if e >= 2 and e > p - 2:
             raise IncompatibleSpec(
                 f"ramification e = {e} violates e <= p - 2 for p = {p}")
-        if q is None:
-            q = p
-        qq = q
-        while qq % p == 0:
-            qq //= p
-        if qq != 1 or q < p:
-            raise IncompatibleSpec(f"q = {q} is not a positive power of p = {p}")
-        if precision_default < 1:
-            raise IncompatibleSpec("precision_default must be >= 1")
         self.p = p
         self.e = e
-        self.q = q
-        self.precision_default = precision_default
+        self.q = p
 
     def __eq__(self, other):
         return (isinstance(other, BaseRingSpec)
-                and (self.p, self.e, self.q) == (other.p, other.e, other.q))
+                and (self.p, self.e) == (other.p, other.e))
 
     def __hash__(self):
-        return hash((self.p, self.e, self.q))
+        return hash((self.p, self.e))
 
     def __repr__(self):
         return f"BaseRingSpec(p={self.p}, e={self.e}, q={self.q})"
@@ -126,27 +145,23 @@ class BaseRingSpec:
         return tuple(d % self.digit_modulus(i, prec)
                      for i, d in enumerate(digits))
 
-    def scalar(self, n: int, prec: int | None = None) -> "PadicScalar":
-        """The image of the integer n, at the given (or default) precision."""
-        if prec is None:
-            prec = self.precision_default
+    def scalar(self, n: int, prec: int) -> "PadicScalar":
+        """The image of the integer n, modulo pi^prec."""
         digits = [0] * self.e
         digits[0] = n
         return PadicScalar(self, digits, prec)
 
-    def pi(self, prec: int | None = None) -> "PadicScalar":
-        if prec is None:
-            prec = self.precision_default
+    def pi(self, prec: int) -> "PadicScalar":
         if self.e == 1:
             return self.scalar(self.p, prec)
         digits = [0] * self.e
         digits[1] = 1
         return PadicScalar(self, digits, prec)
 
-    def zero(self, prec: int | None = None) -> "PadicScalar":
+    def zero(self, prec: int) -> "PadicScalar":
         return self.scalar(0, prec)
 
-    def one(self, prec: int | None = None) -> "PadicScalar":
+    def one(self, prec: int) -> "PadicScalar":
         return self.scalar(1, prec)
 
 
@@ -257,31 +272,16 @@ class PadicScalar:
         if self.prec <= k:
             raise PrecisionExhausted(
                 f"precision {self.prec} cannot absorb division by pi^{k}")
-        p = self.spec.p
-        digits = list(self.digits)
-        for _ in range(k):
-            if digits[0] % p != 0:
-                raise NotDivisible("element is not divisible by pi")
-            head = digits[0] // p
-            digits = digits[1:] + [head]
-        return PadicScalar(self.spec, digits, self.prec - k)
+        return PadicScalar(self.spec, digit_div_pi(self.spec, self.digits, k),
+                           self.prec - k)
 
-    def mul_pi_power(self, k: int) -> "PadicScalar":
-        """Exact multiplication by pi^k; the known precision rises by k."""
-        if k < 0:
-            return self.exact_div_pi(-k)
+    def mul_pi(self, k: int) -> "PadicScalar":
+        """Exact multiplication by pi^k, k >= 0; the known precision rises
+        by k."""
         if k == 0:
             return self
-        e = self.spec.e
-        p = self.spec.p
-        digits = list(self.digits)
-        for _ in range(k):
-            digits = [p * digits[-1]] + digits[:-1]
-        return PadicScalar(self.spec, digits, self.prec + k)
-
-    # alias so scalars and series expose the same pi-shift interface
-    def mul_pi(self, k: int) -> "PadicScalar":
-        return self.mul_pi_power(k)
+        return PadicScalar(self.spec, digit_mul_pi(self.spec, self.digits, k),
+                           self.prec + k)
 
     def phi(self) -> "PadicScalar":
         """The Frobenius lift on R; the identity in tier-1 configurations."""

@@ -13,7 +13,9 @@ One-variable products go by Kronecker substitution: each pi-digit's
 coefficients are packed into one Python int, and the builtin (Karatsuba)
 integer product does the convolution in place of a quadratic number of
 digit products.  Series in more variables use the sparse schoolbook
-product.  `substitute` sums raw digit products and reduces once.
+product.  `substitute` sums raw digit products and reduces once.  The
+digit arithmetic itself (products, pi-shifts, valuations, reduction) is
+that of `ring`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .errors import (
     NotDivisible,
     PrecisionExhausted,
 )
-from .ring import BaseRingSpec, PadicScalar
+from .ring import (BaseRingSpec, PadicScalar, digit_div_pi, digit_mul_pi,
+                   digit_product, digit_valuation)
 
 
 def monomial_key(m: tuple) -> tuple:
@@ -34,26 +37,6 @@ def monomial_key(m: tuple) -> tuple:
 
 def _raw_add(a, b):
     return [x + y for x, y in zip(a, b)]
-
-
-def _raw_mul(spec: BaseRingSpec, a, b):
-    e = spec.e
-    if e == 1:
-        return (a[0] * b[0],)
-    p = spec.p
-    out = [0] * e
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y == 0:
-                continue
-            k = i + j
-            if k < e:
-                out[k] += x * y
-            else:
-                out[k - e] += p * x * y
-    return out
 
 
 def _pack(coeffs: dict, lo: int, hi: int, e: int, width: int) -> list:
@@ -191,11 +174,6 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def min_degree(self) -> int | None:
-        if not self.coeffs:
-            return None
-        return min(sum(m) for m in self.coeffs)
-
     def max_degree(self) -> int | None:
         if not self.coeffs:
             return None
@@ -276,14 +254,14 @@ class TruncSeries:
                 if budget is not None and sum(m2) > budget:
                     break
                 m = tuple(x + y for x, y in zip(m1, m2))
-                prod = _raw_mul(spec, d1, d2)
+                prod = digit_product(spec, d1, d2)
                 cur = out.get(m)
                 out[m] = _raw_add(cur, prod) if cur is not None else prod
         return TruncSeries(spec, self.vars, out, cap, prec)
 
     def scalar_mul(self, c: PadicScalar) -> "TruncSeries":
         prec = min(self.prec, c.prec)
-        out = {m: _raw_mul(self.spec, d, c.digits)
+        out = {m: digit_product(self.spec, d, c.digits)
                for m, d in self.coeffs.items()}
         return TruncSeries(self.spec, self.vars, out, self.cap, prec)
 
@@ -308,23 +286,27 @@ class TruncSeries:
     # -- pi bookkeeping -------------------------------------------------------
 
     def mul_pi(self, k: int) -> "TruncSeries":
-        """Exact multiplication by pi^k (precision rises by k)."""
+        """Exact multiplication by pi^k, k >= 0 (precision rises by k)."""
         if k == 0:
             return self
-        out = {m: PadicScalar(self.spec, d, self.prec).mul_pi_power(k).digits
+        out = {m: digit_mul_pi(self.spec, d, k)
                for m, d in self.coeffs.items()}
         return TruncSeries(self.spec, self.vars, out, self.cap, self.prec + k,
                            _canonical=True)
 
     def exact_div_pi(self, k: int) -> "TruncSeries":
-        """Coefficientwise exact division by pi^k; raises NotDivisible."""
+        """Coefficientwise exact division by pi^k (precision drops by k);
+        raises NotDivisible, and PrecisionExhausted when there is a
+        coefficient and the precision is at most k."""
         if k == 0:
             return self
-        out = {}
-        for m, d in self.coeffs.items():
-            c = PadicScalar(self.spec, d, self.prec).exact_div_pi(k)
-            out[m] = c.digits
-        return TruncSeries(self.spec, self.vars, out, self.cap, self.prec - k)
+        if self.coeffs and self.prec <= k:
+            raise PrecisionExhausted(
+                f"precision {self.prec} cannot absorb division by pi^{k}")
+        out = {m: digit_div_pi(self.spec, d, k)
+               for m, d in self.coeffs.items()}
+        return TruncSeries(self.spec, self.vars, out, self.cap, self.prec - k,
+                           _canonical=True)
 
     def residue_coeffs(self) -> dict:
         """Reduction mod pi: dict monomial -> element of F_p (an int)."""
@@ -383,7 +365,7 @@ class TruncSeries:
                 piece = plist[expo]
                 term = piece if term is one else term * piece
             for mm, dd in term.coeffs.items():
-                prod = _raw_mul(ctx.spec, d, dd)
+                prod = digit_product(ctx.spec, d, dd)
                 cur = out.get(mm)
                 out[mm] = _raw_add(cur, prod) if cur is not None else prod
         return TruncSeries(ctx.spec, ctx.vars, out, cap, prec)
@@ -467,10 +449,8 @@ class FracSeries:
         if self.shift == 0 or self.num.is_zero():
             return FracSeries(self.num, 0) if self.num.is_zero() else self
         vmin = self.shift
-        for m, d in self.num.coeffs.items():
-            c = PadicScalar(self.num.spec, d, self.num.prec)
-            v = c.valuation()
-            vmin = min(vmin, self.shift if v is None else v)
+        for d in self.num.coeffs.values():
+            vmin = min(vmin, digit_valuation(self.num.spec, d))
             if vmin == 0:
                 return self
         return FracSeries(self.num.exact_div_pi(vmin), self.shift - vmin)

@@ -182,7 +182,7 @@ def suite_gamma_identity(F: FormalGroupLaw) -> dict:
         if diff.shift > 0:
             return _report("gamma_identity", anchor, False,
                            "difference is not pi-divisible")
-        gamma = (-upsilon(theta)).mul_pi_power(1)
+        gamma = (-upsilon(theta)).mul_pi(1)
         resid = (diff - psis[0].frac.scalar_mul(gamma)).normalize()
         if not resid.num.is_zero():
             return _report("gamma_identity", anchor, False,
@@ -222,7 +222,7 @@ def suite_psi_tower(F: FormalGroupLaw, n: int = 3) -> dict:
         s = psi.series()
         for j in range(1, n + 1):
             c = s.linear_coeff(f"x{j}")
-            want = (spec.one(c.prec - (i - 1)).mul_pi_power(i - 1)
+            want = (spec.one(c.prec - (i - 1)).mul_pi(i - 1)
                     if j == i else spec.zero(c.prec))
             if not (c - want).is_zero():
                 return _report("psi_tower", anchor, False,

@@ -43,15 +43,6 @@ from .series import TruncSeries
 _TABLE_CACHE: dict = {}
 
 
-class StructuralPolynomialTable:
-    """Slot polynomials for one Witt operation (sum, prod or frobenius)."""
-
-    def __init__(self, op: str, n: int, polys: list):
-        self.op = op
-        self.n = n
-        self.polys = polys
-
-
 def _at(c, prec: int):
     """c read at precision prec; raising it keeps its canonical digits."""
     if prec <= c.prec:
@@ -114,14 +105,12 @@ def _from_ghosts(spec, ghosts, N: int) -> "WittVector":
 
 
 def structural_polynomials(spec: BaseRingSpec, n: int, op: str,
-                           prec: int | None = None) -> StructuralPolynomialTable:
-    """Table of S_i / P_i / F_i polynomials for W_n (length n + 1)."""
+                           prec: int) -> list:
+    """The S_i / P_i / F_i polynomials for W_n (length n + 1), mod pi^prec."""
     if op not in ("sum", "prod", "frobenius"):
         raise IncompatibleSpec(f"unknown structural op {op!r}")
     if op == "frobenius" and n < 1:
         raise IncompatibleSpec("frobenius needs length >= 2")
-    if prec is None:
-        prec = spec.precision_default
     key = (spec, n, op, prec)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
@@ -138,9 +127,8 @@ def structural_polynomials(spec: BaseRingSpec, n: int, op: str,
         gy = _ghost(spec, gens[n + 1:], budget)
         target = [a + b if op == "sum" else a * b for a, b in zip(gx, gy)]
     polys = [p.reduce_prec(prec) for p in _ghost_invert(spec, target)]
-    table = StructuralPolynomialTable(op, n, polys)
-    _TABLE_CACHE[key] = table
-    return table
+    _TABLE_CACHE[key] = polys
+    return polys
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +212,7 @@ class WittVector:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_ints(cls, spec, ints, prec=None):
+    def from_ints(cls, spec, ints, prec: int):
         return cls(spec, [spec.scalar(v, prec) for v in ints])
 
     def _constant(self, r: PadicScalar, prec: int):
@@ -245,8 +233,8 @@ class WittVector:
         if other is not None:
             values.update({f"y{i}": c for i, c in enumerate(other.components)})
             prec = max(prec, other.prec())
-        table = structural_polynomials(self.spec, self.n, op, prec=prec)
-        return WittVector(self.spec, [p.evaluate(values) for p in table.polys])
+        polys = structural_polynomials(self.spec, self.n, op, prec=prec)
+        return WittVector(self.spec, [p.evaluate(values) for p in polys])
 
     def _ghost_op(self, other: "WittVector", op) -> "WittVector":
         """Slotwise op on the ghosts at P = N + n, N = min of the precs."""

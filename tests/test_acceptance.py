@@ -164,7 +164,7 @@ def test_comparison_factorization_only_x1(theta2_5, psis3_5):
         assert all(e == 0 for e in m[1:])
     # diff = gamma Psi_1 with pi | gamma: divisible by pi in the
     # character module
-    gamma = (-upsilon(theta2_5)).mul_pi_power(1)
+    gamma = (-upsilon(theta2_5)).mul_pi(1)
     assert gamma.valuation() >= 1
     resid = (diff - psis3_5[0].frac.scalar_mul(gamma)).normalize()
     assert resid.num.is_zero()
@@ -181,11 +181,11 @@ def test_gamma_equals_pi_a0_identity(theta2_5, psis2_5, psis3_5, spec5):
     theta = theta2_5.scalar_mul(unit.inverse())
     a0 = -upsilon(theta)
     prec = min(gamma.prec, a0.prec + 1)
-    assert gamma.reduce_prec(prec) == a0.mul_pi_power(1).reduce_prec(prec)
+    assert gamma.reduce_prec(prec) == a0.mul_pi(1).reduce_prec(prec)
     lhs = i_star(frobenius_pullback(theta))
     rhs = lateral_pullback(i_star(theta))
     resid = ((lhs - rhs).frac
-             - psis3_5[0].frac.scalar_mul(a0.mul_pi_power(1))).normalize()
+             - psis3_5[0].frac.scalar_mul(a0.mul_pi(1))).normalize()
     assert resid.num.is_zero()
 
 

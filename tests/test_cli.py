@@ -4,7 +4,7 @@ import json
 import pytest
 
 from arithjet import characters, fgl
-from arithjet.cli import read_config, resolve_params, run
+from arithjet.cli import build_parser, read_config, resolve_params, run
 
 
 def _run(tmp_path, args, name="report.json"):
@@ -31,7 +31,8 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_cli_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 3\nseed = 9\n")
-    params = resolve_params(["--config", str(cfg), "--p", "5"])
+    params = resolve_params(
+        build_parser().parse_args(["--config", str(cfg), "--p", "5"]))
     assert params["p"] == 5 and params["seed"] == 9
 
 

@@ -109,9 +109,9 @@ def test_weak_admissibility_certificate_contents():
 
 def test_weak_admissibility_ramified():
     spec = BaseRingSpec(5, 2)
-    good = build_crystal(spec, 2, spec.one(5), spec.one(5).mul_pi_power(1))
+    good = build_crystal(spec, 2, spec.one(5), spec.one(5).mul_pi(1))
     assert weak_admissibility(good)["verdict"] == "admissible"
-    bad = build_crystal(spec, 2, spec.one(5), spec.one(5).mul_pi_power(2))
+    bad = build_crystal(spec, 2, spec.one(5), spec.one(5).mul_pi(2))
     assert weak_admissibility(bad)["verdict"] == "not_admissible"
 
 

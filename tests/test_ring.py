@@ -2,7 +2,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithjet.errors import IncompatibleSpec, NotDivisible, PrecisionExhausted
-from arithjet.ring import BaseRingSpec, PadicScalar, c_pi, unit_quadratic_root
+from arithjet.ring import (
+    BaseRingSpec,
+    PadicScalar,
+    c_pi,
+    digit_div_pi,
+    digit_mul_pi,
+    digit_product,
+    digit_valuation,
+    unit_quadratic_root,
+)
 
 SPECS = [BaseRingSpec(2, 1), BaseRingSpec(3, 1), BaseRingSpec(5, 1),
          BaseRingSpec(5, 2)]
@@ -74,9 +83,51 @@ def test_unramified_inverse_every_precision(p):
 @settings(max_examples=40, deadline=None)
 def test_pi_shift_roundtrip(spec, a, k):
     x = spec.scalar(a, 6)
-    up = x.mul_pi_power(k)
+    up = x.mul_pi(k)
     assert up.prec == x.prec + k
     assert up.exact_div_pi(k) == x
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_pi_shifts_are_integer_arithmetic_at_e1(p):
+    # at e = 1, pi = p: the shifts are d * p^k and its exact inverse
+    spec = BaseRingSpec(p, 1)
+    for d in (1, -1, 2, -7, p - 1, -(p + 1), 10 ** 30 + 1, -(10 ** 30) - 1):
+        for k in range(6):
+            assert digit_mul_pi(spec, (d,), k) == (d * p ** k,)
+            assert digit_div_pi(spec, (d * p ** k,), k) == (d,)
+            if k and d % p:
+                with pytest.raises(NotDivisible):
+                    digit_div_pi(spec, (d * p ** (k - 1),), k)
+    assert digit_div_pi(spec, (0,), 4) == (0,)
+    with pytest.raises(ValueError):
+        digit_mul_pi(spec, (1,), -1)
+    with pytest.raises(ValueError):
+        digit_div_pi(spec, (p,), -1)
+
+
+@pytest.mark.parametrize("p,e", [(5, 2), (7, 3)])
+@given(digits=st.lists(ints, min_size=3, max_size=3),
+       k=st.integers(min_value=0, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_digit_pi_shifts_ramified(p, e, digits, k):
+    # digit_mul_pi is k raw products with pi; digit_div_pi undoes it and
+    # refuses exactly the vectors of valuation below k
+    spec = BaseRingSpec(p, e)
+    d = tuple(digits[:e])
+    pi = (0, 1) + (0,) * (e - 2)
+    want = d
+    for _ in range(k):
+        want = tuple(digit_product(spec, want, pi))
+    up = digit_mul_pi(spec, d, k)
+    assert up == want
+    assert digit_div_pi(spec, up, k) == d
+    v = digit_valuation(spec, d)
+    if v is not None and v < k:
+        with pytest.raises(NotDivisible):
+            digit_div_pi(spec, d, k)
+    else:
+        assert digit_mul_pi(spec, digit_div_pi(spec, d, k), k) == d
 
 
 def test_valuation():
@@ -122,9 +173,9 @@ def test_c_pi_and_delta(spec, a, b):
     x = spec.scalar(a, prec + 1)
     y = spec.scalar(b, prec + 1)
     cp = c_pi(spec, x, y)
-    assert cp.mul_pi_power(1) == x ** spec.q + y ** spec.q - (x + y) ** spec.q
+    assert cp.mul_pi(1) == x ** spec.q + y ** spec.q - (x + y) ** spec.q
     d = x.delta()
-    assert d.mul_pi_power(1) == x.phi() - x ** spec.q
+    assert d.mul_pi(1) == x.phi() - x ** spec.q
 
 
 def test_to_json_shape():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arithjet.errors import NotDivisible, PrecisionExhausted
 from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.series import FracSeries, TruncSeries
 
@@ -68,6 +69,50 @@ def test_mul_pi_exact_div_pi_roundtrip():
     up = f.mul_pi(2)
     assert up.prec == f.prec + 2
     assert up.exact_div_pi(2) == f
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 2), (7, 3)])
+def test_series_pi_shifts_are_the_scalar_ops(p, e):
+    # series mul_pi / exact_div_pi act as the scalar ops on each
+    # coefficient, at the series precision
+    spec = BaseRingSpec(p, e)
+    rng = random.Random(p * 10 + e)
+    prec = 7
+    for _ in range(20):
+        items = {}
+        for m in ((0, 0), (1, 0), (0, 1), (2, 1), (1, 3)):
+            digits = [rng.randrange(-p ** 4, p ** 4) for _ in range(e)]
+            items[m] = PadicScalar(spec, digits, prec)
+        f = TruncSeries.from_scalar_dict(spec, VARS, items, 6, prec)
+        for k in range(5):
+            up = f.mul_pi(k)
+            assert up.prec == prec + k
+            assert set(up.coeffs) == set(f.coeffs)
+            for m in f.coeffs:
+                c = f.coeff(m).mul_pi(k)
+                assert up.coeff(m).digits == c.digits
+                assert up.coeff(m).prec == c.prec
+            if k == 0:
+                continue
+            down = up.exact_div_pi(k)
+            assert down.prec == prec
+            for m in up.coeffs:
+                c = up.coeff(m).exact_div_pi(k)
+                assert down.coeff(m).digits == c.digits
+
+
+def test_series_pi_shift_guards():
+    spec = BaseRingSpec(5, 2)
+    x = TruncSeries.gen(spec, VARS, "x", 6, 3)
+    with pytest.raises(NotDivisible):
+        x.exact_div_pi(1)
+    with pytest.raises(PrecisionExhausted):
+        x.mul_pi(2).reduce_prec(3).exact_div_pi(3)
+    assert x.mul_pi(2).exact_div_pi(2) == x
+    # the zero series has no coefficient to run out of precision
+    zero = TruncSeries.zero(spec, VARS, 6, 3)
+    assert zero.exact_div_pi(5).is_zero()
+    assert zero.mul_pi(4).is_zero() and zero.mul_pi(4).prec == 7
 
 
 def test_residue_coeffs():

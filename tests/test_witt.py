@@ -57,9 +57,9 @@ def test_additive_inverse(a):
 
 def test_structural_polynomial_shapes():
     table = structural_polynomials(SPEC3, 2, "sum", prec=5)
-    assert len(table.polys) == 3
+    assert len(table) == 3
     # w0 of the sum is x0 + y0 on the nose
-    p0 = table.polys[0]
+    p0 = table[0]
     assert p0.linear_coeff("x0") == SPEC3.one(5)
     assert p0.linear_coeff("y0") == SPEC3.one(5)
 
