@@ -109,6 +109,8 @@ class TruncSeries:
 
     def __init__(self, spec: BaseRingSpec, vars: tuple, coeffs: dict,
                  cap: int | None, prec: int, _canonical: bool = False):
+        if prec < 0:
+            raise PrecisionExhausted("negative precision")
         self.spec = spec
         self.vars = tuple(vars)
         self.cap = cap

@@ -54,6 +54,18 @@ def ghost_components(x: WittVector):
     return out
 
 
+def ghost_mismatch(x: WittVector, y: WittVector):
+    """The first ghost slot at which x [+] y or x [*] y differs from the
+    ghost-side sum or product, as ("add" or "mul", slot); else None."""
+    wx, wy = ghost_components(x), ghost_components(y)
+    ws, wp = ghost_components(x + y), ghost_components(x * y)
+    for i in range(x.length):
+        if not (ws[i] - (wx[i] + wy[i])).is_zero():
+            return "add", i
+        if not (wp[i] - wx[i] * wy[i]).is_zero():
+            return "mul", i
+
+
 def suite_ghost_oracle(spec: BaseRingSpec, n: int, trials: int = 100,
                        seed: int = 0, prec: int = 6) -> dict:
     """Structural add/mul agree with the ghost-side ring operations."""
@@ -65,16 +77,10 @@ def suite_ghost_oracle(spec: BaseRingSpec, n: int, trials: int = 100,
             spec, [rng.randrange(bound) for _ in range(n + 1)], prec)
         y = WittVector.from_ints(
             spec, [rng.randrange(bound) for _ in range(n + 1)], prec)
-        wx, wy = ghost_components(x), ghost_components(y)
-        ws = ghost_components(x + y)
-        wp = ghost_components(x * y)
-        for i in range(n + 1):
-            if not (ws[i] - (wx[i] + wy[i])).is_zero():
-                return _report("ghost_oracle", anchor, False,
-                               f"add trial {t} ghost slot {i}")
-            if not (wp[i] - wx[i] * wy[i]).is_zero():
-                return _report("ghost_oracle", anchor, False,
-                               f"mul trial {t} ghost slot {i}")
+        bad = ghost_mismatch(x, y)
+        if bad:
+            return _report("ghost_oracle", anchor, False,
+                           f"{bad[0]} trial {t} ghost slot {bad[1]}")
     return _report("ghost_oracle", anchor, True,
                    f"{trials} random pairs, length {n + 1}")
 

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from arithjet import characters, fgl
-from arithjet.cli import build_parser, read_config, resolve_params, run
+from arithjet import characters, cli, fgl
+from arithjet.cli import EXIT, run
 
 
 def _run(tmp_path, args, name="report.json"):
@@ -17,23 +21,121 @@ def test_config_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 3\nprec=5   # inline comment\n# full comment\n"
                    "cmd = witt\n")
-    params = read_config(str(cfg))
-    assert params == {"p": 3, "prec": 5, "cmd": "witt"}
+    code, rep = _run(tmp_path, ["--config", str(cfg)])
+    assert code == 0 and rep["command"] == "witt"
+    # the three keys are set and every other parameter keeps its default
+    assert rep["params"] == {"cmd": "witt", "p": 3, "e": 1, "prec": 5,
+                             "deg": 11, "nmax": 3, "a4": None, "a6": None,
+                             "seed": 0}
 
 
 def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus = 1\n")
-    with pytest.raises(ValueError):
-        read_config(str(cfg))
+    code, rep = _run(tmp_path, ["--config", str(cfg)])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["error"] == (f"InvalidParameters: config {str(cfg)!r}: "
+                            "unknown config key: 'bogus'")
 
 
 def test_cli_overrides_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("p = 3\nseed = 9\n")
-    params = resolve_params(
-        build_parser().parse_args(["--config", str(cfg), "--p", "5"]))
-    assert params["p"] == 5 and params["seed"] == 9
+    code, rep = _run(tmp_path, ["--config", str(cfg), "--p", "5",
+                                "--cmd", "witt", "--nmax", "1"])
+    assert code == 0
+    assert rep["params"]["p"] == 5 and rep["params"]["seed"] == 9
+
+
+def _printed(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cmd", "bogus"], ["--p", "x"], ["--bogus"], ["--cmd", "crystal", "--p"],
+    ["--deg=x"], ["--cmd", "witt", "stray"],
+])
+def test_malformed_argv_fails(argv):
+    code, out, err = _printed(argv)
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "fail" and not err
+    assert rep["error"].startswith("InvalidParameters: ")
+
+
+@pytest.mark.parametrize("text", [
+    "p = x\n", "p 3\n", "config = other.cfg\n", "help = 1\n",
+])
+def test_malformed_config_fails(tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--config", str(cfg)])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["error"].startswith(f"InvalidParameters: config {str(cfg)!r}")
+    assert rep["command"] == "crystal"
+
+
+def test_main_reports_malformed_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["arithjet", "--cmd", "crystal",
+                                      "--p", "x"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    rep = json.loads(capsys.readouterr().out)
+    assert exc.value.code == 1 and rep["status"] == "fail"
+    assert "invalid int value: 'x'" in rep["error"]
+    assert rep["command"] is None and rep["params"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    "--cmd crystal --a4 1 --a6 1 --p 5 --deg 625 --prec 2",
+    "--cmd crystal --a4 1 --a6 1 --p 3 --deg 729 --prec 4",
+])
+def test_precision_exhausted_is_inconclusive(argv):
+    code, out, _ = _printed(argv.split())
+    rep = json.loads(out)
+    assert code == 2 and rep["status"] == "inconclusive"
+    assert "cannot absorb division" in rep["error"]
+
+
+_JUNK = (["--bogus"], ["--deg=x"], ["--p"], ["--seed"], ["x"], ["--cmd"])
+
+
+@st.composite
+def _argvs(draw):
+    # repeated entries weight the draws towards inputs that reach the
+    # engine; the rest end in a fail report at once
+    cmd = draw(st.sampled_from(["crystal"] * 3 + ["witt", "verify", "bogus"]))
+    # verify runs 100-trial suites and witt builds exact scalar tables:
+    # both stay small here
+    p = draw(st.sampled_from([2, 3, 4] if cmd == "verify"
+                             else [3, 5, 5, 7, 7, 2, 4]))
+    argv = ["--cmd", cmd, "--p", str(p),
+            "--e", str(draw(st.sampled_from([1, 1, 1, 2, 2, 0, 3, 4]))),
+            "--prec", str(draw(st.integers(-2, 12))),
+            "--deg", str(draw(st.integers(0, p * p + 2))),
+            "--nmax", str(draw(st.integers(0, 2 if cmd == "witt" else 3)))]
+    curve = draw(st.sampled_from(["both"] * 3 + ["none", "half"]))
+    if curve != "none":
+        # small coefficients: bad reduction is common
+        argv += ["--a4", str(draw(st.integers(-3, 9)))]
+    if curve == "both":
+        argv += ["--a6", str(draw(st.integers(-3, 9)))]
+    if draw(st.integers(0, 5)) == 0:  # a junk token in one run of six
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(st.sampled_from(_JUNK))
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=20000)
+@given(_argvs())
+def test_every_argv_gives_one_report(argv):
+    code, out, err = _printed(argv)
+    rep = json.loads(out)  # exactly one JSON object, nothing else
+    assert isinstance(rep, dict) and not err
+    assert code == EXIT[rep["status"]]
 
 
 def test_witt_command_deterministic(tmp_path):

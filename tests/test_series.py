@@ -109,9 +109,14 @@ def test_series_pi_shift_guards():
     with pytest.raises(PrecisionExhausted):
         x.mul_pi(2).reduce_prec(3).exact_div_pi(3)
     assert x.mul_pi(2).exact_div_pi(2) == x
-    # the zero series has no coefficient to run out of precision
+    # the zero series has no coefficient to run out of, but its precision
+    # may not fall below 0
     zero = TruncSeries.zero(spec, VARS, 6, 3)
-    assert zero.exact_div_pi(5).is_zero()
+    with pytest.raises(PrecisionExhausted):
+        zero.exact_div_pi(5)
+    with pytest.raises(PrecisionExhausted):
+        FracSeries(zero, 5).to_integral()
+    assert zero.exact_div_pi(3).is_zero() and zero.exact_div_pi(3).prec == 0
     assert zero.mul_pi(4).is_zero() and zero.mul_pi(4).prec == 7
 
 
