@@ -298,8 +298,8 @@ class TruncSeries:
 
     def exact_div_pi(self, k: int) -> "TruncSeries":
         """Coefficientwise exact division by pi^k (precision drops by k);
-        raises NotDivisible, and PrecisionExhausted when there is a
-        coefficient and the precision is at most k."""
+        raises NotDivisible, and PrecisionExhausted when the precision is
+        below k, or at most k while there is a coefficient."""
         if k == 0:
             return self
         if self.coeffs and self.prec <= k:
