@@ -12,7 +12,12 @@ Characters are found through the logarithm-ghost generators
 every additive K-valued series on the group is a K-combination of these
 (the ghost components w_i are ring maps and L linearizes F), so solving
 for characters reduces to an integrality lattice over R/pi^M, handled by
-Howell forms.
+Howell forms.  The kernel generators Psi_i are themselves the Psi basis
+of the lateral tower, and the (lambda, gamma) of a delta-character are
+read off its solved vector over the l_i, modulo pi^M
+(`extract_lambda_gamma`).  The pullbacks and the expansion in the Psi
+basis stay as the series-level reference for the tests and the verify
+suites.
 
 The logarithm, the l_i and the solved modules are computed once per
 formal group law and kept in the law's own memo (`FormalGroupLaw._memo`).
@@ -27,6 +32,7 @@ from .errors import (
     Inconclusive,
     IntegralityViolation,
     NotDivisible,
+    PrecisionExhausted,
 )
 from .fgl import (
     FormalGroupLaw,
@@ -263,7 +269,7 @@ def _lattice_solve(spec, gens, M: int, extra_rows=()):
     nums = [g.aligned(s).num for g in gens]
     for nm in nums:
         if nm.prec < M:
-            raise IncompatibleSpec(
+            raise PrecisionExhausted(
                 f"generator precision {nm.prec} below modulus {M}")
     monomials = sorted({m for nm in nums for m in nm.coeffs},
                        key=monomial_key)
@@ -444,27 +450,19 @@ def u_star(psi: Character, n: int) -> Character:
 # --------------------------------------------------------------------------
 
 def psi_basis(F: FormalGroupLaw, n: int):
-    """Psi_1, ..., Psi_n as characters of N^n.
+    """Psi_1, ..., Psi_n as characters of N^n: the kernel log-ghost
+    generators Psi_i = pi^(-1) L(kappa_i).
 
-    Psi_1 is the order-1 kernel character normalized to x_1 + O(deg 2);
-    Psi_(i+1) is the lateral pullback of Psi_i.  The linear part of Psi_i
-    is pi^(i-1) x_i, so reductions mod pi are independent (leading
-    monomials x_1, x_1^q, x_1^(q^2), ...)."""
-    chars, rank = solve_additive(kernel_group_law(F, 1))
-    if rank < 1:
-        raise Inconclusive("no order-1 kernel character found at precision")
-    psi1 = None
-    for ch in chars:
-        c = ch.series().linear_coeff("x1")
-        if c.valuation() == 0:
-            psi1 = ch.scalar_mul(c.inverse())
-            break
-    if psi1 is None:
-        raise Inconclusive("kernel solve produced no unit-linear character")
-    tower = [psi1]
-    for _ in range(n - 1):
-        tower.append(lateral_pullback(tower[-1]))
-    return [u_star(ps, n) for ps in tower]
+    This is the lateral tower with no solve and no substitution.  Psi_1 =
+    pi^(-1) L(pi x_1) = x_1 + O(deg 2) is the unit-linear generator of the
+    order-1 kernel characters.  kappa_i = pi w_(i-1)(x_1, ..., x_i) and
+    w_(i-1)(F(z)) = w_i(z) give kappa_i(F(z)) = kappa_(i+1)(z), so
+    Psi_(i+1) is the lateral pullback of Psi_i, and is integral as a
+    pullback of the integral Psi_1.  The linear part of Psi_i is
+    pi^(i-1) x_i, so reductions mod pi are independent (leading monomials
+    x_1, x_1^q, x_1^(q^2), ...)."""
+    _, gens = log_ghost_generators(F, n, "kernel")
+    return [Character("kernel", n, g) for g in gens]
 
 
 def expand_in_psi_basis(psi: Character, psis):
@@ -528,47 +526,34 @@ def upsilon(theta: Character) -> PadicScalar:
     return -c.exact_div_pi(shift) if shift else -c
 
 
-def extract_lambda_gamma(theta: Character, psis):
-    """(lambda, gamma) of a delta-character of order m in {1, 2}.
+def extract_lambda_gamma(theta: Character):
+    """(lambda, gamma) of a solved delta-character of order m in {1, 2},
+    read off its solution vector d = theta.lcoeffs, known modulo pi^M.
 
-    Normalizes theta so that i^* theta = Psi_m - lambda Psi_(m-1) - ...;
-    gamma = pi * A0 with A0 the x0-linear coefficient.  Asserts the
-    integrality of lambda and pi | gamma; violations raise
-    IntegralityViolation (they would falsify the structure theorems, so
-    they are surfaced loudly rather than swallowed)."""
+    theta = pi^(-1) sum_i d_i L(w_i).  On the kernel (x0 = 0), L(w_0) =
+    L(0) = 0 and L(w_i) = L(kappa_i) = pi Psi_i for i >= 1, so i^* theta =
+    sum_(i>=1) d_i Psi_i.  Normalizing i^* theta to Psi_m - lambda
+    Psi_(m-1) divides theta by d_m, which must be a unit, and gives
+    lambda = -d_1 / d_m (m = 2).  Only w_0 = x0 is linear in x0, and L(x0)
+    = x0 + O(deg 2), so the x0-linear coefficient of the normalized theta
+    is A0 = d_0 / (pi d_m), and gamma = pi A0 = d_0 / d_m.  Both are known
+    modulo pi^M.  gamma not divisible by pi raises IntegralityViolation
+    (it would falsify the structure theorems, so it is surfaced loudly
+    rather than swallowed); lambda is integral because d_m is a unit."""
     m = theta.n
-    if m not in (1, 2):
-        raise IncompatibleSpec("extract_lambda_gamma expects order 1 or 2")
-    if len(psis) < m:
-        raise IncompatibleSpec("need the Psi basis up to order m")
-    # a solved character's combination vector is only defined modulo pi^M;
-    # lambda and gamma inherit that precision
-    M = theta.lcoeffs[0].prec if theta.lcoeffs else None
-    coeffs = expand_in_psi_basis(i_star(theta), list(psis[:m]))
-    am = coeffs[-1]
-    if am.valuation() != 0:
+    if theta.kind != "jet" or m not in (1, 2):
+        raise IncompatibleSpec(
+            "extract_lambda_gamma expects a jet character of order 1 or 2")
+    d = theta.lcoeffs
+    if d is None:
+        raise IncompatibleSpec("extract_lambda_gamma needs a solved character")
+    if d[m].valuation() != 0:
         raise Inconclusive("top Psi coefficient is not a unit at precision")
-    theta = theta.scalar_mul(am.inverse())
-    lam = None
-    if m == 2:
-        lam = -(coeffs[0] * am.inverse())
-        if lam.valuation() is not None and lam.valuation() < 0:
-            raise IntegralityViolation("lambda is not integral")
-    c, shift = theta.linear_coeff("x0")
-    if shift > 1:
-        try:
-            gamma = c.exact_div_pi(shift - 1)
-        except NotDivisible:
-            raise IntegralityViolation("gamma = pi*A0 is not divisible by pi")
-    else:
-        gamma = c.mul_pi(1 - shift)
+    inv = d[m].inverse()
+    lam = -(d[1] * inv) if m == 2 else None
+    gamma = d[0] * inv
     if not gamma.is_zero() and gamma.valuation() < 1:
         raise IntegralityViolation("gamma is not divisible by pi")
-    if M is not None:
-        if lam is not None and lam.prec > M:
-            lam = lam.reduce_prec(M)
-        if gamma.prec > M:
-            gamma = gamma.reduce_prec(M)
     return lam, gamma
 
 

@@ -20,6 +20,8 @@ import sys
 
 from .characters import (
     extract_lambda_gamma,
+    # unused here: perfbench/spans.py wraps cli.psi_basis, and
+    # tests/test_trace_targets.py checks that the name resolves
     psi_basis,
     rank_table,
     solve_delta_characters,
@@ -141,8 +143,7 @@ def cmd_crystal(spec: BaseRingSpec, params) -> dict:
     m = splitting_number(F)
     chars, _ = solve_delta_characters(F, m)
     theta = chars[0]
-    psis = psi_basis(F, m)
-    lam, gamma = extract_lambda_gamma(theta, psis)
+    lam, gamma = extract_lambda_gamma(theta)
     table = rank_table(F, params["nmax"])
     crys = build_crystal(spec, m, lam, gamma)
     hodge, newton = polygons(crys)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 
 from .characters import (
-    expand_in_psi_basis,
     frobenius_pullback,
     i_star,
     lateral_pullback,
@@ -219,11 +218,13 @@ def suite_psi_tower(F: FormalGroupLaw, n: int = 3) -> dict:
     """Psi_1..Psi_n: linear parts pi^(i-1) x_i, mod-pi leads x1^(q^(i-1))."""
     anchor = "Psi_i = pi^(i-1) x_i + h.o.t. ; Psi_i = x1^(q^(i-1)) mod pi"
     spec = F.spec
-    try:
-        psis = psi_basis(F, n)
-    except Inconclusive as exc:
-        return _inconclusive("psi_tower", anchor, str(exc))
     q = spec.q
+    if F.cap < q ** (n - 1):
+        return _inconclusive(
+            "psi_tower", anchor,
+            f"degree cap {F.cap} < q^(n-1) = {q ** (n - 1)} hides the "
+            f"mod-pi lead of Psi_{n}")
+    psis = psi_basis(F, n)
     for i, psi in enumerate(psis, start=1):
         s = psi.series()
         for j in range(1, n + 1):

@@ -13,7 +13,6 @@ from arithjet.characters import (
     jet_group_law,
     kernel_group_law,
     lateral_pullback,
-    psi_basis,
     rank_table,
     solve_additive,
     solve_delta_characters,
@@ -175,7 +174,7 @@ def test_comparison_factorization_only_x1(theta2_5, psis3_5):
 # ---------------------------------------------------------------------------
 
 def test_gamma_equals_pi_a0_identity(theta2_5, psis2_5, psis3_5, spec5):
-    lam, gamma = extract_lambda_gamma(theta2_5, psis2_5)
+    lam, gamma = extract_lambda_gamma(theta2_5)
     # normalize theta the same way the extraction does
     unit = expand_in_psi_basis(i_star(theta2_5), list(psis2_5))[-1]
     theta = theta2_5.scalar_mul(unit.inverse())
@@ -213,7 +212,7 @@ def test_lambda_integral_many_curves(p):
         m = splitting_number(F)
         assert m == 2
         chars, _ = solve_delta_characters(F, 2)
-        lam, gamma = extract_lambda_gamma(chars[0], psi_basis(F, 2))
+        lam, gamma = extract_lambda_gamma(chars[0])
         # integrality (a violation raises IntegralityViolation upstream;
         # re-assert the valuation here)
         assert lam.is_zero() or lam.valuation() >= 0
@@ -225,8 +224,8 @@ def test_lambda_integral_many_curves(p):
 #     the 8-case synthetic sweep
 # ---------------------------------------------------------------------------
 
-def test_crystal_shape_and_admissibility_sweep(theta2_5, psis2_5, spec5):
-    lam, gamma = extract_lambda_gamma(theta2_5, psis2_5)
+def test_crystal_shape_and_admissibility_sweep(theta2_5, spec5):
+    lam, gamma = extract_lambda_gamma(theta2_5)
     assert gamma.valuation() >= 1
     crys = build_crystal(spec5, 2, lam, gamma)
     (a, b), (c, d) = crys.frobenius_matrix
@@ -305,6 +304,6 @@ def test_multiplicative_analog_pinned(mult5, spec5):
         v = PadicScalar(spec5, d, aligned.num.prec).valuation()
         assert v is None or v >= need, (m, v, need)
     # gamma = -p
-    lam, gamma = extract_lambda_gamma(chars[0], psi_basis(mult5, 1))
+    lam, gamma = extract_lambda_gamma(chars[0])
     assert lam is None
     assert gamma == spec5.scalar(-5, gamma.prec)

@@ -5,6 +5,7 @@ import pytest
 
 from arithjet import characters, witt
 from arithjet.characters import (
+    Character,
     expand_in_psi_basis,
     extract_lambda_gamma,
     frobenius_pullback,
@@ -25,6 +26,7 @@ from arithjet.characters import (
 from arithjet.errors import (
     DegreeCapTooSmall,
     IncompatibleSpec,
+    Inconclusive,
     IntegralityViolation,
     NonNilpotentComposition,
 )
@@ -343,6 +345,23 @@ def test_lateral_pullback_tower(curve5, psis3_5):
     assert diff.num.is_zero()
 
 
+@pytest.mark.parametrize("p,e,D", [(5, 1, 27), (3, 1, 11), (5, 2, 27)])
+def test_psi_basis_is_normalized_kernel_solve(p, e, D):
+    # the Psi basis used to be the unit-normalized order-1 kernel character
+    # and its lateral pullbacks; the generators match it in coefficients
+    # and precision
+    F = _curve(p, e, D)
+    psi1 = None
+    for ch in solve_additive(kernel_group_law(F, 1))[0]:
+        c = ch.series().linear_coeff("x1")
+        if c.valuation() == 0:
+            psi1 = ch.scalar_mul(c.inverse())
+    tower = [psi1, lateral_pullback(psi1)]
+    for got, want in zip(psi_basis(F, 2), tower):
+        got, want = got.series(), u_star(want, 2).series()
+        assert got == want and got.prec == want.prec
+
+
 def test_expand_in_psi_basis_roundtrip(psis3_5, spec5):
     target = psis3_5[1].scalar_mul(spec5.scalar(3, 6))
     coeffs = expand_in_psi_basis(target, list(psis3_5))
@@ -354,8 +373,8 @@ def test_expand_in_psi_basis_roundtrip(psis3_5, spec5):
 # lambda, gamma, upsilon
 # ---------------------------------------------------------------------------
 
-def test_lambda_gamma_elliptic(theta2_5, psis2_5, spec5):
-    lam, gamma = extract_lambda_gamma(theta2_5, psis2_5)
+def test_lambda_gamma_elliptic(theta2_5, spec5):
+    lam, gamma = extract_lambda_gamma(theta2_5)
     # a_5 = -3 for y^2 = x^3 + x + 1, and gamma = p
     assert lam == spec5.scalar(-3, lam.prec)
     assert gamma == spec5.scalar(5, gamma.prec)
@@ -364,8 +383,7 @@ def test_lambda_gamma_elliptic(theta2_5, psis2_5, spec5):
 
 def test_gamma_multiplicative(mult5, spec5):
     chars, _ = solve_delta_characters(mult5, 1)
-    psis = psi_basis(mult5, 1)
-    lam, gamma = extract_lambda_gamma(chars[0], psis)
+    lam, gamma = extract_lambda_gamma(chars[0])
     assert lam is None
     assert gamma == spec5.scalar(-5, gamma.prec)
 
@@ -374,8 +392,33 @@ def test_upsilon_of_frobenius_pullback_vanishes(theta2_5):
     assert upsilon(frobenius_pullback(theta2_5)).is_zero()
 
 
+def test_lambda_gamma_match_psi_expansion(theta2_5, psis2_5):
+    # the series-level reference: lambda from expanding i^* theta in the
+    # Psi basis agrees with the solved vector where both are known
+    lam, _ = extract_lambda_gamma(theta2_5)
+    c1, c2 = expand_in_psi_basis(i_star(theta2_5), list(psis2_5))
+    ref = -(c1 * c2.inverse())
+    P = min(lam.prec, ref.prec)
+    assert P >= 2
+    assert lam.reduce_prec(P) == ref.reduce_prec(P)
+    # i^* theta = d_1 Psi_1 + d_2 Psi_2
+    d = theta2_5.lcoeffs
+    for c, di in ((c1, d[1]), (c2, d[2])):
+        P = min(c.prec, di.prec)
+        assert c.reduce_prec(P) == di.reduce_prec(P)
+
+
+def test_lambda_gamma_needs_the_solved_vector(theta2_5):
+    with pytest.raises(IncompatibleSpec):
+        extract_lambda_gamma(Character("jet", 2, theta2_5.frac))
+    d = list(theta2_5.lcoeffs)
+    d[2] = d[2].mul_pi(1).reduce_prec(d[2].prec)
+    with pytest.raises(Inconclusive):
+        extract_lambda_gamma(Character("jet", 2, theta2_5.frac, d))
+
+
 def test_gamma_is_pi_times_a0(theta2_5, psis2_5, spec5):
-    lam, gamma = extract_lambda_gamma(theta2_5, psis2_5)
+    lam, gamma = extract_lambda_gamma(theta2_5)
     # gamma = pi * A0 after the unit normalization; the extraction
     # normalizes theta, so recompute A0 from the normalized character
     coeffs = expand_in_psi_basis(i_star(theta2_5), list(psis2_5))

@@ -90,14 +90,15 @@ def test_main_reports_malformed_argv(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    "--cmd crystal --a4 1 --a6 1 --p 5 --deg 625 --prec 2",
-    "--cmd crystal --a4 1 --a6 1 --p 3 --deg 729 --prec 4",
+    "--cmd crystal --a4 1 --a6 1 --p 5 --deg 625 --prec 0",
+    "--cmd crystal --a4 1 --a6 1 --p 3 --deg 729 --prec 2",
 ])
 def test_precision_exhausted_is_inconclusive(argv):
+    # the log-ghost generators keep fewer digits than the lattice modulus
     code, out, _ = _printed(argv.split())
     rep = json.loads(out)
     assert code == 2 and rep["status"] == "inconclusive"
-    assert "cannot absorb division" in rep["error"]
+    assert "below modulus" in rep["error"]
 
 
 _JUNK = (["--bogus"], ["--deg=x"], ["--p"], ["--seed"], ["x"], ["--cmd"])
@@ -267,19 +268,19 @@ PINNED_CODED_REPORTS.update({
     "--cmd crystal --p 5 --a4 1 --a6 1 --deg 625": (
         0, "03430617cda1403854477432ce7d72ccd70158f66809af03a041afc475b50e69"),
     "--cmd crystal --p 3 --a4 1 --a6 1 --deg 243": (
-        0, "9aaf443e35686e85c18efba20e210e3d9e2f824beb4113d4286176f58d2d9b58"),
+        0, "49425332fdc89364e867a6409964aa9541af01d7819d6e051d8d42ee4f1d3543"),
 })
 
 # exit code and sha256 of a high-D run and of ramified runs above D = 27;
-# the values were computed while the Howell sweep built a PadicScalar per
-# matrix entry
+# the values were computed once (lambda, gamma) were read off the solved
+# lattice vector at the full lattice precision M
 PINNED_CODED_REPORTS.update({
     "--cmd crystal --a4 1 --a6 1 --p 5 --deg 3125": (
-        0, "d70b5aed423e519004b4f876a491374c0c1214ef60b880aa65a3e7169e2aeaa3"),
+        0, "f714b567b0353fafb556c510c14f3b859975d6e2a8333d8446cc0ea8d5de1591"),
     "--cmd crystal --p 5 --e 2 --a4 0 --a6 1 --deg 130": (
-        0, "8822b1324ddc2f016e61267291611966e1144c18e7b5c205b8d8649afcf97b53"),
+        0, "e23760ce5d11ae32281a3d2dbe44b006f3da5680e4808025daa6273d5c1e7484"),
     "--cmd crystal --p 7 --e 3 --a4 1 --a6 1 --deg 51": (
-        0, "c3d705092bda0b63819c0a33754dbb2a2166e71730cbe0ec50d5fa635c628942"),
+        0, "e6c5422b9701f78d4ffc76524bc971ba273d7b700749eaee711bf246503268e0"),
 })
 
 
@@ -362,14 +363,72 @@ def test_degree_cap_too_small_is_inconclusive(tmp_path):
     assert "degree cap 20" in rep["error"]
 
 
-def test_stable_line_eigenvalue_zero_is_inconclusive(tmp_path):
-    # at --prec 4 a stable line's eigenvalue is 0 modulo pi^prec, so its
-    # valuation, and the slope test on that line, is unknown
-    code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5", "--e", "2",
-                                "--a4", "1", "--a6", "1", "--deg", "27",
-                                "--prec", "4"])
-    assert code == 2 and rep["status"] == "inconclusive"
-    assert "stable-line eigenvalue" in rep["error"]
+# (lambda, gamma) as (digits, prec) for `--cmd crystal --a4 1 --a6 1`,
+# computed at --prec 20 while lambda and gamma were still recovered by
+# expanding i^* theta in a solved Psi basis, which lost digits; the
+# reports at the stated --prec (default 8) must now carry all of them
+LAMBDA_GAMMA_PINS = {
+    "--p 5 --deg 3125": (([15622], 6), ([5], 6)),
+    "--p 3 --deg 729": (([0], 7), ([327], 7)),
+    "--p 3 --deg 2187": (([0], 8), ([327], 8)),
+    "--p 5 --e 2 --deg 125": (([622, 0], 7), ([5, 0], 7)),
+    "--p 5 --e 2 --deg 625": (([3122, 0], 9), ([5, 0], 9)),
+    "--p 5 --e 2 --a4 0 --deg 130": (([0, 0], 7), ([155, 0], 7)),
+    "--p 7 --e 3 --deg 51": (([3, 0, 0], 7), ([7, 0, 0], 7)),
+    "--p 7 --e 3 --deg 343": (([3, 0, 0], 10), ([7, 0, 0], 10)),
+    "--p 5 --deg 27 --prec 0": (([122], 3), ([5], 3)),
+    "--p 3 --deg 81 --prec 1": (([0], 5), ([138], 5)),
+    "--p 5 --e 2 --deg 27 --prec 4": (([122, 0], 5), ([5, 0], 5)),
+}
+
+
+def _digits_and_prec(x):
+    return x["digits"], x["prec"]
+
+
+@pytest.mark.parametrize("args", sorted(LAMBDA_GAMMA_PINS))
+def test_lambda_gamma_pinned_at_full_precision(tmp_path, args):
+    # a later --a4 overrides the first one
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--a4", "1", "--a6", "1"]
+                     + args.split())
+    assert code == 0 and rep["status"] == "pass"
+    got = _digits_and_prec(rep["lambda"]), _digits_and_prec(rep["gamma"])
+    assert got == LAMBDA_GAMMA_PINS[args]
+
+
+def _output_digits(p, e, D):
+    """M = e * floor(log_p D) + 1, by an integer loop."""
+    k = 0
+    while p ** (k + 1) <= D:
+        k += 1
+    return e * k + 1
+
+
+@pytest.mark.parametrize("p, degs", [(5, [27, 125, 625, 3125]),
+                                     (3, [11, 27, 81, 243, 729])])
+def test_lambda_gamma_precision_is_lattice_modulus(tmp_path, p, degs):
+    # at the default --prec the reported precision is exactly M, so it
+    # never falls as the degree cap rises
+    precs = []
+    for D in degs:
+        code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", str(p),
+                                    "--a4", "1", "--a6", "1",
+                                    "--deg", str(D)])
+        assert code == 0
+        M = _output_digits(p, 1, D)
+        assert rep["lambda"]["prec"] == rep["gamma"]["prec"] == M
+        precs.append(M)
+    assert precs == sorted(precs)
+
+
+@pytest.mark.parametrize("deg, want", [("8", 2), ("9", 0)])
+def test_verify_psi_tower_needs_degree_q_squared(tmp_path, deg, want):
+    # the depth-3 tower's mod-pi lead x1^9 is invisible below D = 9
+    code, rep = _run(tmp_path, ["--cmd", "verify", "--p", "3", "--deg", deg,
+                                "--a4", "8", "--a6", "0"])
+    assert code == want
+    tower = next(s for s in rep["suites"] if s["name"] == "psi_tower")
+    assert tower["status"] == ("inconclusive" if want else "pass")
 
 
 @pytest.mark.parametrize("cmd", ["witt", "verify", "crystal"])

@@ -46,6 +46,17 @@ def test_zero_gamma_inconclusive():
         crys(2, -3, 0)
 
 
+def test_stable_line_eigenvalue_zero_is_inconclusive():
+    # with lambda known only mod 5^2, a stable line's eigenvalue is 0
+    # modulo its precision, so its valuation, and the slope test on that
+    # line, is unknown
+    with pytest.raises(Inconclusive,
+                       match="stable-line eigenvalue indistinguishable "
+                             "from 0"):
+        weak_admissibility(build_crystal(SPEC, 2, SPEC.scalar(1, 2),
+                                         SPEC.scalar(25, 3)))
+
+
 def test_lambda_required_in_dim2():
     with pytest.raises(InvalidParameters):
         crys(2, None, 5)
