@@ -10,14 +10,14 @@ Characters are found through the logarithm-ghost generators
     l_i = L(w_i(x))      (jet side,  i = 0..n)
     Psi_i = pi^(-1) L(kappa_i)   (kernel side, kappa_i = w_i at x0 = 0)
 every additive K-valued series on the group is a K-combination of these
-(the ghost components w_i are ring maps and L linearizes F), so solving
-for characters reduces to an integrality lattice over R/pi^M, handled by
-Howell forms.  The kernel generators Psi_i are themselves the Psi basis
-of the lateral tower, and the (lambda, gamma) of a delta-character are
-read off its solved vector over the l_i, modulo pi^M
-(`extract_lambda_gamma`).  The pullbacks and the expansion in the Psi
-basis stay as the series-level reference for the tests and the verify
-suites.
+(the ghost components w_i are ring maps and L linearizes F).  On N^n the
+Psi_i are the Psi basis of the lateral tower, a basis of the character
+module, so nothing is solved there.  Delta-characters are the solutions
+of an integrality lattice over R/pi^M, handled by Howell forms, and
+their (lambda, gamma) are read off the solved vector over the l_i,
+modulo pi^M (`extract_lambda_gamma`).  The pullbacks and the expansion
+in the Psi basis stay as the series-level reference for the tests and
+the verify suites.
 
 The logarithm, the l_i and the solved modules are computed once per
 formal group law and kept in the law's own memo (`FormalGroupLaw._memo`).
@@ -138,10 +138,9 @@ class Character:
     The series is stored as a FracSeries (characters of interest are
     integral, but normalized representatives carry a bounded pi-power
     denominator during extraction).  `lcoeffs`, present on solved
-    characters, is the solution vector over the log-ghost generators G_i
-    of the solve, as the Howell kernel's scalars at precision M: the
-    character is a lift of pi^(-t) * sum(lcoeffs[i] * G_i), with t = 1 on
-    the jet side and 0 on the kernel side.
+    delta-characters, is the solution vector over the log-ghost
+    generators l_i, as the Howell kernel's scalars at precision M: the
+    character is a lift of pi^(-1) * sum(lcoeffs[i] * l_i).
     """
 
     def __init__(self, kind: str, n: int, frac: FracSeries, lcoeffs=None):
@@ -261,16 +260,13 @@ def log_ghost_generators(F: FormalGroupLaw, n: int, kind: str):
 
 def _lattice_solve(spec, gens, M: int, extra_rows=()):
     """Solutions d (mod pi^M) of sum d_i * num_i = 0 mod pi^M, where the
-    generators are first aligned to a common denominator exponent.
+    generators are aligned to a common denominator exponent (each then
+    carries at least M digits: `_solve_log` checks it).
 
     `extra_rows` are additional linear conditions on d at the same modulus
     (used for the global extension-class constraint on jet characters)."""
     s = max(g.shift for g in gens)
     nums = [g.aligned(s).num for g in gens]
-    for nm in nums:
-        if nm.prec < M:
-            raise PrecisionExhausted(
-                f"generator precision {nm.prec} below modulus {M}")
     monomials = sorted({m for nm in nums for m in nm.coeffs},
                        key=monomial_key)
     rows = [[nm.coeff(m) for nm in nums] for m in monomials]
@@ -314,11 +310,11 @@ def unit_root_row(F: FormalGroupLaw, n: int, M: int):
     return row
 
 
-def _combine(kind, n, gens, coeffs, tshift):
-    """Character pi^(-tshift) * sum(d_i * G_i) from a solution vector.
+def _combine(n, gens, coeffs):
+    """Delta-character pi^(-1) * sum(d_i * l_i) from a solution vector.
 
     The solution scalars are defined modulo pi^M; any lift differs by a
-    multiple of pi^M = pi^(shift + tshift), which changes the combination
+    multiple of pi^M = pi^(shift + 1), which changes the combination
     by an integral additive series, so the specific lift below is a valid
     representative at the full generator precision.  Each numerator is
     scaled by its lift at P, then shifted by pi^(s - shift_i) to the
@@ -336,15 +332,16 @@ def _combine(kind, n, gens, coeffs, tshift):
         lift = PadicScalar(spec, c.digits, P)  # exact integer lift of c
         term = g.num.scalar_mul(lift).mul_pi(s - g.shift)
         acc = term if acc is None else acc + term
-    return Character(kind, n, FracSeries(acc, s + tshift), lcoeffs=coeffs)
+    return Character("jet", n, FracSeries(acc, s + 1), lcoeffs=coeffs)
 
 
 def solve_additive(law: KernelGroupLaw):
     """Basis of the additive-series module of a group law.
 
-    Returns (characters, rank): `characters` are the unit-content Howell
-    generators of the solution lattice (rechecking their additivity by
-    substitution is left to callers and tests); `rank` counts them.
+    Returns (characters, rank): on a kernel law, the Psi basis with rank
+    n and no lattice; on a jet law, the unit-content Howell generators of
+    the solution lattice, which `rank` counts.  Rechecking additivity by
+    substitution is left to callers and tests.
 
     The module is solved at the law's own degree cap and precision (those
     of its formal group law); to solve at another D or precision, build
@@ -365,21 +362,27 @@ def solve_additive(law: KernelGroupLaw):
 
 def _solve_log(law: KernelGroupLaw):
     """The additive-series module over the log-ghost generators of the law."""
-    spec = law.spec
     n = law.n
     _, gens = log_ghost_generators(law.F, n, law.kind)
-    # kernel characters are R-combinations of the Psi_i; delta-characters
-    # may carry one pi in the denominator, and must satisfy the global
+    # the module of N^n is free on the integral Psi_i; delta-characters may
+    # carry one more pi in the denominator, and must satisfy the global
     # extension-class constraint of the curve
-    tshift = 0 if law.kind == "kernel" else 1
-    M = max(g.shift for g in gens) + tshift
-    row = unit_root_row(law.F, n, M) if tshift else None
-    extra = () if row is None else (row,)
-    sols = _lattice_solve(spec, gens, M, extra_rows=extra)
-    units, _ = unit_vectors(sols)
-    rank = module_rank(spec, units, len(gens))
-    chars = [_combine(law.kind, n, gens, d, tshift) for d in units]
-    return chars, rank
+    s = max(g.shift for g in gens)
+    M = s if law.kind == "kernel" else s + 1
+    for digits in (g.num.prec + s - g.shift for g in gens):  # over pi^s
+        if digits < M:
+            raise PrecisionExhausted(
+                f"generator precision {digits} below modulus {M}")
+    if law.kind == "kernel":
+        chars = [Character("kernel", n, g) for g in gens]
+        if any(ch.frac.shift for ch in chars):
+            raise IntegralityViolation("a Psi_i is not integral")
+        return chars, n
+    row = unit_root_row(law.F, n, M)
+    units, _ = unit_vectors(_lattice_solve(
+        law.spec, gens, M, extra_rows=() if row is None else (row,)))
+    return ([_combine(n, gens, d) for d in units],
+            module_rank(law.spec, units, len(gens)))
 
 
 # --------------------------------------------------------------------------
@@ -593,9 +596,6 @@ class RankTable:
                     f"{prev - h[n]})")
         if self.m_low != self.m_up or self.m_low > 2:
             raise IntegralityViolation("m_low = m_up <= 2 fails")
-        for n in range(self.n_max + 1):
-            if self.rk_hom[n] != n * g:
-                raise IntegralityViolation("rk Hom(N^n) != n*g")
         return True
 
     def to_json(self):

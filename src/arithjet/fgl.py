@@ -41,6 +41,9 @@ class FormalGroupLaw:
 
     def __init__(self, spec: BaseRingSpec, cap: int, prec: int, build,
                  name: str = "fgl", curve=None, omega=None):
+        if prec < 1:
+            raise PrecisionExhausted(
+                f"a formal group law needs precision >= 1, not {prec}")
         self.spec = spec
         self.cap = cap
         self.prec = prec

@@ -446,10 +446,16 @@ class FracSeries:
             raise ValueError("cannot lower the denominator exponent")
         return FracSeries(self.num.mul_pi(shift - self.shift), shift)
 
+    @property
+    def prec(self) -> int:
+        """The value is known modulo pi^prec."""
+        return self.num.prec - self.shift
+
     def normalize(self) -> "FracSeries":
-        """Move pi-powers common to all numerator coefficients into shift."""
-        if self.shift == 0 or self.num.is_zero():
-            return FracSeries(self.num, 0) if self.num.is_zero() else self
+        """Move pi-powers common to all numerator coefficients into shift;
+        pi^(-s) * 0 becomes 0 at the precision the value is known to."""
+        if self.shift == 0:
+            return self
         vmin = self.shift
         for d in self.num.coeffs.values():
             vmin = min(vmin, digit_valuation(self.num.spec, d))

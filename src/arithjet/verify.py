@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from .characters import (
+    Character,
     frobenius_pullback,
     i_star,
     lateral_pullback,
@@ -18,10 +19,10 @@ from .characters import (
     solve_delta_characters,
     upsilon,
 )
-from .errors import EngineError, Inconclusive
+from .errors import Inconclusive
 from .fgl import FormalGroupLaw
 from .lateral import generic_tilde, lateral_frobenius, tilde_pack
-from .ring import BaseRingSpec, PadicScalar
+from .ring import BaseRingSpec
 from .series import TruncSeries
 from .witt import WittVector, frobenius_W, verschiebung
 
@@ -168,15 +169,24 @@ def suite_fdid(spec: BaseRingSpec, n: int, prec: int = 4) -> dict:
 # character identities on a fixed formal group
 # --------------------------------------------------------------------------
 
+def _theta_2(F: FormalGroupLaw) -> Character:
+    """The first solved order-2 delta-character; Inconclusive when there
+    is none, or when it carries no pi-adic digit (nor then do the Psi_i,
+    whose values are known to as many digits)."""
+    chars, rank = solve_delta_characters(F, 2)
+    if rank < 1:
+        raise Inconclusive("no order-2 character found")
+    if chars[0].frac.prec < 1:
+        raise Inconclusive("Theta_2 carries no pi-adic digit at this "
+                           "precision")
+    return chars[0]
+
+
 def suite_gamma_identity(F: FormalGroupLaw) -> dict:
     """(i o frak-f)* - (phi o i)* applied to Theta_2 lands in pi R<x1>."""
     anchor = "i* phi* Theta_2 - frak-f* i* Theta_2 = gamma Psi_1"
     try:
-        chars, rank = solve_delta_characters(F, 2)
-        if rank < 1:
-            return _inconclusive("gamma_identity", anchor,
-                                 "no order-2 character found")
-        theta = chars[0]
+        theta = _theta_2(F)
         psis = psi_basis(F, 3)
         lhs = i_star(frobenius_pullback(theta))
         rhs = lateral_pullback(i_star(theta))
@@ -202,11 +212,7 @@ def suite_upsilon_vanishing(F: FormalGroupLaw) -> dict:
     """Upsilon kills the image of the Frobenius pullback."""
     anchor = "Upsilon(phi* Theta) = 0"
     try:
-        chars, rank = solve_delta_characters(F, 2)
-        if rank < 1:
-            return _inconclusive("upsilon_vanishing", anchor,
-                                 "no order-2 character found")
-        val = upsilon(frobenius_pullback(chars[0]))
+        val = upsilon(frobenius_pullback(_theta_2(F)))
         ok = val.is_zero()
     except Inconclusive as exc:
         return _inconclusive("upsilon_vanishing", anchor, str(exc))
@@ -225,6 +231,9 @@ def suite_psi_tower(F: FormalGroupLaw, n: int = 3) -> dict:
             f"degree cap {F.cap} < q^(n-1) = {q ** (n - 1)} hides the "
             f"mod-pi lead of Psi_{n}")
     psis = psi_basis(F, n)
+    if any(psi.frac.prec < 1 for psi in psis):
+        return _inconclusive("psi_tower", anchor, "the Psi_i carry no "
+                             "pi-adic digit at this precision")
     for i, psi in enumerate(psis, start=1):
         s = psi.series()
         for j in range(1, n + 1):
@@ -248,11 +257,7 @@ def suite_tower_pullback(F: FormalGroupLaw, n_max: int = 3) -> dict:
     """i* (phi^n)* Theta = (frak-f^(n-1))* i* phi* Theta for n = 2..n_max."""
     anchor = "i* phi^n* Theta = frak-f^(n-1)* i* phi* Theta"
     try:
-        chars, rank = solve_delta_characters(F, 2)
-        if rank < 1:
-            return _inconclusive("tower_pullback", anchor,
-                                 "no order-2 character found")
-        theta = chars[0]
+        theta = _theta_2(F)
         phi_n = theta
         lateral_n = i_star(frobenius_pullback(theta))
         for n in range(2, n_max + 1):

@@ -29,6 +29,7 @@ from arithjet.errors import (
     Inconclusive,
     IntegralityViolation,
     NonNilpotentComposition,
+    PrecisionExhausted,
 )
 from arithjet.fgl import (
     formal_group_from_weierstrass,
@@ -37,7 +38,7 @@ from arithjet.fgl import (
 )
 from arithjet.howell import module_rank
 from arithjet.ring import BaseRingSpec, PadicScalar
-from arithjet.series import TruncSeries
+from arithjet.series import FracSeries, TruncSeries
 from arithjet.witt import WittVector, fgl_eval_witt, verschiebung
 
 N_DESK = 6
@@ -103,6 +104,47 @@ def test_solve_returns_a_fresh_list():
     assert rank_again == rank == 1
     assert len(again) == len(kept)
     assert all(a is b for a, b in zip(again, kept))
+
+
+@pytest.mark.parametrize("p,e,D", [(5, 1, 27), (3, 1, 11), (5, 2, 27)])
+def test_kernel_module_is_the_psi_basis(p, e, D, monkeypatch):
+    # the module of N^n is free on Psi_1..Psi_n: no lattice is solved
+    def no_lattice(*args):
+        raise AssertionError("a kernel module reached the lattice")
+
+    monkeypatch.setattr(characters, "right_kernel_basis", no_lattice)
+    F = _curve(p, e, D)
+    for n in (1, 2):
+        chars, rank = solve_additive(kernel_group_law(F, n))
+        assert rank == n
+        for got, want in zip(chars, psi_basis(F, n)):
+            assert got.frac.shift == want.frac.shift == 0
+            assert got.series() == want.series()
+            assert got.series().prec == want.series().prec
+
+
+def test_non_integral_psi_is_an_integrality_violation(monkeypatch):
+    # a Psi_i that keeps a denominator is a red alert, not a module of
+    # rank < n
+    real = characters.log_ghost_generators
+
+    def spoiled(F, n, kind):
+        vars_, gens = real(F, n, kind)
+        g = gens[-1]
+        unit = TruncSeries.gen(F.spec, vars_, vars_[0], g.num.cap, g.num.prec)
+        return vars_, gens[:-1] + [FracSeries(g.num + unit, g.shift)]
+
+    monkeypatch.setattr(characters, "log_ghost_generators", spoiled)
+    with pytest.raises(IntegralityViolation, match="not integral"):
+        solve_additive(kernel_group_law(_curve(5, 1, 27), 2))
+
+
+def test_kernel_law_below_modulus_is_precision_exhausted():
+    # 2 digits against the denominator pi^3 of Psi_1 = pi^(-1) L(pi x1)
+    F = multiplicative_law(BaseRingSpec(5), 27, 2)
+    for _ in range(2):
+        with pytest.raises(PrecisionExhausted, match="below modulus"):
+            solve_additive(kernel_group_law(F, 1))
 
 
 def test_degree_cap_too_small_raises_on_every_call():

@@ -306,14 +306,19 @@ def _count_calls(monkeypatch, module, name):
 
 def test_crystal_solves_each_module_once(tmp_path, monkeypatch):
     # m = 2 and nmax = 3: jet orders 1..3 and kernel orders 1..3 are the
-    # six distinct modules, all on one formal group law
+    # six distinct modules, all on one formal group law; only the three
+    # delta-character modules need a lattice
     kernels = _count_calls(monkeypatch, characters, "right_kernel_basis")
     logs = _count_calls(monkeypatch, characters, "formal_logarithm")
+    solves = _count_calls(monkeypatch, characters, "_solve_log")
     code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5", "--a4", "1",
                                 "--a6", "1", "--deg", "27", "--nmax", "3"])
     assert code == 0 and rep["m"] == 2
-    assert len(kernels) == 6
+    assert len(kernels) == 3
     assert len(logs) == 1
+    built = sorted((law.kind, law.n) for (law,) in solves)
+    assert built == [("jet", 1), ("jet", 2), ("jet", 3),
+                     ("kernel", 1), ("kernel", 2), ("kernel", 3)]
 
 
 def test_crystal_on_curve_never_builds_law(tmp_path, monkeypatch):
@@ -429,6 +434,61 @@ def test_verify_psi_tower_needs_degree_q_squared(tmp_path, deg, want):
     assert code == want
     tower = next(s for s in rep["suites"] if s["name"] == "psi_tower")
     assert tower["status"] == ("inconclusive" if want else "pass")
+
+
+@pytest.mark.parametrize("argv", [
+    "--cmd crystal --p 3 --a4 1 --a6 1 --deg 27 --prec 0",
+    "--cmd crystal --p 5 --a4 1 --a6 1 --deg 625 --prec 1",
+    "--cmd crystal --p 5 --deg 27 --prec 3",
+])
+def test_upsilon_of_a_digitless_theta_has_no_digit(tmp_path, argv):
+    # theta_m = pi^(-s) * 0 with a numerator known mod pi^s: Upsilon is
+    # known mod pi^0, though lambda and gamma carry all M digits
+    code, rep = _run(tmp_path, argv.split())
+    assert code == 0 and rep["status"] == "pass"
+    assert rep["de_rham"]["upsilon_theta_m"]["prec"] == 0
+    assert rep["gamma"]["prec"] > 0
+
+
+def test_digitless_multiplicative_law_is_inconclusive(tmp_path):
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "3", "--deg", "11",
+                                "--prec", "0"])
+    assert code == 2 and rep["status"] == "inconclusive"
+    assert "precision >= 1" in rep["error"]
+
+
+# exit code and sha256 of verify reports on one curve at --prec 0, 2 and
+# the default 8; the values were computed before the kernel modules stopped
+# being solved as lattices.  At --prec 0 the curve has 4 digits, the
+# modulus M = 4, and Psi_i and Theta_2 carry none, so the character suites
+# are inconclusive.
+VERIFY_PRECISIONS = {
+    "--prec 0": (2, None),
+    "--prec 2": (
+        0, "a6df713a51557ecd06ebb4688d7c6bfb3a11f69ed147b372f2b8c8bf67475f11"),
+    "": (
+        0, "45d8dc629a0c14b32a57f49829143505f040d3c1907cd0f2fc35b0d91993fc4a"),
+}
+
+
+@pytest.mark.parametrize("prec", sorted(VERIFY_PRECISIONS))
+def test_verify_character_suites_need_a_digit(tmp_path, prec):
+    args = ["--cmd", "verify", "--p", "3", "--a4", "1", "--a6", "1",
+            "--deg", "27"] + prec.split()
+    code, rep = _run(tmp_path, args)
+    want_code, want_digest = VERIFY_PRECISIONS[prec]
+    assert code == want_code
+    if want_digest is None:
+        chars = [s for s in rep["suites"] if s["name"] in (
+            "psi_tower", "gamma_identity", "upsilon_vanishing",
+            "tower_pullback")]
+        assert len(chars) == 4
+        assert all(s["status"] == "inconclusive" and "no pi-adic digit"
+                   in s["details"] for s in chars)
+    else:
+        digest = hashlib.sha256(
+            (tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == want_digest
 
 
 @pytest.mark.parametrize("cmd", ["witt", "verify", "crystal"])

@@ -4,7 +4,11 @@ import json
 import pytest
 
 from arithjet import fgl
-from arithjet.errors import BadReduction, IncompatibleSpec
+from arithjet.errors import (
+    BadReduction,
+    IncompatibleSpec,
+    PrecisionExhausted,
+)
 from arithjet.fgl import (
     VARS,
     FormalGroupLaw,
@@ -22,6 +26,14 @@ from arithjet.series import TruncSeries
 
 SPEC3 = BaseRingSpec(3, 1)
 SPEC5 = BaseRingSpec(5, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_law_without_digits_is_precision_exhausted(p):
+    # inverting 1 + X at precision 0 used to fail with NotDivisible
+    with pytest.raises(PrecisionExhausted, match="precision >= 1"):
+        multiplicative_law(BaseRingSpec(p), 11, 0)
+    assert multiplicative_law(BaseRingSpec(p), 11, 1).prec == 1
 
 
 def test_additive_law():

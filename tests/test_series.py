@@ -143,6 +143,18 @@ def test_frac_series_normalize_and_align():
     assert a.shift == 3 and a.num.exact_div_pi(1) == f
 
 
+def test_frac_series_normalize_zero_keeps_its_precision():
+    # pi^(-2) * 0, known mod pi^(4 - 2), is 0 known mod pi^2, not mod pi^4
+    frac = FracSeries(TruncSeries.zero(SPEC, VARS, 6, 4), 2)
+    norm = frac.normalize()
+    assert norm.shift == 0 and norm.num.is_zero()
+    assert norm.num.prec == norm.prec == frac.prec == 2
+    # a zero numerator with fewer digits than its denominator is known to
+    # no digit at all
+    with pytest.raises(PrecisionExhausted):
+        FracSeries(TruncSeries.zero(SPEC, VARS, 6, 1), 2).normalize()
+
+
 def test_frac_series_arithmetic_and_integrality():
     x = TruncSeries.gen(SPEC, VARS, "x", 6, 4)
     f = FracSeries(x, 1)           # x / pi: not integral
