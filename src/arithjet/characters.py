@@ -609,10 +609,6 @@ class RankTable:
                 f"l={self.l[1:]}, m={self.m_low})")
 
 
-def _dvec(ch: Character, M: int):
-    return [c.reduce_prec(M) for c in ch.lcoeffs]
-
-
 def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
     """Solve for the character modules at n = 0..n_max and tabulate ranks.
 
@@ -625,34 +621,31 @@ def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
     rk_X = [0]
     rk_hom = [0]
     sols = {0: []}
-    M = None
     for n in range(1, n_max + 1):
         chars, r = solve_delta_characters(F, n)
         rk_X.append(r)
         sols[n] = chars
         _, rk = solve_additive(kernel_group_law(F, n))
         rk_hom.append(rk)
-        if chars:
-            Mn = chars[0].lcoeffs[0].prec
-            M = Mn if M is None else min(M, Mn)
-    if M is None:
+    # rk_X[n] > 0 exactly when the order-n solve returned characters
+    m_low = next((n for n in range(1, n_max + 1) if sols[n]), None)
+    if m_low is None:
         raise Inconclusive("no delta-characters found up to n_max")
+    # the l_i share L's denominator exponent s, so every solved vector is
+    # known mod pi^(s + 1)
+    zero = spec.scalar(0, sols[m_low][0].lcoeffs[0].prec)
     rk_I = [n * g - rk_X[n] for n in range(n_max + 1)]
     h = [g] + [rk_I[n] - rk_I[n - 1] for n in range(1, n_max + 1)]
     l = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
-        vecs = [_dvec(ch, M) for ch in sols[n]]
         images = []
         for ch in sols[n - 1]:
-            v = _dvec(ch, M)
-            images.append(v + [spec.scalar(0, M)])          # u^* padding
-            images.append([spec.scalar(0, M)] + v)          # phi^* shift
-        full = module_rank(spec, vecs + images, n + 1)
+            images.append(ch.lcoeffs + [zero])          # u^* padding
+            images.append([zero] + ch.lcoeffs)          # phi^* shift
+        full = module_rank(spec, [ch.lcoeffs for ch in sols[n]] + images,
+                           n + 1)
         sub = module_rank(spec, images, n + 1)
         l[n] = full - sub
-    m_low = next((n for n in range(1, n_max + 1) if rk_X[n] > 0), None)
-    if m_low is None:
-        raise Inconclusive("rk_X = 0 through n_max; precision too small")
     m_up = next((n for n in range(1, n_max + 1) if h[n] == 0), n_max + 1)
     table = RankTable(n_max, rk_X, rk_hom, rk_I, h, l, m_low, m_up)
     table.check()

@@ -9,6 +9,11 @@ checks pass; 1 a check failed, or the command line, config file or input
 is invalid, or the --out file cannot be written (the report then goes to
 stdout); 2 inconclusive at the requested precision/degree, a run out of
 pi-adic digits (PrecisionExhausted) included.
+
+`fgl` alone builds and checks a curve, here at max(--prec + 4, M) digits,
+M = s + 1 with s = `log_denominator_exponent(spec, --deg)`: `_solve_log`
+solves the jet lattice mod pi^M and needs M digits over pi^s of each
+log-ghost generator, which keeps the curve's input digits over pi^s.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .crystal import (
     weak_admissibility,
 )
 from .errors import (
-    BadReduction,
     DegreeCapTooSmall,
     EngineError,
     Inconclusive,
@@ -44,6 +48,7 @@ from .errors import (
 )
 from .fgl import (
     formal_group_from_weierstrass,
+    log_denominator_exponent,
     multiplicative_law,
     trace_of_frobenius,
 )
@@ -110,20 +115,14 @@ def _with_config(parser, params: dict, argv: list) -> dict:
 
 
 def _curve(spec: BaseRingSpec, params):
-    a4, a6 = params["a4"], params["a6"]
-    p = spec.p
-    disc = -16 * (4 * a4 ** 3 + 27 * a6 ** 2)
-    if disc % p == 0:
-        raise BadReduction(
-            f"discriminant {disc} vanishes mod {p}: bad reduction")
-    shift_budget = 4
-    prec = params["prec"] + shift_budget
-    return formal_group_from_weierstrass(
-        spec, spec.scalar(a4, prec), spec.scalar(a6, prec), params["deg"])
+    D = params["deg"]
+    prec = max(params["prec"] + 4, log_denominator_exponent(spec, D) + 1)
+    a4, a6 = (spec.scalar(params[k], prec) for k in ("a4", "a6"))
+    return formal_group_from_weierstrass(spec, a4, a6, D)
 
 
 def cmd_verify(spec: BaseRingSpec, params) -> dict:
-    suites = run_witt_suites(spec, n=2, trials=100, seed=params["seed"])
+    suites = run_witt_suites(spec, params["seed"])
     if params["a4"] is not None:
         suites.extend(run_character_suites(_curve(spec, params)))
     return {"command": "verify", "suites": suites,

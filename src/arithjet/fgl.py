@@ -1,12 +1,14 @@
 """One-dimensional formal group laws and their logarithms.
 
 Laws are truncated two-variable series F(X, Y) over R, built on first
-access.  The elliptic constructor expands only w(t) of a short Weierstrass
-model (t = -x/y), by Newton's iteration, and reads the invariant
-differential off it; unit series are inverted by Newton's iteration too,
-so both cost a few products at doubling degree caps.  The logarithm
-integrates the invariant differential and therefore lives in K
-(FracSeries with a bounded pi-power denominator).
+access.  Only the elliptic constructor knows a curve: it checks the
+discriminant, expands w(t) = sum c_k t^k of a short Weierstrass model
+(t = -x/y) by Newton's iteration, and reads the invariant differential off
+it; unit series are inverted by Newton's iteration too, so both cost a few
+products at doubling degree caps.  The chord slope in the law copies w: its
+X^i Y^j coefficient is c_(i+j+1).  The logarithm integrates the invariant
+differential and therefore lives in K (FracSeries with a bounded pi-power
+denominator).
 """
 
 from __future__ import annotations
@@ -145,11 +147,10 @@ def _unit_inverse(u: TruncSeries) -> TruncSeries:
 
 
 def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
-                                  a6: PadicScalar, D: int,
-                                  N: int | None = None) -> FormalGroupLaw:
-    """The formal group of y^2 = x^3 + a4 x + a6 at the origin.
+                                  a6: PadicScalar, D: int) -> FormalGroupLaw:
+    """The formal group of y^2 = x^3 + a4 x + a6 at min(a4.prec, a6.prec).
 
-    Requires good reduction: v(disc) = 0.  Works in the parameter
+    BadReduction unless the discriminant is a unit.  Works in the parameter
     t = -x/y, w = -1/y, where the curve reads w = t^3 + a4 t w^2 + a6 w^3.
     Only w(t) is expanded here, by Newton's iteration on
     G(w) = w - t^3 - a4 t w^2 - a6 w^3: G'(w) = 1 - 2 a4 t w - 3 a6 w^2 is
@@ -158,14 +159,12 @@ def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
     IV.1) gives the logarithm, and the chord-tangent law is built on first
     access.
     """
-    if N is None:
-        N = min(a4.prec, a6.prec)
-    a4 = a4.reduce_prec(N)
-    a6 = a6.reduce_prec(N)
-    disc = (a4 ** 3).scale_int(4) + (a6 ** 2).scale_int(27)
-    disc = disc.scale_int(-16)
-    if disc.is_zero() or disc.valuation() != 0:
-        raise BadReduction(f"v(disc) != 0 (disc = {disc!r})")
+    N = min(a4.prec, a6.prec)
+    a4, a6 = a4.reduce_prec(N), a6.reduce_prec(N)
+    disc = ((a4 ** 3).scale_int(4) + (a6 ** 2).scale_int(27)).scale_int(-16)
+    if not disc.is_unit():
+        raise BadReduction("discriminant -16(4 a4^3 + 27 a6^2) is not a "
+                           "unit: bad reduction")
     w = _weierstrass_w(spec, a4, a6, D + 3, N)
 
     # with w = sum c_k t^k: omega = sum (k-1) c_k t^(k-3) / sum 2 c_k t^(k-3)
@@ -217,24 +216,15 @@ def _weierstrass_w(spec: BaseRingSpec, a4: PadicScalar, a6: PadicScalar,
 
 def _chord_tangent_law(spec: BaseRingSpec, a4: PadicScalar, a6: PadicScalar,
                        w: TruncSeries, D: int, N: int) -> TruncSeries:
-    """F(X, Y) = -(third intersection of the chord through t = X and Y)."""
-    # slope lambda = (w(t2) - w(t1))/(t2 - t1), divided exactly via
-    # (t2^n - t1^n)/(t2 - t1) = sum_{i+j=n-1} t1^i t2^j
+    """F(X, Y) = -(third intersection of the chord through t = X and Y),
+    whose slope (w(Y) - w(X))/(Y - X) = sum c_k sum_{i+j=k-1} X^i Y^j for
+    w = sum c_k t^k has X^i Y^j coefficient c_(i+j+1)."""
     t1 = TruncSeries.gen(spec, VARS, "X", D, N)
     t2 = TruncSeries.gen(spec, VARS, "Y", D, N)
-    pow1 = [TruncSeries.const(spec, VARS, spec.one(N), D, N)]
-    pow2 = [TruncSeries.const(spec, VARS, spec.one(N), D, N)]
-    for _ in range(D + 4):
-        pow1.append(pow1[-1] * t1)
-        pow2.append(pow2[-1] * t2)
-    lam = TruncSeries.zero(spec, VARS, D, N)
-    for (k,), d in w.coeffs.items():
-        c = PadicScalar(spec, d, w.prec)
-        geom = TruncSeries.zero(spec, VARS, D, N)
-        for i in range(k):
-            geom = geom + pow1[i] * pow2[k - 1 - i]
-        lam = lam + geom.scalar_mul(c)
-    w1 = w.substitute({"T": t1})
+    lam = TruncSeries(spec, VARS, {(i, k - 1 - i): d for (k,), d in
+                                   w.coeffs.items() for i in range(k)}, D, N)
+    w1 = TruncSeries(spec, VARS, {(k, 0): d for (k,), d in w.coeffs.items()},
+                     D, N)
     nu = w1 - lam * t1
 
     # third root of the cubic in t cut out by the chord w = lam t + nu

@@ -26,6 +26,9 @@ from .ring import BaseRingSpec
 from .series import TruncSeries
 from .witt import WittVector, frobenius_W, verschiebung
 
+# suite sizes: Witt vector length - 1, trials, digits; lateral digits; order
+WITT_N, TRIALS, WITT_PREC, LATERAL_PREC, TOWER_N = 2, 100, 6, 4, 3
+
 
 def _report(name, anchor, ok, details=""):
     return {"name": name, "anchor": anchor,
@@ -66,39 +69,38 @@ def ghost_mismatch(x: WittVector, y: WittVector):
             return "mul", i
 
 
-def suite_ghost_oracle(spec: BaseRingSpec, n: int, trials: int = 100,
-                       seed: int = 0, prec: int = 6) -> dict:
+def _random_vector(spec: BaseRingSpec, rng) -> WittVector:
+    bound = spec.p ** WITT_PREC
+    return WittVector.from_ints(
+        spec, [rng.randrange(bound) for _ in range(WITT_N + 1)], WITT_PREC)
+
+
+def suite_ghost_oracle(spec: BaseRingSpec, seed: int) -> dict:
     """Structural add/mul agree with the ghost-side ring operations."""
     anchor = "w(x [+] y) = w(x) + w(y), w(x [*] y) = w(x) w(y)"
     rng = random.Random(seed)
-    bound = spec.p ** prec
-    for t in range(trials):
-        x = WittVector.from_ints(
-            spec, [rng.randrange(bound) for _ in range(n + 1)], prec)
-        y = WittVector.from_ints(
-            spec, [rng.randrange(bound) for _ in range(n + 1)], prec)
+    for t in range(TRIALS):
+        x, y = _random_vector(spec, rng), _random_vector(spec, rng)
         bad = ghost_mismatch(x, y)
         if bad:
             return _report("ghost_oracle", anchor, False,
                            f"{bad[0]} trial {t} ghost slot {bad[1]}")
     return _report("ghost_oracle", anchor, True,
-                   f"{trials} random pairs, length {n + 1}")
+                   f"{TRIALS} random pairs, length {WITT_N + 1}")
 
 
 # --------------------------------------------------------------------------
 # F and V
 # --------------------------------------------------------------------------
 
-def suite_fv(spec: BaseRingSpec, n: int = 2, trials: int = 50,
-             seed: int = 0, prec: int = 6) -> dict:
+def suite_fv(spec: BaseRingSpec, seed: int) -> dict:
     """FV = pi, a pinned FV != VF witness, and FFV = FVF."""
     anchor = "FV(x) = pi x ; FV != VF ; FFV = FVF"
+    trials = TRIALS // 2
     rng = random.Random(seed)
-    bound = spec.p ** prec
-    pi = spec.pi(prec)
+    pi = spec.pi(WITT_PREC)
     for t in range(trials):
-        x = WittVector.from_ints(
-            spec, [rng.randrange(bound) for _ in range(n + 1)], prec)
+        x = _random_vector(spec, rng)
         fv = frobenius_W(verschiebung(x))
         if fv != x.scalar_mul(pi):
             return _report("fv_identities", anchor, False,
@@ -110,7 +112,7 @@ def suite_fv(spec: BaseRingSpec, n: int = 2, trials: int = 50,
                            f"FFV != FVF at trial {t}")
     witness = None
     for ints in ([1, 0], [1, 1], [2, 1], [1, 2], [0, 1]):
-        x = WittVector.from_ints(spec, ints, prec)
+        x = WittVector.from_ints(spec, ints, WITT_PREC)
         if frobenius_W(verschiebung(x)) != verschiebung(frobenius_W(x)):
             witness = ints
             break
@@ -125,12 +127,11 @@ def suite_fv(spec: BaseRingSpec, n: int = 2, trials: int = 50,
 # lateral Frobenius
 # --------------------------------------------------------------------------
 
-def suite_latfrob_congruence(spec: BaseRingSpec, n: int,
-                             prec: int = 4) -> dict:
+def suite_latfrob_congruence(spec: BaseRingSpec, n: int) -> dict:
     """Symbolic: the tail of F~ is congruent to z_i^q mod pi."""
     anchor = "F~(f~(r) + V(z))_i = z_i^q mod pi"
-    r = spec.scalar(1 + spec.p, prec + n + 1)
-    t = generic_tilde(spec, r, n, cap=spec.q + 1, prec=prec)
+    r = spec.scalar(1 + spec.p, LATERAL_PREC + n + 1)
+    t = generic_tilde(spec, r, n, cap=spec.q + 1, prec=LATERAL_PREC)
     ft = lateral_frobenius(t)
     comps = [] if ft.tail is None else list(ft.tail.components)
     for i, c in enumerate(comps):
@@ -143,11 +144,11 @@ def suite_latfrob_congruence(spec: BaseRingSpec, n: int,
                    f"symbolic tail, order {n}")
 
 
-def suite_fdid(spec: BaseRingSpec, n: int, prec: int = 4) -> dict:
+def suite_fdid(spec: BaseRingSpec, n: int) -> dict:
     """F^2 o I = F o I o F~ symbolically, plus a pinned F o I != I o F~."""
     anchor = "F(F(I(x))) = F(I(F~(x))) ; F(I(x)) != I(F~(x))"
-    r = spec.scalar(1 + spec.p, prec + n + 2)
-    t = generic_tilde(spec, r, n, cap=spec.q ** 2 + 1, prec=prec)
+    r = spec.scalar(1 + spec.p, LATERAL_PREC + n + 2)
+    t = generic_tilde(spec, r, n, cap=spec.q ** 2 + 1, prec=LATERAL_PREC)
     lhs = frobenius_W(frobenius_W(t.embed()))
     rhs = frobenius_W(lateral_frobenius(t).embed())
     if lhs != rhs:
@@ -155,8 +156,8 @@ def suite_fdid(spec: BaseRingSpec, n: int, prec: int = 4) -> dict:
                        f"F^2 I != F I F~ at order {n}")
     # pinned witness: F o I and I o F~ differ already on f~(r) + V(z)
     # with a concrete scalar tail
-    tail = WittVector.from_ints(spec, [1] + [0] * (n - 1), prec + 2)
-    tw = tilde_pack(spec.scalar(1, prec + n + 2), tail)
+    tail = WittVector.from_ints(spec, [1] + [0] * (n - 1), LATERAL_PREC + 2)
+    tw = tilde_pack(spec.scalar(1, LATERAL_PREC + n + 2), tail)
     a = frobenius_W(tw.embed())
     b = lateral_frobenius(tw).embed()
     if a == b:
@@ -220,9 +221,10 @@ def suite_upsilon_vanishing(F: FormalGroupLaw) -> dict:
                    "" if ok else f"Upsilon = {val.digits}")
 
 
-def suite_psi_tower(F: FormalGroupLaw, n: int = 3) -> dict:
+def suite_psi_tower(F: FormalGroupLaw) -> dict:
     """Psi_1..Psi_n: linear parts pi^(i-1) x_i, mod-pi leads x1^(q^(i-1))."""
     anchor = "Psi_i = pi^(i-1) x_i + h.o.t. ; Psi_i = x1^(q^(i-1)) mod pi"
+    n = TOWER_N
     spec = F.spec
     q = spec.q
     if F.cap < q ** (n - 1):
@@ -238,7 +240,7 @@ def suite_psi_tower(F: FormalGroupLaw, n: int = 3) -> dict:
         s = psi.series()
         for j in range(1, n + 1):
             c = s.linear_coeff(f"x{j}")
-            want = (spec.one(c.prec - (i - 1)).mul_pi(i - 1)
+            want = (spec.pi(c.prec) ** (i - 1)
                     if j == i else spec.zero(c.prec))
             if not (c - want).is_zero():
                 return _report("psi_tower", anchor, False,
@@ -253,14 +255,14 @@ def suite_psi_tower(F: FormalGroupLaw, n: int = 3) -> dict:
     return _report("psi_tower", anchor, True, f"tower of depth {n}")
 
 
-def suite_tower_pullback(F: FormalGroupLaw, n_max: int = 3) -> dict:
-    """i* (phi^n)* Theta = (frak-f^(n-1))* i* phi* Theta for n = 2..n_max."""
+def suite_tower_pullback(F: FormalGroupLaw) -> dict:
+    """i* (phi^n)* Theta = (frak-f^(n-1))* i* phi* Theta, n = 2..TOWER_N."""
     anchor = "i* phi^n* Theta = frak-f^(n-1)* i* phi* Theta"
     try:
         theta = _theta_2(F)
         phi_n = theta
         lateral_n = i_star(frobenius_pullback(theta))
-        for n in range(2, n_max + 1):
+        for n in range(2, TOWER_N + 1):
             phi_n = frobenius_pullback(phi_n)
             if n >= 3:
                 lateral_n = lateral_pullback(lateral_n)
@@ -271,21 +273,20 @@ def suite_tower_pullback(F: FormalGroupLaw, n_max: int = 3) -> dict:
     except Inconclusive as exc:
         return _inconclusive("tower_pullback", anchor, str(exc))
     return _report("tower_pullback", anchor, True,
-                   f"checked n = 2..{n_max}")
+                   f"checked n = 2..{TOWER_N}")
 
 
 # --------------------------------------------------------------------------
 # aggregation
 # --------------------------------------------------------------------------
 
-def run_witt_suites(spec: BaseRingSpec, n: int = 2, trials: int = 100,
-                    seed: int = 0) -> list:
+def run_witt_suites(spec: BaseRingSpec, seed: int) -> list:
     """The structural suites; no formal group required."""
     return [
-        suite_ghost_oracle(spec, n, trials=trials, seed=seed),
-        suite_fv(spec, n, trials=max(10, trials // 2), seed=seed),
-        suite_latfrob_congruence(spec, min(n, 3)),
-        suite_fdid(spec, min(n, 3)),
+        suite_ghost_oracle(spec, seed),
+        suite_fv(spec, seed),
+        suite_latfrob_congruence(spec, WITT_N),
+        suite_fdid(spec, WITT_N),
     ]
 
 

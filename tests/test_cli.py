@@ -90,15 +90,32 @@ def test_main_reports_malformed_argv(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    "--cmd crystal --a4 1 --a6 1 --p 5 --deg 625 --prec 0",
-    "--cmd crystal --a4 1 --a6 1 --p 3 --deg 729 --prec 2",
+    "--cmd crystal --p 5 --deg 625 --prec 2",
+    "--cmd crystal --p 3 --deg 729 --prec 4",
 ])
 def test_precision_exhausted_is_inconclusive(argv):
-    # the log-ghost generators keep fewer digits than the lattice modulus
+    # the multiplicative law is built at --prec as given, so its log-ghost
+    # generators keep fewer digits than the lattice modulus
     code, out, _ = _printed(argv.split())
     rep = json.loads(out)
     assert code == 2 and rep["status"] == "inconclusive"
     assert "below modulus" in rep["error"]
+
+
+@pytest.mark.parametrize("argv, M", [
+    ("--p 5 --deg 625 --prec 0", 5),
+    ("--p 3 --deg 729 --prec 2", 7),
+])
+def test_curve_is_built_with_the_lattice_modulus_digits(argv, M):
+    # --prec + 4 < M: the curve gets M digits, which the lattice needs
+    code, out, _ = _printed(
+        ["--cmd", "crystal", "--a4", "1", "--a6", "1"] + argv.split())
+    rep = json.loads(out)
+    assert code == 0 and rep["status"] == "pass"
+    assert rep["lambda"]["prec"] == rep["gamma"]["prec"] == M
+    if argv.startswith("--p 5"):  # ordinary: lambda = a_5 = -3, gamma = 5
+        assert (rep["lambda"]["digits"][0] + 3) % 5 ** M == 0
+        assert rep["gamma"]["digits"][0] % 5 ** M == 5
 
 
 _JUNK = (["--bogus"], ["--deg=x"], ["--p"], ["--seed"], ["x"], ["--cmd"])
@@ -205,6 +222,18 @@ def test_crystal_command_bad_reduction(tmp_path):
                                 "--a4", "0", "--a6", "0"])
     assert code == 1
     assert "BadReduction" in rep["error"]
+
+
+def test_bad_reduction_error_names_no_precision(tmp_path):
+    # the discriminant -16(4 + 27 * 4) = -1792 = 7 * -256 vanishes mod 7
+    errors = set()
+    for prec in ("0", "8"):
+        code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "7", "--a4",
+                                    "1", "--a6", "2", "--prec", prec])
+        assert code == 1 and rep["status"] == "fail"
+        errors.add(rep["error"])
+    assert errors == {"BadReduction: discriminant -16(4 a4^3 + 27 a6^2) is "
+                      "not a unit: bad reduction"}
 
 
 def test_exit_codes_mapping(tmp_path):
@@ -489,6 +518,21 @@ def test_verify_character_suites_need_a_digit(tmp_path, prec):
         digest = hashlib.sha256(
             (tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == want_digest
+
+
+@pytest.mark.parametrize("argv", [
+    "--p 3 --deg 27 --prec 1",
+    "--p 3 --deg 9 --prec 0",
+    "--p 5 --deg 27 --prec 0",
+])
+def test_verify_psi_tower_with_fewer_digits_than_its_order(tmp_path, argv):
+    # Psi_i known to fewer than i - 1 digits: pi^(i-1) x_i reads 0 there,
+    # and every suite runs
+    code, rep = _run(tmp_path, ["--cmd", "verify", "--a4", "1", "--a6", "1"]
+                     + argv.split())
+    assert code == 0 and rep["status"] == "pass"
+    assert len(rep["suites"]) == 8
+    assert all(s["status"] == "pass" for s in rep["suites"])
 
 
 @pytest.mark.parametrize("cmd", ["witt", "verify", "crystal"])

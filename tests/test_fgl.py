@@ -105,6 +105,19 @@ def test_frobenius_unit_root_rejects_supersingular():
         frobenius_unit_root(SPEC5, 0, 6)
 
 
+def test_bad_reduction_message_is_fixed():
+    # disc = -16(4 + 27) = -496 = 31 * -16: bad at 31, whatever the precision
+    spec = BaseRingSpec(31)
+    messages = set()
+    for prec in (1, 4, 12):
+        with pytest.raises(BadReduction) as exc:
+            formal_group_from_weierstrass(
+                spec, spec.scalar(1, prec), spec.scalar(1, prec), 5)
+        messages.add(str(exc.value))
+    assert messages == {"discriminant -16(4 a4^3 + 27 a6^2) is not a unit: "
+                        "bad reduction"}
+
+
 def test_bad_reduction_detected_via_cli_guard():
     # the Weierstrass constructor itself accepts any (a4, a6); bad
     # reduction is screened upstream, but a singular reduction makes the
@@ -262,3 +275,39 @@ def test_unit_inverse_of_exact_series():
     assert fgl._unit_inverse(two) * two == one
     with pytest.raises(IncompatibleSpec):
         fgl._unit_inverse(one + t)
+
+
+# sha256 of the chord-tangent law's JSON at 8 digits; the values were
+# computed while the chord slope was still a sum of products of power
+# tables.  Dense, a4 = 0 and a6 = 0 shapes at e = 1, 2 and 3.
+PINNED_LAW = {
+    (3, 1, 1, 1, 27):
+        "2be2044689e6f570ca22d84403d8f04b67961fc4571fe2b49d16244921bd0ed9",
+    (3, 1, 2, 0, 18):
+        "810b43de0fbea5a848e8919d99fa4750e221b3fd27bf8b2fc1d264f8f3c61b7f",
+    (5, 1, 1, 1, 27):
+        "14c5d1c4fd0ea1f9ed37a3e1942107711db24fc457fcee7988382e85c07c36ab",
+    (5, 1, 0, 1, 27):
+        "6caa2227f8f9115561babd80fdb35e9939be0334496edcd6d25bf213e9b9d43d",
+    (5, 2, 2, 1, 18):
+        "75c3665ffa1ebbecc12c9559a7b1e6f618a34c835c9362c4868167dae5e4a0ca",
+    (5, 2, 1, 0, 11):
+        "7d20f6ed534acd61980ed5c3384e9893e7f9bf91616fabd325bc60df5bd92656",
+    (5, 3, 0, 1, 11):
+        "0eff79dd16fcc32e6579cfb19d884eeed97c59200bd273967a317eccc17596a5",
+    (5, 3, 1, 1, 5):
+        "ca49fe3c98098f157351f31f7a752f3194633cb87e54a4f0464140eeca6796eb",
+    (7, 1, 1, 0, 27):
+        "0b0ba4faf778bf0c27759be4ad1b5008f38156c7f80279d012e7f08c2302c914",
+    (7, 2, 0, 1, 18):
+        "d37dd5392eed29e208c22fee5a52622d4a3b6f369d6079b0cf5c114b4190de02",
+}
+
+
+@pytest.mark.parametrize("p,e,a4,a6,D", sorted(PINNED_LAW))
+def test_chord_tangent_law_pinned(p, e, a4, a6, D):
+    spec = BaseRingSpec(p, e)
+    E = formal_group_from_weierstrass(
+        spec, spec.scalar(a4, 8), spec.scalar(a6, 8), D)
+    body = json.dumps(E.law.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(body).hexdigest() == PINNED_LAW[(p, e, a4, a6, D)]
