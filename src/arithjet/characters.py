@@ -153,10 +153,6 @@ class Character:
     def spec(self):
         return self.frac.num.spec
 
-    @property
-    def vars(self):
-        return self.frac.num.vars
-
     def series(self) -> TruncSeries:
         """The character as an integral series (NotDivisible if it isn't)."""
         return self.frac.to_integral()
@@ -241,7 +237,9 @@ def log_ghost_generators(F: FormalGroupLaw, n: int, kind: str):
     every order and kind; the generators returned here are new series
     padded from it, and the shared l_i is never mutated.  The kernel side
     restricts l_i to x0 = 0: that is a ring map keeping degrees, so
-    L(w_i)|x0=0 = L(kappa_i) exactly, truncation included.
+    L(w_i)|x0=0 = L(kappa_i) exactly, truncation included.  All of them
+    come from one L = pi^(-s) * num and share one denominator exponent:
+    s on the jet side, s + 1 on the kernel side.
     """
     if kind == "jet":
         vars_ = jet_vars(n)
@@ -259,14 +257,13 @@ def log_ghost_generators(F: FormalGroupLaw, n: int, kind: str):
 # --------------------------------------------------------------------------
 
 def _lattice_solve(spec, gens, M: int, extra_rows=()):
-    """Solutions d (mod pi^M) of sum d_i * num_i = 0 mod pi^M, where the
-    generators are aligned to a common denominator exponent (each then
+    """Solutions d (mod pi^M) of sum d_i * num_i = 0 mod pi^M over the
+    numerators of generators sharing one denominator exponent (each
     carries at least M digits: `_solve_log` checks it).
 
     `extra_rows` are additional linear conditions on d at the same modulus
     (used for the global extension-class constraint on jet characters)."""
-    s = max(g.shift for g in gens)
-    nums = [g.aligned(s).num for g in gens]
+    nums = [g.num for g in gens]
     monomials = sorted({m for nm in nums for m in nm.coeffs},
                        key=monomial_key)
     rows = [[nm.coeff(m) for nm in nums] for m in monomials]
@@ -316,23 +313,19 @@ def _combine(n, gens, coeffs):
     The solution scalars are defined modulo pi^M; any lift differs by a
     multiple of pi^M = pi^(shift + 1), which changes the combination
     by an integral additive series, so the specific lift below is a valid
-    representative at the full generator precision.  Each numerator is
-    scaled by its lift at P, then shifted by pi^(s - shift_i) to the
-    common exponent s (so term i keeps precision P + s - shift_i); the
-    sum is normalized once, by `Character`.
+    representative at the full generator precision.  The generators share
+    one denominator exponent s, so each numerator is scaled by its lift at
+    P; the sum, over pi^(s + 1), is normalized once, by `Character`.
     """
     spec = gens[0].num.spec
     P = min(g.num.prec for g in gens)
-    terms = [(c, g) for c, g in zip(coeffs, gens) if not c.is_zero()]
+    terms = [g.num.scalar_mul(PadicScalar(spec, c.digits, P))  # exact lift
+             for c, g in zip(coeffs, gens) if not c.is_zero()]
     if not terms:
         raise IncompatibleSpec("zero solution vector")
-    s = max(g.shift for _, g in terms)
-    acc = None
-    for c, g in terms:
-        lift = PadicScalar(spec, c.digits, P)  # exact integer lift of c
-        term = g.num.scalar_mul(lift).mul_pi(s - g.shift)
-        acc = term if acc is None else acc + term
-    return Character("jet", n, FracSeries(acc, s + 1), lcoeffs=coeffs)
+    acc = sum(terms[1:], terms[0])
+    return Character("jet", n, FracSeries(acc, gens[0].shift + 1),
+                     lcoeffs=coeffs)
 
 
 def solve_additive(law: KernelGroupLaw):
@@ -367,12 +360,12 @@ def _solve_log(law: KernelGroupLaw):
     # the module of N^n is free on the integral Psi_i; delta-characters may
     # carry one more pi in the denominator, and must satisfy the global
     # extension-class constraint of the curve
-    s = max(g.shift for g in gens)
+    s = gens[0].shift
     M = s if law.kind == "kernel" else s + 1
-    for digits in (g.num.prec + s - g.shift for g in gens):  # over pi^s
-        if digits < M:
+    for g in gens:
+        if g.num.prec < M:
             raise PrecisionExhausted(
-                f"generator precision {digits} below modulus {M}")
+                f"generator precision {g.num.prec} below modulus {M}")
     if law.kind == "kernel":
         chars = [Character("kernel", n, g) for g in gens]
         if any(ch.frac.shift for ch in chars):

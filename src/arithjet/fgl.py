@@ -300,8 +300,6 @@ def formal_logarithm(F: FormalGroupLaw) -> FracSeries:
             continue
         c = PadicScalar(spec, d, P.prec)
         v = spec.e * _vp(deg, spec.p) if deg % spec.p == 0 else 0
-        if shift < v:
-            raise PrecisionExhausted("log denominator exceeds budget")
         unit = spec.scalar(deg // spec.p ** (v // spec.e), N + shift)
         num = c.mul_pi(shift - v) * unit.inverse()
         out[(deg,)] = num.reduce_prec(N).digits

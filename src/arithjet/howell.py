@@ -1,11 +1,12 @@
 """Linear algebra over the chain ring R/pi^M (Howell / strong echelon form).
 
 Every nonzero element of R/pi^M is a unit times pi^v, so Gaussian
-elimination works with valuation-minimal pivots; Howell completeness is
-restored by adjoining pi^(M-v) times each row with pivot valuation v > 0,
-which makes the row span closed under "multiply and project".  Kernels are
-read off an augmented [A | I] reduction: rows whose A-part vanishes give a
-generating set of the left kernel.
+elimination works with valuation-minimal pivots, in one pass over the
+columns; each pivot row of valuation v > 0 adds its closure pi^(M-v) times
+the row, which the later columns reduce, so the row span ends closed under
+"multiply and project" (Howell completeness).  Kernels are read off an
+augmented [A | I] reduction: rows whose A-part vanishes give a generating
+set of the left kernel.
 
 Inside the reduction an entry is the canonical digit tuple of a
 `PadicScalar` at precision M and a row is a list of them; a row operation
@@ -13,7 +14,7 @@ reduces each entry once, through the digit functions of `ring`.
 `PadicScalar`s appear at the boundary only: input entries known to a
 higher precision are reduced to digits at M on entry, every returned row
 or kernel vector holds scalars at M, and the few pivot inverses of a
-sweep are scalars.  Exact division by pi^v (`digit_div_pi`) is only
+pass are scalars.  Exact division by pi^v (`digit_div_pi`) is only
 defined modulo pi^(M-v); its digits are read at M, which is consistent
 because every place a division result is used multiplies it back by
 something of valuation >= v.
@@ -68,9 +69,19 @@ class HowellForm:
         return [v for _, v in self.pivots]
 
 
-def _sweep(spec: BaseRingSpec, work, ncols: int, M: int, mods):
-    """One echelon pass with Howell closures; returns (pivot rows, pivots,
-    leftover nonzero rows whose earliest entry sits left of the frontier)."""
+def _howell(spec: BaseRingSpec, rows, ncols: int, M: int):
+    """(rows, pivots) of the Howell form of digit rows at M, in one pass.
+
+    The pivot at column c has the least valuation v below the frontier, so
+    it clears column c there; its closure pi^(M-v) * row is zero through
+    column c, and the later columns reduce it.  So no nonzero row is left
+    below the frontier, and any span element supported on columns >= c lies
+    in the span of the rows with pivot column >= c (the Howell property).
+    """
+    if M < 1:
+        raise IncompatibleSpec("modulus exponent must be >= 1")
+    mods = tuple(spec.digit_modulus(i, M) for i in range(spec.e))
+    work = [row for row in rows if _nonzero(row)]
     pivots = []
     top = 0
     for c in range(ncols):
@@ -107,8 +118,7 @@ def _sweep(spec: BaseRingSpec, work, ncols: int, M: int, mods):
                 work.append(closure)
         pivots.append((c, v))
         top += 1
-    leftovers = [row for row in work[top:] if _nonzero(row)]
-    return work[:top], pivots, leftovers
+    return work[:top], pivots
 
 
 def _digit_rows(spec: BaseRingSpec, rows, ncols: int, M: int):
@@ -127,29 +137,6 @@ def _digit_rows(spec: BaseRingSpec, rows, ncols: int, M: int):
             row.append(spec.reduce_digits(x.digits, M))
         out.append(row)
     return out
-
-
-def _howell(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """(rows, pivots) of the Howell form of digit rows at M.
-
-    The sweep re-runs whenever a closure row lands left of the pivot
-    frontier, so the final row set satisfies the Howell property: any span
-    element supported on columns >= c lies in the span of the rows with
-    pivot column >= c.
-    """
-    if M < 1:
-        raise IncompatibleSpec("modulus exponent must be >= 1")
-    mods = tuple(spec.digit_modulus(i, M) for i in range(spec.e))
-    work = [row for row in rows if _nonzero(row)]
-    pivots = []
-    for _ in range(M * ncols + 2):
-        work, pivots, leftovers = _sweep(spec, work, ncols, M, mods)
-        if not leftovers:
-            break
-        work = work + leftovers
-    else:  # pragma: no cover - the bound is generous
-        raise IncompatibleSpec("Howell reduction failed to stabilize")
-    return work, pivots
 
 
 def _scalars(spec: BaseRingSpec, row, M: int):
@@ -204,5 +191,4 @@ def module_rank(spec: BaseRingSpec, vectors, ncols: int) -> int:
     chain ring), which is the F_p-rank of the generator matrix modulo pi:
     the number of unit pivots of its Howell form at M = 1.
     """
-    _, pivots = _howell(spec, _digit_rows(spec, vectors, ncols, 1), ncols, 1)
-    return sum(1 for _, v in pivots if v == 0)
+    return howell_form(spec, vectors, ncols, 1).rank

@@ -24,6 +24,7 @@ from arithjet.characters import (
     upsilon,
 )
 from arithjet.errors import (
+    BasisExpansionFailed,
     DegreeCapTooSmall,
     IncompatibleSpec,
     Inconclusive,
@@ -74,6 +75,14 @@ def test_jet_rank_multiplicative(mult5):
 def test_splitting_numbers(curve5, mult5):
     assert splitting_number(curve5) == 2
     assert splitting_number(mult5) == 1
+
+
+def test_splitting_number_without_characters_is_inconclusive(
+        curve5, monkeypatch):
+    monkeypatch.setattr(characters, "solve_delta_characters",
+                        lambda F, n: ([], 0))
+    with pytest.raises(Inconclusive, match="order <= 2"):
+        splitting_number(curve5)
 
 
 @pytest.mark.parametrize("p,e,D", [(3, 1, 9), (5, 2, 7)])
@@ -409,6 +418,19 @@ def test_expand_in_psi_basis_roundtrip(psis3_5, spec5):
     coeffs = expand_in_psi_basis(target, list(psis3_5))
     assert coeffs[0].is_zero() and coeffs[2].is_zero()
     assert coeffs[1] == spec5.scalar(3, coeffs[1].prec)
+
+
+def test_expand_in_psi_basis_failures(psis2_5, spec5):
+    # each raise of the top-down expansion, against the p=5, D=27 Psi basis
+    num = psis2_5[0].frac.num
+    x1, x2 = (TruncSeries.gen(spec5, num.vars, v, num.cap, num.prec)
+              for v in ("x1", "x2"))
+    for frac, match in [
+            (FracSeries(x1, 1), "not integral"),
+            (FracSeries(x2), r"x2 coefficient not divisible by pi\^1"),
+            (FracSeries(x1 + x1 * x1), "nonzero remainder")]:
+        with pytest.raises(BasisExpansionFailed, match=match):
+            expand_in_psi_basis(Character("kernel", 2, frac), psis2_5)
 
 
 # ---------------------------------------------------------------------------

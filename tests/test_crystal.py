@@ -73,6 +73,12 @@ def test_polygons_supersingular_shape():
     assert newton == [Fraction(1, 2), Fraction(1, 2)]
 
 
+def test_polygons_nonunit_lambda_below_half_slope():
+    # v(lambda) = 1 <= v(gamma)/2 = 3/2: the Newton slopes are 1 and 3 - 1
+    hodge, newton = polygons(crys(2, 5, 125))
+    assert newton == [Fraction(1), Fraction(2)]
+
+
 def test_polygons_dim1():
     hodge, newton = polygons(crys(1, None, -5))
     assert hodge == [Fraction(1)] and newton == [Fraction(1)]

@@ -155,3 +155,41 @@ def test_right_kernel_complete(p, e, shape):
             span = {tuple(add[s][mul[r][gi]] for s, gi in zip(vec, ig))
                     for vec in span for r in range(len(elems))}
         assert span == kernel
+
+
+def _span(gens, ncols, nelems, add, mul, zero):
+    """The R-span of index vectors, by closing {0} under + r * g."""
+    span = {(zero,) * ncols}
+    for g in gens:
+        span = {tuple(add[s][mul[r][gi]] for s, gi in zip(vec, g))
+                for vec in span for r in range(nelems)}
+    return span
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 2)], ids=["3-1", "5-2"])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (3, 2)],
+                         ids=["2x3", "3x3", "3x2"])
+def test_howell_property(p, e, shape):
+    # brute force at M = 2: the Howell rows span the input's row span,
+    # and for every column c the span elements supported on columns >= c
+    # are exactly the span of the rows with pivot column >= c
+    spec, M2 = BaseRingSpec(p, e), 2
+    elems, index, add, mul = _ring_tables(spec, M2)
+    zero = index[spec.zero(M2).digits]
+    nrows, ncols = shape
+    rng = random.Random(2000 * p + 100 * e + 10 * nrows + ncols)
+    pi = spec.pi(M2)
+    for _ in range(12):
+        rows = [[rng.choice(elems) * pi ** rng.randrange(M2 + 1)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        hf = howell_form(spec, rows, ncols, M2)
+        assert len(hf.rows) == len(hf.pivots)
+        assert all(x.prec == M2 for row in hf.rows for x in row)
+        irows = [[index[x.digits] for x in row] for row in rows]
+        hrows = [[index[x.digits] for x in row] for row in hf.rows]
+        span = _span(irows, ncols, len(elems), add, mul, zero)
+        assert _span(hrows, ncols, len(elems), add, mul, zero) == span
+        for c in range(ncols):
+            tail = {v for v in span if all(x == zero for x in v[:c])}
+            below = [h for h, (col, _) in zip(hrows, hf.pivots) if col >= c]
+            assert _span(below, ncols, len(elems), add, mul, zero) == tail
