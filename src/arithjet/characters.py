@@ -19,11 +19,20 @@ modulo pi^M (`extract_lambda_gamma`).  The pullbacks and the expansion
 in the Psi basis stay as the series-level reference for the tests and
 the verify suites.
 
+The l_i are read off L = pi^(-s) sum_k c_k T^k with no series product:
+the numerator of L(w_i) has the coefficient c_k C(k, b) multinomial(b;
+a_1, ..., a_i) pi^(sum_j j a_j) at prod_j x_j^(a_j q^(i-j)), where b =
+a_1 + ... + a_i and k = a_0 + b (`_log_ghost`).  The lattice rows are the
+numerators' digit tuples, and a solved delta-character builds its series
+on the first read.
+
 The logarithm, the l_i and the solved modules are computed once per
 formal group law and kept in the law's own memo (`FormalGroupLaw._memo`).
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .errors import (
     BasisExpansionFailed,
@@ -41,7 +50,7 @@ from .fgl import (
     trace_of_frobenius,
 )
 from .howell import module_rank, right_kernel_basis, unit_vectors
-from .ring import PadicScalar
+from .ring import PadicScalar, digit_mul_pi
 from .series import FracSeries, TruncSeries, monomial_key
 from .witt import WittVector, _ghost, fgl_eval_witt, frobenius_W
 
@@ -140,14 +149,22 @@ class Character:
     denominator during extraction).  `lcoeffs`, present on solved
     delta-characters, is the solution vector over the log-ghost
     generators l_i, as the Howell kernel's scalars at precision M: the
-    character is a lift of pi^(-1) * sum(lcoeffs[i] * l_i).
+    character is a lift of pi^(-1) * sum(lcoeffs[i] * l_i).  A solved
+    character builds that series on the first read of `frac`.
     """
 
-    def __init__(self, kind: str, n: int, frac: FracSeries, lcoeffs=None):
+    def __init__(self, kind: str, n: int, frac, lcoeffs=None):
         self.kind = kind
         self.n = n
-        self.frac = frac.normalize()
+        # a FracSeries, or a function returning one on the first read
+        self._frac = frac if callable(frac) else frac.normalize()
         self.lcoeffs = lcoeffs
+
+    @property
+    def frac(self) -> FracSeries:
+        if callable(self._frac):
+            self._frac = self._frac().normalize()
+        return self._frac
 
     @property
     def spec(self):
@@ -195,7 +212,10 @@ class Character:
 # --------------------------------------------------------------------------
 
 def ghost_witt_polynomials(spec, n: int, kind: str, cap, prec):
-    """w_i(x) (jet) or kappa_i = w_i|x0=0 (kernel), as TruncSeries."""
+    """w_i(x) (jet) or kappa_i = w_i|x0=0 (kernel), as TruncSeries.
+
+    The solver builds L(w_i) in closed form (`_log_ghost`); this is the
+    test oracle's side, L.substitute({"T": w_i})."""
     vars_ = jet_vars(n) if kind == "jet" else kernel_vars(n)
     xs = [TruncSeries.gen(spec, vars_, v, cap, prec) for v in vars_]
     if kind == "jet":
@@ -213,12 +233,50 @@ def _memoized(F: FormalGroupLaw, key, compute):
     return memo[key]
 
 
+def _tails(i: int, N: int, q: int, D: int):
+    """Every tail (a_1, ..., a_i) with t = sum_j j a_j < N and degree
+    sum_j a_j q^(i-j) <= D, as (tail, t, degree)."""
+    tails = [((), 0, 0)]
+    for j in range(1, i + 1):
+        w = q ** (i - j)
+        tails = [(tail + (a,), t + j * a, deg + w * a)
+                 for tail, t, deg in tails
+                 for a in range(min((N - 1 - t) // j, (D - deg) // w) + 1)]
+    return tails
+
+
 def _log_ghost(F: FormalGroupLaw, i: int) -> FracSeries:
-    """l_i = L(w_i) over jet_vars(i), computed once per law."""
+    """l_i = L(w_i) over jet_vars(i), in closed form, once per law.
+
+    With L = pi^(-s) sum_k c_k T^k and w_i = sum_j pi^j x_j^(q^(i-j)), the
+    numerator's coefficient of prod_j x_j^(a_j q^(i-j)) is
+        c_k C(k, b) multinomial(b; a_1, ..., a_i) pi^(sum_j j a_j),
+    b = a_1 + ... + a_i, k = a_0 + b.  Only the tails with sum_j j a_j < N
+    survive mod pi^N: they are enumerated first, then a_0 up to the cap.
+    This is L.substitute({"T": w_i}) exactly, truncation included.
+    """
     def compute():
         L = _memoized(F, "log", lambda: formal_logarithm(F))
-        _, ws = ghost_witt_polynomials(F.spec, i, "jet", F.cap, F.prec)
-        return L.substitute({"T": ws[i]})
+        spec, c = F.spec, L.num.coeffs
+        q, D = spec.q, F.cap
+        N = min(L.num.prec, F.prec)
+        top = q ** i
+        out = {}
+        for tail, t, deg in _tails(i, N, q, D):
+            b = sum(tail)
+            # multinomial(b; a_1..a_i), over the small tail entries only
+            mult, rest = 1, b
+            for a in tail:
+                mult *= comb(rest, a)
+                rest -= a
+            mono = tuple(a * q ** (i - j) for j, a in enumerate(tail, 1))
+            for a0 in range((D - deg) // top + 1):
+                d = c.get((a0 + b,))
+                if d is not None:
+                    n = mult * comb(a0 + b, b)
+                    out[(a0 * top,) + mono] = digit_mul_pi(
+                        spec, tuple(n * x for x in d), t)
+        return FracSeries(TruncSeries(spec, jet_vars(i), out, D, N), L.shift)
     return _memoized(F, ("log_ghost", i), compute)
 
 
@@ -261,12 +319,21 @@ def _lattice_solve(spec, gens, M: int, extra_rows=()):
     numerators of generators sharing one denominator exponent (each
     carries at least M digits: `_solve_log` checks it).
 
+    A row is a monomial's digit tuples reduced to M, one shared zero tuple
+    where a coefficient is absent; a monomial zero mod pi^M gets no row.
     `extra_rows` are additional linear conditions on d at the same modulus
     (used for the global extension-class constraint on jet characters)."""
-    nums = [g.num for g in gens]
-    monomials = sorted({m for nm in nums for m in nm.coeffs},
-                       key=monomial_key)
-    rows = [[nm.coeff(m) for nm in nums] for m in monomials]
+    zero = (0,) * spec.e
+    cols = []
+    for g in gens:
+        col = {}
+        for m, d in g.num.coeffs.items():
+            r = spec.reduce_digits(d, M)
+            if any(r):
+                col[m] = r
+        cols.append(col)
+    monomials = sorted({m for col in cols for m in col}, key=monomial_key)
+    rows = [[col.get(m, zero) for col in cols] for m in monomials]
     rows.extend(list(r) for r in extra_rows)
     return right_kernel_basis(spec, rows, len(gens), M)
 
@@ -307,24 +374,33 @@ def unit_root_row(F: FormalGroupLaw, n: int, M: int):
     return row
 
 
-def _combine(n, gens, coeffs):
-    """Delta-character pi^(-1) * sum(d_i * l_i) from a solution vector.
+def _combined_series(gens, coeffs) -> FracSeries:
+    """pi^(-1) * sum(d_i * l_i) as one series over pi^(s + 1).
 
     The solution scalars are defined modulo pi^M; any lift differs by a
-    multiple of pi^M = pi^(shift + 1), which changes the combination
-    by an integral additive series, so the specific lift below is a valid
+    multiple of pi^M = pi^(s + 1), which changes the combination by an
+    integral additive series, so the specific lift below is a valid
     representative at the full generator precision.  The generators share
     one denominator exponent s, so each numerator is scaled by its lift at
-    P; the sum, over pi^(s + 1), is normalized once, by `Character`.
+    P and the numerators are summed.
     """
     spec = gens[0].num.spec
     P = min(g.num.prec for g in gens)
     terms = [g.num.scalar_mul(PadicScalar(spec, c.digits, P))  # exact lift
              for c, g in zip(coeffs, gens) if not c.is_zero()]
-    if not terms:
+    return FracSeries(sum(terms[1:], terms[0]), gens[0].shift + 1)
+
+
+def _combine(n, gens, coeffs):
+    """Delta-character pi^(-1) * sum(d_i * l_i) from a solution vector.
+
+    Its series (`_combined_series`) is built, and normalized by
+    `Character`, on the first read of `.frac`: a crystal run reads only
+    the solution vectors, and the x0-linear coefficient of one character.
+    """
+    if all(c.is_zero() for c in coeffs):
         raise IncompatibleSpec("zero solution vector")
-    acc = sum(terms[1:], terms[0])
-    return Character("jet", n, FracSeries(acc, gens[0].shift + 1),
+    return Character("jet", n, lambda: _combined_series(gens, coeffs),
                      lcoeffs=coeffs)
 
 

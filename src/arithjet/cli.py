@@ -10,10 +10,15 @@ is invalid, or the --out file cannot be written (the report then goes to
 stdout); 2 inconclusive at the requested precision/degree, a run out of
 pi-adic digits (PrecisionExhausted) included.
 
-`fgl` alone builds and checks a curve, here at max(--prec + 4, M) digits,
-M = s + 1 with s = `log_denominator_exponent(spec, --deg)`: `_solve_log`
-solves the jet lattice mod pi^M and needs M digits over pi^s of each
-log-ghost generator, which keeps the curve's input digits over pi^s.
+`fgl` alone builds and checks a curve.  With N its digits and s =
+`log_denominator_exponent(spec, --deg)`, every log-ghost generator is
+pi^(-s) times a numerator known to N digits, and M = s + 1.  `crystal`
+builds the curve at max(--prec + 4, M) digits: `_solve_log` solves the
+jet lattice mod pi^M and needs M digits of each numerator.  `verify`
+builds it at max(--prec + 4, M + 1): its character suites read the Psi_i
+= pi^(-1) L(kappa_i) and Theta_2 = pi^(-1) sum d_i L(w_i), values over
+pi^(s + 1) of numerators known to N digits, so they carry N - s - 1 =
+N - M digits, none at N = M.  One digit over M gives them one.
 """
 
 from __future__ import annotations
@@ -114,9 +119,11 @@ def _with_config(parser, params: dict, argv: list) -> dict:
         raise InvalidParameters(f"config {path!r}: {exc}") from exc
 
 
-def _curve(spec: BaseRingSpec, params):
+def _curve(spec: BaseRingSpec, params, over_M: int = 0):
+    """The curve at max(--prec + 4, M + over_M) digits."""
     D = params["deg"]
-    prec = max(params["prec"] + 4, log_denominator_exponent(spec, D) + 1)
+    M = log_denominator_exponent(spec, D) + 1
+    prec = max(params["prec"] + 4, M + over_M)
     a4, a6 = (spec.scalar(params[k], prec) for k in ("a4", "a6"))
     return formal_group_from_weierstrass(spec, a4, a6, D)
 
@@ -124,7 +131,7 @@ def _curve(spec: BaseRingSpec, params):
 def cmd_verify(spec: BaseRingSpec, params) -> dict:
     suites = run_witt_suites(spec, params["seed"])
     if params["a4"] is not None:
-        suites.extend(run_character_suites(_curve(spec, params)))
+        suites.extend(run_character_suites(_curve(spec, params, 1)))
     return {"command": "verify", "suites": suites,
             "status": summarize(suites)}
 

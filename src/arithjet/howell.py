@@ -12,7 +12,8 @@ Inside the reduction an entry is the canonical digit tuple of a
 `PadicScalar` at precision M and a row is a list of them; a row operation
 reduces each entry once, through the digit functions of `ring`.
 `PadicScalar`s appear at the boundary only: input entries known to a
-higher precision are reduced to digits at M on entry, every returned row
+higher precision are reduced to digits at M on entry (an input entry may
+also be a digit tuple already canonical at M), every returned row
 or kernel vector holds scalars at M, and the few pivot inverses of a
 pass are scalars.  Exact division by pi^v (`digit_div_pi`) is only
 defined modulo pi^(M-v); its digits are read at M, which is consistent
@@ -122,13 +123,17 @@ def _howell(spec: BaseRingSpec, rows, ncols: int, M: int):
 
 
 def _digit_rows(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """The rows of scalars as rows of digit tuples reduced to M."""
+    """The rows as rows of digit tuples reduced to M.  An entry is a
+    `PadicScalar`, or a digit tuple already canonical at M, taken as is."""
     out = []
     for r in rows:
         if len(r) != ncols:
             raise IncompatibleSpec("ragged matrix")
         row = []
         for x in r:
+            if type(x) is tuple:
+                row.append(x)
+                continue
             if x.spec is not spec and x.spec != spec:
                 raise IncompatibleSpec("scalars over different base rings")
             if x.prec < M:
@@ -166,7 +171,8 @@ def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
 
 
 def right_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """Generators of {b : rows . b = 0}; transpose + left kernel."""
+    """Generators of {b : rows . b = 0}; transpose + left kernel.  Entries
+    are scalars or digit tuples canonical at M (`_digit_rows`)."""
     nrows = len(rows)
     cols = [[rows[i][c] for i in range(nrows)] for c in range(ncols)]
     return left_kernel_basis(spec, cols, nrows, M)

@@ -35,11 +35,13 @@ from arithjet.errors import (
 from arithjet.fgl import (
     formal_group_from_weierstrass,
     formal_logarithm,
+    log_denominator_exponent,
     multiplicative_law,
 )
 from arithjet.howell import module_rank
 from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.series import FracSeries, TruncSeries
+from arithjet.verify import run_character_suites
 from arithjet.witt import WittVector, fgl_eval_witt, verschiebung
 
 N_DESK = 6
@@ -163,11 +165,75 @@ def test_degree_cap_too_small_raises_on_every_call():
             solve_additive(law)
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 2)])
-def test_shared_generators_match_direct_substitution(p, e):
+def _curve_at(p, e, D, extra):
+    """y^2 = x^3 + x + 1 at M + extra digits, M = log_denominator_exponent
+    + 1 the modulus of its delta-character lattice."""
+    spec = BaseRingSpec(p, e)
+    N = log_denominator_exponent(spec, D) + 1 + extra
+    return formal_group_from_weierstrass(spec, spec.scalar(1, N),
+                                         spec.scalar(1, N), D)
+
+
+# sha256 of [g.shift, g.num.to_json()] for the jet generators l_0..l_3 =
+# L(w_0)..L(w_3) over x0..x3, computed while each l_i was the substitution
+# L.substitute({"T": w_i})
+PINNED_LOG_GHOSTS = {
+    (3, 1, 81, 0): [
+        "6203a5aa3c6fc79cc4395632f3c73f16fb540ec3634095c8fe3faf0133d05279",
+        "f0a556655ec40daa7c520cfa53a069bf10ba508f07bdc49d91a22353887b38e9",
+        "c3aa58239713cb27754d47a1afefa1c7e9f68e5a17668b7564fde791eba91996",
+        "4a21d88f74041ddf75229b1d2616d71d33857570b9c38531886040545cea8e77"],
+    (3, 1, 81, 1): [
+        "5307565005ea29ab2c796e01eafe9b93a1d29e2fb20b60385f91feb3a58464a6",
+        "60f4a03bea32c0c802c9abd646560f85fdca71d00dea4a17ec7c366be1637d98",
+        "864b72c2781ceeaaf9751a9503b1cd00b254004784bdc61b45a11e39847c8d1c",
+        "8a896b6a180032b546188cad7ae4ec2bbdb3892532084c42c1d130a17fcaf989"],
+    (5, 1, 125, 0): [
+        "3602fb24ec7f2622d06ba44abdfc7a711ae5969632e2d3142263ae2f8e247761",
+        "a737aebb695a01682b5d2dc2f839bef478fb3fa06e127bba3f775473fb5ecd2c",
+        "fe17a4f4665e901a0d8fe7096215e3884fa8e262cefd086fe10312ac76f35010",
+        "f0aaceccc0d4d4c20fdfc82ed47e33aca9de0be762e8e3146765bf7f59902cce"],
+    (5, 1, 125, 1): [
+        "75465329d119f6a1f8542945051b1610af82188fef7deee7cc901fe5fa06eea2",
+        "cecd4a2577cf919fda9e9aedfb3c46c366e2b9f92bfefc1492bcd3ceced3677e",
+        "29f0c2fef1e0f7c12ede4dd687799b2eb78b91e72b575e66d0eaad4d329eea68",
+        "99cfdbe374371e4ad4e541324040803b47c376c1b81c9d5afd34148319667ca5"],
+    (5, 3, 27, 0): [
+        "0dd554bae71dcc951217de901a3e5b03b364ae8651875e83c091ffc54af25556",
+        "2b0a2ddf151873115d1e6c21358e8f41967d27a56c7d24a6934bc610053dced0",
+        "980dd956f12da79903f85654beb115428f4eb705fd71e21bd276d78363f238fb",
+        "7616db55e83fef4f932f7820db629d3f816e06f22563b271f7305a30d79427a3"],
+    (5, 3, 27, 1): [
+        "da0633e3443a0fdc3ea263eecda3f0ed1c339a17f8931417640504c265ada22e",
+        "06fede8c9a203815f6ec98990a2337801755f25d9b42d66bbec07ae2d0230c9d",
+        "10d31b2246313880e540bff5cca01d77f7761b8d795d445bf60ed33a01c48045",
+        "74c74348166189c2c074abb61fbeee7d0961e00465ba4eb74366d856df1a8528"],
+    (7, 2, 51, 0): [
+        "a68544545ffb576430cce511b07786a018a611a353eabc578da444b091807a03",
+        "89f79b347e96064673d077cc60da2a86853d29ca835cacc0f359758a2f5cda7e",
+        "1b6c6353e0ca97c8d5ff817bc128bc185fcfa6874308b5613e6ee3091345193f",
+        "6ef910f817a2332a92ded3252622b49c95fdee29c8eb66f119676f16ad68e229"],
+    (7, 2, 51, 1): [
+        "b0d4fb313d1b1bc69cf0cd36ae40110289b90a76318f29e7206c1228ad81aac0",
+        "4279df4924c2c8cad94c34afbdc14499eaf482d0471eacede1fa13e061692d5d",
+        "f8cff912150a6b46e8a40d393cebc2970b90c434b3e611e03169e759e147bcc2",
+        "f5e505a66cbbf580621f6574708935ed20c7a615ae2dccfa3c682c794a856061"],
+}
+
+
+@pytest.mark.parametrize("p,e,D,extra", sorted(PINNED_LOG_GHOSTS))
+def test_log_ghost_generators_pinned(p, e, D, extra):
+    E = _curve_at(p, e, D, extra)
+    _, gens = log_ghost_generators(E, 3, "jet")
+    got = [hashlib.sha256(json.dumps([g.shift, g.num.to_json()],
+                                     sort_keys=True).encode()).hexdigest()
+           for g in gens]
+    assert got == PINNED_LOG_GHOSTS[(p, e, D, extra)]
+
+
+def _assert_generators_match_substitution(E):
     # the shared l_i, padded (jet) or restricted to x0 = 0 (kernel), equal
     # L(w_i) and L(kappa_i) substituted over the order-n variables
-    E = _curve(p, e, 27)
     L = formal_logarithm(E)
     for kind, orders in (("jet", range(0, 4)), ("kernel", range(1, 4))):
         for n in orders:
@@ -182,6 +248,21 @@ def test_shared_generators_match_direct_substitution(p, e):
                 assert ((g.num.vars, g.num.cap, g.num.prec, g.num.coeffs)
                         == (direct.num.vars, direct.num.cap,
                             direct.num.prec, direct.num.coeffs))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 2)])
+def test_shared_generators_match_direct_substitution(p, e):
+    _assert_generators_match_substitution(_curve(p, e, 27))
+
+
+@pytest.mark.parametrize("p,e,D", [(3, 1, 81), (5, 1, 125), (5, 3, 27),
+                                   (7, 2, 51)])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_shared_generators_match_direct_substitution_at_modulus(p, e, D,
+                                                                extra):
+    # at M and M + 1 digits the pi^(sum j a_j) cutoff of the closed form
+    # and, at e > 1, the pi-shifts decide which monomials survive
+    _assert_generators_match_substitution(_curve_at(p, e, D, extra))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +383,67 @@ PINNED_CHARACTERS = {
 def test_solved_characters_pinned(p, e, D, kind, n):
     build = kernel_group_law if kind == "kernel" else jet_group_law
     chars, _ = solve_additive(build(_curve(p, e, D), n))
+    assert _characters_digest(chars) == PINNED_CHARACTERS[(p, e, D, kind, n)]
+
+
+def _characters_digest(chars):
     body = json.dumps([[ch.frac.shift, ch.frac.num.to_json()]
                        for ch in chars], sort_keys=True)
-    assert (hashlib.sha256(body.encode()).hexdigest()
-            == PINNED_CHARACTERS[(p, e, D, kind, n)])
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def _count_combined_series(monkeypatch):
+    built = []
+    real = characters._combined_series
+
+    def counted(gens, coeffs):
+        built.append(coeffs)
+        return real(gens, coeffs)
+
+    monkeypatch.setattr(characters, "_combined_series", counted)
+    return built
+
+
+def test_solved_character_series_is_built_on_first_read(monkeypatch):
+    built = _count_combined_series(monkeypatch)
+    E = _curve(5, 1, 27)
+    chars, rank = solve_delta_characters(E, 3)
+    assert rank == len(chars) == 2 and built == []
+    extract_lambda_gamma(solve_delta_characters(E, 2)[0][0])
+    assert built == []
+    first = chars[0].frac
+    assert len(built) == 1 and chars[0].frac is first
+    assert _characters_digest(chars) == PINNED_CHARACTERS[(5, 1, 27, "jet", 3)]
+    assert len(built) == 2
+
+
+def test_additivity_check_reads_the_pinned_series(monkeypatch):
+    built = _count_combined_series(monkeypatch)
+    law = jet_group_law(_curve(5, 2, 7), 2)
+    chars, _ = solve_additive(law)
+    assert all(ch.check_additive(law) for ch in chars)
+    assert len(built) == len(chars)
+    assert _characters_digest(chars) == PINNED_CHARACTERS[(5, 2, 7, "jet", 2)]
+
+
+def test_verify_suites_read_the_pinned_series(monkeypatch):
+    built = _count_combined_series(monkeypatch)
+    E = _curve(3, 1, 11)
+    suites = run_character_suites(E)
+    assert [s["status"] for s in suites] == ["pass"] * 4
+    assert len(built) == 1
+    chars, _ = solve_delta_characters(E, 2)
+    assert _characters_digest(chars) == PINNED_CHARACTERS[(3, 1, 11, "jet", 2)]
+
+
+def test_zero_solution_vector_is_refused_on_creation(monkeypatch):
+    built = _count_combined_series(monkeypatch)
+    E = _curve(5, 1, 27)
+    _, gens = log_ghost_generators(E, 2, "jet")
+    zero = [E.spec.zero(3)] * 3
+    with pytest.raises(IncompatibleSpec, match="zero solution vector"):
+        characters._combine(2, gens, zero)
+    assert built == []
 
 
 def test_group_law_matches_witt_ring_sum():

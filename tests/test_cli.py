@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from arithjet import characters, cli, fgl
 from arithjet.cli import EXIT, run
+from arithjet.fgl import formal_group_from_weierstrass, log_denominator_exponent
+from arithjet.ring import BaseRingSpec
+from arithjet.verify import run_character_suites
 
 
 def _run(tmp_path, args, name="report.json"):
@@ -350,6 +353,20 @@ def test_crystal_solves_each_module_once(tmp_path, monkeypatch):
                      ("kernel", 1), ("kernel", 2), ("kernel", 3)]
 
 
+@pytest.mark.parametrize("argv", [
+    "--p 5 --a4 1 --a6 1 --deg 27 --nmax 3",
+    "--p 5 --e 2 --a4 1 --a6 1 --deg 27",
+    "--p 3 --deg 11",
+])
+def test_crystal_builds_one_combined_series(tmp_path, monkeypatch, argv):
+    # lambda, gamma and the rank table read the solved vectors; only
+    # Upsilon(theta_m) reads a series, that of theta_m
+    built = _count_calls(monkeypatch, characters, "_combined_series")
+    code, rep = _run(tmp_path, ["--cmd", "crystal"] + argv.split())
+    assert code == 0
+    assert len(built) == 1
+
+
 def test_crystal_on_curve_never_builds_law(tmp_path, monkeypatch):
     def no_law(*args):
         raise AssertionError("the bivariate law was built")
@@ -487,12 +504,14 @@ def test_digitless_multiplicative_law_is_inconclusive(tmp_path):
 
 
 # exit code and sha256 of verify reports on one curve at --prec 0, 2 and
-# the default 8; the values were computed before the kernel modules stopped
-# being solved as lattices.  At --prec 0 the curve has 4 digits, the
-# modulus M = 4, and Psi_i and Theta_2 carry none, so the character suites
-# are inconclusive.
+# the default 8; the values at --prec 2 and 8 were computed before the
+# kernel modules stopped being solved as lattices.  At --prec 0 the modulus
+# is M = 4 and verify builds the curve at M + 1 = 5 digits, so Psi_i and
+# Theta_2 carry one digit and every suite passes; the curve at M digits
+# left them none (`test_character_suites_at_the_modulus_are_inconclusive`).
 VERIFY_PRECISIONS = {
-    "--prec 0": (2, None),
+    "--prec 0": (
+        0, "245b3357931cec1f1c4fe9739767dd56c51897a67d3501acbc56191e5d59f90a"),
     "--prec 2": (
         0, "a6df713a51557ecd06ebb4688d7c6bfb3a11f69ed147b372f2b8c8bf67475f11"),
     "": (
@@ -507,17 +526,39 @@ def test_verify_character_suites_need_a_digit(tmp_path, prec):
     code, rep = _run(tmp_path, args)
     want_code, want_digest = VERIFY_PRECISIONS[prec]
     assert code == want_code
-    if want_digest is None:
-        chars = [s for s in rep["suites"] if s["name"] in (
-            "psi_tower", "gamma_identity", "upsilon_vanishing",
-            "tower_pullback")]
-        assert len(chars) == 4
-        assert all(s["status"] == "inconclusive" and "no pi-adic digit"
-                   in s["details"] for s in chars)
-    else:
-        digest = hashlib.sha256(
-            (tmp_path / "report.json").read_bytes()).hexdigest()
-        assert digest == want_digest
+    assert all(s["status"] == "pass" for s in rep["suites"])
+    digest = hashlib.sha256(
+        (tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == want_digest
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 2)])
+def test_character_suites_at_the_modulus_are_inconclusive(p, e):
+    # a curve at exactly M digits: Psi_i and Theta_2 are values over
+    # pi^(s + 1) = pi^M of numerators known to M digits, so they carry none
+    spec = BaseRingSpec(p, e)
+    M = log_denominator_exponent(spec, 27) + 1
+    F = formal_group_from_weierstrass(spec, spec.scalar(1, M),
+                                      spec.scalar(1, M), 27)
+    suites = run_character_suites(F)
+    assert len(suites) == 4
+    assert all(s["status"] == "inconclusive" and "no pi-adic digit"
+               in s["details"] for s in suites)
+
+
+@pytest.mark.parametrize("argv", [
+    "--p 5 --e 2 --a4 1 --a6 1 --deg 27 --prec 0",
+    "--p 3 --a4 1 --a6 1 --deg 81 --prec 0",
+])
+def test_verify_builds_the_curve_one_digit_over_the_modulus(tmp_path, argv):
+    # --prec + 4 < M + 1 here: at M digits the four character suites were
+    # inconclusive (crystal passes at M), at M + 1 all eight pass
+    code, rep = _run(tmp_path, ["--cmd", "verify"] + argv.split())
+    assert code == 0 and rep["status"] == "pass"
+    assert len(rep["suites"]) == 8
+    assert all(s["status"] == "pass" for s in rep["suites"])
+    code, rep = _run(tmp_path, ["--cmd", "crystal"] + argv.split())
+    assert code == 0 and rep["status"] == "pass"
 
 
 @pytest.mark.parametrize("argv", [

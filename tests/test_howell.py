@@ -86,6 +86,22 @@ def test_right_kernel_random(spec, seed):
 
 
 @SPECS
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_right_kernel_takes_digit_rows(spec, seed):
+    # the lattice solve hands over digit tuples already reduced to M, with
+    # scalar entries mixed in; the kernel is that of the scalar rows
+    rng = random.Random(seed)
+    rows = [[_random_scalar(spec, rng) for _ in range(4)] for _ in range(3)]
+    mixed = [[spec.reduce_digits(x.digits, M) for x in row] for row in rows]
+    mixed[-1] = rows[-1]
+    want = right_kernel_basis(spec, rows, 4, M)
+    got = right_kernel_basis(spec, mixed, 4, M)
+    assert [[x.digits for x in v] for v in got] \
+        == [[x.digits for x in v] for v in want]
+
+
+@SPECS
 def test_module_rank(spec):
     def rank(rows):
         return module_rank(spec, _mat(spec, rows), 2)
