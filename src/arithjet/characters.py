@@ -26,8 +26,9 @@ a_1 + ... + a_i and k = a_0 + b (`_log_ghost`).  The lattice rows are the
 numerators' digit tuples, and a solved delta-character builds its series
 on the first read.
 
-The logarithm, the l_i and the solved modules are computed once per
-formal group law and kept in the law's own memo (`FormalGroupLaw._memo`).
+The logarithm, the l_i, the unit root alpha and the solved modules are
+computed once per formal group law and kept in the law's own memo
+(`FormalGroupLaw._memo`).
 """
 
 from __future__ import annotations
@@ -356,16 +357,20 @@ def unit_root_row(F: FormalGroupLaw, n: int, M: int):
     without such a row: the pi-divisible "shadow" generators that
     `_solve_log` drops leave the solved vector, and so lambda and gamma,
     determined only modulo their span, not modulo pi^M (ROADMAP item 1,
-    "Report only the digits the lattice determines").
+    "Report only the digits the lattice determines").  alpha is computed
+    once per law and M, None for supersingular reduction.
     """
     if F.curve is None:
         return None
     spec = F.spec
-    a4, a6 = F.curve
-    ap = trace_of_frobenius(spec, a4, a6)
-    if ap % spec.p == 0:
+
+    def unit_root():
+        ap = trace_of_frobenius(spec, *F.curve)
+        return None if ap % spec.p == 0 else frobenius_unit_root(spec, ap, M)
+
+    alpha = _memoized(F, ("unit_root", M), unit_root)
+    if alpha is None:
         return None
-    alpha = frobenius_unit_root(spec, ap, M)
     row = []
     power = spec.one(M)
     for _ in range(n + 1):

@@ -36,8 +36,8 @@ class FormalGroupLaw:
     invariant differential P(T) = 1/F_X(0, T), known without the law.
 
     `_memo` holds what `characters` derives from the law once: the
-    formal logarithm, the log-ghost generators L(w_i) and the solved
-    character modules.  It lives and dies with the instance; its entries
+    formal logarithm, the log-ghost generators L(w_i), the unit root of
+    Frobenius and the solved character modules.  It lives and dies with the instance; its entries
     are shared between callers and never mutated.
     """
 

@@ -12,13 +12,21 @@ are minimal in that order (so x1 leads x1 + higher-degree corrections).
 One-variable products go by Kronecker substitution: each pi-digit's
 coefficients are packed into one Python int, and the builtin (Karatsuba)
 integer product does the convolution in place of a quadratic number of
-digit products.  Series in more variables use the sparse schoolbook
-product.  `substitute` sums raw digit products and reduces once.  The
-digit arithmetic itself (products, pi-shifts, valuations, reduction) is
-that of `ring`.
+digit products.  Series in more variables use a sparse product on packed
+monomials: an exponent tuple is one int in base cap + 1, so a monomial
+product is one int addition, and at e = 1 a coefficient is a bare int
+reduced once per output monomial.  `substitute` builds only the powers of
+each image that its monomials use, each the product of two known powers,
+sums raw digit products and reduces once.  Truncated sums and products
+are exact in R[x]/(pi^N, degree > cap), so neither path changes a result.
+The digit arithmetic itself (products, pi-shifts, valuations, reduction)
+is that of `ring`.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from operator import itemgetter, mul
 
 from .errors import (
     IncompatibleSpec,
@@ -100,6 +108,76 @@ def _kronecker_mul(spec: BaseRingSpec, a: dict, b: dict, cap: int | None,
         if any(d):
             out[(k + lo_a + lo_b,)] = d
     return out
+
+
+def _packed_mul(spec: BaseRingSpec, a: dict, b: dict, cap: int | None,
+                prec: int) -> dict:
+    """Canonical coefficients of the product of two series in two or more
+    variables, given by canonical coefficient dicts, truncated above `cap`.
+
+    Each exponent tuple becomes one int in base B = cap + 1 (uncapped: the
+    two top total degrees plus 1), first variable lowest, so no exponent
+    of a kept product reaches B and a monomial product is one int
+    addition.  The larger operand is sorted by degree and cut at the cap
+    by bisection; at e = 1 a coefficient is a bare int.  Sums are reduced
+    and keys unpacked once per output monomial, in order of first
+    appearance.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    nvars = len(next(iter(a)))
+    if cap is None:
+        base = max(map(sum, a)) + max(map(sum, b)) + 1
+    else:
+        base = cap + 1
+    weights = [base ** i for i in range(nvars)]
+    unramified = spec.e == 1
+    rows = sorted(((sum(m), sum(map(mul, m, weights)),
+                    d[0] if unramified else d) for m, d in b.items()),
+                  key=itemgetter(0))
+    degrees = [r[0] for r in rows]
+    rows = [r[1:] for r in rows]
+    out: dict = {}
+    get = out.get
+    for m1, d1 in a.items():
+        row = rows if cap is None else \
+            rows[:bisect_right(degrees, cap - sum(m1))]
+        k1 = sum(map(mul, m1, weights))
+        if unramified:
+            x = d1[0]
+            for k2, y in row:
+                k = k1 + k2
+                out[k] = get(k, 0) + x * y
+        else:
+            for k2, d2 in row:
+                k = k1 + k2
+                prod = digit_product(spec, d1, d2)
+                cur = get(k)
+                out[k] = _raw_add(cur, prod) if cur is not None else prod
+    modulus = spec.p ** max(0, prec)
+    result = {}
+    for k, d in out.items():
+        r = (d % modulus,) if unramified else spec.reduce_digits(d, prec)
+        if any(r):
+            m = []
+            for _ in range(nvars):
+                k, x = divmod(k, base)
+                m.append(x)
+            result[tuple(m)] = r
+    return result
+
+
+def _power(known: dict, n: int):
+    """Add power n of a series to `known` (exponent -> power, power 1 at
+    least) as the product of two known powers: the largest known k whose
+    n - k is known, else n // 2 and n - n // 2, each added the same way."""
+    if n not in known:
+        k = max((k for k in known if n - k in known), default=None)
+        if k is None:
+            k = n // 2
+            _power(known, k)
+            _power(known, n - k)
+        known[n] = known[k] * known[n - k]
 
 
 class TruncSeries:
@@ -241,25 +319,13 @@ class TruncSeries:
         prec = min(self.prec, other.prec)
         cap = self.cap
         a, b = self.coeffs, other.coeffs
-        if len(self.vars) == 1:
-            out = _kronecker_mul(spec, a, b, cap, prec) if a and b else {}
-            return TruncSeries(spec, self.vars, out, cap, prec,
-                               _canonical=True)
-        if len(a) > len(b):
-            a, b = b, a
-        b_items = sorted(b.items(), key=lambda kv: sum(kv[0]))
-        out: dict = {}
-        for m1, d1 in a.items():
-            deg1 = sum(m1)
-            budget = None if cap is None else cap - deg1
-            for m2, d2 in b_items:
-                if budget is not None and sum(m2) > budget:
-                    break
-                m = tuple(x + y for x, y in zip(m1, m2))
-                prod = digit_product(spec, d1, d2)
-                cur = out.get(m)
-                out[m] = _raw_add(cur, prod) if cur is not None else prod
-        return TruncSeries(spec, self.vars, out, cap, prec)
+        if not (a and b):
+            out = {}
+        elif len(self.vars) == 1:
+            out = _kronecker_mul(spec, a, b, cap, prec)
+        else:
+            out = _packed_mul(spec, a, b, cap, prec)
+        return TruncSeries(spec, self.vars, out, cap, prec, _canonical=True)
 
     def scalar_mul(self, c: PadicScalar) -> "TruncSeries":
         prec = min(self.prec, c.prec)
@@ -353,18 +419,25 @@ class TruncSeries:
         cap = ctx.cap
         one = TruncSeries.const(ctx.spec, ctx.vars, ctx.spec.one(prec), cap,
                                 prec)
-        # cache powers of each image; sum raw digit products, reduce once
-        powers = {v: [one] for v in self.vars}
+        # build only the powers of each image that a monomial uses; sum raw
+        # digit products, reduce once
+        powers = {}
+        for i, v in enumerate(self.vars):
+            used = {m[i] for m in self.coeffs} - {0}
+            if used:
+                image = images[v]
+                known = {1: image if image.prec == prec
+                         else image.reduce_prec(prec)}
+                for n in sorted(used):
+                    _power(known, n)
+                powers[v] = known
         out: dict = {}
         for m, d in self.coeffs.items():
             term = one
             for v, expo in zip(self.vars, m):
                 if expo == 0:
                     continue
-                plist = powers[v]
-                while len(plist) <= expo:
-                    plist.append(plist[-1] * images[v])
-                piece = plist[expo]
+                piece = powers[v][expo]
                 term = piece if term is one else term * piece
             for mm, dd in term.coeffs.items():
                 prod = digit_product(ctx.spec, d, dd)

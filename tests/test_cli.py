@@ -353,6 +353,22 @@ def test_crystal_solves_each_module_once(tmp_path, monkeypatch):
                      ("kernel", 1), ("kernel", 2), ("kernel", 3)]
 
 
+@pytest.mark.parametrize("argv,ordinary", [
+    ("--p 5 --e 2 --a4 7 --a6 11 --deg 27", True),
+    ("--p 5 --a4 1 --a6 1 --deg 27 --nmax 3", True),
+    ("--p 3 --a4 1 --a6 1 --deg 27", False),
+])
+def test_crystal_computes_the_unit_root_once(tmp_path, monkeypatch, argv,
+                                             ordinary):
+    # the jet orders 1..m+1 share one point count and one Hensel root
+    counts = _count_calls(monkeypatch, characters, "trace_of_frobenius")
+    roots = _count_calls(monkeypatch, characters, "frobenius_unit_root")
+    code, rep = _run(tmp_path, ["--cmd", "crystal"] + argv.split())
+    assert code == 0 and rep["curve"]["ordinary"] is ordinary
+    assert len(counts) == 1
+    assert len(roots) == (1 if ordinary else 0)
+
+
 @pytest.mark.parametrize("argv", [
     "--p 5 --a4 1 --a6 1 --deg 27 --nmax 3",
     "--p 5 --e 2 --a4 1 --a6 1 --deg 27",

@@ -191,7 +191,7 @@ def _random_univariate(rng, spec, cap, prec):
 
 @pytest.mark.parametrize("spec", KRONECKER_SPECS, ids=repr)
 def test_kronecker_product_matches_generic(spec):
-    # the one-variable product against the generic product of the same
+    # the one-variable product against the packed product of the same
     # series padded to two variables, over unequal precisions and caps
     rng = random.Random(spec.p * 10 + spec.e)
     two = ("T", "U")
@@ -203,6 +203,99 @@ def test_kronecker_product_matches_generic(spec):
             generic = f.extend_vars(two) * g.extend_vars(two)
             assert (product.cap, product.prec) == (generic.cap, generic.prec)
             assert product.extend_vars(two).coeffs == generic.coeffs
+
+
+def reference_product(f, g):
+    """f * g as a sum of PadicScalar products over monomial pairs, each
+    pair of total degree above the cap dropped: {monomial: digits}."""
+    spec, cap = f.spec, f.cap
+    acc = {}
+    for m1 in f.coeffs:
+        for m2 in g.coeffs:
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if cap is not None and sum(m) > cap:
+                continue
+            term = f.coeff(m1) * g.coeff(m2)
+            acc[m] = acc[m] + term if m in acc else term
+    return {m: c.digits for m, c in acc.items() if not c.is_zero()}
+
+
+def _random_monomial(rng, nvars, degree):
+    """A random exponent tuple of the given total degree."""
+    m = [0] * nvars
+    for _ in range(degree):
+        m[rng.randrange(nvars)] += 1
+    return tuple(m)
+
+
+def _random_series(rng, spec, nvars, cap, prec):
+    """Empty, single-term, sparse, dense (one variable) or with a term that
+    reaches the cap in one variable, with digits of any sign."""
+    shape = rng.choice(["empty", "single", "sparse", "dense", "edge"])
+    top = 8 if cap is None else cap
+    if shape == "empty":
+        monomials = []
+    elif shape == "single":
+        monomials = [_random_monomial(rng, nvars, rng.randint(0, top))]
+    elif shape == "dense" and nvars == 1:
+        monomials = [(k,) for k in range(rng.randint(0, 2), top + 1)]
+    else:
+        monomials = [_random_monomial(rng, nvars, rng.randint(0, top))
+                     for _ in range(rng.randint(2, 8))]
+        if shape == "edge":
+            i = rng.randrange(nvars)
+            monomials.append(tuple(top if j == i else 0
+                                   for j in range(nvars)))
+    span = spec.p ** (prec + 1)
+    coeffs = {m: [rng.randint(-span, span) for _ in range(spec.e)]
+              for m in monomials}
+    return TruncSeries(spec, tuple(f"x{i}" for i in range(nvars)), coeffs,
+                       cap, prec)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("spec", KRONECKER_SPECS, ids=repr)
+def test_product_matches_reference(spec, nvars):
+    # the Kronecker (one variable) and packed (two or more) products
+    # against the termwise sum, over caps, unequal precisions and
+    # exponents at the edge of the packing base
+    rng = random.Random(spec.p * 100 + spec.e * 10 + nvars)
+    for cap in [None, 0, 1, 2, 5, 13]:
+        for _ in range(20):
+            f = _random_series(rng, spec, nvars, cap, rng.randint(1, 7))
+            g = _random_series(rng, spec, nvars, cap, rng.randint(1, 7))
+            product = f * g
+            assert (product.cap, product.prec) == (cap, min(f.prec, g.prec))
+            assert product.coeffs == reference_product(f, g)
+            if f.coeffs:
+                # a single-term operand on either side
+                m, d = next(iter(f.coeffs.items()))
+                one_term = TruncSeries(spec, f.vars, {m: d}, cap, f.prec)
+                assert (one_term * g).coeffs \
+                    == reference_product(one_term, g)
+                assert (g * one_term).coeffs \
+                    == reference_product(g, one_term)
+
+
+def test_packed_product_at_the_packing_base():
+    # x^cap * y^cap is truncated; x^a * x^(cap - a) lands on exponent cap,
+    # the largest digit base cap + 1 holds; uncapped, the base is the sum
+    # of the top total degrees plus 1
+    spec = BaseRingSpec(5, 1)
+    xy = ("x", "y", "z")
+    for cap in [1, 2, 5, 13]:
+        for a in range(cap + 1):
+            f = TruncSeries(spec, xy, {(a, 0, 0): [2], (0, cap, 0): [3]},
+                            cap, 4)
+            g = TruncSeries(spec, xy, {(cap - a, 0, 0): [4],
+                                       (0, 0, cap): [1]}, cap, 4)
+            assert (f * g).coeffs == reference_product(f, g)
+            assert (f * g).coeff((cap, 0, 0)) == spec.scalar(8, 4)
+    f = TruncSeries(spec, xy, {(3, 0, 0): [1], (0, 0, 1): [1]}, None, 4)
+    g = TruncSeries(spec, xy, {(5, 0, 0): [1], (0, 2, 4): [1]}, None, 4)
+    assert (f * g).coeffs == reference_product(f, g)
+    assert (f * g).coeff((8, 0, 0)) == spec.one(4)
+    assert (f * g).coeff((0, 2, 5)) == spec.one(4)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -217,7 +310,14 @@ def test_reduce_digits_unramified(p):
     assert spec.reduce_digits([-1], 0) == (0,)
 
 
-@given(a=small, b=small, c=small)
+# exponents up to the cap 6, with gaps
+up_to_cap = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+        lambda m: sum(m) <= 6),
+    coeff, max_size=5)
+
+
+@given(a=up_to_cap, b=small, c=small)
 @settings(max_examples=30, deadline=None)
 def test_substitute_matches_termwise_sum(a, b, c):
     # f(g, h) equals the sum of its terms, each reduced by the ring ops;
@@ -236,3 +336,24 @@ def test_substitute_matches_termwise_sum(a, b, c):
     result = f.substitute({"x": g, "y": h})
     assert (result.cap, result.prec) == (6, 4)
     assert result.coeffs == expected.coeffs
+
+
+def test_substitute_builds_only_the_powers_it_uses(monkeypatch):
+    # x^5 + x^10 + x^15 needs powers 5, 10 and 15 of the image: 2 and 3
+    # build 5, then 10 = 5 + 5 and 15 = 10 + 5, five products in all
+    spec = BaseRingSpec(5, 1)
+    x = TruncSeries.gen(spec, ("x",), "x", 16, 4)
+    f = x ** 5 + x ** 10 + x ** 15
+    image = x + (x * x).int_mul(3)
+    expected = image ** 5 + image ** 10 + image ** 15
+    products = []
+    plain = TruncSeries.__mul__
+
+    def counting(self, other):
+        products.append((self.max_degree(), other.max_degree()))
+        return plain(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    result = f.substitute({"x": image})
+    assert len(products) <= 5
+    assert result == expected
