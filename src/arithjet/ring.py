@@ -266,10 +266,12 @@ class PadicScalar:
     # -- pi-adic primitives ---------------------------------------------------
 
     def exact_div_pi(self, k: int = 1) -> "PadicScalar":
-        """Exact division by pi^k; precision drops by k."""
+        """Exact division by pi^k; precision drops by k.  As for series, a
+        zero known to exactly k digits divides to 0 mod pi^0, and anything
+        else known to at most k digits raises PrecisionExhausted."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self.prec <= k:
+        if self.prec <= k and not self.is_zero():
             raise PrecisionExhausted(
                 f"precision {self.prec} cannot absorb division by pi^{k}")
         return PadicScalar(self.spec, digit_div_pi(self.spec, self.digits, k),

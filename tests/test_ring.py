@@ -144,8 +144,18 @@ def test_exact_div_pi_guards():
     spec = BaseRingSpec(3, 1)
     with pytest.raises(NotDivisible):
         spec.scalar(1, 4).exact_div_pi(1)
+    # as for series: a zero known to exactly k digits divides to 0 mod pi^0;
+    # a nonzero at k digits, or anything below k digits, cannot divide
+    zero = spec.scalar(3, 1).exact_div_pi(1)
+    assert zero.is_zero() and zero.prec == 0
     with pytest.raises(PrecisionExhausted):
-        spec.scalar(3, 1).exact_div_pi(1)
+        spec.scalar(1, 1).exact_div_pi(1)
+    with pytest.raises(PrecisionExhausted):
+        spec.scalar(9, 1).exact_div_pi(2)
+    ram = BaseRingSpec(5, 2)
+    assert ram.pi(2).mul_pi(1).reduce_prec(2).exact_div_pi(2).prec == 0
+    with pytest.raises(PrecisionExhausted):
+        ram.pi(2).exact_div_pi(2)
 
 
 def test_reduce_prec_and_eq():

@@ -357,3 +357,29 @@ def test_substitute_builds_only_the_powers_it_uses(monkeypatch):
     result = f.substitute({"x": image})
     assert len(products) <= 5
     assert result == expected
+
+
+def test_power_builds_on_known_powers(monkeypatch):
+    # ** goes by `_power`: x^5 = x^2 x^3 after x^2 and x^3 = x^2 x, three
+    # products; x^1 is x itself, with no product by the constant 1
+    f = poly(SPEC, {(1, 0): 2, (0, 1): 1, (1, 2): -4})
+    expected = {1: f}
+    for n in range(2, 6):
+        expected[n] = expected[n - 1] * f
+    products = []
+    plain = TruncSeries.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    assert f ** 5 == expected[5]
+    assert len(products) == 3
+    products.clear()
+    assert f ** 1 == f
+    assert not products
+    assert f ** 0 == TruncSeries.const(SPEC, VARS, SPEC.one(f.prec), f.cap,
+                                       f.prec)
+    with pytest.raises(ValueError):
+        f ** -1

@@ -62,6 +62,38 @@ def test_structural_polynomial_shapes():
     p0 = table[0]
     assert p0.linear_coeff("x0") == SPEC3.one(5)
     assert p0.linear_coeff("y0") == SPEC3.one(5)
+    # P_0 = x0 y0, and F_0 = x0^q + pi x1 (the ghost w_1 of x)
+    prod = structural_polynomials(SPEC3, 2, "prod", prec=5)
+    frob = structural_polynomials(SPEC3, 2, "frobenius", prec=5)
+    assert (len(prod), len(frob)) == (3, 2)
+    x0, y0 = (TruncSeries.gen(SPEC3, prod[0].vars, v, None, 5)
+              for v in ("x0", "y0"))
+    assert prod[0] == x0 * y0
+    x0, x1 = (TruncSeries.gen(SPEC3, frob[0].vars, v, None, 5)
+              for v in ("x0", "x1"))
+    assert frob[0] == x0 ** SPEC3.q + x1.mul_pi(1).reduce_prec(5)
+
+
+@pytest.mark.parametrize("config", [(2, 1, 3), (3, 1, 3), (5, 1, 2),
+                                    (5, 2, 2)])
+def test_ghost_mul_and_frobenius_match_the_tables(config):
+    # the ghost * and F of scalar vectors agree with the exact product and
+    # Frobenius tables evaluated at the components
+    p, e, n = config
+    spec = BaseRingSpec(p, e)
+    rng = random.Random(100 * p + e)
+    prod = structural_polynomials(spec, n, "prod", prec=6)
+    frob = structural_polynomials(spec, n, "frobenius", prec=6)
+    for _ in range(3):
+        x, y = (WittVector.from_ints(
+            spec, [rng.randrange(p ** 8) for _ in range(n + 1)], 6)
+            for _ in range(2))
+        values = {f"x{i}": c for i, c in enumerate(x.components)}
+        values.update({f"y{i}": c for i, c in enumerate(y.components)})
+        assert (x * y).components == tuple(
+            P.evaluate(values) for P in prod)
+        assert frobenius_W(x).components == tuple(
+            F.evaluate(values) for F in frob)
 
 
 @given(a=st.lists(ints, min_size=3, max_size=3))
@@ -278,27 +310,50 @@ def test_series_ops_pinned(key):
 
 
 def _scalar_operand(p, e, n):
-    """A scalar vector whose components carry precision 6 or 7, and the
-    integer that the R-action multiplies by."""
+    """Scalar vectors x and y whose components carry precision 6 or 7, and
+    the integer that the R-action multiplies by (drawn between them)."""
     spec = BaseRingSpec(p, e)
     rng = random.Random(1000 * p + 10 * e + n)
     x = WittVector(spec, [spec.scalar(rng.randrange(p ** 8), 6 + i % 2)
                           for i in range(n + 1)])
-    return x, rng.randrange(p ** 8)
+    s = rng.randrange(p ** 8)
+    y = WittVector(spec, [spec.scalar(rng.randrange(p ** 8), 7 - i % 2)
+                          for i in range(n + 1)])
+    return x, s, y
 
 
-# the R-action at r.prec - n below, at and above x.prec() = 6
+# the R-action at r.prec - n below, at and above x.prec() = 6; the product
+# at equal and at unequal precisions (x at 6, y at 4); * and F at N = 0
 SCALAR_OPS = {
-    "neg": lambda x, s: -x,
-    "scalar_mul_low": lambda x, s: x.scalar_mul(x.spec.scalar(s, 4 + x.n)),
-    "scalar_mul_even": lambda x, s: x.scalar_mul(x.spec.scalar(s, 6 + x.n)),
-    "scalar_mul_high": lambda x, s: x.scalar_mul(x.spec.scalar(s, 9 + x.n)),
+    "neg": lambda x, s, y: -x,
+    "scalar_mul_low": lambda x, s, y: x.scalar_mul(
+        x.spec.scalar(s, 4 + x.n)),
+    "scalar_mul_even": lambda x, s, y: x.scalar_mul(
+        x.spec.scalar(s, 6 + x.n)),
+    "scalar_mul_high": lambda x, s, y: x.scalar_mul(
+        x.spec.scalar(s, 9 + x.n)),
+    "mul": lambda x, s, y: x * y,
+    "mul_mixed": lambda x, s, y: x * y.reduce_prec(4),
+    "frobenius": lambda x, s, y: frobenius_W(x),
+    "mul0": lambda x, s, y: x.reduce_prec(0) * y.reduce_prec(0),
+    "frobenius0": lambda x, s, y: frobenius_W(x.reduce_prec(0)),
 }
 
 
-# as PINNED_SERIES_OPS, for scalar negation and the R-action: computed while
-# both multiplied by a table-evaluated lift f~(r)
+# as PINNED_SERIES_OPS, for scalar negation and the R-action, computed
+# while both multiplied by a table-evaluated lift f~(r), and for scalar *
+# and F, computed while they evaluated the structural tables
 PINNED_SCALAR_OPS = {
+    (2, 1, 3, 'frobenius'):
+        "a68e96b9987b51701926c90d259c8a8211f961e11313c88a5505f64784f51423",
+    (2, 1, 3, 'frobenius0'):
+        "e39b9e8bab3249a91180020a3396f9848b5658976366ac289a1c4568ed26d776",
+    (2, 1, 3, 'mul'):
+        "f792168006c4bdc3ff2e87071c676772290c33ce78bcc5190b551133c5c5d546",
+    (2, 1, 3, 'mul0'):
+        "b067e4fef03cc954d44c77ade5e8de16d5ab35155984ce421af218a4b4983b54",
+    (2, 1, 3, 'mul_mixed'):
+        "536f91733437110727d28ccd30b2a5f2f24438464c1674a8b05451fb1113e2ba",
     (2, 1, 3, 'neg'):
         "72d10f14bd49f53711946bc58888c59dc4be8e3b81d7eac8c4539f20cf4835d1",
     (2, 1, 3, 'scalar_mul_even'):
@@ -307,6 +362,16 @@ PINNED_SCALAR_OPS = {
         "d843f06dcde47774b302e87db6ef892dcdaa148cb62b8f59d3b3c39bd0064b6b",
     (2, 1, 3, 'scalar_mul_low'):
         "462693cc5fb0a6c2d456159e1d791afc769cfdedaeffbbcf6bf8445370baf7c5",
+    (3, 1, 2, 'frobenius'):
+        "ece3eafd4c31375f7d902110db044c6543d02fa91aae130ea2cd2c7cd2222d80",
+    (3, 1, 2, 'frobenius0'):
+        "30e6e1aacf62be095334288a1d2582c9827faaa6cff4d07aceacce01500c68a6",
+    (3, 1, 2, 'mul'):
+        "41c937454bb0b978d28b8ea0e9cfcb961a83ed5316f3c7a81175d753533f4d55",
+    (3, 1, 2, 'mul0'):
+        "e39b9e8bab3249a91180020a3396f9848b5658976366ac289a1c4568ed26d776",
+    (3, 1, 2, 'mul_mixed'):
+        "7a759e58d8125c20c620fbff9924c64d18bec5ea807731d3fda0a52be6dc8d64",
     (3, 1, 2, 'neg'):
         "5760031067a1b6a25e0c0fb058cd1edba06c6868ef59caf008ab12eb31eb473e",
     (3, 1, 2, 'scalar_mul_even'):
@@ -315,6 +380,16 @@ PINNED_SCALAR_OPS = {
         "2322b8f206a41f898a3eb2af41b654e2dd255f166667fa02631fd54a31505b1e",
     (3, 1, 2, 'scalar_mul_low'):
         "6d57cc09f90ce4ca96bf678a6a19a976c9e904078618aa96887693f2cbb5c859",
+    (5, 1, 2, 'frobenius'):
+        "8f600f08c6f58b3ac1f475e080d6a737159398ef575110373e3d8d6bc404bb5a",
+    (5, 1, 2, 'frobenius0'):
+        "30e6e1aacf62be095334288a1d2582c9827faaa6cff4d07aceacce01500c68a6",
+    (5, 1, 2, 'mul'):
+        "f1345cc175fd61052143f2a606e35f4189cc0596a2c0fa5978969bb4393f622f",
+    (5, 1, 2, 'mul0'):
+        "e39b9e8bab3249a91180020a3396f9848b5658976366ac289a1c4568ed26d776",
+    (5, 1, 2, 'mul_mixed'):
+        "d50c17002a7e5df3051833168aa6c4a1bd6fbab73364b1d77f1e0ebb5111c842",
     (5, 1, 2, 'neg'):
         "8dbd0a693e8ba91fe43ac786b22b8018c3a8c7673357547a986ff30e2cd9becf",
     (5, 1, 2, 'scalar_mul_even'):
@@ -323,6 +398,16 @@ PINNED_SCALAR_OPS = {
         "dde082c5ba5757998f64aaf0ac9aa02f91f1116ec6afcaf77b6f73cae1739ae0",
     (5, 1, 2, 'scalar_mul_low'):
         "f71cdac1c65d0821ed5fe766d631d6204a64b25e6fe014c00bb05d8cf16ac16c",
+    (5, 2, 2, 'frobenius'):
+        "f88bcb3b4b1065ee6df912504c9091fd1d0b5dc9a13f80e8019ac2b0b738caf2",
+    (5, 2, 2, 'frobenius0'):
+        "198dee18dc90a0b376fcba0cf49651ef5d2588c7e8915578ddb7151f439d40ec",
+    (5, 2, 2, 'mul'):
+        "b32639d32eb5407e02a5f777e404d2c2771ea89bcd058ebbb78221769edae428",
+    (5, 2, 2, 'mul0'):
+        "f9755e7798f3649b43303a350870b37cf864bacfc63855c6a65e126ced4d4648",
+    (5, 2, 2, 'mul_mixed'):
+        "905b52aec03820fda86d4444dae5b867e027c2d9940c6bbd920db9241fac712a",
     (5, 2, 2, 'neg'):
         "ea79a40a1f362ef0caddc95ab12410cc51af6c2ddeb7ce37786e481cc5f2319a",
     (5, 2, 2, 'scalar_mul_even'):
@@ -331,6 +416,16 @@ PINNED_SCALAR_OPS = {
         "90324044f0ee20558c09bf4185ac75247d25184bd879ae1040f2ea413331e898",
     (5, 2, 2, 'scalar_mul_low'):
         "9d7503b6ced6146096d3223c48f0625b3094e320b2f5f9ad4b146638a39e4c22",
+    (7, 1, 1, 'frobenius'):
+        "d04301e2499bf003b72e18e36531b9c65afd6ee39db573821c336893e7eb6cb3",
+    (7, 1, 1, 'frobenius0'):
+        "3111b7720bc5a9b10e289c511158716b5a27ca3783b53e62a2e3acc5761697ee",
+    (7, 1, 1, 'mul'):
+        "af64913ec51f019d73ccb2993bd930855945d528c4e2d590b1d9f0939f16b4f5",
+    (7, 1, 1, 'mul0'):
+        "30e6e1aacf62be095334288a1d2582c9827faaa6cff4d07aceacce01500c68a6",
+    (7, 1, 1, 'mul_mixed'):
+        "0569229ca8ada2c3dd7f477df13b301f5eb79fc4b455222f026e9e90742beae9",
     (7, 1, 1, 'neg'):
         "b8bf63bd93e39615d409de2308cde951d65a6d0948d084d5f45c0a29d029831a",
     (7, 1, 1, 'scalar_mul_even'):
@@ -393,5 +488,21 @@ def test_series_ops_skip_the_tables(monkeypatch):
     assert z.scalar_mul(SPEC3.pi(8)).prec() == 6
     s = tilde_pack(SPEC3.scalar(2, 10), vec(SPEC3, [5, 1]))
     assert from_witt(s.embed(), s.r) == s
+    # scalar * and F go through the ghosts too; only scalar + takes a table
+    assert (z * z).prec() == 6 and frobenius_W(z).prec() == 6
     with pytest.raises(AssertionError, match="structural table"):
         z + z
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_scalar_ops_at_precision_zero(e):
+    # at N = 0 the ghost inversion divides zeros known to exactly i digits by
+    # pi^i; every operation returns zeros at precision 0, as + does
+    spec = BaseRingSpec(5 if e > 1 else 3, e)
+    x = WittVector.from_ints(spec, [1, 2, 3], 0)
+    zeros = WittVector.from_ints(spec, [0, 0, 0], 0)
+    for result in (x + x, -x, x * x, x.scalar_mul(spec.pi(2)),
+                   x.scalar_mul(spec.scalar(7, 5))):
+        assert result == zeros and result.prec() == 0
+    fx = frobenius_W(x)
+    assert fx.length == 2 and fx.is_zero() and fx.prec() == 0
