@@ -401,7 +401,7 @@ def _combine(n, gens, coeffs):
 
     Its series (`_combined_series`) is built, and normalized by
     `Character`, on the first read of `.frac`: a crystal run reads only
-    the solution vectors, and the x0-linear coefficient of one character.
+    the solution vectors, and builds no series.
     """
     if all(c.is_zero() for c in coeffs):
         raise IncompatibleSpec("zero solution vector")

@@ -13,12 +13,13 @@ pi-adic digits (PrecisionExhausted) included.
 `fgl` alone builds and checks a curve.  With N its digits and s =
 `log_denominator_exponent(spec, --deg)`, every log-ghost generator is
 pi^(-s) times a numerator known to N digits, and M = s + 1.  `crystal`
-builds the curve at max(--prec + 4, M) digits: `_solve_log` solves the
-jet lattice mod pi^M and needs M digits of each numerator.  `verify`
-builds it at max(--prec + 4, M + 1): its character suites read the Psi_i
-= pi^(-1) L(kappa_i) and Theta_2 = pi^(-1) sum d_i L(w_i), values over
-pi^(s + 1) of numerators known to N digits, so they carry N - s - 1 =
-N - M digits, none at N = M.  One digit over M gives them one.
+builds the curve, or the multiplicative law, at exactly M digits and
+reads no --prec: lambda, gamma and the rank table come from the jet
+lattices `_solve_log` solves mod pi^M, which digits past M do not
+change.  `verify` builds the curve at max(--prec + 4, M + 1): its
+character suites read the Psi_i = pi^(-1) L(kappa_i) and Theta_2 =
+pi^(-1) sum d_i L(w_i), values over pi^M of numerators known to N
+digits, so they carry N - M digits: none at M, one at M + 1.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .characters import (
     rank_table,
     solve_delta_characters,
     splitting_number,
-    upsilon,
 )
 from .crystal import (
     build_crystal,
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="residue characteristic")
     ap.add_argument("--e", type=int, default=1, help="ramification index")
     ap.add_argument("--prec", type=int, default=8,
-                    help="pi-adic working precision")
+                    help="pi-adic working precision (verify, witt)")
     ap.add_argument("--deg", type=int, help="series degree cap")
     ap.add_argument("--nmax", type=int, default=3,
                     help="maximal character order")
@@ -119,42 +119,40 @@ def _with_config(parser, params: dict, argv: list) -> dict:
         raise InvalidParameters(f"config {path!r}: {exc}") from exc
 
 
-def _curve(spec: BaseRingSpec, params, over_M: int = 0):
-    """The curve at max(--prec + 4, M + over_M) digits."""
-    D = params["deg"]
-    M = log_denominator_exponent(spec, D) + 1
-    prec = max(params["prec"] + 4, M + over_M)
+def _curve(spec: BaseRingSpec, params, prec: int):
+    """The curve of --a4 and --a6 at prec digits, to degree --deg."""
     a4, a6 = (spec.scalar(params[k], prec) for k in ("a4", "a6"))
-    return formal_group_from_weierstrass(spec, a4, a6, D)
+    return formal_group_from_weierstrass(spec, a4, a6, params["deg"])
 
 
 def cmd_verify(spec: BaseRingSpec, params) -> dict:
     suites = run_witt_suites(spec, params["seed"])
     if params["a4"] is not None:
-        suites.extend(run_character_suites(_curve(spec, params, 1)))
+        M = log_denominator_exponent(spec, params["deg"]) + 1
+        F = _curve(spec, params, max(params["prec"] + 4, M + 1))
+        suites.extend(run_character_suites(F))
     return {"command": "verify", "suites": suites,
             "status": summarize(suites)}
 
 
 def cmd_crystal(spec: BaseRingSpec, params) -> dict:
+    M = log_denominator_exponent(spec, params["deg"]) + 1
     if params["a4"] is not None:
-        F = _curve(spec, params)
+        F = _curve(spec, params, M)
         ap = trace_of_frobenius(spec, *F.curve)
         extra = {"curve": {"a4": params["a4"], "a6": params["a6"],
                            "trace_of_frobenius": ap,
                            "ordinary": ap % spec.p != 0}}
     else:
-        F = multiplicative_law(spec, params["deg"], params["prec"])
+        F = multiplicative_law(spec, params["deg"], M)
         extra = {"law": "multiplicative"}
     m = splitting_number(F)
     chars, _ = solve_delta_characters(F, m)
-    theta = chars[0]
-    lam, gamma = extract_lambda_gamma(theta)
+    lam, gamma = extract_lambda_gamma(chars[0])
     table = rank_table(F, params["nmax"])
     crys = build_crystal(spec, m, lam, gamma)
     hodge, newton = polygons(crys)
     cert = weak_admissibility(crys)
-    shadow = de_rham_shadow(crys, upsilon(theta))
     report = {
         "command": "crystal",
         "m": m,
@@ -165,7 +163,7 @@ def cmd_crystal(spec: BaseRingSpec, params) -> dict:
         "newton_polygon": [str(s) for s in newton],
         "weak_admissibility": cert,
         "ordp_normalization": "polygons in v/e units; slope test in pi units",
-        "de_rham": shadow,
+        "de_rham": de_rham_shadow(crys),
         "rank_table": table.to_json(),
         "status": "pass",
     }
@@ -211,9 +209,10 @@ def run(argv=None) -> int:
         params = vars(parser.parse_args(argv))
         if params["config"]:
             params = _with_config(parser, params, argv)
-        if params["prec"] < 0:
-            raise InvalidParameters(
-                f"prec must be >= 0, not {params['prec']}")
+        for key, least in (("prec", 0), ("deg", 1)):
+            if params[key] is not None and params[key] < least:
+                raise InvalidParameters(
+                    f"{key} must be >= {least}, not {params[key]}")
         spec = BaseRingSpec(p=params["p"], e=params["e"])
         if params["deg"] is None:
             params["deg"] = spec.p ** 2 + 2

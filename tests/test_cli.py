@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithjet import characters, cli, fgl
+from arithjet.characters import (
+    extract_lambda_gamma,
+    solve_delta_characters,
+    splitting_number,
+    upsilon,
+)
 from arithjet.cli import EXIT, run
 from arithjet.fgl import formal_group_from_weierstrass, log_denominator_exponent
-from arithjet.ring import BaseRingSpec
+from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.verify import run_character_suites
 
 
@@ -92,25 +98,13 @@ def test_main_reports_malformed_argv(monkeypatch, capsys):
     assert rep["command"] is None and rep["params"] is None
 
 
-@pytest.mark.parametrize("argv", [
-    "--cmd crystal --p 5 --deg 625 --prec 2",
-    "--cmd crystal --p 3 --deg 729 --prec 4",
-])
-def test_precision_exhausted_is_inconclusive(argv):
-    # the multiplicative law is built at --prec as given, so its log-ghost
-    # generators keep fewer digits than the lattice modulus
-    code, out, _ = _printed(argv.split())
-    rep = json.loads(out)
-    assert code == 2 and rep["status"] == "inconclusive"
-    assert "below modulus" in rep["error"]
-
-
 @pytest.mark.parametrize("argv, M", [
     ("--p 5 --deg 625 --prec 0", 5),
     ("--p 3 --deg 729 --prec 2", 7),
 ])
 def test_curve_is_built_with_the_lattice_modulus_digits(argv, M):
-    # --prec + 4 < M: the curve gets M digits, which the lattice needs
+    # --prec + 4 < M: the curve gets its M digits, which the lattice needs,
+    # from the degree cap alone
     code, out, _ = _printed(
         ["--cmd", "crystal", "--a4", "1", "--a6", "1"] + argv.split())
     rep = json.loads(out)
@@ -247,24 +241,26 @@ def test_exit_codes_mapping(tmp_path):
 
 
 # sha256 of the --out report; the values were computed before the curve
-# pipeline stopped expanding the bivariate law, and must not move
+# pipeline stopped expanding the bivariate law, and only
+# `de_rham.upsilon_theta_m` has moved since: it became -gamma/pi at M - 1
+# digits, read off the crystal
 PINNED_REPORTS = {
     "--cmd crystal --p 3 --a4 1 --a6 1 --deg 11":
-        "a89b0da97e39025ebd7250006b9e7db27aa1be5b491299d81ab2bd6a4fb67265",
+        "5506112d41febf51bd1f130d4e1ecdad625ae4a4ddfa4f639d252875a4209dbd",
     "--cmd crystal --p 3 --a4 1 --a6 2 --deg 27":
-        "41fe3767f0ec65df22853f0d810de7a7218fda8ae4f7cb48e665720a04d8f5ab",
+        "5c11459eb898f225fe02c4a3511776ee9424f1e1dbf7062dbc21ac63b45a5dc5",
     "--cmd crystal --p 5 --a4 1 --a6 1 --deg 27":
-        "b1ae7552fdf57dcbd6a18f3a632f34d23ea3a2e62c97902d72627883d5576a10",
+        "3a0651007577e609aa942344f973d3105865d41b6002edbbf91f08cfb7c523d7",
     "--cmd crystal --p 5 --a4 0 --a6 1 --deg 27":
-        "5e0573009bbe305b2e7ef4758831e834b5c5da4dd5eed18ba1727911e48c998f",
+        "57c84aa1243377e2409eca7ba0b1d1d169b6219c17355fc435e98fdf248aa31c",
     "--cmd crystal --p 5 --a4 2 --a6 0 --deg 27":
-        "4b3f47fa650e360ddf034557a97c5441007354eddf03b277c7cce81a1500d677",
+        "6121721c58eac88a81e26f3d24916a1433b74027272a70972806aa1593887e0a",
     "--cmd crystal --p 5 --e 2 --a4 1 --a6 1 --deg 27":
-        "fbafae8d5a0712285335eea60186192b7d417b6cc1283b15ff0143ddee6999eb",
+        "258b35d4f6f3a56042742b9a40207dcf879da6ce2d547f84ef912d495629634e",
     "--cmd crystal --p 7 --a4 1 --a6 1 --deg 51":
-        "66235b29ae7d1258a80d96e9bbed8128e9c12eacb1ae661c5488cfb3ca818105",
+        "c5f255b66345b09c39fe87089d7cb99c2d88336a1829301cc3b1e59f50abf164",
     "--cmd crystal --p 5 --deg 27":
-        "fe7dc91fc614eb2073aa2f319d76e8317bdbe7c6258af374d4c21beb6e4ad29f",
+        "752d276ba9ccae405454cf7ec5d9bc57a35a816f89695608e85191c38dbf92ab",
     "--cmd witt --p 5 --e 2 --nmax 2 --prec 6 --seed 3":
         "5bbf80cd9bf0b546e2f8afb57494fc2839b23c44cf5e606e585e80c9980e6b63",
 }
@@ -278,41 +274,44 @@ def test_report_bytes_pinned(tmp_path, args):
 
 
 # exit code and sha256 of the --out report; the values were computed before
-# the character modules were solved once per formal group law
+# the character modules were solved once per formal group law, and only
+# `de_rham.upsilon_theta_m` has moved since, in every passing crystal report
 PINNED_CODED_REPORTS = {
     "--cmd crystal --p 5 --a4 1 --a6 1 --deg 27 --nmax 1": (
         2, "be0da0866b7e8eb2c249ac6c267e13328eab0a19cd82146ee1a14c12e0a5a897"),
     "--cmd crystal --p 5 --a4 1 --a6 1 --deg 27 --nmax 2": (
-        0, "f2d8270e3fe1b1e1db91ffad9561048a22f244dea7328c3f3580c9a63561735f"),
+        0, "3aab85b2336e99d20a3854c508d0ca85b5e89c985de8a3cab1db865658d4be69"),
     "--cmd crystal --p 5 --a4 1 --a6 1 --deg 27 --nmax 4": (
         2, "5c7c9637106a7c5ee14ed661e9dcaf6f6dbaf802cb1ff278828a63e61d727606"),
     "--cmd crystal --p 3 --deg 27 --nmax 2": (
-        0, "24162a8e0c26905fe9b29e7c9c2cd14d8956b318b74c92ba61e36c0831655e6e"),
+        0, "d35f13e7054a0d1d82a6d08d3611b4b5052edcb4071be73e64c691bfe3e1bacd"),
     "--cmd crystal --p 3 --a4 1 --a6 1 --prec 4": (
-        0, "a005aa1f7f6076bb169d14c5054844e1367d5c0589f13f4479431f71cb89c62e"),
+        0, "8b0a7146a5ee3cb6a6ecabb82cddfde6ac97240517b70ea06da81ff4bc88c407"),
     "--cmd verify --p 3 --a4 1 --a6 1 --deg 11": (
         0, "f1c861561b38143534d001a01310f80ed3de0773e27ca6624d5b755080acd40a"),
 }
 
 # exit code and sha256 at high degree caps; the values were computed while
-# w(t) was still found by fixed-point iteration (53 s at D = 625)
+# w(t) was still found by fixed-point iteration (53 s at D = 625); only
+# `de_rham.upsilon_theta_m` has moved since, as above
 PINNED_CODED_REPORTS.update({
     "--cmd crystal --p 5 --a4 1 --a6 1 --deg 625": (
-        0, "03430617cda1403854477432ce7d72ccd70158f66809af03a041afc475b50e69"),
+        0, "d61eda37f80bb0703f36233a3f0a35f35b14a110c014bb2eb4e6711629de2c74"),
     "--cmd crystal --p 3 --a4 1 --a6 1 --deg 243": (
-        0, "49425332fdc89364e867a6409964aa9541af01d7819d6e051d8d42ee4f1d3543"),
+        0, "a765fb40e771fcef6a7802646b4a523a9d2f8f6a8a2bfd6c22f73140a6b60b24"),
 })
 
 # exit code and sha256 of a high-D run and of ramified runs above D = 27;
 # the values were computed once (lambda, gamma) were read off the solved
-# lattice vector at the full lattice precision M
+# lattice vector at the full lattice precision M; only
+# `de_rham.upsilon_theta_m` has moved since, as above
 PINNED_CODED_REPORTS.update({
     "--cmd crystal --a4 1 --a6 1 --p 5 --deg 3125": (
-        0, "f714b567b0353fafb556c510c14f3b859975d6e2a8333d8446cc0ea8d5de1591"),
+        0, "60e3864bce9a3687b8a9b409a6a51e86625d6fa32fe2c2970209a2b20ea0c63e"),
     "--cmd crystal --p 5 --e 2 --a4 0 --a6 1 --deg 130": (
-        0, "e23760ce5d11ae32281a3d2dbe44b006f3da5680e4808025daa6273d5c1e7484"),
+        0, "8cccdd767a015be843ed99b43b3182c35586d378361c127b0c8e04cf8954d839"),
     "--cmd crystal --p 7 --e 3 --a4 1 --a6 1 --deg 51": (
-        0, "e6c5422b9701f78d4ffc76524bc971ba273d7b700749eaee711bf246503268e0"),
+        0, "3fd9df47052a4c43fe5aec8077c792478d76d0d4c0a609c18d91f59f342dbd90"),
 })
 
 
@@ -374,13 +373,13 @@ def test_crystal_computes_the_unit_root_once(tmp_path, monkeypatch, argv,
     "--p 5 --e 2 --a4 1 --a6 1 --deg 27",
     "--p 3 --deg 11",
 ])
-def test_crystal_builds_one_combined_series(tmp_path, monkeypatch, argv):
-    # lambda, gamma and the rank table read the solved vectors; only
-    # Upsilon(theta_m) reads a series, that of theta_m
+def test_crystal_builds_no_combined_series(tmp_path, monkeypatch, argv):
+    # lambda, gamma and the rank table read the solved vectors, and
+    # Upsilon(theta_m) = -gamma/pi is read off the crystal
     built = _count_calls(monkeypatch, characters, "_combined_series")
     code, rep = _run(tmp_path, ["--cmd", "crystal"] + argv.split())
     assert code == 0
-    assert len(built) == 1
+    assert built == []
 
 
 def test_crystal_on_curve_never_builds_law(tmp_path, monkeypatch):
@@ -503,20 +502,59 @@ def test_verify_psi_tower_needs_degree_q_squared(tmp_path, deg, want):
     "--cmd crystal --p 5 --a4 1 --a6 1 --deg 625 --prec 1",
     "--cmd crystal --p 5 --deg 27 --prec 3",
 ])
-def test_upsilon_of_a_digitless_theta_has_no_digit(tmp_path, argv):
-    # theta_m = pi^(-s) * 0 with a numerator known mod pi^s: Upsilon is
-    # known mod pi^0, though lambda and gamma carry all M digits
-    code, rep = _run(tmp_path, argv.split())
-    assert code == 0 and rep["status"] == "pass"
-    assert rep["de_rham"]["upsilon_theta_m"]["prec"] == 0
-    assert rep["gamma"]["prec"] > 0
+def test_upsilon_of_a_digitless_theta_has_no_digit(argv):
+    # the law each argv's crystal run builds, at exactly M digits: theta_m
+    # = pi^(-s) * 0 with a numerator known mod pi^s, so `upsilon` of its
+    # series is known mod pi^0, though gamma carries all M digits
+    params = vars(cli.build_parser().parse_args(argv.split()))
+    spec = BaseRingSpec(params["p"], params["e"])
+    M = log_denominator_exponent(spec, params["deg"]) + 1
+    if params["a4"] is None:
+        F = fgl.multiplicative_law(spec, params["deg"], M)
+    else:
+        F = cli._curve(spec, params, M)
+    theta = solve_delta_characters(F, splitting_number(F))[0][0]
+    assert upsilon(theta).prec == 0
+    assert extract_lambda_gamma(theta)[1].prec == M
 
 
-def test_digitless_multiplicative_law_is_inconclusive(tmp_path):
-    code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "3", "--deg", "11",
-                                "--prec", "0"])
-    assert code == 2 and rep["status"] == "inconclusive"
-    assert "precision >= 1" in rep["error"]
+@pytest.mark.parametrize("argv", [
+    "--p 3 --deg 27",
+    "--p 3 --a4 1 --a6 1 --deg 27",
+    "--p 5 --a4 1 --a6 1 --deg 27",
+    "--p 5 --e 2 --a4 1 --a6 1 --deg 27",
+])
+def test_upsilon_is_minus_gamma_over_pi(tmp_path, argv):
+    # Upsilon of the normalized theta_m, whatever d_m the Howell form
+    # gave (d_1 = -1 for the multiplicative law at p = 3)
+    code, rep = _run(tmp_path, ["--cmd", "crystal"] + argv.split())
+    assert code == 0
+    spec = BaseRingSpec(rep["params"]["p"], rep["params"]["e"])
+    P = rep["gamma"]["prec"] - 1
+    ups, gop = (PadicScalar(spec, x["digits"], x["prec"]) for x in
+                (rep["de_rham"]["upsilon_theta_m"],
+                 rep["de_rham"]["gamma_over_pi"]))
+    assert ups.prec == gop.prec == P
+    assert ups == -gop
+
+
+@pytest.mark.parametrize("argv", [
+    "--p 5 --a4 1 --a6 1 --deg 27",        # ordinary, M = 3
+    "--p 5 --a4 0 --a6 1 --deg 27",        # supersingular, M = 3
+    "--p 5 --e 2 --a4 1 --a6 1 --deg 27",  # e = 2, M = 5
+    "--p 5 --deg 27",                      # multiplicative law, M = 3
+])
+def test_crystal_report_ignores_prec(argv):
+    # the curve, or the law, is built at exactly M digits: the report is a
+    # function of (p, e, D, curve, --nmax) alone
+    texts = set()
+    for prec in ("0", "1", "3", "8", "12"):
+        code, out, _ = _printed(["--cmd", "crystal", "--prec", prec]
+                                + argv.split())
+        rep = json.loads(out)
+        assert code == 0 and rep.pop("params")["prec"] == int(prec)
+        texts.add(json.dumps(rep, sort_keys=True))
+    assert len(texts) == 1
 
 
 # exit code and sha256 of verify reports on one curve at --prec 0, 2 and
@@ -590,6 +628,17 @@ def test_verify_psi_tower_with_fewer_digits_than_its_order(tmp_path, argv):
     assert code == 0 and rep["status"] == "pass"
     assert len(rep["suites"]) == 8
     assert all(s["status"] == "pass" for s in rep["suites"])
+
+
+@pytest.mark.parametrize("cmd", ["crystal", "verify"])
+@pytest.mark.parametrize("curve", ["", "--a4 1 --a6 1"])
+@pytest.mark.parametrize("deg", ["0", "-3"])
+def test_degree_cap_below_one_fails(tmp_path, cmd, curve, deg):
+    # a cap below 1 used to reach the engine and raise the red alert
+    code, rep = _run(tmp_path, ["--cmd", cmd, "--p", "5", "--deg", deg]
+                     + curve.split())
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["error"] == f"InvalidParameters: deg must be >= 1, not {deg}"
 
 
 @pytest.mark.parametrize("cmd", ["witt", "verify", "crystal"])

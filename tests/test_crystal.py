@@ -134,9 +134,13 @@ def test_weak_admissibility_ramified():
 
 def test_de_rham_shadow():
     c = crys(2, -3, 5)
-    rep = de_rham_shadow(c, SPEC.scalar(-1, 4))
+    rep = de_rham_shadow(c)
     assert rep["phi_injective"] is True
-    assert rep["gamma_over_pi"]["digits"] == [1]
+    # Upsilon of the normalized theta_m is -gamma/pi, at one digit fewer
+    assert rep["gamma_over_pi"] == {"digits": [1], "prec": 3,
+                                    "pi_power_basis": 1}
+    assert rep["upsilon_theta_m"] == {"digits": [124], "prec": 3,
+                                      "pi_power_basis": 1}
     assert rep["rows"] == {"X_prim_rank": 1, "H_rank": 2, "I_rank": 1}
 
 
