@@ -8,11 +8,18 @@ Digit vectors are multiplied, shifted, divided by pi and valued here only
 precision is explicit (there is no default), carried per element, and
 only ever decreases, except under multiplication by pi^k.
 
+The modulus of each digit at a precision comes from the spec's modulus
+table (`BaseRingSpec.moduli`), built per precision on first use, so
+reducing a digit is one `%` with no exponentiation; at e = 1 an element
+is one int under one modulus p^prec.
+
 The residue field is F_p, so q = p and the Frobenius lift phi is the
 identity (x == x^q mod pi); the pi-derivation is delta(x) = (phi(x) - x^q)/pi.
 """
 
 from __future__ import annotations
+
+from operator import mod
 
 from .errors import IncompatibleSpec, NotDivisible, PrecisionExhausted
 
@@ -120,6 +127,7 @@ class BaseRingSpec:
         self.p = p
         self.e = e
         self.q = p
+        self._moduli = {}  # prec -> moduli(prec), filled on first use
 
     def __eq__(self, other):
         return (isinstance(other, BaseRingSpec)
@@ -133,17 +141,26 @@ class BaseRingSpec:
 
     # -- element constructors -------------------------------------------------
 
+    def moduli(self, prec: int) -> tuple:
+        """The modulus p^ceil((prec - i)/e) of each digit i of an element
+        known modulo pi^prec (p^prec alone at e = 1), from the table."""
+        mods = self._moduli.get(prec)
+        if mods is None:
+            mods = self._moduli[prec] = tuple(
+                self.p ** max(0, -(-(prec - i) // self.e))
+                for i in range(self.e))
+        return mods
+
     def digit_modulus(self, i: int, prec: int) -> int:
         """Modulus p^m for digit i of an element known modulo pi^prec."""
-        m = max(0, -(-(prec - i) // self.e))  # ceil((prec - i) / e)
-        return self.p ** m
+        return self.moduli(prec)[i]
 
     def reduce_digits(self, digits, prec: int) -> tuple:
         """Canonically reduce a raw digit vector modulo pi^prec."""
+        mods = self.moduli(prec)
         if self.e == 1:
-            return (digits[0] % self.p ** max(0, prec),)
-        return tuple(d % self.digit_modulus(i, prec)
-                     for i, d in enumerate(digits))
+            return (digits[0] % mods[0],)
+        return tuple(map(mod, digits, mods))
 
     def scalar(self, n: int, prec: int) -> "PadicScalar":
         """The image of the integer n, modulo pi^prec."""
@@ -250,7 +267,8 @@ class PadicScalar:
         p = self.spec.p
         if self.spec.e == 1:
             return PadicScalar(
-                self.spec, (pow(self.digits[0], -1, p ** self.prec),),
+                self.spec,
+                (pow(self.digits[0], -1, self.spec.moduli(self.prec)[0]),),
                 self.prec)
         x = self.spec.scalar(pow(self.digits[0] % p, -1, p), self.prec)
         two = self.spec.scalar(2, self.prec)

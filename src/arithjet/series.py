@@ -21,7 +21,12 @@ each image that its monomials use, sums raw digit products and reduces
 once.  Truncated sums and products are exact in R[x]/(pi^N, degree >
 cap), so neither path changes a result.
 The digit arithmetic itself (products, pi-shifts, valuations, reduction)
-is that of `ring`.
+is that of `ring`, and so are the moduli: an operation fetches its
+precision's moduli once from the spec's table (`BaseRingSpec.moduli`).
+At e = 1 a stored coefficient is still a 1-tuple, but the loops over
+coefficients work on its bare int and reduce by the one modulus p^N: the
+reducing constructor, `+`, negation, `int_mul`, `scalar_mul`, the
+`substitute` accumulator and both products.
 """
 
 from __future__ import annotations
@@ -48,17 +53,25 @@ def _raw_add(a, b):
     return [x + y for x, y in zip(a, b)]
 
 
-def _pack(coeffs: dict, lo: int, hi: int, e: int, width: int) -> list:
-    """Per pi-digit i, the degree lo..hi coefficients of a one-variable
-    series as one int, `width` bytes per degree (Kronecker substitution)."""
-    zero = bytes(width)
-    rows = [[zero] * (hi - lo + 1) for _ in range(e)]
+def _pack(coeffs: dict, i: int, lo: int, hi: int, width: int) -> int:
+    """Digit i of the degree lo..hi coefficients of a one-variable series
+    as one int, `width` bytes per degree (Kronecker substitution)."""
+    row = [bytes(width)] * (hi - lo + 1)
     for (k,), d in coeffs.items():
-        if k <= hi:
-            for i, x in enumerate(d):
-                if x:
-                    rows[i][k - lo] = x.to_bytes(width, "little")
-    return [int.from_bytes(b"".join(r), "little") for r in rows]
+        if k <= hi and d[i]:
+            row[k - lo] = d[i].to_bytes(width, "little")
+    return int.from_bytes(b"".join(row), "little")
+
+
+def _reduce_ints(ints: dict, modulus: int, cap: int | None = None) -> dict:
+    """Canonical e = 1 coefficients of bare-int sums {monomial: int}: each
+    reduced by the one modulus, zeros and terms above `cap` dropped."""
+    out = {}
+    for m, x in ints.items():
+        x %= modulus
+        if x and (cap is None or sum(m) <= cap):
+            out[m] = (x,)
+    return out
 
 
 def _kronecker_mul(spec: BaseRingSpec, a: dict, b: dict, cap: int | None,
@@ -69,22 +82,24 @@ def _kronecker_mul(spec: BaseRingSpec, a: dict, b: dict, cap: int | None,
     Each pi-digit's coefficients are packed into one int, with room for
     every sum the convolution forms, so the builtin (Karatsuba) product of
     two packed ints is the convolution.  Digit pair (i, j) lands in slot
-    i + j, times p when i + j >= e (pi^e = p).
+    i + j, times p when i + j >= e (pi^e = p).  The product is cut into
+    coefficients by one `to_bytes` and one slice each, linear in its size.
     """
     e, p = spec.e, spec.p
-    lo_a, lo_b = min(k for (k,) in a), min(k for (k,) in b)
-    hi_a, hi_b = max(k for (k,) in a), max(k for (k,) in b)
+    (lo_a,), (lo_b,) = min(a), min(b)
+    (hi_a,), (hi_b,) = max(a), max(b)
     if cap is not None:
         hi_a, hi_b = min(hi_a, cap - lo_b), min(hi_b, cap - lo_a)
         if hi_a < lo_a or hi_b < lo_b:
             return {}
-    bound = (min(hi_a - lo_a, hi_b - lo_b) + 1) \
-        * max(max(d) for d in a.values()) * max(max(d) for d in b.values())
-    if e > 1:
-        bound *= e * p
+    bound = min(hi_a - lo_a, hi_b - lo_b) + 1
+    if e == 1:  # 1-tuples compare as their digits
+        bound *= max(a.values())[0] * max(b.values())[0]
+    else:
+        bound *= max(map(max, a.values())) * max(map(max, b.values())) * e * p
     width = (bound.bit_length() + 7) // 8
-    A = _pack(a, lo_a, hi_a, e, width)
-    B = _pack(b, lo_b, hi_b, e, width)
+    A = [_pack(a, i, lo_a, hi_a, width) for i in range(e)]
+    B = [_pack(b, i, lo_b, hi_b, width) for i in range(e)]
     low, high = [0] * e, [0] * e
     for i, x in enumerate(A):
         if x:
@@ -95,19 +110,25 @@ def _kronecker_mul(spec: BaseRingSpec, a: dict, b: dict, cap: int | None,
                     else:
                         high[i + j - e] += x * y
     top = hi_a + hi_b if cap is None else min(cap, hi_a + hi_b)
-    n = top - lo_a - lo_b + 1
+    lo = lo_a + lo_b
+    n = top - lo + 1
     size = (hi_a - lo_a + hi_b - lo_b + 1) * width
-    slots = []
-    for s in range(e):
-        raw = (low[s] + p * high[s]).to_bytes(size, "little")
-        slots.append([int.from_bytes(raw[k * width:(k + 1) * width], "little")
-                      for k in range(n)])
+    raws = [(low[s] + p * high[s]).to_bytes(size, "little") for s in range(e)]
+    mods = spec.moduli(prec)
     out = {}
-    mods = [spec.digit_modulus(i, prec) for i in range(e)]
+    if e == 1:
+        raw, modulus, from_bytes = raws[0], mods[0], int.from_bytes
+        for k in range(n):
+            x = from_bytes(raw[k * width:(k + 1) * width], "little") % modulus
+            if x:
+                out[(k + lo,)] = (x,)
+        return out
+    slots = [[int.from_bytes(raw[k * width:(k + 1) * width], "little")
+              for k in range(n)] for raw in raws]
     for k in range(n):
         d = tuple(col[k] % m for col, m in zip(slots, mods))
         if any(d):
-            out[(k + lo_a + lo_b,)] = d
+            out[(k + lo,)] = d
     return out
 
 
@@ -155,7 +176,7 @@ def _packed_mul(spec: BaseRingSpec, a: dict, b: dict, cap: int | None,
                 prod = digit_product(spec, d1, d2)
                 cur = get(k)
                 out[k] = _raw_add(cur, prod) if cur is not None else prod
-    modulus = spec.p ** max(0, prec)
+    modulus = spec.moduli(prec)[0]
     result = {}
     for k, d in out.items():
         r = (d % modulus,) if unramified else spec.reduce_digits(d, prec)
@@ -196,6 +217,10 @@ class TruncSeries:
         self.prec = prec
         if _canonical:
             self.coeffs = coeffs
+            return
+        if spec.e == 1:
+            self.coeffs = _reduce_ints({m: d[0] for m, d in coeffs.items()},
+                                       spec.moduli(prec)[0], cap)
             return
         clean = {}
         for m, d in coeffs.items():
@@ -278,8 +303,10 @@ class TruncSeries:
         """
         if cap is None and self.cap is not None:
             raise IncompatibleSpec("cannot remove a truncation cap")
-        coeffs = {m: d for m, d in self.coeffs.items()
-                  if cap is None or sum(m) <= cap}
+        if cap is None or (self.cap is not None and cap >= self.cap):
+            coeffs = self.coeffs  # no term to drop; coeffs are never mutated
+        else:
+            coeffs = {m: d for m, d in self.coeffs.items() if sum(m) <= cap}
         return TruncSeries(self.spec, self.vars, coeffs, cap, self.prec,
                            _canonical=True)
 
@@ -298,9 +325,22 @@ class TruncSeries:
 
     # -- ring operations ------------------------------------------------------
 
+    def _from_ints(self, ints: dict, prec: int) -> "TruncSeries":
+        """The e = 1 series in self's context whose coefficients are the
+        bare-int sums `ints` of terms within the cap, at prec."""
+        return TruncSeries(self.spec, self.vars,
+                           _reduce_ints(ints, self.spec.moduli(prec)[0]),
+                           self.cap, prec, _canonical=True)
+
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
         prec = min(self.prec, other.prec)
+        if self.spec.e == 1:
+            out = {m: d[0] for m, d in self.coeffs.items()}
+            get = out.get
+            for m, d in other.coeffs.items():
+                out[m] = get(m, 0) + d[0]
+            return self._from_ints(out, prec)
         out = dict(self.coeffs)
         for m, d in other.coeffs.items():
             cur = out.get(m)
@@ -308,6 +348,11 @@ class TruncSeries:
         return TruncSeries(self.spec, self.vars, out, self.cap, prec)
 
     def __neg__(self) -> "TruncSeries":
+        if self.spec.e == 1:  # canonical digits x in (0, p^prec)
+            modulus = self.spec.moduli(self.prec)[0]
+            out = {m: (modulus - d[0],) for m, d in self.coeffs.items()}
+            return TruncSeries(self.spec, self.vars, out, self.cap, self.prec,
+                               _canonical=True)
         out = {m: [-x for x in d] for m, d in self.coeffs.items()}
         return TruncSeries(self.spec, self.vars, out, self.cap, self.prec)
 
@@ -330,11 +375,18 @@ class TruncSeries:
 
     def scalar_mul(self, c: PadicScalar) -> "TruncSeries":
         prec = min(self.prec, c.prec)
+        if self.spec.e == 1:
+            x = c.digits[0]
+            return self._from_ints(
+                {m: x * d[0] for m, d in self.coeffs.items()}, prec)
         out = {m: digit_product(self.spec, d, c.digits)
                for m, d in self.coeffs.items()}
         return TruncSeries(self.spec, self.vars, out, self.cap, prec)
 
     def int_mul(self, n: int) -> "TruncSeries":
+        if self.spec.e == 1:
+            return self._from_ints(
+                {m: n * d[0] for m, d in self.coeffs.items()}, self.prec)
         out = {m: [n * x for x in d] for m, d in self.coeffs.items()}
         return TruncSeries(self.spec, self.vars, out, self.cap, self.prec)
 
@@ -418,7 +470,7 @@ class TruncSeries:
         one = TruncSeries.const(ctx.spec, ctx.vars, ctx.spec.one(prec), cap,
                                 prec)
         # build only the powers of each image that a monomial uses; sum raw
-        # digit products, reduce once
+        # digit products (bare ints at e = 1), reduce once
         powers = {}
         for i, v in enumerate(self.vars):
             used = {m[i] for m in self.coeffs} - {0}
@@ -429,7 +481,9 @@ class TruncSeries:
                 for n in sorted(used):
                     _power(known, n)
                 powers[v] = known
+        unramified = ctx.spec.e == 1
         out: dict = {}
+        get = out.get
         for m, d in self.coeffs.items():
             term = one
             for v, expo in zip(self.vars, m):
@@ -437,10 +491,20 @@ class TruncSeries:
                     continue
                 piece = powers[v][expo]
                 term = piece if term is one else term * piece
-            for mm, dd in term.coeffs.items():
-                prod = digit_product(ctx.spec, d, dd)
-                cur = out.get(mm)
-                out[mm] = _raw_add(cur, prod) if cur is not None else prod
+            if unramified:
+                x = d[0]
+                for mm, dd in term.coeffs.items():
+                    out[mm] = get(mm, 0) + x * dd[0]
+            else:
+                for mm, dd in term.coeffs.items():
+                    prod = digit_product(ctx.spec, d, dd)
+                    cur = get(mm)
+                    out[mm] = _raw_add(cur, prod) if cur is not None else prod
+        if unramified:
+            return TruncSeries(
+                ctx.spec, ctx.vars,
+                _reduce_ints(out, ctx.spec.moduli(prec)[0], cap), cap, prec,
+                _canonical=True)
         return TruncSeries(ctx.spec, ctx.vars, out, cap, prec)
 
     def evaluate(self, values: dict) -> PadicScalar:

@@ -12,6 +12,7 @@ import random
 
 from .characters import (
     Character,
+    extract_lambda_gamma,
     frobenius_pullback,
     i_star,
     lateral_pullback,
@@ -184,7 +185,11 @@ def _theta_2(F: FormalGroupLaw) -> Character:
 
 
 def suite_gamma_identity(F: FormalGroupLaw) -> dict:
-    """(i o frak-f)* - (phi o i)* applied to Theta_2 lands in pi R<x1>."""
+    """(i o frak-f)* - (phi o i)* applied to Theta_2 lands in pi R<x1>.
+
+    The identity is checked on the solved, unnormalized Theta_2; the
+    details report gamma = d_0 / d_2 of `extract_lambda_gamma`, as
+    `crystal` does, or why it is undetermined when d_2 is not a unit."""
     anchor = "i* phi* Theta_2 - frak-f* i* Theta_2 = gamma Psi_1"
     try:
         theta = _theta_2(F)
@@ -205,8 +210,11 @@ def suite_gamma_identity(F: FormalGroupLaw) -> dict:
                            "difference != gamma Psi_1")
     except Inconclusive as exc:
         return _inconclusive("gamma_identity", anchor, str(exc))
-    return _report("gamma_identity", anchor, True,
-                   f"gamma = pi * {(-upsilon(theta)).digits}")
+    try:
+        details = f"gamma = {extract_lambda_gamma(theta)[1]!r}"
+    except Inconclusive as exc:  # d_2 is not a unit
+        details = f"gamma undetermined: {exc}"
+    return _report("gamma_identity", anchor, True, details)
 
 
 def suite_upsilon_vanishing(F: FormalGroupLaw) -> dict:

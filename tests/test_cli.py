@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithjet import characters, cli, fgl
+from arithjet import characters, cli, fgl, verify
 from arithjet.characters import (
     extract_lambda_gamma,
     solve_delta_characters,
@@ -15,6 +15,7 @@ from arithjet.characters import (
     upsilon,
 )
 from arithjet.cli import EXIT, run
+from arithjet.errors import Inconclusive
 from arithjet.fgl import formal_group_from_weierstrass, log_denominator_exponent
 from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.verify import run_character_suites
@@ -275,7 +276,9 @@ def test_report_bytes_pinned(tmp_path, args):
 
 # exit code and sha256 of the --out report; the values were computed before
 # the character modules were solved once per formal group law, and only
-# `de_rham.upsilon_theta_m` has moved since, in every passing crystal report
+# `de_rham.upsilon_theta_m` has moved since, in every passing crystal report,
+# and the verify report's `gamma_identity` details, which now give gamma as
+# `crystal` does
 PINNED_CODED_REPORTS = {
     "--cmd crystal --p 5 --a4 1 --a6 1 --deg 27 --nmax 1": (
         2, "be0da0866b7e8eb2c249ac6c267e13328eab0a19cd82146ee1a14c12e0a5a897"),
@@ -288,7 +291,7 @@ PINNED_CODED_REPORTS = {
     "--cmd crystal --p 3 --a4 1 --a6 1 --prec 4": (
         0, "8b0a7146a5ee3cb6a6ecabb82cddfde6ac97240517b70ea06da81ff4bc88c407"),
     "--cmd verify --p 3 --a4 1 --a6 1 --deg 11": (
-        0, "f1c861561b38143534d001a01310f80ed3de0773e27ca6624d5b755080acd40a"),
+        0, "f3e7fc52d1f8ee1f6ed7702dbd015135d2ab4bfed97794b8023e7bc51f3c12fa"),
 }
 
 # exit code and sha256 at high degree caps; the values were computed while
@@ -563,13 +566,15 @@ def test_crystal_report_ignores_prec(argv):
 # is M = 4 and verify builds the curve at M + 1 = 5 digits, so Psi_i and
 # Theta_2 carry one digit and every suite passes; the curve at M digits
 # left them none (`test_character_suites_at_the_modulus_are_inconclusive`).
+# The `gamma_identity` details have moved since: they give gamma as `crystal`
+# does (`test_verify_and_crystal_agree_on_gamma`).
 VERIFY_PRECISIONS = {
     "--prec 0": (
-        0, "245b3357931cec1f1c4fe9739767dd56c51897a67d3501acbc56191e5d59f90a"),
+        0, "a696a659cc0ae29199243a40738d3aae4363a784f4b5e61d34f8f7be458b3220"),
     "--prec 2": (
-        0, "a6df713a51557ecd06ebb4688d7c6bfb3a11f69ed147b372f2b8c8bf67475f11"),
+        0, "8796c8151aa613da77e202e21e3e71059cbd7cf0f98a2d1eef3702cc94d96a32"),
     "": (
-        0, "45d8dc629a0c14b32a57f49829143505f040d3c1907cd0f2fc35b0d91993fc4a"),
+        0, "5e5fe8a115f6ddb419db525d816c247d2d1a5c40b5f4d00a731625d9d5458b1b"),
 }
 
 
@@ -584,6 +589,42 @@ def test_verify_character_suites_need_a_digit(tmp_path, prec):
     digest = hashlib.sha256(
         (tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == want_digest
+
+
+@pytest.mark.parametrize("argv", [
+    "--p 3 --a4 1 --a6 1 --deg 27",
+    "--p 3 --a4 1 --a6 1 --deg 11",
+    "--p 5 --e 2 --a4 1 --a6 1 --deg 27 --prec 2",
+])
+def test_verify_and_crystal_agree_on_gamma(tmp_path, argv):
+    # verify's gamma_identity details give gamma = d_0 / d_2 with its
+    # precision, the (digits, prec) that crystal reports
+    code, rep = _run(tmp_path, ["--cmd", "crystal"] + argv.split())
+    assert code == 0
+    gamma = PadicScalar(BaseRingSpec(rep["params"]["p"], rep["params"]["e"]),
+                        rep["gamma"]["digits"], rep["gamma"]["prec"])
+    code, rep = _run(tmp_path, ["--cmd", "verify"] + argv.split())
+    assert code == 0
+    [suite] = [s for s in rep["suites"] if s["name"] == "gamma_identity"]
+    assert suite["status"] == "pass"
+    assert suite["details"] == f"gamma = {gamma!r}"
+
+
+def test_gamma_identity_passes_when_gamma_is_undetermined(tmp_path,
+                                                          monkeypatch):
+    # no curve at hand has a Theta_2 whose d_2 is not a unit: the identity
+    # is checked all the same, and the details say why gamma is not given
+    def no_unit(theta):
+        raise Inconclusive("top Psi coefficient is not a unit at precision")
+
+    monkeypatch.setattr(verify, "extract_lambda_gamma", no_unit)
+    code, rep = _run(tmp_path, ["--cmd", "verify", "--p", "3", "--a4", "1",
+                                "--a6", "1", "--deg", "27"])
+    assert code == 0
+    [suite] = [s for s in rep["suites"] if s["name"] == "gamma_identity"]
+    assert suite["status"] == "pass"
+    assert suite["details"] == ("gamma undetermined: top Psi coefficient "
+                                "is not a unit at precision")
 
 
 @pytest.mark.parametrize("p, e", [(3, 1), (5, 2)])

@@ -205,6 +205,10 @@ def test_kronecker_product_matches_generic(spec):
             assert product.extend_vars(two).coeffs == generic.coeffs
 
 
+def _nonzero_digits(scalars: dict) -> dict:
+    return {m: c.digits for m, c in scalars.items() if not c.is_zero()}
+
+
 def reference_product(f, g):
     """f * g as a sum of PadicScalar products over monomial pairs, each
     pair of total degree above the cap dropped: {monomial: digits}."""
@@ -217,7 +221,49 @@ def reference_product(f, g):
                 continue
             term = f.coeff(m1) * g.coeff(m2)
             acc[m] = acc[m] + term if m in acc else term
-    return {m: c.digits for m, c in acc.items() if not c.is_zero()}
+    return _nonzero_digits(acc)
+
+
+def reference_sum(f, g, sign):
+    """f + sign * g monomial by monomial in PadicScalar, a missing term
+    being 0 at its series' precision: {monomial: digits}."""
+    return _nonzero_digits({
+        m: f.coeff(m) + (g.coeff(m) if sign > 0 else -g.coeff(m))
+        for m in set(f.coeffs) | set(g.coeffs)})
+
+
+def reference_termwise(f, op):
+    """op applied to each PadicScalar coefficient of f: {monomial: digits}."""
+    return _nonzero_digits({m: op(f.coeff(m)) for m in f.coeffs})
+
+
+def check_linear_ops(rng, spec, f, g, raw):
+    """+, -, negation, int_mul, scalar_mul, with_cap and the reducing
+    constructor against the termwise PadicScalar computation; `raw` holds
+    the raw digits f was built from."""
+    cap, prec = f.cap, min(f.prec, g.prec)
+    assert f.coeffs == _nonzero_digits(
+        {m: PadicScalar(spec, d, f.prec) for m, d in raw.items()
+         if cap is None or sum(m) <= cap})
+    for result, want in [(f + g, reference_sum(f, g, 1)),
+                         (f - g, reference_sum(f, g, -1))]:
+        assert (result.cap, result.prec) == (cap, prec)
+        assert result.coeffs == want
+    assert (-f).coeffs == reference_termwise(f, lambda c: -c)
+    for n in [0, 1, -1, spec.p, -7 * spec.p ** 2 + 2, 10 ** 12 + 1]:
+        assert f.int_mul(n).coeffs \
+            == reference_termwise(f, lambda c: c.scale_int(n))
+    span = spec.p ** 8
+    c = PadicScalar(spec, [rng.randint(-span, span) for _ in range(spec.e)],
+                    rng.randint(0, 7))
+    scaled = f.scalar_mul(c)
+    assert scaled.prec == min(f.prec, c.prec)
+    assert scaled.coeffs == reference_termwise(f, lambda x: x * c)
+    for new_cap in {cap, 0, 1, 13} | ({None} if cap is None else set()):
+        cut = f.with_cap(new_cap)
+        assert (cut.cap, cut.prec) == (new_cap, f.prec)
+        assert cut.coeffs == {m: d for m, d in f.coeffs.items()
+                              if new_cap is None or sum(m) <= new_cap}
 
 
 def _random_monomial(rng, nvars, degree):
@@ -228,9 +274,10 @@ def _random_monomial(rng, nvars, degree):
     return tuple(m)
 
 
-def _random_series(rng, spec, nvars, cap, prec):
-    """Empty, single-term, sparse, dense (one variable) or with a term that
-    reaches the cap in one variable, with digits of any sign."""
+def _random_raw(rng, spec, nvars, cap, prec):
+    """Raw digits {monomial: digits} for an empty, single-term, sparse,
+    dense (one variable) series or one with a term that reaches the cap in
+    one variable, with digits of any sign."""
     shape = rng.choice(["empty", "single", "sparse", "dense", "edge"])
     top = 8 if cap is None else cap
     if shape == "empty":
@@ -247,23 +294,31 @@ def _random_series(rng, spec, nvars, cap, prec):
             monomials.append(tuple(top if j == i else 0
                                    for j in range(nvars)))
     span = spec.p ** (prec + 1)
-    coeffs = {m: [rng.randint(-span, span) for _ in range(spec.e)]
-              for m in monomials}
-    return TruncSeries(spec, tuple(f"x{i}" for i in range(nvars)), coeffs,
-                       cap, prec)
+    return {m: [rng.randint(-span, span) for _ in range(spec.e)]
+            for m in monomials}
+
+
+def _random_series(rng, spec, nvars, cap, prec):
+    return TruncSeries(spec, tuple(f"x{i}" for i in range(nvars)),
+                       _random_raw(rng, spec, nvars, cap, prec), cap, prec)
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 @pytest.mark.parametrize("spec", KRONECKER_SPECS, ids=repr)
 def test_product_matches_reference(spec, nvars):
-    # the Kronecker (one variable) and packed (two or more) products
-    # against the termwise sum, over caps, unequal precisions and
-    # exponents at the edge of the packing base
+    # the Kronecker (one variable) and packed (two or more) products, and
+    # the linear ops, against the termwise sum, over caps, unequal
+    # precisions (0 among them) and exponents at the edge of the packing
+    # base
     rng = random.Random(spec.p * 100 + spec.e * 10 + nvars)
     for cap in [None, 0, 1, 2, 5, 13]:
         for _ in range(20):
-            f = _random_series(rng, spec, nvars, cap, rng.randint(1, 7))
-            g = _random_series(rng, spec, nvars, cap, rng.randint(1, 7))
+            prec = rng.randint(0, 7)
+            raw = _random_raw(rng, spec, nvars, cap, prec)
+            f = TruncSeries(spec, tuple(f"x{i}" for i in range(nvars)), raw,
+                            cap, prec)
+            g = _random_series(rng, spec, nvars, cap, rng.randint(0, 7))
+            check_linear_ops(rng, spec, f, g, raw)
             product = f * g
             assert (product.cap, product.prec) == (cap, min(f.prec, g.prec))
             assert product.coeffs == reference_product(f, g)
@@ -300,14 +355,25 @@ def test_packed_product_at_the_packing_base():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_reduce_digits_unramified(p):
-    # the e = 1 shortcut agrees with the digit_modulus formula, also for
-    # negative digits and for precision 0
-    spec = BaseRingSpec(p, 1)
-    for prec in range(0, 6):
-        for d in [-p ** 7 - 1, -p, -1, 0, 1, p - 1, p ** 3 + 2, 10 ** 9]:
-            assert spec.reduce_digits([d], prec) \
-                == (d % spec.digit_modulus(0, prec),)
-    assert spec.reduce_digits([-1], 0) == (0,)
+    # the modulus table agrees with the formula p^ceil((prec - i)/e), at
+    # e = 1 and, where p allows, e = 2 and 3; precisions are requested in
+    # interleaved order across specs of one p, so no (spec, prec) entry
+    # leaks into another.  PadicScalar and TruncSeries reduce by it, also
+    # negative digits and at precision 0
+    specs = [BaseRingSpec(p, e) for e in (1, 2, 3) if e == 1 or e <= p - 2]
+    for prec in [3, 0, 5, 1, 4, 0, 2, 5, 3]:
+        for spec in specs:
+            e = spec.e
+            mods = [p ** max(0, -(-(prec - i) // e)) for i in range(e)]
+            assert [spec.digit_modulus(i, prec) for i in range(e)] == mods
+            for d in [-p ** 7 - 1, -p, -1, 0, 1, p - 1, p ** 3 + 2, 10 ** 9]:
+                raw = [d * (i + 1) - i for i in range(e)]
+                want = tuple(x % m for x, m in zip(raw, mods))
+                assert spec.reduce_digits(raw, prec) == want
+                assert PadicScalar(spec, raw, prec).digits == want
+                series = TruncSeries(spec, ("T",), {(1,): raw}, None, prec)
+                assert series.coeffs == ({(1,): want} if any(want) else {})
+    assert BaseRingSpec(p, 1).reduce_digits([-1], 0) == (0,)
 
 
 # exponents up to the cap 6, with gaps
