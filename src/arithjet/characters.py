@@ -33,6 +33,7 @@ computed once per formal group law and kept in the law's own memo
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from math import comb
 
 from .errors import (
@@ -253,8 +254,9 @@ def _log_ghost(F: FormalGroupLaw, i: int) -> FracSeries:
     numerator's coefficient of prod_j x_j^(a_j q^(i-j)) is
         c_k C(k, b) multinomial(b; a_1, ..., a_i) pi^(sum_j j a_j),
     b = a_1 + ... + a_i, k = a_0 + b.  Only the tails with sum_j j a_j < N
-    survive mod pi^N: they are enumerated first, then a_0 up to the cap.
-    This is L.substitute({"T": w_i}) exactly, truncation included.
+    survive mod pi^N: they are enumerated first, then a_0 over the degrees
+    k of L's nonzero coefficients c_k, up to the cap.  This is
+    L.substitute({"T": w_i}) exactly, truncation included.
     """
     def compute():
         L = _memoized(F, "log", lambda: formal_logarithm(F))
@@ -262,6 +264,7 @@ def _log_ghost(F: FormalGroupLaw, i: int) -> FracSeries:
         q, D = spec.q, F.cap
         N = min(L.num.prec, F.prec)
         top = q ** i
+        degrees = sorted(k for (k,) in c)
         out = {}
         for tail, t, deg in _tails(i, N, q, D):
             b = sum(tail)
@@ -271,12 +274,12 @@ def _log_ghost(F: FormalGroupLaw, i: int) -> FracSeries:
                 mult *= comb(rest, a)
                 rest -= a
             mono = tuple(a * q ** (i - j) for j, a in enumerate(tail, 1))
-            for a0 in range((D - deg) // top + 1):
-                d = c.get((a0 + b,))
-                if d is not None:
-                    n = mult * comb(a0 + b, b)
-                    out[(a0 * top,) + mono] = digit_mul_pi(
-                        spec, tuple(n * x for x in d), t)
+            last = b + (D - deg) // top
+            for k in degrees[bisect_left(degrees, b):
+                             bisect_right(degrees, last)]:
+                n = mult * comb(k, b)
+                out[((k - b) * top,) + mono] = digit_mul_pi(
+                    spec, tuple(n * x for x in c[(k,)]), t)
         return FracSeries(TruncSeries(spec, jet_vars(i), out, D, N), L.shift)
     return _memoized(F, ("log_ghost", i), compute)
 

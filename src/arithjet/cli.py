@@ -13,19 +13,26 @@ pi-adic digits (PrecisionExhausted) included.
 `fgl` alone builds and checks a curve.  With N its digits and s =
 `log_denominator_exponent(spec, --deg)`, every log-ghost generator is
 pi^(-s) times a numerator known to N digits, and M = s + 1.  `crystal`
-builds the curve, or the multiplicative law, at exactly M digits and
-reads no --prec: lambda, gamma and the rank table come from the jet
-lattices `_solve_log` solves mod pi^M, which digits past M do not
-change.  `verify` builds the curve at max(--prec + 4, M + 1): its
-character suites read the Psi_i = pi^(-1) L(kappa_i) and Theta_2 =
-pi^(-1) sum d_i L(w_i), values over pi^M of numerators known to N
-digits, so they carry N - M digits: none at M, one at M + 1.
+builds the p-typification of the curve, or of the multiplicative law, at
+exactly M digits and reads no --prec: only its invariant differential
+sum_k b_k T^(p^k - 1), in closed form, with no Newton step and no law.
+lambda, gamma and the rank table come from the jet lattices `_solve_log`
+solves mod pi^M, which digits past M and the strict isomorphism to the
+full group do not change.  `verify` builds the curve by Newton's
+iteration, law included, at max(--prec + 4, M + 1): its character suites
+read the Psi_i = pi^(-1) L(kappa_i) and Theta_2 = pi^(-1) sum d_i L(w_i),
+values over pi^M of numerators known to N digits, so they carry N - M
+digits: none at M, one at M + 1.
+
+A reader that closes stdout early (`| head`) ends the output, not the
+run: the exit code is the report's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -54,7 +61,8 @@ from .errors import (
 from .fgl import (
     formal_group_from_weierstrass,
     log_denominator_exponent,
-    multiplicative_law,
+    ptypical_multiplicative,
+    ptypical_weierstrass,
     trace_of_frobenius,
 )
 from .ring import BaseRingSpec
@@ -136,15 +144,16 @@ def cmd_verify(spec: BaseRingSpec, params) -> dict:
 
 
 def cmd_crystal(spec: BaseRingSpec, params) -> dict:
-    M = log_denominator_exponent(spec, params["deg"]) + 1
+    D = params["deg"]
+    M = log_denominator_exponent(spec, D) + 1
     if params["a4"] is not None:
-        F = _curve(spec, params, M)
+        F = ptypical_weierstrass(spec, params["a4"], params["a6"], D, M)
         ap = trace_of_frobenius(spec, *F.curve)
         extra = {"curve": {"a4": params["a4"], "a6": params["a6"],
                            "trace_of_frobenius": ap,
                            "ordinary": ap % spec.p != 0}}
     else:
-        F = multiplicative_law(spec, params["deg"], M)
+        F = ptypical_multiplicative(spec, D, M)
         extra = {"law": "multiplicative"}
     m = splitting_number(F)
     chars, _ = solve_delta_characters(F, m)
@@ -240,10 +249,22 @@ def run(argv=None) -> int:
             report = {"command": params["cmd"], "status": "fail",
                       "error": f"{type(exc).__name__}: {exc}",
                       "params": report["params"]}
-            print(json.dumps(report, indent=2, sort_keys=True))
+            _print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(text)
+        _print(text)
     return EXIT[report["status"]]
+
+
+def _print(text: str):
+    """Print and flush; a closed pipe drops the rest of the text."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to
+        # devnull, as the Python docs advise for SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
 
 
 def main():

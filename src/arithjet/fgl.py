@@ -1,12 +1,15 @@
 """One-dimensional formal group laws and their logarithms.
 
 Laws are truncated two-variable series F(X, Y) over R, built on first
-access.  Only the elliptic constructor knows a curve: it checks the
-discriminant, expands w(t) = sum c_k t^k of a short Weierstrass model
-(t = -x/y) by Newton's iteration, and reads the invariant differential off
-it; unit series are inverted by Newton's iteration too, so both cost a few
-products at doubling degree caps.  The chord slope in the law copies w: its
-X^i Y^j coefficient is c_(i+j+1).  The logarithm integrates the invariant
+access.  Two constructors know a curve, and both check the discriminant.
+`formal_group_from_weierstrass` expands w(t) = sum c_k t^k of a short
+Weierstrass model (t = -x/y) by Newton's iteration and reads the invariant
+differential off it; unit series are inverted by Newton's iteration too,
+so both cost a few products at doubling degree caps.  The chord slope in
+the law copies w: its X^i Y^j coefficient is c_(i+j+1).
+`ptypical_weierstrass`, all that `crystal` needs, keeps only the terms
+T^(p^k - 1) of the invariant differential, each a closed-form sum of
+integers, and has no law.  The logarithm integrates the invariant
 differential and therefore lives in K (FracSeries with a bounded pi-power
 denominator).
 """
@@ -146,6 +149,18 @@ def _unit_inverse(u: TruncSeries) -> TruncSeries:
     return v
 
 
+def _good_reduction(a4: PadicScalar, a6: PadicScalar):
+    """(N, a4, a6) at N = min(a4.prec, a6.prec); BadReduction unless the
+    discriminant -16(4 a4^3 + 27 a6^2) is a unit."""
+    N = min(a4.prec, a6.prec)
+    a4, a6 = a4.reduce_prec(N), a6.reduce_prec(N)
+    disc = ((a4 ** 3).scale_int(4) + (a6 ** 2).scale_int(27)).scale_int(-16)
+    if not disc.is_unit():
+        raise BadReduction("discriminant -16(4 a4^3 + 27 a6^2) is not a "
+                           "unit: bad reduction")
+    return N, a4, a6
+
+
 def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
                                   a6: PadicScalar, D: int) -> FormalGroupLaw:
     """The formal group of y^2 = x^3 + a4 x + a6 at min(a4.prec, a6.prec).
@@ -159,12 +174,7 @@ def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
     IV.1) gives the logarithm, and the chord-tangent law is built on first
     access.
     """
-    N = min(a4.prec, a6.prec)
-    a4, a6 = a4.reduce_prec(N), a6.reduce_prec(N)
-    disc = ((a4 ** 3).scale_int(4) + (a6 ** 2).scale_int(27)).scale_int(-16)
-    if not disc.is_unit():
-        raise BadReduction("discriminant -16(4 a4^3 + 27 a6^2) is not a "
-                           "unit: bad reduction")
+    N, a4, a6 = _good_reduction(a4, a6)
     w = _weierstrass_w(spec, a4, a6, D + 3, N)
 
     # with w = sum c_k t^k: omega = sum (k-1) c_k t^(k-3) / sum 2 c_k t^(k-3)
@@ -236,6 +246,98 @@ def _chord_tangent_law(spec: BaseRingSpec, a4: PadicScalar, a6: PadicScalar,
     t3_root = -(t1 + t2) - a2_coef * _unit_inverse(a3_coef)
     # inversion is t -> -t for a1 = a3 = 0
     return -t3_root
+
+
+def weierstrass_omega_coeffs(p: int, a4: int, a6: int, ms, r: int) -> list:
+    """u_m = [x^(2m)] (x^3 + a4 x + a6)^m modulo p^r, for each m in ms.
+
+    In t = -x/y the invariant differential of y^2 = x^3 + a4 x + a6 is
+    sum_m u_m t^(2m) dt (Stienstra, Amer. J. Math. 109, 1987); expanding
+    the cube,
+        u_m = sum_i m!/(i! j! k!) a4^j a6^k,   j = 2m - 3i,  k = 2i - m.
+    With n! = p^V(n) U(n), V by Legendre, the multinomial is p^v times
+    U(m)/(U(i) U(j) U(k)).  One prefix table of U to max(ms) serves every
+    m; its inverses come from one modular inverse and a backward sweep.
+    A term with p^v = 0 mod p^r is skipped.
+    """
+    mod = p ** r
+    top = max(ms, default=0)
+    U, V = [1] * (top + 1), [0] * (top + 1)
+    for n in range(1, top + 1):
+        u, v = n, 0
+        while u % p == 0:
+            u, v = u // p, v + 1
+        U[n], V[n] = U[n - 1] * u % mod, V[n - 1] + v
+    inv = [1] * (top + 1)
+    inv[top] = pow(U[top], -1, mod)
+    for n in range(top, 1, -1):
+        # U(n) = U(n - 1) * (n over its p-power)
+        inv[n - 1] = inv[n] * (n // p ** (V[n] - V[n - 1])) % mod
+    a4_pow, a6_pow = [1], [1]  # j <= m/2 and k <= m/3
+    for _ in range(top // 2):
+        a4_pow.append(a4_pow[-1] * a4 % mod)
+    for _ in range(top // 3):
+        a6_pow.append(a6_pow[-1] * a6 % mod)
+    p_pow = [p ** v for v in range(r)]
+    out = []
+    for m in ms:
+        s = 0
+        for i in range((m + 1) // 2, 2 * m // 3 + 1):
+            j, k = 2 * m - 3 * i, 2 * i - m
+            v = V[m] - V[i] - V[j] - V[k]
+            if v < r:
+                s = (s + p_pow[v] * inv[i] * inv[j] * inv[k] * a4_pow[j]
+                     * a6_pow[k]) % mod
+        out.append(s * U[m] % mod)
+    return out
+
+
+def _no_law():
+    raise IncompatibleSpec("a p-typical group carries its logarithm only; "
+                           "its law is not built")
+
+
+def ptypical_group(spec: BaseRingSpec, D: int, N: int, b, name: str,
+                   curve=None) -> FormalGroupLaw:
+    """The p-typical group with invariant differential sum_k b_k T^(p^k - 1),
+    b_k integers for p^k <= D: its logarithm is sum_k b_k T^(p^k) / p^k.
+
+    Keeping only the T^(p^k) terms of a logarithm over Z_p gives a strictly
+    isomorphic group over R (Cartier's p-typification; Hazewinkel, Formal
+    Groups and Applications, 1978).  phi is the identity here, so the
+    isomorphism commutes with the ghost components w_i, and the jet
+    lattices `characters` solves are those of the original group.  Only
+    `omega` is known: reading `law` raises IncompatibleSpec.
+    """
+    pad = (0,) * (spec.e - 1)
+    omega = TruncSeries(spec, ("T",), {(spec.p ** k - 1,): (c,) + pad
+                                       for k, c in enumerate(b)}, D, N)
+    return FormalGroupLaw(spec, D, N, _no_law, name=name, curve=curve,
+                          omega=omega)
+
+
+def ptypical_weierstrass(spec: BaseRingSpec, a4: int, a6: int, D: int,
+                         N: int) -> FormalGroupLaw:
+    """The p-typification of y^2 = x^3 + a4 x + a6 to degree D at N digits:
+    b_k = u_((p^k - 1)/2) (`weierstrass_omega_coeffs`).  BadReduction as
+    for `formal_group_from_weierstrass`; `curve` is (a4, a6) at N digits."""
+    _, s4, s6 = _good_reduction(spec.scalar(a4, N), spec.scalar(a6, N))
+    # p is odd here: the discriminant is divisible by 16
+    ms = [(spec.p ** k - 1) // 2
+          for k in range(log_denominator_exponent(spec, D) // spec.e + 1)]
+    b = weierstrass_omega_coeffs(spec.p, a4, a6, ms, -(-N // spec.e))
+    return ptypical_group(spec, D, N, b,
+                          f"ptypical-weierstrass(a4={a4},a6={a6})",
+                          curve=(s4, s6))
+
+
+def ptypical_multiplicative(spec: BaseRingSpec, D: int,
+                            N: int) -> FormalGroupLaw:
+    """The p-typification of X + Y + XY: b_k = 1, the logarithm
+    sum_k T^(p^k) / p^k."""
+    return ptypical_group(
+        spec, D, N, [1] * (log_denominator_exponent(spec, D) // spec.e + 1),
+        "ptypical-multiplicative")
 
 
 def trace_of_frobenius(spec: BaseRingSpec, a4: PadicScalar,

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +21,7 @@ from arithjet.cli import EXIT, run
 from arithjet.errors import Inconclusive
 from arithjet.fgl import formal_group_from_weierstrass, log_denominator_exponent
 from arithjet.ring import BaseRingSpec, PadicScalar
+from arithjet.series import TruncSeries
 from arithjet.verify import run_character_suites
 
 
@@ -395,6 +399,28 @@ def test_crystal_on_curve_never_builds_law(tmp_path, monkeypatch):
     assert code == 0 and rep["m"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "--p 5 --a4 1 --a6 1 --deg 27 --nmax 3",
+    "--p 5 --e 2 --a4 7 --a6 11 --deg 27",
+    "--p 3 --a4 1 --a6 0 --deg 81",
+    "--p 7 --deg 51",
+])
+def test_crystal_makes_no_series_product(tmp_path, monkeypatch, argv):
+    # crystal solves the p-typical group, whose invariant differential is
+    # a closed-form sum: no Newton step, no law, no product, no substitute
+    def refused(*args, **kwargs):
+        raise AssertionError("the full group was built")
+
+    for module in (fgl, cli):
+        monkeypatch.setattr(module, "formal_group_from_weierstrass", refused)
+    monkeypatch.setattr(fgl, "multiplicative_law", refused)
+    products = _count_calls(monkeypatch, TruncSeries, "__mul__")
+    substitutions = _count_calls(monkeypatch, TruncSeries, "substitute")
+    code, rep = _run(tmp_path, ["--cmd", "crystal"] + argv.split())
+    assert code == 0 and rep["status"] == "pass"
+    assert products == [] and substitutions == []
+
+
 @pytest.mark.parametrize("cmd", ["crystal", "verify"])
 @pytest.mark.parametrize("half", [["--a4", "1"], ["--a6", "1"]])
 def test_half_curve_fails(tmp_path, cmd, half):
@@ -506,19 +532,25 @@ def test_verify_psi_tower_needs_degree_q_squared(tmp_path, deg, want):
     "--cmd crystal --p 5 --deg 27 --prec 3",
 ])
 def test_upsilon_of_a_digitless_theta_has_no_digit(argv):
-    # the law each argv's crystal run builds, at exactly M digits: theta_m
+    # the group each argv's crystal run builds, at exactly M digits, and the
+    # full group it stands for: theta_m
     # = pi^(-s) * 0 with a numerator known mod pi^s, so `upsilon` of its
     # series is known mod pi^0, though gamma carries all M digits
     params = vars(cli.build_parser().parse_args(argv.split()))
     spec = BaseRingSpec(params["p"], params["e"])
-    M = log_denominator_exponent(spec, params["deg"]) + 1
+    D = params["deg"]
+    M = log_denominator_exponent(spec, D) + 1
     if params["a4"] is None:
-        F = fgl.multiplicative_law(spec, params["deg"], M)
+        groups = (fgl.multiplicative_law(spec, D, M),
+                  fgl.ptypical_multiplicative(spec, D, M))
     else:
-        F = cli._curve(spec, params, M)
-    theta = solve_delta_characters(F, splitting_number(F))[0][0]
-    assert upsilon(theta).prec == 0
-    assert extract_lambda_gamma(theta)[1].prec == M
+        groups = (cli._curve(spec, params, M),
+                  fgl.ptypical_weierstrass(spec, params["a4"], params["a6"],
+                                           D, M))
+    for F in groups:  # the full group and its p-typification
+        theta = solve_delta_characters(F, splitting_number(F))[0][0]
+        assert upsilon(theta).prec == 0
+        assert extract_lambda_gamma(theta)[1].prec == M
 
 
 @pytest.mark.parametrize("argv", [
@@ -699,3 +731,22 @@ def test_unwritable_out_reports_on_stdout(tmp_path, capsys):
     assert "FileNotFoundError" in rep["error"] and "missing" in rep["error"]
     assert rep["command"] == "witt" and rep["params"]["p"] == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("nbytes", [0, 1500])
+def test_closed_stdout_keeps_the_exit_code(nbytes):
+    # a reader that stops early (`| head -c 1500`) or reads nothing gets
+    # no traceback, and the exit code is the report's
+    argv = ["--cmd", "crystal", "--p", "5", "--a4", "1", "--a6", "0",
+            "--deg", "125"]
+    code, out, _ = _printed(argv)
+    assert code == 0 and len(out) > nbytes
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-m", "arithjet.cli"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    head = proc.stdout.read(nbytes)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == code and err == b""
+    assert head == out.encode()[:nbytes]
