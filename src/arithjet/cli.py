@@ -1,14 +1,17 @@
 """Command-line front end: verify / crystal / witt.
 
-One argparse parser reads every parameter.  The `key = value` lines of a
-`--config` file ('#' starts a comment) are read as flags placed before the
-command line, so a command-line flag wins.  Every run but `--help` gives
-one JSON report, deterministic for a fixed (config, seed); p-adic scalars
-are serialized as {digits, prec, pi_power_basis}.  Exit codes: 0 all
-checks pass; 1 a check failed, or the command line, config file or input
-is invalid, or the --out file cannot be written (the report then goes to
-stdout); 2 inconclusive at the requested precision/degree, a run out of
-pi-adic digits (PrecisionExhausted) included.
+One argparse parser reads every parameter.  It is built on the first
+run and serves every later run of the process: parsing leaves it
+unchanged, and each run's parameters live in their own namespace.  The
+`key = value` lines of a `--config` file ('#' starts a comment) are read
+as flags placed before the command line, so a command-line flag wins.
+Every run but `--help` gives one JSON report, deterministic for a fixed
+(config, seed); p-adic scalars are serialized as {digits, prec,
+pi_power_basis}.  Exit codes: 0 all checks pass; 1 a check failed, or
+the command line, config file or input is invalid, or the --out file
+cannot be written (the report then goes to stdout); 2 inconclusive at
+the requested precision/degree, a run out of pi-adic digits
+(PrecisionExhausted) included.
 
 `fgl` alone builds and checks a curve.  With N its digits and s =
 `log_denominator_exponent(spec, --deg)`, every log-ghost generator is
@@ -31,6 +34,7 @@ run: the exit code is the report's.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -83,7 +87,9 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameters(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the process, built on the first call."""
     ap = _Parser(
         prog="arithjet",
         description="pi-typical Witt vectors, delta-characters and the "

@@ -256,21 +256,30 @@ def weierstrass_omega_coeffs(p: int, a4: int, a6: int, ms, r: int) -> list:
     the cube,
         u_m = sum_i m!/(i! j! k!) a4^j a6^k,   j = 2m - 3i,  k = 2i - m.
     With n! = p^V(n) U(n), V by Legendre, the multinomial is p^v times
-    U(m)/(U(i) U(j) U(k)).  One prefix table of U to max(ms) serves every
-    m; its inverses come from one modular inverse and a backward sweep.
+    U(m)/(U(i) U(j) U(k)).  i, j and k never pass h = floor(2 top/3), top =
+    max(ms): one prefix table of U and V to h serves every m, and the
+    product runs on to top keeping only U(m) and V(m).  The inverses of
+    the table come from one modular inverse at h and a backward sweep.
     A term with p^v = 0 mod p^r is skipped.
     """
     mod = p ** r
     top = max(ms, default=0)
-    U, V = [1] * (top + 1), [0] * (top + 1)
+    h = 2 * top // 3
+    U, V = [1] * (h + 1), [0] * (h + 1)
+    want, past_h = set(ms), {}
+    u_n, v_n = 1, 0
     for n in range(1, top + 1):
         u, v = n, 0
         while u % p == 0:
             u, v = u // p, v + 1
-        U[n], V[n] = U[n - 1] * u % mod, V[n - 1] + v
-    inv = [1] * (top + 1)
-    inv[top] = pow(U[top], -1, mod)
-    for n in range(top, 1, -1):
+        u_n, v_n = u_n * u % mod, v_n + v
+        if n <= h:
+            U[n], V[n] = u_n, v_n
+        elif n in want:
+            past_h[n] = u_n, v_n
+    inv = [1] * (h + 1)
+    inv[h] = pow(U[h], -1, mod)
+    for n in range(h, 1, -1):
         # U(n) = U(n - 1) * (n over its p-power)
         inv[n - 1] = inv[n] * (n // p ** (V[n] - V[n - 1])) % mod
     a4_pow, a6_pow = [1], [1]  # j <= m/2 and k <= m/3
@@ -281,14 +290,15 @@ def weierstrass_omega_coeffs(p: int, a4: int, a6: int, ms, r: int) -> list:
     p_pow = [p ** v for v in range(r)]
     out = []
     for m in ms:
+        u_m, v_m = (U[m], V[m]) if m <= h else past_h[m]
         s = 0
         for i in range((m + 1) // 2, 2 * m // 3 + 1):
             j, k = 2 * m - 3 * i, 2 * i - m
-            v = V[m] - V[i] - V[j] - V[k]
+            v = v_m - V[i] - V[j] - V[k]
             if v < r:
                 s = (s + p_pow[v] * inv[i] * inv[j] * inv[k] * a4_pow[j]
                      * a6_pow[k]) % mod
-        out.append(s * U[m] % mod)
+        out.append(s * u_m % mod)
     return out
 
 

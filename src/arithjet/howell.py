@@ -8,44 +8,49 @@ the row, which the later columns reduce, so the row span ends closed under
 augmented [A | I] reduction: rows whose A-part vanishes give a generating
 set of the left kernel.
 
-Inside the reduction an entry is the canonical digit tuple of a
-`PadicScalar` at precision M and a row is a list of them; a row operation
-reduces each entry once, through the digit functions of `ring`.
-`PadicScalar`s appear at the boundary only: input entries known to a
-higher precision are reduced to digits at M on entry (an input entry may
-also be a digit tuple already canonical at M), every returned row
-or kernel vector holds scalars at M, and the few pivot inverses of a
-pass are scalars.  Exact division by pi^v (`digit_div_pi`) is only
-defined modulo pi^(M-v); its digits are read at M, which is consistent
-because every place a division result is used multiplies it back by
-something of valuation >= v.
+Inside the reduction an entry is a bare residue (`_entries`).  At e = 1 it
+is an int modulo p^M (`_howell_ints`): a row operation is one `%` per
+entry, the valuation of a nonzero a is read off gcd(a, p^M) = p^v, and a
+pivot is normalized by pow(u, -1, p^M).  At e >= 2 it is the canonical
+digit tuple of a `PadicScalar` at M (`_howell_digits`), and a row
+operation reduces each entry once through the digit functions of `ring`;
+the pivot inverses of a pass are scalars.  The digit path runs at e = 1
+too, as the reference for the int path: both take the same pivots in the
+same order and make the same row operations, so their rows, pivots and
+kernel generators are equal.  `PadicScalar`s appear at the boundary only:
+input entries known to a higher precision are reduced to M on entry (an
+input entry may also be a digit tuple already canonical at M), and every
+returned row or kernel vector holds scalars at M.  Exact division by pi^v
+is only defined modulo pi^(M-v); its digits are read at M, which is
+consistent because every place a division result is used multiplies it
+back by something of valuation >= v.
+
+`module_rank` needs no Howell form: the free rank of a span is the F_p
+rank of its generators modulo pi, each entry's digit 0 modulo p.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import IncompatibleSpec, PrecisionExhausted
-from .ring import (BaseRingSpec, PadicScalar, digit_div_pi, digit_mul_pi,
-                   digit_product, digit_valuation)
+from .ring import (BaseRingSpec, PadicScalar, _vp, digit_div_pi,
+                   digit_mul_pi, digit_product, digit_valuation)
 
 
 def _nonzero(row) -> bool:
-    return any(any(d) for d in row)
+    """Whether a row of ints or of digit tuples has a nonzero entry."""
+    return any(x if type(x) is int else any(x) for x in row)
 
 
 def _scaled(spec: BaseRingSpec, s, row, mods):
     """The row s * row for a digit tuple s, each entry reduced once."""
-    if spec.e == 1:
-        (s,), (m,) = s, mods
-        return [(s * a % m,) for (a,) in row]
     return [tuple(x % m for x, m in zip(digit_product(spec, s, a), mods))
             for a in row]
 
 
 def _minus_multiple(spec: BaseRingSpec, row, f, prow, mods):
     """The row row - f * prow for a digit tuple f, each entry reduced once."""
-    if spec.e == 1:
-        (f,), (m,) = f, mods
-        return [((a - f * b) % m,) for (a,), (b,) in zip(row, prow)]
     return [tuple((x - y) % m
                   for x, y, m in zip(a, digit_product(spec, f, b), mods))
             for a, b in zip(row, prow)]
@@ -71,7 +76,17 @@ class HowellForm:
 
 
 def _howell(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """(rows, pivots) of the Howell form of digit rows at M, in one pass.
+    """(rows, pivots) of the Howell form of `_entries` rows at M, in one
+    pass: on ints at e = 1, on digit tuples otherwise."""
+    if M < 1:
+        raise IncompatibleSpec("modulus exponent must be >= 1")
+    if spec.e == 1:
+        return _howell_ints(spec.p, rows, ncols, M)
+    return _howell_digits(spec, rows, ncols, M)
+
+
+def _howell_digits(spec: BaseRingSpec, rows, ncols: int, M: int):
+    """(rows, pivots) of the Howell form of digit rows at M >= 1.
 
     The pivot at column c has the least valuation v below the frontier, so
     it clears column c there; its closure pi^(M-v) * row is zero through
@@ -79,9 +94,7 @@ def _howell(spec: BaseRingSpec, rows, ncols: int, M: int):
     below the frontier, and any span element supported on columns >= c lies
     in the span of the rows with pivot column >= c (the Howell property).
     """
-    if M < 1:
-        raise IncompatibleSpec("modulus exponent must be >= 1")
-    mods = tuple(spec.digit_modulus(i, M) for i in range(spec.e))
+    mods = spec.moduli(M)
     work = [row for row in rows if _nonzero(row)]
     pivots = []
     top = 0
@@ -122,9 +135,52 @@ def _howell(spec: BaseRingSpec, rows, ncols: int, M: int):
     return work[:top], pivots
 
 
-def _digit_rows(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """The rows as rows of digit tuples reduced to M.  An entry is a
-    `PadicScalar`, or a digit tuple already canonical at M, taken as is."""
+def _howell_ints(p: int, rows, ncols: int, M: int):
+    """`_howell_digits` at e = 1 on rows of ints modulo p^M, M >= 1: the
+    same pivots in the same order, and the same row operations.  A nonzero
+    entry a has p^v = gcd(a, p^M) with v < M, so pivot search, the
+    elimination test and the closure factor p^(M-v) compare and divide
+    powers of p."""
+    mod = p ** M
+    work = [row for row in rows if any(row)]
+    pivots = []
+    top = 0
+    for c in range(ncols):
+        best, pv = None, mod
+        for i in range(top, len(work)):
+            a = work[i][c]
+            if a:
+                g = gcd(a, mod)
+                if g < pv:
+                    best, pv = i, g
+                    if g == 1:
+                        break
+        if best is None:
+            continue
+        work[top], work[best] = work[best], work[top]
+        u_inv = pow(work[top][c] // pv, -1, mod)
+        prow = work[top] = [u_inv * a % mod for a in work[top]]
+        for i, row in enumerate(work):
+            a = row[c]
+            if i != top and a and a % pv == 0:
+                f = a // pv
+                work[i] = [(x - f * y) % mod for x, y in zip(row, prow)]
+        if pv > 1:
+            shift = mod // pv
+            closure = [shift * a % mod for a in prow]
+            if any(closure):
+                work.append(closure)
+        pivots.append((c, _vp(pv, p)))
+        top += 1
+    return work[:top], pivots
+
+
+def _entries(spec: BaseRingSpec, rows, ncols: int, M: int):
+    """The rows reduced to M: ints modulo p^M at e = 1, digit tuples
+    otherwise.  An entry is a `PadicScalar`, or a digit tuple already
+    canonical at M, taken as is."""
+    ints = spec.e == 1
+    mod = spec.moduli(M)[0]
     out = []
     for r in rows:
         if len(r) != ncols:
@@ -132,25 +188,28 @@ def _digit_rows(spec: BaseRingSpec, rows, ncols: int, M: int):
         row = []
         for x in r:
             if type(x) is tuple:
-                row.append(x)
+                row.append(x[0] if ints else x)
                 continue
             if x.spec is not spec and x.spec != spec:
                 raise IncompatibleSpec("scalars over different base rings")
             if x.prec < M:
                 raise PrecisionExhausted(
                     f"cannot raise precision {x.prec} -> {M}")
-            row.append(spec.reduce_digits(x.digits, M))
+            row.append(x.digits[0] % mod if ints
+                       else spec.reduce_digits(x.digits, M))
         out.append(row)
     return out
 
 
 def _scalars(spec: BaseRingSpec, row, M: int):
+    if spec.e == 1:
+        return [PadicScalar(spec, (a,), M) for a in row]
     return [PadicScalar(spec, d, M) for d in row]
 
 
 def howell_form(spec: BaseRingSpec, rows, ncols: int, M: int) -> HowellForm:
     """Howell form of the row span of `rows` inside (R/pi^M)^ncols."""
-    work, pivots = _howell(spec, _digit_rows(spec, rows, ncols, M), ncols, M)
+    work, pivots = _howell(spec, _entries(spec, rows, ncols, M), ncols, M)
     return HowellForm(spec, M, [_scalars(spec, row, M) for row in work],
                       pivots)
 
@@ -162,9 +221,12 @@ def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
     vanishes have right parts generating the left kernel.
     """
     nrows = len(rows)
-    one, zero = spec.one(M).digits, (0,) * spec.e
+    if spec.e == 1:
+        one, zero = 1, 0
+    else:
+        one, zero = spec.one(M).digits, (0,) * spec.e
     aug = [row + [one if j == i else zero for j in range(nrows)]
-           for i, row in enumerate(_digit_rows(spec, rows, ncols, M))]
+           for i, row in enumerate(_entries(spec, rows, ncols, M))]
     work, _ = _howell(spec, aug, ncols + nrows, M)
     return [_scalars(spec, row[ncols:], M) for row in work
             if not _nonzero(row[:ncols]) and _nonzero(row[ncols:])]
@@ -172,7 +234,7 @@ def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
 
 def right_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
     """Generators of {b : rows . b = 0}; transpose + left kernel.  Entries
-    are scalars or digit tuples canonical at M (`_digit_rows`)."""
+    are scalars or digit tuples canonical at M (`_entries`)."""
     nrows = len(rows)
     cols = [[rows[i][c] for i in range(nrows)] for c in range(ncols)]
     return left_kernel_basis(spec, cols, nrows, M)
@@ -195,6 +257,21 @@ def module_rank(spec: BaseRingSpec, vectors, ncols: int) -> int:
 
     Equals the number of unit elementary divisors (Smith form over the
     chain ring), which is the F_p-rank of the generator matrix modulo pi:
-    the number of unit pivots of its Howell form at M = 1.
+    Gaussian elimination mod p on each entry's digit 0.
     """
-    return howell_form(spec, vectors, ncols, 1).rank
+    p, ints = spec.p, spec.e == 1
+    rows = [[(x if ints else x[0]) % p for x in row]
+            for row in _entries(spec, vectors, ncols, 1)]
+    rank = 0
+    for c in range(ncols):
+        i = next((i for i, row in enumerate(rows) if row[c]), None)
+        if i is None:
+            continue
+        prow = rows.pop(i)
+        u_inv = pow(prow[c], -1, p)
+        for j, row in enumerate(rows):
+            if row[c]:
+                f = row[c] * u_inv
+                rows[j] = [(x - f * y) % p for x, y in zip(row, prow)]
+        rank += 1
+    return rank

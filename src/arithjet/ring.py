@@ -348,10 +348,26 @@ def unit_quadratic_root(lam: PadicScalar, c: PadicScalar) -> PadicScalar:
 
     Newton's iteration from x = lam, at precision min(lam.prec, c.prec):
     f'(x) = 2x - lam = lam (mod pi) is a unit, so the root modulo pi^prec
-    depends only on lam and c modulo pi^prec.
+    depends only on lam and c modulo pi^prec.  At e = 1 the same steps run
+    on ints modulo p^prec.  A derivative that is not a unit raises
+    NotDivisible.
     """
     prec = min(lam.prec, c.prec)
     lam, c = lam.reduce_prec(prec), c.reduce_prec(prec)
+    spec = lam.spec
+    if spec.e == 1:
+        mod, p = spec.moduli(prec)[0], spec.p
+        (a,), (b,) = lam.digits, c.digits
+        x = a
+        for _ in range(prec + 2):
+            f = (x * x - a * x + b) % mod
+            if f == 0:
+                break
+            d = 2 * x - a
+            if d % p == 0:
+                raise NotDivisible("cannot invert a non-unit")
+            x = (x - f * pow(d, -1, mod)) % mod
+        return PadicScalar(spec, (x,), prec)
     x = lam
     for _ in range(prec + 2):
         f = x * x - lam * x + c

@@ -80,6 +80,22 @@ def test_malformed_argv_fails(argv):
     assert rep["error"].startswith("InvalidParameters: ")
 
 
+def test_runs_share_the_parser_and_nothing_else(tmp_path):
+    # the parser is built once per process: a config run and a malformed
+    # run between two crystal runs leave the second report as the first
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cmd = witt\np = 3\nnmax = 1\n")
+    argv = ["--cmd", "crystal", "--p", "5", "--a4", "1", "--a6", "1",
+            "--deg", "27"]
+    first = _printed(argv)
+    assert first[0] == 0
+    code, out, _ = _printed(["--config", str(cfg)])
+    assert code == 0 and json.loads(out)["command"] == "witt"
+    code, out, err = _printed(["--cmd", "crystal", "--p", "x"])
+    assert code == 1 and json.loads(out)["status"] == "fail" and not err
+    assert _printed(argv) == first
+
+
 @pytest.mark.parametrize("text", [
     "p = x\n", "p 3\n", "config = other.cfg\n", "help = 1\n",
 ])

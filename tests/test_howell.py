@@ -4,7 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arithjet import howell
+from arithjet.errors import IncompatibleSpec, PrecisionExhausted
 from arithjet.howell import (
+    _howell_digits,
+    _howell_ints,
     howell_form,
     left_kernel_basis,
     module_rank,
@@ -115,6 +119,84 @@ def test_module_rank(spec):
         zero = spec.zero(M)
         assert module_rank(spec, [[pi, zero]], 2) == 0
         assert module_rank(spec, [[one + pi, pi]], 2) == 1
+
+
+def _random_int_rows(rng, p, M, nrows, ncols):
+    """Ints mod p^M of mixed valuation: units, p-multiples and zeros, with
+    now and then a zero row, so that pivots of v > 0 add closures."""
+    mod = p ** M
+    rows = []
+    for _ in range(nrows):
+        if rng.random() < 0.15:
+            rows.append([0] * ncols)
+            continue
+        rows.append([rng.randrange(mod) * p ** rng.randrange(M + 1) % mod
+                     for _ in range(ncols)])
+    return rows
+
+
+def _digits_instead(p, rows, ncols, M):
+    """`_howell_ints` computed by the digit path, as the reference."""
+    spec = BaseRingSpec(p, 1)
+    work, pivots = _howell_digits(spec, [[(a,) for a in r] for r in rows],
+                                  ncols, M)
+    return [[a for (a,) in r] for r in work], pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_int_path_equals_digit_path(p, monkeypatch):
+    # e = 1: the int path takes the digit path's pivots in the same order
+    # and makes the same row operations, closures included
+    spec = BaseRingSpec(p, 1)
+    rng = random.Random(700 + p)
+    positive = 0
+    for trial in range(150):
+        M = 1 + trial % 4
+        nrows, ncols = rng.randrange(0, 5), rng.randrange(1, 5)
+        rows = ([[0] * ncols for _ in range(nrows)] if trial % 10 == 0
+                else _random_int_rows(rng, p, M, nrows, ncols))
+        want = _digits_instead(p, rows, ncols, M)
+        got = _howell_ints(p, rows, ncols, M)
+        assert got == want
+        positive += any(v for _, v in got[1])
+        scalars = [[PadicScalar(spec, (a,), M) for a in r] for r in rows]
+        kernel = right_kernel_basis(spec, scalars, ncols, M)
+        with monkeypatch.context() as mp:
+            mp.setattr(howell, "_howell_ints", _digits_instead)
+            assert [[x.digits for x in v] for v in kernel] == [
+                [x.digits for x in v]
+                for v in right_kernel_basis(spec, scalars, ncols, M)]
+    assert positive > 10  # pivots of v > 0, which add closures
+
+
+@pytest.mark.parametrize("spec", [BaseRingSpec(5, 1), BaseRingSpec(5, 2),
+                                  BaseRingSpec(7, 3)], ids=str)
+def test_module_rank_is_howell_rank_at_one_digit(spec):
+    # the F_p rank mod pi counts the unit pivots of the Howell form at M = 1
+    rng = random.Random(10 * spec.p + spec.e)
+    pi = spec.pi(M)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(0, 5), rng.randrange(1, 5)
+        rows = [[_random_scalar(spec, rng) * pi ** rng.randrange(2)
+                 for _ in range(ncols)] for _ in range(nrows)]
+        assert module_rank(spec, rows, ncols) \
+            == howell_form(spec, rows, ncols, 1).rank
+
+
+@pytest.mark.parametrize("spec", [BaseRingSpec(5, 1), BaseRingSpec(5, 2)],
+                         ids=str)
+def test_module_rank_rejects_what_howell_form_rejects(spec):
+    one = spec.one(M)
+    cases = [
+        ([[one, one], [one]], IncompatibleSpec),        # ragged
+        ([[one, BaseRingSpec(7, 1).one(M)]], IncompatibleSpec),
+        ([[one, spec.one(0)]], PrecisionExhausted),     # no digit mod pi
+    ]
+    for rows, exc in cases:
+        with pytest.raises(exc):
+            howell_form(spec, rows, 2, 1)
+        with pytest.raises(exc):
+            module_rank(spec, rows, 2)
 
 
 def test_unit_vectors():

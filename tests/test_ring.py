@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -208,3 +210,31 @@ def test_unit_quadratic_root(spec, a, b):
     assert (x - lam).reduce_prec(1).is_zero()
     # the root mod pi^prec depends only on the inputs mod pi^prec
     assert unit_quadratic_root(lam, c).reduce_prec(prec).digits == x.digits
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_unit_quadratic_root_on_ints(p):
+    # e = 1: the root is the only x = lam (mod p) with x^2 - lam x + c = 0
+    # mod p^prec, found here by search over its residue class
+    spec = BaseRingSpec(p, 1)
+    rng = random.Random(p)
+    for prec in (1, 2, 3, 4):
+        mod = p ** prec
+        for _ in range(6):
+            a = rng.randrange(mod) // p * p + rng.randrange(1, p)
+            b = rng.randrange(mod) // p * p
+            x = unit_quadratic_root(spec.scalar(a, prec), spec.scalar(b, prec))
+            (r,) = x.digits
+            assert x.prec == prec
+            assert (r * r - a * r + b) % mod == 0 and (r - a) % p == 0
+            roots = [y for y in range(a % p, mod, p)
+                     if (y * y - a * y + b) % mod == 0]
+            assert roots == [r]
+
+
+@pytest.mark.parametrize("spec", [BaseRingSpec(3, 1), BaseRingSpec(5, 1),
+                                  BaseRingSpec(5, 2)], ids=str)
+def test_unit_quadratic_root_rejects_a_non_unit(spec):
+    # f'(lam) = lam is no unit: NotDivisible, not a ValueError from pow
+    with pytest.raises(NotDivisible):
+        unit_quadratic_root(spec.pi(6), spec.pi(6))
