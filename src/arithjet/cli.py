@@ -21,11 +21,12 @@ exactly M digits and reads no --prec: only its invariant differential
 sum_k b_k T^(p^k - 1), in closed form, with no Newton step and no law.
 lambda, gamma and the rank table come from the jet lattices `_solve_log`
 solves mod pi^M, which digits past M and the strict isomorphism to the
-full group do not change.  `verify` builds the curve by Newton's
-iteration, law included, at max(--prec + 4, M + 1): its character suites
-read the Psi_i = pi^(-1) L(kappa_i) and Theta_2 = pi^(-1) sum d_i L(w_i),
-values over pi^M of numerators known to N digits, so they carry N - M
-digits: none at M, one at M + 1.
+full group do not change.  `verify` builds the full curve by Newton's
+iteration at max(--prec + 4, M + 1), and never its law: its character
+suites read only the logarithm from omega, through the Psi_i = pi^(-1)
+L(kappa_i) and Theta_2 = pi^(-1) sum d_i L(w_i), values over pi^M of
+numerators known to N digits, so they carry N - M digits: none at M,
+one at M + 1.
 
 A reader that closes stdout early (`| head`) ends the output, not the
 run: the exit code is the report's.
@@ -224,7 +225,7 @@ def run(argv=None) -> int:
         params = vars(parser.parse_args(argv))
         if params["config"]:
             params = _with_config(parser, params, argv)
-        for key, least in (("prec", 0), ("deg", 1)):
+        for key, least in (("prec", 0), ("deg", 1), ("nmax", 1)):
             if params[key] is not None and params[key] < least:
                 raise InvalidParameters(
                     f"{key} must be >= {least}, not {params[key]}")

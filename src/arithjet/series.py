@@ -9,24 +9,22 @@ every coefficient.
 Monomial order is graded lex with the first variable smallest; leading terms
 are minimal in that order (so x1 leads x1 + higher-degree corrections).
 
-One-variable products go by Kronecker substitution: each pi-digit's
-coefficients are packed into one Python int, and the builtin (Karatsuba)
-integer product does the convolution in place of a quadratic number of
-digit products.  Series in more variables use a sparse product on packed
-monomials: an exponent tuple is one int in base cap + 1, so a monomial
-product is one int addition, and at e = 1 a coefficient is a bare int
-reduced once per output monomial.  `**` builds a power as the product of
-two known powers (`_power`); `substitute` builds so only the powers of
-each image that its monomials use, sums raw digit products and reduces
-once.  Truncated sums and products are exact in R[x]/(pi^N, degree >
-cap), so neither path changes a result.
+Every product, in any number of variables, is one sparse product on
+packed monomials: an exponent tuple is one int in base cap + 1 (a
+one-variable monomial packs to its degree), so a monomial product is one
+int addition, and at e = 1 a coefficient is a bare int reduced once per
+output monomial.  `**` builds a power as the product of two known powers
+(`_power`); `substitute` builds only the powers of each image that its
+monomials use, sums raw digit products and reduces once.  Truncated sums
+and products are exact in R[x]/(pi^N, degree > cap), so no shortcut
+changes a result.
 The digit arithmetic itself (products, pi-shifts, valuations, reduction)
 is that of `ring`, and so are the moduli: an operation fetches its
 precision's moduli once from the spec's table (`BaseRingSpec.moduli`).
 At e = 1 a stored coefficient is still a 1-tuple, but the loops over
 coefficients work on its bare int and reduce by the one modulus p^N: the
 reducing constructor, `+`, negation, `int_mul`, `scalar_mul`, the
-`substitute` accumulator and both products.
+`substitute` accumulator and the product.
 """
 
 from __future__ import annotations
@@ -53,16 +51,6 @@ def _raw_add(a, b):
     return [x + y for x, y in zip(a, b)]
 
 
-def _pack(coeffs: dict, i: int, lo: int, hi: int, width: int) -> int:
-    """Digit i of the degree lo..hi coefficients of a one-variable series
-    as one int, `width` bytes per degree (Kronecker substitution)."""
-    row = [bytes(width)] * (hi - lo + 1)
-    for (k,), d in coeffs.items():
-        if k <= hi and d[i]:
-            row[k - lo] = d[i].to_bytes(width, "little")
-    return int.from_bytes(b"".join(row), "little")
-
-
 def _reduce_ints(ints: dict, modulus: int, cap: int | None = None) -> dict:
     """Canonical e = 1 coefficients of bare-int sums {monomial: int}: each
     reduced by the one modulus, zeros and terms above `cap` dropped."""
@@ -74,76 +62,19 @@ def _reduce_ints(ints: dict, modulus: int, cap: int | None = None) -> dict:
     return out
 
 
-def _kronecker_mul(spec: BaseRingSpec, a: dict, b: dict, cap: int | None,
-                   prec: int) -> dict:
-    """Canonical coefficients of the product of two nonzero one-variable
-    series given by canonical coefficient dicts, truncated above `cap`.
-
-    Each pi-digit's coefficients are packed into one int, with room for
-    every sum the convolution forms, so the builtin (Karatsuba) product of
-    two packed ints is the convolution.  Digit pair (i, j) lands in slot
-    i + j, times p when i + j >= e (pi^e = p).  The product is cut into
-    coefficients by one `to_bytes` and one slice each, linear in its size.
-    """
-    e, p = spec.e, spec.p
-    (lo_a,), (lo_b,) = min(a), min(b)
-    (hi_a,), (hi_b,) = max(a), max(b)
-    if cap is not None:
-        hi_a, hi_b = min(hi_a, cap - lo_b), min(hi_b, cap - lo_a)
-        if hi_a < lo_a or hi_b < lo_b:
-            return {}
-    bound = min(hi_a - lo_a, hi_b - lo_b) + 1
-    if e == 1:  # 1-tuples compare as their digits
-        bound *= max(a.values())[0] * max(b.values())[0]
-    else:
-        bound *= max(map(max, a.values())) * max(map(max, b.values())) * e * p
-    width = (bound.bit_length() + 7) // 8
-    A = [_pack(a, i, lo_a, hi_a, width) for i in range(e)]
-    B = [_pack(b, i, lo_b, hi_b, width) for i in range(e)]
-    low, high = [0] * e, [0] * e
-    for i, x in enumerate(A):
-        if x:
-            for j, y in enumerate(B):
-                if y:
-                    if i + j < e:
-                        low[i + j] += x * y
-                    else:
-                        high[i + j - e] += x * y
-    top = hi_a + hi_b if cap is None else min(cap, hi_a + hi_b)
-    lo = lo_a + lo_b
-    n = top - lo + 1
-    size = (hi_a - lo_a + hi_b - lo_b + 1) * width
-    raws = [(low[s] + p * high[s]).to_bytes(size, "little") for s in range(e)]
-    mods = spec.moduli(prec)
-    out = {}
-    if e == 1:
-        raw, modulus, from_bytes = raws[0], mods[0], int.from_bytes
-        for k in range(n):
-            x = from_bytes(raw[k * width:(k + 1) * width], "little") % modulus
-            if x:
-                out[(k + lo,)] = (x,)
-        return out
-    slots = [[int.from_bytes(raw[k * width:(k + 1) * width], "little")
-              for k in range(n)] for raw in raws]
-    for k in range(n):
-        d = tuple(col[k] % m for col, m in zip(slots, mods))
-        if any(d):
-            out[(k + lo,)] = d
-    return out
-
-
 def _packed_mul(spec: BaseRingSpec, a: dict, b: dict, cap: int | None,
                 prec: int) -> dict:
-    """Canonical coefficients of the product of two series in two or more
-    variables, given by canonical coefficient dicts, truncated above `cap`.
+    """Canonical coefficients of the product of two series in any number
+    of variables, given by canonical coefficient dicts, truncated above
+    `cap`.  This is the one product of `TruncSeries`.
 
     Each exponent tuple becomes one int in base B = cap + 1 (uncapped: the
     two top total degrees plus 1), first variable lowest, so no exponent
     of a kept product reaches B and a monomial product is one int
-    addition.  The larger operand is sorted by degree and cut at the cap
-    by bisection; at e = 1 a coefficient is a bare int.  Sums are reduced
-    and keys unpacked once per output monomial, in order of first
-    appearance.
+    addition; a one-variable monomial packs to its degree.  The larger
+    operand is sorted by degree and cut at the cap by bisection; at e = 1
+    a coefficient is a bare int.  Sums are reduced and keys unpacked once
+    per output monomial, in order of first appearance.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -365,12 +296,7 @@ class TruncSeries:
         prec = min(self.prec, other.prec)
         cap = self.cap
         a, b = self.coeffs, other.coeffs
-        if not (a and b):
-            out = {}
-        elif len(self.vars) == 1:
-            out = _kronecker_mul(spec, a, b, cap, prec)
-        else:
-            out = _packed_mul(spec, a, b, cap, prec)
+        out = _packed_mul(spec, a, b, cap, prec) if a and b else {}
         return TruncSeries(spec, self.vars, out, cap, prec, _canonical=True)
 
     def scalar_mul(self, c: PadicScalar) -> "TruncSeries":

@@ -416,6 +416,23 @@ def test_crystal_on_curve_never_builds_law(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
+    "--p 5 --deg 27",
+    "--p 3 --deg 27 --prec 1",
+    "--p 5 --e 2 --deg 27 --prec 2",
+])
+def test_verify_on_curve_never_builds_law(tmp_path, monkeypatch, argv):
+    # the character suites read only the logarithm from omega
+    def no_law(*args):
+        raise AssertionError("the bivariate law was built")
+
+    monkeypatch.setattr(fgl, "_chord_tangent_law", no_law)
+    code, rep = _run(tmp_path, ["--cmd", "verify", "--a4", "1", "--a6", "1"]
+                     + argv.split())
+    assert code == 0 and rep["status"] == "pass"
+    assert len(rep["suites"]) == 8
+
+
+@pytest.mark.parametrize("argv", [
     "--p 5 --a4 1 --a6 1 --deg 27 --nmax 3",
     "--p 5 --e 2 --a4 7 --a6 11 --deg 27",
     "--p 3 --a4 1 --a6 0 --deg 81",
@@ -728,6 +745,17 @@ def test_degree_cap_below_one_fails(tmp_path, cmd, curve, deg):
                      + curve.split())
     assert code == 1 and rep["status"] == "fail"
     assert rep["error"] == f"InvalidParameters: deg must be >= 1, not {deg}"
+
+
+@pytest.mark.parametrize("cmd", ["crystal", "verify", "witt"])
+@pytest.mark.parametrize("nmax", ["0", "-2"])
+def test_character_order_below_one_fails(tmp_path, cmd, nmax):
+    # crystal used to call this inconclusive (no character up to n_max),
+    # and witt failed on an empty or too short Witt vector
+    code, rep = _run(tmp_path, ["--cmd", cmd, "--p", "5", "--nmax", nmax,
+                                "--a4", "1", "--a6", "1"])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["error"] == f"InvalidParameters: nmax must be >= 1, not {nmax}"
 
 
 @pytest.mark.parametrize("cmd", ["witt", "verify", "crystal"])

@@ -167,8 +167,8 @@ def test_frac_series_arithmetic_and_integrality():
 
 
 # every legal (p, e) with p in {3, 5, 7} and e in {1, 2, 3}
-KRONECKER_SPECS = [BaseRingSpec(p, e) for p, e in
-                   [(3, 1), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)]]
+PRODUCT_SPECS = [BaseRingSpec(p, e) for p, e in
+                 [(3, 1), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)]]
 
 
 def _random_univariate(rng, spec, cap, prec):
@@ -189,10 +189,10 @@ def _random_univariate(rng, spec, cap, prec):
     return TruncSeries(spec, ("T",), coeffs, cap, prec)
 
 
-@pytest.mark.parametrize("spec", KRONECKER_SPECS, ids=repr)
-def test_kronecker_product_matches_generic(spec):
-    # the one-variable product against the packed product of the same
-    # series padded to two variables, over unequal precisions and caps
+@pytest.mark.parametrize("spec", PRODUCT_SPECS, ids=repr)
+def test_one_variable_product_matches_padded(spec):
+    # the one-variable product against the product of the same series
+    # padded to two variables, over unequal precisions and caps
     rng = random.Random(spec.p * 10 + spec.e)
     two = ("T", "U")
     for cap in [None, 0, 1, 2, 5, 13]:
@@ -304,12 +304,11 @@ def _random_series(rng, spec, nvars, cap, prec):
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
-@pytest.mark.parametrize("spec", KRONECKER_SPECS, ids=repr)
+@pytest.mark.parametrize("spec", PRODUCT_SPECS, ids=repr)
 def test_product_matches_reference(spec, nvars):
-    # the Kronecker (one variable) and packed (two or more) products, and
-    # the linear ops, against the termwise sum, over caps, unequal
-    # precisions (0 among them) and exponents at the edge of the packing
-    # base
+    # the product in one to four variables, and the linear ops, against
+    # the termwise sum, over caps, unequal precisions (0 among them) and
+    # exponents at the edge of the packing base
     rng = random.Random(spec.p * 100 + spec.e * 10 + nvars)
     for cap in [None, 0, 1, 2, 5, 13]:
         for _ in range(20):
@@ -330,6 +329,46 @@ def test_product_matches_reference(spec, nvars):
                     == reference_product(one_term, g)
                 assert (g * one_term).coeffs \
                     == reference_product(g, one_term)
+
+
+def _large_univariate(rng, spec, shape, top, cap, prec):
+    """A series in T with 30 terms of degree at most top ("sparse"), or
+    every term from degree 0..3 up to top ("dense"), with digits of either
+    sign up to p^(prec + 1)."""
+    if shape == "sparse":
+        degrees = rng.sample(range(top + 1), 30)
+    else:
+        degrees = range(rng.randint(0, 3), top + 1)
+    span = spec.p ** (prec + 1)
+    coeffs = {(k,): [rng.randint(-span, span) for _ in range(spec.e)]
+              for k in degrees}
+    return TruncSeries(spec, ("T",), coeffs, cap, prec)
+
+
+@pytest.mark.parametrize("spec", [BaseRingSpec(3, 1), BaseRingSpec(5, 1),
+                                  BaseRingSpec(5, 2), BaseRingSpec(7, 3)],
+                         ids=repr)
+def test_one_variable_product_at_large_caps(spec):
+    # Newton's iteration multiplies one-variable series up to cap D + 3:
+    # sparse and dense operands at caps 100 to 300, and an uncapped
+    # product of degree 300, against the termwise sum
+    rng = random.Random(spec.p * 10 + spec.e)
+    for cap, shape_f, shape_g in [(100, "dense", "dense"),
+                                  (211, "sparse", "dense"),
+                                  (300, "dense", "sparse"),
+                                  (300, "sparse", "sparse")]:
+        f = _large_univariate(rng, spec, shape_f, cap + 2, cap,
+                              rng.randint(1, 7))
+        g = _large_univariate(rng, spec, shape_g, cap + 2, cap,
+                              rng.randint(1, 7))
+        product = f * g
+        assert (product.cap, product.prec) == (cap, min(f.prec, g.prec))
+        assert product.coeffs == reference_product(f, g)
+    f = _large_univariate(rng, spec, "dense", 150, None, 5)
+    g = _large_univariate(rng, spec, "dense", 150, None, 5)
+    product = f * g
+    assert product.max_degree() == 300
+    assert product.coeffs == reference_product(f, g)
 
 
 def test_packed_product_at_the_packing_base():
