@@ -21,9 +21,10 @@ exactly M digits and reads no --prec: only its invariant differential
 sum_k b_k T^(p^k - 1), in closed form, with no Newton step and no law.
 lambda, gamma and the rank table come from the jet lattices `_solve_log`
 solves mod pi^M, which digits past M and the strict isomorphism to the
-full group do not change.  `verify` builds the full curve by Newton's
-iteration at max(--prec + 4, M + 1), and never its law: its character
-suites read only the logarithm from omega, through the Psi_i = pi^(-1)
+full group do not change.  `verify` builds the full curve at max(--prec
++ 4, M + 1): its invariant differential sum_m u_m T^(2m), every term of
+the same closed form, and never its law or w(t).  Its character suites
+read only the logarithm from omega, through the Psi_i = pi^(-1)
 L(kappa_i) and Theta_2 = pi^(-1) sum d_i L(w_i), values over pi^M of
 numerators known to N digits, so they carry N - M digits: none at M,
 one at M + 1.
@@ -104,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pi-adic working precision (verify, witt)")
     ap.add_argument("--deg", type=int, help="series degree cap")
     ap.add_argument("--nmax", type=int, default=3,
-                    help="maximal character order")
+                    help="maximal character order; witt: Witt vector "
+                         "length - 1, at most 3")
     ap.add_argument("--a4", type=int, help="Weierstrass a4 (short form)")
     ap.add_argument("--a6", type=int, help="Weierstrass a6 (short form)")
     ap.add_argument("--seed", type=int, default=0,
@@ -189,8 +191,10 @@ def cmd_crystal(spec: BaseRingSpec, params) -> dict:
 
 def cmd_witt(spec: BaseRingSpec, params) -> dict:
     """Explicit Witt arithmetic with ghost echoes for two seeded vectors."""
+    n = params["nmax"]
+    if n > 3:
+        raise InvalidParameters(f"witt needs nmax <= 3, not {n}")
     rng = random.Random(params["seed"])
-    n = min(params["nmax"], 3)
     prec = params["prec"]
     bound = spec.p ** prec
 

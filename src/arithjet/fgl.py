@@ -2,19 +2,22 @@
 
 Laws are truncated two-variable series F(X, Y) over R, built on first
 access.  Two constructors know a curve, and both check the discriminant.
-`formal_group_from_weierstrass` expands w(t) = sum c_k t^k of a short
-Weierstrass model (t = -x/y) by Newton's iteration and reads the invariant
-differential off it; unit series are inverted by Newton's iteration too,
-so both cost a few products at doubling degree caps.  The chord slope in
-the law copies w: its X^i Y^j coefficient is c_(i+j+1).
-`ptypical_weierstrass`, all that `crystal` needs, keeps only the terms
-T^(p^k - 1) of the invariant differential, each a closed-form sum of
-integers, and has no law.  The logarithm integrates the invariant
-differential and therefore lives in K (FracSeries with a bounded pi-power
-denominator).
+Both read the invariant differential of a short Weierstrass model off
+one closed form, u_m = [x^(2m)] (x^3 + a4 x + a6)^m
+(`weierstrass_omega_coeffs`), a sum of integers with no series product.
+`formal_group_from_weierstrass` keeps every term u_m T^(2m); its
+chord-tangent law is built on first access from w(t) = sum c_k t^k
+(t = -x/y), whose coefficients are integers in a4 and a6 by Lagrange
+inversion, and the chord slope copies w: its X^i Y^j coefficient is
+c_(i+j+1).  `ptypical_weierstrass`, all that `crystal` needs, keeps only
+the terms T^(p^k - 1) and has no law.  The logarithm integrates the
+invariant differential and therefore lives in K (FracSeries with a
+bounded pi-power denominator).
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .errors import BadReduction, IncompatibleSpec, PrecisionExhausted
 from .ring import BaseRingSpec, PadicScalar, _vp, unit_quadratic_root
@@ -120,18 +123,10 @@ def multiplicative_law(spec: BaseRingSpec, D: int, N: int) -> FormalGroupLaw:
                           name="multiplicative")
 
 
-def _newton_inverse_step(u: TruncSeries, v: TruncSeries,
-                         cap: int) -> TruncSeries:
-    """v (2 - u v) at cap: an inverse of u to degree k - 1 becomes one to
-    degree min(2k - 1, cap)."""
-    u, v = u.with_cap(cap), v.with_cap(cap)
-    two = TruncSeries.const(u.spec, u.vars, u.spec.scalar(2, u.prec), cap,
-                            u.prec)
-    return v * (two - u * v)
-
-
 def _unit_inverse(u: TruncSeries) -> TruncSeries:
-    """Inverse of a series with unit constant term (Newton inversion).
+    """Inverse of a series with unit constant term, by Newton's iteration
+    v <- v (2 - u v): an inverse to degree k - 1 becomes one to degree
+    min(2k - 1, cap), each step at its own degree cap.
 
     An uncapped series has an exact inverse only when it is a constant.
     """
@@ -142,10 +137,13 @@ def _unit_inverse(u: TruncSeries) -> TruncSeries:
             raise IncompatibleSpec("an exact non-constant series has no "
                                    "polynomial inverse")
         return v
+    two = TruncSeries.const(u.spec, u.vars, u.spec.scalar(2, u.prec), u.cap,
+                            u.prec)
     k = 1  # v is the inverse to degree k - 1
     while k <= u.cap:
         k = min(2 * k, u.cap + 1)
-        v = _newton_inverse_step(u, v, k - 1)
+        v = v.with_cap(k - 1)
+        v = v * (two.with_cap(k - 1) - u.with_cap(k - 1) * v)
     return v
 
 
@@ -165,70 +163,59 @@ def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
                                   a6: PadicScalar, D: int) -> FormalGroupLaw:
     """The formal group of y^2 = x^3 + a4 x + a6 at min(a4.prec, a6.prec).
 
-    BadReduction unless the discriminant is a unit.  Works in the parameter
-    t = -x/y, w = -1/y, where the curve reads w = t^3 + a4 t w^2 + a6 w^3.
-    Only w(t) is expanded here, by Newton's iteration on
-    G(w) = w - t^3 - a4 t w^2 - a6 w^3: G'(w) = 1 - 2 a4 t w - 3 a6 w^2 is
-    a unit, so each step doubles the number of exact t-adic digits.  The
-    invariant differential omega = (t w' - w)/(2w) dt (Silverman, GTM 106,
-    IV.1) gives the logarithm, and the chord-tangent law is built on first
-    access.
+    BadReduction unless the discriminant is a unit; IncompatibleSpec if
+    a4 or a6 has a nonzero pi-digit (e >= 2), since the closed form takes
+    integers.  The invariant differential is omega = sum_(m <= D/2)
+    u_m T^(2m) dt, u_m from `weierstrass_omega_coeffs` at ceil(N/e)
+    p-adic digits: it gives the logarithm with no series product.  The
+    chord-tangent law, in the parameter t = -x/y with w = -1/y, is built
+    on first access from the closed-form w(t) (`_weierstrass_w`).
     """
     N, a4, a6 = _good_reduction(a4, a6)
-    w = _weierstrass_w(spec, a4, a6, D + 3, N)
-
-    # with w = sum c_k t^k: omega = sum (k-1) c_k t^(k-3) / sum 2 c_k t^(k-3)
-    num = {(k - 3,): [(k - 1) * x for x in d] for (k,), d in w.coeffs.items()}
-    den = {(k - 3,): [2 * x for x in d] for (k,), d in w.coeffs.items()}
-    omega = TruncSeries(spec, ("T",), num, D, N) \
-        * _unit_inverse(TruncSeries(spec, ("T",), den, D, N))
+    if any(a4.digits[1:]) or any(a6.digits[1:]):
+        raise IncompatibleSpec("a4 and a6 must be p-adic integers, with no "
+                               "nonzero pi-digit")
+    ms = range(D // 2 + 1)
+    u = weierstrass_omega_coeffs(spec.p, a4.digits[0], a6.digits[0], ms,
+                                 -(-N // spec.e))
+    omega = TruncSeries.from_scalar_dict(
+        spec, ("T",), {(2 * m,): spec.scalar(c, N) for m, c in zip(ms, u)},
+        D, N)
     return FormalGroupLaw(spec, D, N,
-                          lambda: _chord_tangent_law(spec, a4, a6, w, D, N),
+                          lambda: _chord_tangent_law(spec, a4, a6, D, N),
                           name=f"weierstrass(a4={a4.digits},a6={a6.digits})",
                           curve=(a4, a6), omega=omega)
 
 
 def _weierstrass_w(spec: BaseRingSpec, a4: PadicScalar, a6: PadicScalar,
                    cap: int, N: int) -> TruncSeries:
-    """The root w = t^3 + ... of G(w) = w - t^3 - a4 t w^2 - a6 w^3, to
-    degree cap, by Newton's iteration w <- w - G(w)/G'(w).
+    """The root w = t^3 + ... of w = t^3 + a4 t w^2 + a6 w^3, to degree
+    cap, by Lagrange inversion.
 
-    If w is exact to degree k - 1, then G(w) = 0 to degree k - 1, so the
-    step is exact to degree 2k - 1 and needs 1/G'(w) only to degree k - 1.
-    That inverse is carried from step to step and refined by one Newton
-    inversion step each time.  Each step works at its own degree cap.
+    With w = t^3 W, W = 1 + a4 t^4 W^2 + a6 t^6 W^3, and the coefficient
+    of a4^j a6^k t^(3 + 4j + 6k) in w is the integer
+    (2j + 3k)! / (j! k! (j + 2k + 1)!)
+    = C(2j + 3k, j) C(j + 3k, k) / (j + 2k + 1).
     """
-    T = ("T",)
-    t3 = TruncSeries.gen(spec, T, "T", cap, N) ** 3
-    t_a4 = TruncSeries(spec, T, {(1,): a4.digits}, cap, N)
-    one = TruncSeries.const(spec, T, spec.one(N), cap, N)
-    # w = t^3 to degree 6, since w - t^3 = a4 t w^2 + a6 w^3; and
-    # 1/G'(w) = 1 to degree 3, since t w and w^2 have degree >= 4
-    w, k = t3, 7
-    v, kv = one, 4
-    while k <= cap:
-        k2 = min(2 * k, cap + 1)
-        w = w.with_cap(k2 - 1)
-        w2 = w * w
-        if kv < k2 - k:
-            kv = min(2 * kv, k2 - k)
-            c = kv - 1
-            dG = one.with_cap(c) \
-                - (t_a4.with_cap(c) * w.with_cap(c)).int_mul(2) \
-                - w2.with_cap(c).scalar_mul(a6).int_mul(3)
-            v = _newton_inverse_step(dG, v, c)
-        G = w - t3.with_cap(k2 - 1) \
-            - w2 * (t_a4.with_cap(k2 - 1) + w.scalar_mul(a6))
-        w = w - v.with_cap(k2 - 1) * G
-        k = k2
-    return w
+    coeffs = {}
+    a6_k = spec.one(N)
+    for k in range((cap - 3) // 6 + 1):
+        term = a6_k  # a4^j a6^k
+        for j in range((cap - 3 - 6 * k) // 4 + 1):
+            c = comb(2 * j + 3 * k, j) * comb(j + 3 * k, k) // (j + 2 * k + 1)
+            m = (3 + 4 * j + 6 * k,)
+            coeffs[m] = coeffs.get(m, spec.zero(N)) + term.scale_int(c)
+            term = term * a4
+        a6_k = a6_k * a6
+    return TruncSeries.from_scalar_dict(spec, ("T",), coeffs, cap, N)
 
 
 def _chord_tangent_law(spec: BaseRingSpec, a4: PadicScalar, a6: PadicScalar,
-                       w: TruncSeries, D: int, N: int) -> TruncSeries:
+                       D: int, N: int) -> TruncSeries:
     """F(X, Y) = -(third intersection of the chord through t = X and Y),
     whose slope (w(Y) - w(X))/(Y - X) = sum c_k sum_{i+j=k-1} X^i Y^j for
     w = sum c_k t^k has X^i Y^j coefficient c_(i+j+1)."""
+    w = _weierstrass_w(spec, a4, a6, D + 1, N)
     t1 = TruncSeries.gen(spec, VARS, "X", D, N)
     t2 = TruncSeries.gen(spec, VARS, "Y", D, N)
     lam = TruncSeries(spec, VARS, {(i, k - 1 - i): d for (k,), d in

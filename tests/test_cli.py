@@ -152,7 +152,10 @@ def _argvs(draw):
             "--e", str(draw(st.sampled_from([1, 1, 1, 2, 2, 0, 3, 4]))),
             "--prec", str(draw(st.integers(-2, 12))),
             "--deg", str(draw(st.integers(0, p * p + 2))),
-            "--nmax", str(draw(st.integers(0, 2 if cmd == "witt" else 3)))]
+            # witt rejects nmax 4 at once; nmax < 1 never reaches the
+            # engine, and test_character_order_below_one_fails covers it
+            "--nmax", str(draw(st.sampled_from([1, 2, 4]) if cmd == "witt"
+                               else st.integers(1, 3)))]
     curve = draw(st.sampled_from(["both"] * 3 + ["none", "half"]))
     if curve != "none":
         # small coefficients: bad reduction is common
@@ -419,13 +422,16 @@ def test_crystal_on_curve_never_builds_law(tmp_path, monkeypatch):
     "--p 5 --deg 27",
     "--p 3 --deg 27 --prec 1",
     "--p 5 --e 2 --deg 27 --prec 2",
+    "--p 5 --e 3 --deg 51 --prec 2",
 ])
 def test_verify_on_curve_never_builds_law(tmp_path, monkeypatch, argv):
-    # the character suites read only the logarithm from omega
+    # the character suites read only the logarithm from omega, which is
+    # a closed form: neither the law nor w(t) is built
     def no_law(*args):
-        raise AssertionError("the bivariate law was built")
+        raise AssertionError("the bivariate law or w(t) was built")
 
     monkeypatch.setattr(fgl, "_chord_tangent_law", no_law)
+    monkeypatch.setattr(fgl, "_weierstrass_w", no_law)
     code, rep = _run(tmp_path, ["--cmd", "verify", "--a4", "1", "--a6", "1"]
                      + argv.split())
     assert code == 0 and rep["status"] == "pass"
@@ -756,6 +762,18 @@ def test_character_order_below_one_fails(tmp_path, cmd, nmax):
                                 "--a4", "1", "--a6", "1"])
     assert code == 1 and rep["status"] == "fail"
     assert rep["error"] == f"InvalidParameters: nmax must be >= 1, not {nmax}"
+
+
+@pytest.mark.parametrize("nmax", ["4", "7"])
+def test_witt_order_above_three_fails(tmp_path, nmax):
+    # witt used to cut nmax to 3 and pass, with length-4 vectors under a
+    # params.nmax that said otherwise
+    code, rep = _run(tmp_path, ["--cmd", "witt", "--p", "5", "--nmax", nmax,
+                                "--prec", "2"])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["error"] == f"InvalidParameters: witt needs nmax <= 3, " \
+                           f"not {nmax}"
+    assert rep["params"]["nmax"] == int(nmax) and "x" not in rep
 
 
 @pytest.mark.parametrize("cmd", ["witt", "verify", "crystal"])

@@ -129,9 +129,11 @@ def test_bad_reduction_message_is_fixed():
     (5, 1, 0, 1, 27),   # a4 = 0
     (5, 1, 2, 0, 27),   # a6 = 0
     (7, 1, 1, 1, 51),
+    (5, 3, 1, 1, 27),
+    (7, 1, -7, -5, 51),  # negative coefficients
 ])
 def test_invariant_differential_is_inverse_of_law_x_part(p, e, a4, a6, D):
-    # omega = (t w' - w)/(2w) from w(t) alone equals 1/F_X(0, T) read off
+    # omega in closed form, read with no law, equals 1/F_X(0, T) read off
     # the chord-tangent law, coefficient for coefficient
     spec = BaseRingSpec(p, e)
     E = formal_group_from_weierstrass(
@@ -139,6 +141,39 @@ def test_invariant_differential_is_inverse_of_law_x_part(p, e, a4, a6, D):
     from_law = fgl._unit_inverse(fgl._x_linear_part(E.law))
     assert (E.omega.cap, E.omega.prec) == (from_law.cap, from_law.prec)
     assert E.omega.coeffs == from_law.coeffs
+
+
+def test_weierstrass_group_makes_no_series_product(monkeypatch):
+    # omega is a closed-form sum, and w(t) waits for the law
+    calls = []
+    mul = TruncSeries.__mul__
+
+    def counted(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    for p, e, D in [(5, 1, 27), (5, 2, 27), (7, 1, 625)]:
+        spec = BaseRingSpec(p, e)
+        E = formal_group_from_weierstrass(
+            spec, spec.scalar(1, 8), spec.scalar(1, 8), D)
+        assert E.omega.coeffs
+    assert calls == []
+
+
+@pytest.mark.parametrize("which", ["a4", "a6"])
+@pytest.mark.parametrize("e", [2, 3])
+def test_pi_digit_coefficient_is_refused(e, which):
+    # the closed forms take p-adic integers; pi = (0, 1, 0, ...)
+    spec = BaseRingSpec(5, e)
+    coeffs = {"a4": spec.one(6), "a6": spec.one(6)}
+    coeffs[which] = coeffs[which] + spec.pi(6)
+    with pytest.raises(IncompatibleSpec, match="pi-digit"):
+        formal_group_from_weierstrass(spec, coeffs["a4"], coeffs["a6"], 11)
+    # a pi-digit past the precision is no pi-digit
+    low = {k: v.reduce_prec(1) for k, v in coeffs.items()}
+    assert formal_group_from_weierstrass(spec, low["a4"], low["a6"],
+                                         11).prec == 1
 
 
 def test_weierstrass_log_does_not_build_law(monkeypatch):
@@ -194,11 +229,13 @@ def test_log_denominator_exponent_at_powers(p, e):
 
 
 # shapes of good reduction at each (p, e, D); at p = 3 every curve with
-# a4 = 0 has bad reduction
+# a4 = 0 has bad reduction.  The last three: e = 3 and negative
+# coefficients.
 W_SHAPES = [
     (3, 1, 1, 1, 81), (3, 1, 1, 0, 81),
     (5, 2, 1, 1, 27), (5, 2, 0, 1, 27), (5, 2, 1, 0, 27),
     (7, 1, 1, 1, 51), (7, 1, 0, 1, 51), (7, 1, 1, 0, 51),
+    (5, 3, 1, 1, 27), (5, 3, 2, -1, 27), (7, 1, -7, -5, 51),
 ]
 
 
@@ -218,7 +255,8 @@ def test_weierstrass_w_is_a_fixed_point(p, e, a4, a6, D):
 
 
 # sha256 of the invariant differential's JSON; the values were computed
-# while w(t) was still found by fixed-point iteration
+# while w(t) was still found by fixed-point iteration, the last three
+# while omega was still (t w' - w)/(2w) with w by Newton's iteration
 PINNED_OMEGA = {
     (3, 1, 1, 1, 81):
         "152e2cd248b7b863af333d698fc488618465a67a93533407afa85871e1b0f0ef",
@@ -236,6 +274,12 @@ PINNED_OMEGA = {
         "0721d404bcccb3c048db93efcb2fabcb72982a26759c4d71c86deca339f53da4",
     (7, 1, 1, 0, 51):
         "b921deec5c9ed96b705d38890832b5906e84a8870da8c6cad614f49e0d45a317",
+    (5, 3, 1, 1, 27):
+        "58399da28822ff16b1e04343d36d70a33f37e679037d02a8c1e74a17c43882e1",
+    (5, 3, 2, -1, 27):
+        "772e1729c6941c92bada58a6baa389a5392d5b59947fee928c0d23d8d58db225",
+    (7, 1, -7, -5, 51):
+        "aaa0726662e664b6749c91b9bdeae437cc4d222ddcd42f0423cf573404612ca7",
 }
 
 

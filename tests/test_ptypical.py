@@ -1,10 +1,11 @@
 """The p-typical groups `crystal` solves: the closed-form invariant
-differential against the Newton expansion, the Hasse and Dwork congruences
-it satisfies, and the characters it gives against those of the full
-group."""
+differential against its defining equation 2 w omega = t w' - w, the
+Hasse and Dwork congruences it satisfies, and the characters it gives
+against those of the full group."""
 
 import pytest
 
+from arithjet import fgl
 from arithjet.characters import (
     extract_lambda_gamma,
     rank_table,
@@ -23,6 +24,7 @@ from arithjet.fgl import (
     weierstrass_omega_coeffs,
 )
 from arithjet.ring import BaseRingSpec
+from arithjet.series import TruncSeries
 
 
 # good reduction at each (p, e); a4 = 0, a6 = 0, negative and non-reduced
@@ -36,29 +38,43 @@ OMEGA_CURVES = [
 ]
 
 
+def _solves_its_defining_equation(spec, a4, a6, omega, N):
+    # omega dt = dx/(2y) with x = t/w, y = -1/w, so 2 w omega = t w' - w;
+    # over t^3, with w = sum c_k t^k: 2 omega sum c_k t^(k - 3) =
+    # sum (k - 1) c_k t^(k - 3), to the degree cap D of omega
+    D = omega.cap
+    w = fgl._weierstrass_w(spec, a4, a6, D + 3, N)
+    W = TruncSeries(spec, ("T",), {(k - 3,): d
+                                   for (k,), d in w.coeffs.items()}, D, N)
+    tw = TruncSeries(spec, ("T",), {(k - 3,): [(k - 1) * x for x in d]
+                                    for (k,), d in w.coeffs.items()}, D, N)
+    return (W * omega).int_mul(2) == tw
+
+
 @pytest.mark.parametrize("p,e,a4,a6,D", OMEGA_CURVES)
 def test_closed_form_is_the_newton_invariant_differential(p, e, a4, a6, D):
-    # omega = sum_m u_m T^(2m): no odd degree, and every even degree <= D
-    # read off the Newton expansion
+    # omega = sum_m u_m T^(2m), the expansion that Newton's iteration
+    # used to give: no odd degree, and 2 w omega = t w' - w, which a
+    # wrong u_m fails, since w/t^3 is a unit and p is odd
     N = 6
     spec = BaseRingSpec(p, e)
-    omega = formal_group_from_weierstrass(
-        spec, spec.scalar(a4, N), spec.scalar(a6, N), D).omega
+    a4, a6 = spec.scalar(a4, N), spec.scalar(a6, N)
+    omega = formal_group_from_weierstrass(spec, a4, a6, D).omega
     assert all(k % 2 == 0 for (k,) in omega.coeffs)
-    u = weierstrass_omega_coeffs(p, a4, a6, range(D // 2 + 1),
-                                 -(-N // e))
-    assert [omega.coeff((2 * m,)) for m in range(D // 2 + 1)] \
-        == [spec.scalar(x, N) for x in u]
+    assert _solves_its_defining_equation(spec, a4, a6, omega, N)
+    top = TruncSeries(spec, ("T",), {(D - D % 2,): spec.one(N).digits}, D,
+                      N)
+    assert not _solves_its_defining_equation(spec, a4, a6, omega + top, N)
 
 
 def test_closed_form_at_p_typical_degrees_of_a_deep_cap():
+    # at D = 625 the full omega solves its equation, and the p-typical
+    # group keeps exactly its T^(p^k - 1) terms
     spec, N, D = BaseRingSpec(5), 7, 625
-    omega = formal_group_from_weierstrass(
-        spec, spec.scalar(1, N), spec.scalar(1, N), D).omega
+    one = spec.scalar(1, N)
+    omega = formal_group_from_weierstrass(spec, one, one, D).omega
+    assert _solves_its_defining_equation(spec, one, one, omega, N)
     ms = [(5 ** k - 1) // 2 for k in range(5)]
-    assert [omega.coeff((2 * m,)) for m in ms] \
-        == [spec.scalar(x, N) for x in weierstrass_omega_coeffs(5, 1, 1,
-                                                                ms, N)]
     F = ptypical_weierstrass(spec, 1, 1, D, N)
     assert sorted(F.omega.coeffs) == [(5 ** k - 1,) for k in range(5)]
     assert all(F.omega.coeff((2 * m,)) == omega.coeff((2 * m,))
@@ -122,14 +138,14 @@ def test_p_typical_group_builds_no_law():
 
 
 def test_p_typical_curve_keeps_the_bad_reduction_check():
-    # the Newton constructor's check, with its message
+    # the full curve's check, with its message
     spec = BaseRingSpec(7)
-    with pytest.raises(BadReduction) as newton:
+    with pytest.raises(BadReduction) as full:
         formal_group_from_weierstrass(spec, spec.scalar(1, 3),
                                       spec.scalar(2, 3), 27)
     with pytest.raises(BadReduction) as typical:
         ptypical_weierstrass(spec, 1, 2, 27, 3)
-    assert str(typical.value) == str(newton.value)
+    assert str(typical.value) == str(full.value)
 
 
 def _invariants(F, nmax):
@@ -157,7 +173,7 @@ EQUIV_GROUPS = [
 def test_p_typical_group_has_the_invariants_of_the_full_group(p, e, a4,
                                                              a6, D):
     # m, lambda, gamma and the rank table at M digits, from the
-    # p-typification and from the Newton group with its law; the rank
+    # p-typification and from the full group; the rank
     # table's kernel order 3 needs D > p^2
     spec = BaseRingSpec(p, e)
     M = log_denominator_exponent(spec, D) + 1

@@ -349,8 +349,9 @@ def _large_univariate(rng, spec, shape, top, cap, prec):
                                   BaseRingSpec(5, 2), BaseRingSpec(7, 3)],
                          ids=repr)
 def test_one_variable_product_at_large_caps(spec):
-    # Newton's iteration multiplies one-variable series up to cap D + 3:
-    # sparse and dense operands at caps 100 to 300, and an uncapped
+    # a unit inverse, or the 2 w omega = t w' - w check, multiplies
+    # one-variable series at deep caps: sparse and dense operands at caps
+    # 100 to 300, and an uncapped
     # product of degree 300, against the termwise sum
     rng = random.Random(spec.p * 10 + spec.e)
     for cap, shape_f, shape_g in [(100, "dense", "dense"),
