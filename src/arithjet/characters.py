@@ -54,7 +54,7 @@ from .fgl import (
 from .howell import module_rank, right_kernel_basis, unit_vectors
 from .ring import PadicScalar, digit_mul_pi
 from .series import FracSeries, TruncSeries, monomial_key
-from .witt import WittVector, _ghost, fgl_eval_witt, frobenius_W
+from .witt import WittVector, fgl_eval_witt, frobenius_W
 
 
 def kernel_vars(n: int) -> tuple:
@@ -212,19 +212,6 @@ class Character:
 # --------------------------------------------------------------------------
 # logarithm-ghost generators
 # --------------------------------------------------------------------------
-
-def ghost_witt_polynomials(spec, n: int, kind: str, cap, prec):
-    """w_i(x) (jet) or kappa_i = w_i|x0=0 (kernel), as TruncSeries.
-
-    The solver builds L(w_i) in closed form (`_log_ghost`); this is the
-    test oracle's side, L.substitute({"T": w_i})."""
-    vars_ = jet_vars(n) if kind == "jet" else kernel_vars(n)
-    xs = [TruncSeries.gen(spec, vars_, v, cap, prec) for v in vars_]
-    if kind == "jet":
-        return vars_, _ghost(spec, xs, prec)
-    zero = TruncSeries.zero(spec, vars_, cap, prec)
-    return vars_, _ghost(spec, [zero] + xs, prec)[1:]
-
 
 def _memoized(F: FormalGroupLaw, key, compute):
     """F._memo[key], computed on first use.  An exception is not stored,

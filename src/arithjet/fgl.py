@@ -1,18 +1,21 @@
 """One-dimensional formal group laws and their logarithms.
 
-Laws are truncated two-variable series F(X, Y) over R, built on first
-access.  Two constructors know a curve, and both check the discriminant.
-Both read the invariant differential of a short Weierstrass model off
-one closed form, u_m = [x^(2m)] (x^3 + a4 x + a6)^m
+Every group carries its invariant differential omega = 1/F_X(0, T), a
+T-series built from integer coefficients by one helper (`_omega`); its
+law, a truncated two-variable series F(X, Y) over R, is optional and
+built on first access.  The logarithm integrates omega, never the law,
+and therefore lives in K (FracSeries with a bounded pi-power
+denominator).  The additive and multiplicative laws carry omega = 1 and
+1/(1 + T).  Two constructors know a curve, and both check the
+discriminant.  Both read omega of a short Weierstrass model off one
+closed form, u_m = [x^(2m)] (x^3 + a4 x + a6)^m
 (`weierstrass_omega_coeffs`), a sum of integers with no series product.
 `formal_group_from_weierstrass` keeps every term u_m T^(2m); its
 chord-tangent law is built on first access from w(t) = sum c_k t^k
 (t = -x/y), whose coefficients are integers in a4 and a6 by Lagrange
 inversion, and the chord slope copies w: its X^i Y^j coefficient is
 c_(i+j+1).  `ptypical_weierstrass`, all that `crystal` needs, keeps only
-the terms T^(p^k - 1) and has no law.  The logarithm integrates the
-invariant differential and therefore lives in K (FracSeries with a
-bounded pi-power denominator).
+the terms T^(p^k - 1) and has no law.
 """
 
 from __future__ import annotations
@@ -37,18 +40,22 @@ def log_denominator_exponent(spec: BaseRingSpec, D: int) -> int:
 class FormalGroupLaw:
     """A commutative one-dimensional formal group law to degree `cap`.
 
-    `build()` returns the law F(X, Y); it runs on the first access to
-    `law`, which validates the result.  `omega`, when given, is the
-    invariant differential P(T) = 1/F_X(0, T), known without the law.
+    `omega` is the invariant differential P(T) = 1/F_X(0, T), a T-series
+    to degree `cap`; the logarithm reads only it.  `build()`, when given,
+    returns the law F(X, Y); it runs on the first access to `law`, which
+    validates the result.  A group with no builder carries omega only,
+    and reading its `law` raises IncompatibleSpec.
 
-    `_memo` holds what `characters` derives from the law once: the
-    formal logarithm, the log-ghost generators L(w_i), the unit root of
-    Frobenius and the solved character modules.  It lives and dies with the instance; its entries
-    are shared between callers and never mutated.
+    `_memo` holds what `characters` derives from omega once: the formal
+    logarithm, the log-ghost generators L(w_i), the unit root of
+    Frobenius and the solved character modules.  It lives and dies with
+    the instance; its entries are shared between callers and never
+    mutated.
     """
 
-    def __init__(self, spec: BaseRingSpec, cap: int, prec: int, build,
-                 name: str = "fgl", curve=None, omega=None):
+    def __init__(self, spec: BaseRingSpec, cap: int, prec: int,
+                 omega: TruncSeries, build=None, name: str = "fgl",
+                 curve=None):
         if prec < 1:
             raise PrecisionExhausted(
                 f"a formal group law needs precision >= 1, not {prec}")
@@ -65,6 +72,9 @@ class FormalGroupLaw:
     @property
     def law(self) -> TruncSeries:
         if self._law is None:
+            if self._build is None:
+                raise IncompatibleSpec(f"{self.name} carries its logarithm "
+                                       "only; its law is not built")
             law = self._build()
             self._validate(law)
             self._law = law
@@ -110,16 +120,29 @@ class FormalGroupLaw:
                 f"D={self.cap}, N={self.prec})")
 
 
+def _omega(spec: BaseRingSpec, D: int, N: int, coeffs: dict) -> TruncSeries:
+    """The invariant differential sum_k c_k T^k to degree D at N digits,
+    from integers c_k (coeffs maps k to c_k)."""
+    pad = (0,) * (spec.e - 1)
+    return TruncSeries(spec, ("T",), {(k,): (c,) + pad
+                                      for k, c in coeffs.items()}, D, N)
+
+
 def additive_law(spec: BaseRingSpec, D: int, N: int) -> FormalGroupLaw:
+    """X + Y, with omega = 1."""
     X = TruncSeries.gen(spec, VARS, "X", D, N)
     Y = TruncSeries.gen(spec, VARS, "Y", D, N)
-    return FormalGroupLaw(spec, D, N, lambda: X + Y, name="additive")
+    return FormalGroupLaw(spec, D, N, _omega(spec, D, N, {0: 1}),
+                          lambda: X + Y, name="additive")
 
 
 def multiplicative_law(spec: BaseRingSpec, D: int, N: int) -> FormalGroupLaw:
+    """X + Y + XY, with omega = 1/(1 + T) = sum_(k < D) (-1)^k T^k: the
+    terms of degree k + 1 <= D that its truncated law determines."""
     X = TruncSeries.gen(spec, VARS, "X", D, N)
     Y = TruncSeries.gen(spec, VARS, "Y", D, N)
-    return FormalGroupLaw(spec, D, N, lambda: X + Y + X * Y,
+    omega = _omega(spec, D, N, {k: (-1) ** k for k in range(D)})
+    return FormalGroupLaw(spec, D, N, omega, lambda: X + Y + X * Y,
                           name="multiplicative")
 
 
@@ -127,16 +150,9 @@ def _unit_inverse(u: TruncSeries) -> TruncSeries:
     """Inverse of a series with unit constant term, by Newton's iteration
     v <- v (2 - u v): an inverse to degree k - 1 becomes one to degree
     min(2k - 1, cap), each step at its own degree cap.
-
-    An uncapped series has an exact inverse only when it is a constant.
     """
     v = TruncSeries.const(u.spec, u.vars, u.constant_term().inverse(),
                           u.cap, u.prec)
-    if u.cap is None:
-        if u.max_degree():
-            raise IncompatibleSpec("an exact non-constant series has no "
-                                   "polynomial inverse")
-        return v
     two = TruncSeries.const(u.spec, u.vars, u.spec.scalar(2, u.prec), u.cap,
                             u.prec)
     k = 1  # v is the inverse to degree k - 1
@@ -178,13 +194,11 @@ def formal_group_from_weierstrass(spec: BaseRingSpec, a4: PadicScalar,
     ms = range(D // 2 + 1)
     u = weierstrass_omega_coeffs(spec.p, a4.digits[0], a6.digits[0], ms,
                                  -(-N // spec.e))
-    omega = TruncSeries.from_scalar_dict(
-        spec, ("T",), {(2 * m,): spec.scalar(c, N) for m, c in zip(ms, u)},
-        D, N)
-    return FormalGroupLaw(spec, D, N,
+    omega = _omega(spec, D, N, {2 * m: c for m, c in zip(ms, u)})
+    return FormalGroupLaw(spec, D, N, omega,
                           lambda: _chord_tangent_law(spec, a4, a6, D, N),
                           name=f"weierstrass(a4={a4.digits},a6={a6.digits})",
-                          curve=(a4, a6), omega=omega)
+                          curve=(a4, a6))
 
 
 def _weierstrass_w(spec: BaseRingSpec, a4: PadicScalar, a6: PadicScalar,
@@ -289,11 +303,6 @@ def weierstrass_omega_coeffs(p: int, a4: int, a6: int, ms, r: int) -> list:
     return out
 
 
-def _no_law():
-    raise IncompatibleSpec("a p-typical group carries its logarithm only; "
-                           "its law is not built")
-
-
 def ptypical_group(spec: BaseRingSpec, D: int, N: int, b, name: str,
                    curve=None) -> FormalGroupLaw:
     """The p-typical group with invariant differential sum_k b_k T^(p^k - 1),
@@ -306,11 +315,8 @@ def ptypical_group(spec: BaseRingSpec, D: int, N: int, b, name: str,
     lattices `characters` solves are those of the original group.  Only
     `omega` is known: reading `law` raises IncompatibleSpec.
     """
-    pad = (0,) * (spec.e - 1)
-    omega = TruncSeries(spec, ("T",), {(spec.p ** k - 1,): (c,) + pad
-                                       for k, c in enumerate(b)}, D, N)
-    return FormalGroupLaw(spec, D, N, _no_law, name=name, curve=curve,
-                          omega=omega)
+    omega = _omega(spec, D, N, {spec.p ** k - 1: c for k, c in enumerate(b)})
+    return FormalGroupLaw(spec, D, N, omega, name=name, curve=curve)
 
 
 def ptypical_weierstrass(spec: BaseRingSpec, a4: int, a6: int, D: int,
@@ -372,25 +378,13 @@ def frobenius_unit_root(spec: BaseRingSpec, ap: int,
                                spec.scalar(spec.p, prec))
 
 
-def _x_linear_part(law: TruncSeries) -> TruncSeries:
-    """F_X(0, T): the coefficients of X^1 Y^k of the law, as a T-series."""
-    pods = {(k,): d for (i, k), d in law.coeffs.items() if i == 1}
-    return TruncSeries(law.spec, ("T",), pods, law.cap, law.prec)
-
-
 def formal_logarithm(F: FormalGroupLaw) -> FracSeries:
-    """L with L'(T) = 1/F_X(0, T), L(0) = 0; linearizes the law over K.
-
-    1/F_X(0, T) is the curve's invariant differential `F.omega` when F
-    comes from a curve, so the law is not built; otherwise it is read off
-    the law.
-    """
+    """L with L'(T) = omega = 1/F_X(0, T), L(0) = 0; linearizes the law
+    over K.  It reads `F.omega` only, so the law is not built."""
     spec = F.spec
     D = F.cap
     N = F.prec
     P = F.omega
-    if P is None:
-        P = _unit_inverse(_x_linear_part(F.law))
     shift = log_denominator_exponent(spec, D)
     out = {}
     for (k,), d in P.coeffs.items():
@@ -411,4 +405,5 @@ def check_log_linearizes(F: FormalGroupLaw, L: FracSeries) -> bool:
     lx = L.substitute({"T": TruncSeries.gen(F.spec, VARS, "X", F.cap, F.prec)})
     ly = L.substitute({"T": TruncSeries.gen(F.spec, VARS, "Y", F.cap, F.prec)})
     lf = L.substitute({"T": F.law})
-    return (lf.num == (lx + ly).num)
+    # compared at one shift: a sum may normalize to a lower one
+    return (lf - (lx + ly)).num.is_zero()

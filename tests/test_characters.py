@@ -1,15 +1,16 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from arithjet import characters, witt
 from arithjet.characters import (
     Character,
+    RankTable,
     expand_in_psi_basis,
     extract_lambda_gamma,
     frobenius_pullback,
-    ghost_witt_polynomials,
     i_star,
     jet_group_law,
     kernel_group_law,
@@ -33,6 +34,8 @@ from arithjet.errors import (
     PrecisionExhausted,
 )
 from arithjet.fgl import (
+    FormalGroupLaw,
+    additive_law,
     formal_group_from_weierstrass,
     formal_logarithm,
     log_denominator_exponent,
@@ -41,7 +44,7 @@ from arithjet.fgl import (
 from arithjet.howell import module_rank
 from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.series import FracSeries, TruncSeries
-from arithjet.verify import run_character_suites
+from arithjet.verify import ghost_components, run_character_suites
 from arithjet.witt import WittVector, fgl_eval_witt, verschiebung
 
 N_DESK = 6
@@ -72,6 +75,30 @@ def test_jet_ranks_supersingular(curve5_ss):
 def test_jet_rank_multiplicative(mult5):
     chars, rank = solve_delta_characters(mult5, 1)
     assert rank == 1
+
+
+def test_laws_solve_from_omega_alone(monkeypatch):
+    # the additive and multiplicative laws carry omega: their logarithm,
+    # characters and rank table read it, and never the bivariate law
+    def no_law(self):
+        raise AssertionError("the bivariate law was read")
+
+    monkeypatch.setattr(FormalGroupLaw, "law", property(no_law))
+    spec, D, N = BaseRingSpec(5), 27, 3
+    add, mult = additive_law(spec, D, N), multiplicative_law(spec, D, N)
+    # L = T and log(1 + T) = sum_k (-1)^(k+1) T^k / k, carried as
+    # 5^(-2) * num at D = 27: num's coefficients are 25 c_k mod 5^3
+    logs = {add: {1: Fraction(1)},
+            mult: {k: Fraction((-1) ** (k + 1), k) for k in range(1, D + 1)}}
+    for F, c in logs.items():
+        L = formal_logarithm(F)
+        assert L.shift == 2
+        assert L.num.coeffs == TruncSeries(spec, ("T",), {
+            (k,): ((25 * x).numerator * pow((25 * x).denominator, -1, 125),)
+            for k, x in c.items()}, D, N).coeffs
+    assert solve_delta_characters(add, 1)[1] == 0
+    assert solve_delta_characters(mult, 1)[1] == 1
+    assert rank_table(mult, 3).rk_X == [0, 1, 2, 3]
 
 
 def test_splitting_numbers(curve5, mult5):
@@ -247,10 +274,14 @@ def _assert_generators_match_substitution(E):
     for kind, orders in (("jet", range(0, 4)), ("kernel", range(1, 4))):
         for n in orders:
             vars_, gens = log_ghost_generators(E, n, kind)
-            wvars, ws = ghost_witt_polynomials(E.spec, n, kind, E.cap,
-                                               E.prec)
-            assert vars_ == wvars and len(gens) == len(ws)
+            # w_i by naive powers; kappa_i = w_i at x0 = 0, slot 0 dropped
+            xs = [TruncSeries.gen(E.spec, vars_, v, E.cap, E.prec)
+                  for v in vars_]
             extra = 1 if kind == "kernel" else 0
+            if extra:
+                xs.insert(0, TruncSeries.zero(E.spec, vars_, E.cap, E.prec))
+            ws = ghost_components(WittVector(E.spec, xs))[extra:]
+            assert len(gens) == len(ws)
             for g, w in zip(gens, ws):
                 direct = L.substitute({"T": w})
                 assert g.shift == direct.shift + extra
@@ -668,3 +699,30 @@ def test_rank_table_z3():
     assert tab.m_low == tab.m_up <= 2
     assert all(a >= b for a, b in zip(tab.h, tab.h[1:]))
     tab.check()
+
+
+@pytest.mark.parametrize("h,l,m,match", [
+    ([1, 0, 1], [0, 1, -1], (1, 1), "h is not weakly decreasing"),
+    ([1, 0, 0], [0, 1, 1], (1, 1), r"l_2 != h_1 - h_2 \(1 vs 0\)"),
+    ([1, 0, 0], [0, 1, 0], (1, 2), "m_low = m_up <= 2 fails"),
+    ([1, 1, 1], [0, 0, 0], (3, 3), "m_low = m_up <= 2 fails"),
+])
+def test_inconsistent_rank_table_raises(h, l, m, match):
+    # n_max = 2; each table breaks one rank identity
+    RankTable(2, [0, 1, 2], [0, 1, 2], [0, 0, 0], [1, 0, 0], [0, 1, 0],
+              1, 1).check()
+    table = RankTable(2, [0, 1, 2], [0, 1, 2], [0, 0, 0], h, l, *m)
+    with pytest.raises(IntegralityViolation, match=match):
+        table.check()
+
+
+def test_unit_gamma_raises(mult5):
+    # gamma = d_0 / d_1 must be divisible by pi: a unit d_0 contradicts
+    # the structure theorem, and is raised, not reported
+    (theta,), _ = solve_delta_characters(mult5, 1)
+    d = theta.lcoeffs
+    assert extract_lambda_gamma(theta)[1].valuation() >= 1
+    unit = Character("jet", 1, theta.frac, [d[0] + d[0].spec.one(d[0].prec),
+                                            d[1]])
+    with pytest.raises(IntegralityViolation, match="not divisible by pi"):
+        extract_lambda_gamma(unit)

@@ -18,7 +18,7 @@ from arithjet.characters import (
     upsilon,
 )
 from arithjet.cli import EXIT, run
-from arithjet.errors import Inconclusive
+from arithjet.errors import Inconclusive, IntegralityViolation
 from arithjet.fgl import formal_group_from_weierstrass, log_denominator_exponent
 from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.series import TruncSeries
@@ -458,6 +458,18 @@ def test_crystal_makes_no_series_product(tmp_path, monkeypatch, argv):
     code, rep = _run(tmp_path, ["--cmd", "crystal"] + argv.split())
     assert code == 0 and rep["status"] == "pass"
     assert products == [] and substitutions == []
+
+
+def test_integrality_violation_is_a_failure(tmp_path, monkeypatch):
+    # a broken rank identity fails the run (exit 1), never inconclusive
+    def broken(self):
+        raise IntegralityViolation("m_low = m_up <= 2 fails")
+
+    monkeypatch.setattr(characters.RankTable, "check", broken)
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5", "--a4", "1",
+                                "--a6", "1", "--deg", "27"])
+    assert code == EXIT["fail"] == 1 and rep["status"] == "fail"
+    assert rep["error"] == "IntegralityViolation: m_low = m_up <= 2 fails"
 
 
 @pytest.mark.parametrize("cmd", ["crystal", "verify"])

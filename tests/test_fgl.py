@@ -41,6 +41,9 @@ def test_additive_law():
     assert F.law.linear_coeff("X") == SPEC3.one(5)
     assert F.law.linear_coeff("Y") == SPEC3.one(5)
     assert F.check_associativity()
+    assert check_log_linearizes(F, formal_logarithm(F))
+    assert not check_log_linearizes(
+        F, formal_logarithm(multiplicative_law(SPEC3, 8, 5)))
 
 
 def test_multiplicative_law():
@@ -48,6 +51,7 @@ def test_multiplicative_law():
     # X + Y + XY
     assert F.law.coeff((1, 1)) == SPEC3.one(5)
     assert F.check_associativity()
+    # the log integrates omega = 1/(1 + T), not the law
     L = formal_logarithm(F)
     # log(1+T) = T - T^2/2 + T^3/3 - ..., carried as pi^(-1) * num at D = 8:
     # the T^2 coefficient is 3 * (-1/2) = 120 mod 3^5, the T^3 one is 1
@@ -122,6 +126,12 @@ def test_bad_reduction_message_is_fixed():
                         "bad reduction"}
 
 
+def _x_linear_part(law: TruncSeries) -> TruncSeries:
+    """F_X(0, T): the coefficients of X^1 Y^k of the law, as a T-series."""
+    pods = {(k,): d for (i, k), d in law.coeffs.items() if i == 1}
+    return TruncSeries(law.spec, ("T",), pods, law.cap, law.prec)
+
+
 @pytest.mark.parametrize("p,e,a4,a6,D", [
     (3, 1, 1, 1, 11),
     (5, 1, 1, 1, 27),
@@ -131,16 +141,28 @@ def test_bad_reduction_message_is_fixed():
     (7, 1, 1, 1, 51),
     (5, 3, 1, 1, 27),
     (7, 1, -7, -5, 51),  # negative coefficients
+    (5, 1, "additive", None, 27),
+    (5, 2, "multiplicative", None, 27),
+    (7, 1, "multiplicative", None, 51),
 ])
 def test_invariant_differential_is_inverse_of_law_x_part(p, e, a4, a6, D):
-    # omega in closed form, read with no law, equals 1/F_X(0, T) read off
-    # the chord-tangent law, coefficient for coefficient
+    # omega, given with no law, equals 1/F_X(0, T) read off the law,
+    # coefficient for coefficient below degree D (the degrees the
+    # logarithm reads; a Weierstrass omega agrees at D as well)
     spec = BaseRingSpec(p, e)
-    E = formal_group_from_weierstrass(
-        spec, spec.scalar(a4, 10), spec.scalar(a6, 10), D)
-    from_law = fgl._unit_inverse(fgl._x_linear_part(E.law))
+    if a4 == "additive":
+        E = additive_law(spec, D, 10)
+    elif a4 == "multiplicative":
+        E = multiplicative_law(spec, D, 10)
+    else:
+        E = formal_group_from_weierstrass(
+            spec, spec.scalar(a4, 10), spec.scalar(a6, 10), D)
+    from_law = fgl._unit_inverse(_x_linear_part(E.law))
     assert (E.omega.cap, E.omega.prec) == (from_law.cap, from_law.prec)
-    assert E.omega.coeffs == from_law.coeffs
+    below = {m: d for m, d in from_law.coeffs.items() if m[0] < D}
+    assert {m: d for m, d in E.omega.coeffs.items() if m[0] < D} == below
+    if a6 is not None:
+        assert E.omega.coeffs == from_law.coeffs
 
 
 def test_weierstrass_group_makes_no_series_product(monkeypatch):
@@ -209,12 +231,25 @@ def test_law_is_validated_once_when_built(monkeypatch):
 def test_built_law_is_validated():
     X = TruncSeries.gen(SPEC3, VARS, "X", 6, 5)
     Y = TruncSeries.gen(SPEC3, VARS, "Y", 6, 5)
-    not_commutative = FormalGroupLaw(SPEC3, 6, 5, lambda: X + Y + X * X * Y)
+    omega = TruncSeries.const(SPEC3, ("T",), SPEC3.one(5), 6, 5)
+    not_commutative = FormalGroupLaw(SPEC3, 6, 5, omega,
+                                     lambda: X + Y + X * X * Y)
     with pytest.raises(IncompatibleSpec, match="commutative"):
         not_commutative.law
-    wrong_cap = FormalGroupLaw(SPEC3, 7, 5, lambda: X + Y)
+    wrong_cap = FormalGroupLaw(SPEC3, 7, 5, omega.with_cap(7), lambda: X + Y)
     with pytest.raises(IncompatibleSpec, match="context"):
         wrong_cap.law
+
+
+def test_group_without_builder_has_no_law():
+    omega = TruncSeries.const(SPEC3, ("T",), SPEC3.one(5), 6, 5)
+    F = FormalGroupLaw(SPEC3, 6, 5, omega, name="bare")
+    with pytest.raises(IncompatibleSpec, match="bare .*law is not built"):
+        F.law
+    L = formal_logarithm(F)  # T, carried as pi^(-1) * 3T at D = 6
+    assert (L.shift, L.num.coeffs) == (1, {(1,): (3,)})
+    with pytest.raises(TypeError):
+        FormalGroupLaw(SPEC3, 6, 5)  # omega is required
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2)])
@@ -305,15 +340,6 @@ def test_unit_inverse_is_exact(spec, vars, cap):
     inv = fgl._unit_inverse(u)
     assert (inv.cap, inv.prec) == (cap, 6)
     assert (u * inv).coeffs == one.coeffs
-
-
-def test_unit_inverse_of_exact_series():
-    one = TruncSeries.const(SPEC3, ("T",), SPEC3.one(5), None, 5)
-    t = TruncSeries.gen(SPEC3, ("T",), "T", None, 5)
-    two = one + one
-    assert fgl._unit_inverse(two) * two == one
-    with pytest.raises(IncompatibleSpec):
-        fgl._unit_inverse(one + t)
 
 
 # sha256 of the chord-tangent law's JSON at 8 digits; the values were

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from arithjet.errors import NotInVImage
+from arithjet.errors import IncompatibleSpec, NotInVImage
 from arithjet.lateral import (
     TildeWittVector,
     from_witt,
@@ -32,6 +32,21 @@ def test_pack_unpack_roundtrip():
     t = tilde_pack(r, z)
     r2, z2 = tilde_unpack(t)
     assert r2 == r and z2 == z
+
+
+def test_order_zero():
+    # at p = 3, F~ of (r, (2)) has order 0: it embeds to W_0 as (r),
+    # from_witt gives it back, and F~ refuses to go lower
+    r = SPEC3.scalar(4, 6)
+    t = lateral_frobenius(tilde_pack(r, WittVector.from_ints(SPEC3, [2], 6)))
+    assert (t.order, t.r, t.tail) == (0, r, None)
+    x = t.embed()
+    assert x == WittVector(SPEC3, [r])
+    assert from_witt(x, r) == t
+    with pytest.raises(NotInVImage):
+        from_witt(x, r + SPEC3.one(6))
+    with pytest.raises(IncompatibleSpec, match="order >= 1"):
+        lateral_frobenius(t)
 
 
 def test_embed_from_witt_roundtrip():
