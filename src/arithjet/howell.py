@@ -25,8 +25,8 @@ is only defined modulo pi^(M-v); its digits are read at M, which is
 consistent because every place a division result is used multiplies it
 back by something of valuation >= v.
 
-`module_rank` needs no Howell form: the free rank of a span is the F_p
-rank of its generators modulo pi, each entry's digit 0 modulo p.
+`module_rank` is the F_p rank of the generators modulo pi: the int sweep
+at M = 1 on each entry's digit 0 modulo p, whose pivots are all units.
 """
 
 from __future__ import annotations
@@ -257,21 +257,10 @@ def module_rank(spec: BaseRingSpec, vectors, ncols: int) -> int:
 
     Equals the number of unit elementary divisors (Smith form over the
     chain ring), which is the F_p-rank of the generator matrix modulo pi:
-    Gaussian elimination mod p on each entry's digit 0.
+    the pivot count of the int sweep at M = 1 on each entry's digit 0
+    modulo p, where every pivot is a unit.
     """
     p, ints = spec.p, spec.e == 1
     rows = [[(x if ints else x[0]) % p for x in row]
             for row in _entries(spec, vectors, ncols, 1)]
-    rank = 0
-    for c in range(ncols):
-        i = next((i for i, row in enumerate(rows) if row[c]), None)
-        if i is None:
-            continue
-        prow = rows.pop(i)
-        u_inv = pow(prow[c], -1, p)
-        for j, row in enumerate(rows):
-            if row[c]:
-                f = row[c] * u_inv
-                rows[j] = [(x - f * y) % p for x, y in zip(row, prow)]
-        rank += 1
-    return rank
+    return len(_howell_ints(p, rows, ncols, 1)[1])

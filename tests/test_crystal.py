@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithjet.crystal import (
     build_crystal,
@@ -9,7 +10,7 @@ from arithjet.crystal import (
     weak_admissibility,
 )
 from arithjet.errors import Inconclusive, InvalidParameters
-from arithjet.ring import BaseRingSpec
+from arithjet.ring import BaseRingSpec, PadicScalar
 
 SPEC = BaseRingSpec(5, 1)
 
@@ -55,6 +56,16 @@ def test_stable_line_eigenvalue_zero_is_inconclusive():
                              "from 0"):
         weak_admissibility(build_crystal(SPEC, 2, SPEC.scalar(1, 2),
                                          SPEC.scalar(25, 3)))
+
+
+def test_stable_line_eigenvalue_zero_at_one_digit_is_inconclusive():
+    # lambda at one digit puts both eigenvalues at one digit, where
+    # mu2 = gamma / mu1 is 0, so its line's slope is unknown
+    crystal = build_crystal(SPEC, 2, SPEC.scalar(1, 1), SPEC.scalar(5, 3))
+    with pytest.raises(Inconclusive,
+                       match="stable-line eigenvalue indistinguishable "
+                             "from 0 at precision"):
+        weak_admissibility(crystal)
 
 
 def test_lambda_required_in_dim2():
@@ -122,6 +133,114 @@ def test_weak_admissibility_certificate_contents():
     assert not any(s["is_fil1"] for s in cert["subobjects"])
     slopes = sorted(s["t_N"] for s in cert["subobjects"])
     assert slopes == ["0", "1"]
+
+
+def _line(mu, t_N):
+    return {"mu": mu, "t_H": "0", "t_N": t_N, "ok": True, "is_fil1": False}
+
+
+def _top(t_N, equal):
+    return {"t_H": "1", "t_N": t_N, "equal": equal}
+
+
+SPEC2 = BaseRingSpec(5, 2)
+
+# certificates pinned from the stable-line loop that compared each line
+# with fil1 and cross-checked the closed form
+PINNED_CERTIFICATES = {
+    "dim1-gamma-5": (
+        lambda: crys(1, None, -5),
+        {"subobjects": [], "closed_form_v_gamma_1": True,
+         "top": _top("1", True), "verdict": "admissible"}),
+    "dim1-gamma25": (
+        lambda: crys(1, None, 25),
+        {"subobjects": [], "closed_form_v_gamma_1": False,
+         "top": _top("2", False), "verdict": "not_admissible"}),
+    "unit-lambda-e1": (
+        lambda: crys(2, -3, 5, prec=5),
+        {"subobjects": [
+            _line({"digits": [2907], "prec": 5, "pi_power_basis": 1}, "0"),
+            _line({"digits": [215], "prec": 5, "pi_power_basis": 1}, "1")],
+         "closed_form_v_gamma_1": True, "top": _top("1", True),
+         "verdict": "admissible"}),
+    "unit-lambda-e2": (
+        lambda: build_crystal(SPEC2, 2, SPEC2.one(5), SPEC2.pi(5)),
+        {"subobjects": [
+            _line({"digits": [121, 14], "prec": 5, "pi_power_basis": 2},
+                  "0"),
+            _line({"digits": [5, 11], "prec": 5, "pi_power_basis": 2}, "1")],
+         "closed_form_v_gamma_1": True, "top": _top("1", True),
+         "verdict": "admissible"}),
+    "lambda5": (
+        lambda: crys(2, 5, 5),
+        {"subobjects": [], "closed_form_v_gamma_1": True,
+         "top": _top("1", True), "verdict": "admissible"}),
+    "lambda0": (
+        lambda: crys(2, 0, 5),
+        {"subobjects": [], "closed_form_v_gamma_1": True,
+         "top": _top("1", True), "verdict": "admissible"}),
+    "gamma25": (
+        lambda: crys(2, -3, 25),
+        {"subobjects": [
+            _line({"digits": [422], "prec": 4, "pi_power_basis": 1}, "0"),
+            _line({"digits": [200], "prec": 4, "pi_power_basis": 1}, "2")],
+         "closed_form_v_gamma_1": False, "top": _top("2", False),
+         "verdict": "not_admissible"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CERTIFICATES))
+def test_weak_admissibility_pinned_certificates(case):
+    make, want = PINNED_CERTIFICATES[case]
+    assert weak_admissibility(make()) == want
+
+
+PE_CASES = ((3, 1), (5, 1), (7, 1), (5, 2), (5, 3), (7, 2))
+
+
+@st.composite
+def _lambda_gamma(draw):
+    """(spec, prec, lambda, gamma): lambda a unit or a pi-multiple, and
+    v(gamma) >= 1, both at one shared precision."""
+    p, e = draw(st.sampled_from(PE_CASES))
+    spec = BaseRingSpec(p, e)
+    prec = draw(st.integers(1, 7))
+
+    def unit():
+        digits = draw(st.lists(st.integers(0, p ** 8), min_size=e,
+                               max_size=e))
+        digits[0] += draw(st.integers(1, p - 1)) - digits[0] % p
+        return PadicScalar(spec, digits, 7)
+
+    lam = unit().mul_pi(draw(st.integers(0, 3))).reduce_prec(prec)
+    gamma = unit().mul_pi(draw(st.integers(1, 7))).reduce_prec(prec)
+    return spec, prec, lam, gamma
+
+
+@given(_lambda_gamma())
+@settings(max_examples=200, deadline=None)
+def test_weak_admissibility_is_the_top_comparison(data):
+    spec, prec, lam, gamma = data
+    if gamma.is_zero():
+        with pytest.raises(Inconclusive):
+            build_crystal(spec, 2, lam, gamma)
+        return
+    cert = weak_admissibility(build_crystal(spec, 2, lam, gamma))
+    admissible = cert["verdict"] == "admissible"
+    assert admissible is (gamma.valuation() == 1)
+    assert cert["closed_form_v_gamma_1"] is admissible
+    assert cert["top"]["equal"] is admissible
+    assert cert["top"]["t_N"] == str(gamma.valuation())
+    # no stable line is fil1, so every one passes with t_H = 0
+    assert all(s["t_H"] == "0" and s["ok"] and not s["is_fil1"]
+               for s in cert["subobjects"])
+    assert len(cert["subobjects"]) == (2 if lam.is_unit() else 0)
+    if lam.is_unit():
+        mu1, mu2 = (PadicScalar(spec, s["mu"]["digits"], s["mu"]["prec"])
+                    for s in cert["subobjects"])
+        assert mu1.prec == mu2.prec == prec
+        assert (mu1 + mu2 - lam).is_zero()
+        assert (mu1 * mu2 - gamma).is_zero()
 
 
 def test_weak_admissibility_ramified():
