@@ -310,17 +310,20 @@ def _lattice_solve(spec, gens, M: int, extra_rows=()):
     numerators of generators sharing one denominator exponent (each
     carries at least M digits: `_solve_log` checks it).
 
-    A row is a monomial's digit tuples reduced to M, one shared zero tuple
-    where a coefficient is absent; a monomial zero mod pi^M gets no row.
-    `extra_rows` are additional linear conditions on d at the same modulus
-    (used for the global extension-class constraint on jet characters)."""
-    zero = (0,) * spec.e
+    A row is a monomial's coefficients reduced to M: ints mod p^M at
+    e = 1, digit tuples otherwise (`howell._entries` takes both as they
+    are), and zero where a coefficient is absent; a monomial zero mod pi^M
+    gets no row.  `extra_rows` are additional linear conditions on d at
+    the same modulus (used for the global extension-class constraint on
+    jet characters)."""
+    ints, mod = spec.e == 1, spec.moduli(M)[0]
+    zero = 0 if ints else (0,) * spec.e
     cols = []
     for g in gens:
         col = {}
         for m, d in g.num.coeffs.items():
-            r = spec.reduce_digits(d, M)
-            if any(r):
+            r = d[0] % mod if ints else spec.reduce_digits(d, M)
+            if r != zero:
                 col[m] = r
         cols.append(col)
     monomials = sorted({m for col in cols for m in col}, key=monomial_key)

@@ -1,17 +1,18 @@
 """Command-line front end: verify / crystal / witt.
 
-One argparse parser reads every parameter.  It is built on the first
-run and serves every later run of the process: parsing leaves it
-unchanged, and each run's parameters live in their own namespace.  The
-`key = value` lines of a `--config` file ('#' starts a comment) are read
-as flags placed before the command line, so a command-line flag wins.
-Every run but `--help` gives one JSON report, deterministic for a fixed
-(config, seed); p-adic scalars are serialized as {digits, prec,
-pi_power_basis}.  Exit codes: 0 all checks pass; 1 a check failed, or
-the command line, config file or input is invalid, or the --out file
-cannot be written (the report then goes to stdout); 2 inconclusive at
-the requested precision/degree, a run out of pi-adic digits
-(PrecisionExhausted) included.
+`parse_args` reads every flag from one table, `FLAGS`, by argparse's
+rules: `--flag value` or `--flag=value` (the last wins), a unique prefix
+for a name (`--de 27`), negative values, and one fail report for all
+stray tokens.  The `key = value` lines of a `--config` file ('#' starts
+a comment) are read as flags placed before the command line, so a
+command-line flag wins.  Every run but `--help` gives one JSON report,
+deterministic for a fixed (config, seed), in the bytes of
+`json.dumps(report, indent=2, sort_keys=True)`; p-adic scalars are
+serialized as {digits, prec, pi_power_basis}.  Exit codes: 0 all checks
+pass, or `--help`; 1 a check failed, or the command line, config file or
+input is invalid, or the --out file cannot be written (the report then
+goes to stdout); 2 inconclusive at the requested precision/degree, a run
+out of pi-adic digits (PrecisionExhausted) included.
 
 `fgl` alone builds and checks a curve.  With N its digits and s =
 `log_denominator_exponent(spec, --deg)`, every log-ghost generator is
@@ -35,12 +36,12 @@ run: the exit code is the report's.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import random
+import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .characters import (
     extract_lambda_gamma,
@@ -84,41 +85,96 @@ from .witt import WittVector, frobenius_W, verschiebung
 EXIT = {"pass": 0, "fail": 1, "inconclusive": 2}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a fail report, not a usage exit
-        raise InvalidParameters(message)
+# flag: (type, default, help); `run` sets --deg's default
+FLAGS = {
+    "config": (str, None, "key=value parameter file"),
+    "cmd": (str, "verify", "verify, crystal or witt"),
+    "p": (int, 5, "residue characteristic"),
+    "e": (int, 1, "ramification index"),
+    "prec": (int, 8, "pi-adic working precision (verify, witt)"),
+    "deg": (int, None, "series degree cap; p^2 + 2 if not given"),
+    "nmax": (int, 3, "maximal character order; witt: Witt vector "
+                     "length - 1, at most 3"),
+    "a4": (int, None, "Weierstrass a4 (short form)"),
+    "a6": (int, None, "Weierstrass a6 (short form)"),
+    "seed": (int, 0, "seed for randomized suites"),
+    "out": (str, None, "write the JSON report here"),
+}
+# option string -> flag name, in argparse's order for an ambiguous prefix
+_OPTIONS = {"-h": "help", "--help": "help",
+            **{f"--{name}": name for name in FLAGS}}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, not a flag
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of the process, built on the first call."""
-    ap = _Parser(
-        prog="arithjet",
-        description="pi-typical Witt vectors, delta-characters and the "
-                    "filtered crystal of a formal group at finite precision")
-    ap.add_argument("--config", help="key=value parameter file")
-    ap.add_argument("--cmd", default="verify", help="verify, crystal or witt")
-    ap.add_argument("--p", type=int, default=5,
-                    help="residue characteristic")
-    ap.add_argument("--e", type=int, default=1, help="ramification index")
-    ap.add_argument("--prec", type=int, default=8,
-                    help="pi-adic working precision (verify, witt)")
-    ap.add_argument("--deg", type=int, help="series degree cap")
-    ap.add_argument("--nmax", type=int, default=3,
-                    help="maximal character order; witt: Witt vector "
-                         "length - 1, at most 3")
-    ap.add_argument("--a4", type=int, help="Weierstrass a4 (short form)")
-    ap.add_argument("--a6", type=int, help="Weierstrass a6 (short form)")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized suites")
-    ap.add_argument("--out", help="write the JSON report here")
-    return ap
+def _usage() -> str:
+    return "\n".join(["usage: arithjet [--flag VALUE ...]", ""] + [
+        f"  --{name:<8} {text}" + ("" if default is None
+                                   else f" (default: {default})")
+        for name, (_, default, text) in FLAGS.items()]
+        + ["  -h, --help print this text and exit"])
 
 
-def _with_config(parser, params: dict, argv: list) -> dict:
+def _option(token: str):
+    """(flag, inline value or None) when token names a flag; (None, None)
+    for an unknown option; None for a value or a stray word."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    value = value if eq else None
+    if head in _OPTIONS:  # no option string holds '='
+        return _OPTIONS[head], value
+    # a unique prefix of a --name stands for it; -h takes no text attached
+    matches = ([opt for opt in _OPTIONS if opt.startswith(head)]
+               if token[1] == "-" else [])
+    if len(matches) > 1:
+        raise InvalidParameters(f"ambiguous option: {token} could match "
+                                f"{', '.join(matches)}")
+    if matches:
+        return _OPTIONS[matches[0]], value
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+
+
+def parse_args(argv: list) -> dict | None:
+    """The parameters of a command line, defaults filled in; None for
+    --help.  Every token is classified first, so an ambiguous prefix fails
+    before any value is read.  '--' and every later token are strays."""
+    cut = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(t) for t in argv[:cut]]
+    kinds += [(None, None)] * (len(argv) - cut + 1)  # and an end mark
+    params = {name: default for name, (_, default, _) in FLAGS.items()}
+    strays, i = [], 0
+    while i < len(argv):
+        kind, i = kinds[i], i + 1
+        if kind is None or kind[0] is None:
+            strays.append(argv[i - 1])
+        elif kind[0] == "help":
+            if kind[1] is None:
+                return None
+            raise InvalidParameters("argument -h/--help: ignored explicit "
+                                    f"argument {kind[1]!r}")
+        else:
+            name, value = kind
+            if value is None:
+                if kinds[i] is not None:
+                    raise InvalidParameters(
+                        f"argument --{name}: expected one argument")
+                value, i = argv[i], i + 1
+            typ = FLAGS[name][0]
+            try:
+                params[name] = typ(value)
+            except ValueError:
+                raise InvalidParameters(
+                    f"argument --{name}: invalid {typ.__name__} value: "
+                    f"{value!r}") from None
+    if strays:
+        raise InvalidParameters(f"unrecognized arguments: {' '.join(strays)}")
+    return params
+
+
+def _with_config(params: dict, argv: list) -> dict:
     """Parse argv again behind the lines of the config file it names, each
-    `key = value` line as the token `--key=value`.  argparse keeps the last
-    value of a flag, so the command line wins.  Errors name the file."""
+    `key = value` line as the token `--key=value`.  The last value of a
+    flag wins, so the command line does.  Errors name the file."""
     path = params["config"]
     try:
         with open(path) as fh:
@@ -131,7 +187,7 @@ def _with_config(parser, params: dict, argv: list) -> dict:
             if key not in params or key == "config":
                 raise ValueError(f"unknown config key: {key!r}")
             tokens.append(f"--{key}={val}")
-        return vars(parser.parse_args(tokens + argv))
+        return parse_args(tokens + argv)
     except (OSError, ValueError, InvalidParameters) as exc:
         raise InvalidParameters(f"config {path!r}: {exc}") from exc
 
@@ -223,12 +279,14 @@ COMMANDS = {"verify": cmd_verify, "crystal": cmd_crystal, "witt": cmd_witt}
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     params = {}
     try:
-        params = vars(parser.parse_args(argv))
+        params = parse_args(argv)
+        if params is None:
+            _print(_usage())
+            return 0
         if params["config"]:
-            params = _with_config(parser, params, argv)
+            params = _with_config(params, argv)
         for key, least in (("prec", 0), ("deg", 1), ("nmax", 1)):
             if params[key] is not None and params[key] < least:
                 raise InvalidParameters(
@@ -251,7 +309,7 @@ def run(argv=None) -> int:
     # an unparsable command line leaves no parameters to report
     report["params"] = {k: v for k, v in params.items()
                         if k not in ("config", "out")} if params else None
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _dumps(report)
     if params.get("out"):
         try:
             with open(params["out"], "w") as fh:
@@ -260,10 +318,31 @@ def run(argv=None) -> int:
             report = {"command": params["cmd"], "status": "fail",
                       "error": f"{type(exc).__name__}: {exc}",
                       "params": report["params"]}
-            _print(json.dumps(report, indent=2, sort_keys=True))
+            _print(_dumps(report))
     else:
         _print(text)
     return EXIT[report["status"]]
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, without
+    the pure-Python encoder `indent` selects.  Dict keys are str, as in
+    every report; a scalar but str, int, bool or None goes to json."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or type(obj) is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        return "[" + inner + ("," + inner).join([
+            _dumps(x, inner) for x in obj]) + indent + "]" if obj else "[]"
+    if isinstance(obj, dict):
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+            for k, v in sorted(obj.items())]) + indent + "}" if obj else "{}"
+    return json.dumps(obj)
 
 
 def _print(text: str):

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from argparse_oracle import build_parser
 from hypothesis import given, settings, strategies as st
 
 from arithjet import characters, cli, fgl, verify
@@ -18,7 +19,11 @@ from arithjet.characters import (
     upsilon,
 )
 from arithjet.cli import EXIT, run
-from arithjet.errors import Inconclusive, IntegralityViolation
+from arithjet.errors import (
+    Inconclusive,
+    IntegralityViolation,
+    InvalidParameters,
+)
 from arithjet.fgl import formal_group_from_weierstrass, log_denominator_exponent
 from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.series import TruncSeries
@@ -69,10 +74,13 @@ def _printed(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("argv", [
+_MALFORMED = (
     ["--cmd", "bogus"], ["--p", "x"], ["--bogus"], ["--cmd", "crystal", "--p"],
     ["--deg=x"], ["--cmd", "witt", "stray"],
-])
+)
+
+
+@pytest.mark.parametrize("argv", _MALFORMED)
 def test_malformed_argv_fails(argv):
     code, out, err = _printed(argv)
     rep = json.loads(out)
@@ -81,8 +89,8 @@ def test_malformed_argv_fails(argv):
 
 
 def test_runs_share_the_parser_and_nothing_else(tmp_path):
-    # the parser is built once per process: a config run and a malformed
-    # run between two crystal runs leave the second report as the first
+    # a run keeps no state: a config run and a malformed run between two
+    # crystal runs leave the second report as the first
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cmd = witt\np = 3\nnmax = 1\n")
     argv = ["--cmd", "crystal", "--p", "5", "--a4", "1", "--a6", "1",
@@ -175,6 +183,113 @@ def test_every_argv_gives_one_report(argv):
     rep = json.loads(out)  # exactly one JSON object, nothing else
     assert isinstance(rep, dict) and not err
     assert code == EXIT[rep["status"]]
+
+
+def _parsed(parse, argv):
+    """The params dict of one parse, or the message it fails with."""
+    try:
+        return parse(argv)
+    except InvalidParameters as exc:
+        return str(exc)
+
+
+def _oracle(argv):
+    return vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", _MALFORMED + _JUNK + (
+    ["--de", "27"], ["--a", "1"], ["--a4", "-3"], ["--out", "-x"],
+    ["--p", " 7 "], ["--p", "1_000"], ["--p", "\u0663"], ["--p", "0x10"],
+    ["--p", "x", "--a", "1"], ["x", "--p", "y", "z"], ["--", "--p", "3"],
+    ["--out", "-x y"], ["--cmd", "-.5"], ["--de 27"], ["--=5"],
+))
+def test_parse_args_matches_argparse_messages(argv):
+    assert _parsed(cli.parse_args, argv) == _parsed(_oracle, argv)
+
+
+# every flag name and each of its prefixes; a prefix of --help would make
+# argparse print its help and exit.  No token is a negative number with an
+# underscore (-1_000): argparse releases after 3.11 may read it as a value
+_NAMES = sorted({"--" + name[:k] for name in cli.FLAGS
+                 for k in range(1, len(name) + 1)})
+_VALUES = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["1_000", "0x10", " 7 ", "7\n", "-3\n", "+5",
+                     "\u0663", "-\u0663", "\uff17", "", "1.5", "-.5", "x",
+                     "-x", "--", "-", "crystal", "a=b", "-x y"]))
+_LOOSE = st.sampled_from(["-", "--", "-x", "--bogus", "---", "-x y",
+                          "--de 27", "--=5", "-=5", "-.5", "x", "stray", ""])
+
+
+@st.composite
+def _parser_argvs(draw):
+    argv = []
+    for _ in range(draw(st.integers(0, 6))):
+        name, form = draw(st.sampled_from(_NAMES)), draw(st.integers(0, 4))
+        if form < 2:
+            argv += [name, draw(_VALUES)]
+        elif form == 2:
+            # argparse reads --flag=-- as an empty list, which no flag takes
+            value = draw(_VALUES.filter(lambda v: v != "--"))
+            argv.append(f"{name}={value}")
+        elif form == 3:
+            argv.append(draw(_LOOSE))
+        else:
+            argv.append(name)  # its value missing, unless a value follows
+    return argv
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_parser_argvs())
+def test_parse_args_agrees_with_argparse(argv):
+    # the same params, or both fail; the messages that the tests above pin
+    # are argparse's in every release, others may vary between releases
+    got, want = _parsed(cli.parse_args, argv), _parsed(_oracle, argv)
+    assert got == want or (type(got) is type(want) is str)
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+def test_help_prints_the_flags_and_no_report(tmp_path, flag):
+    out = tmp_path / "report.json"
+    code, text, err = _printed(["--out", str(out), flag, "--p", "x"])
+    assert code == 0 and not err and not out.exists()
+    assert "{" not in text
+    assert all(f"--{name} " in text for name in cli.FLAGS)
+
+
+def test_import_loads_no_argparse():
+    # pytest imports argparse and gettext itself: ask a fresh interpreter
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, arithjet.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+_KEYS = st.text(st.sampled_from('a"\\/\x00\x1f\n\x7f\u00e9\u20ac\U0001f600 '),
+                max_size=4) | st.text(max_size=4)
+_LEAVES = st.one_of(st.none(), st.booleans(), st.sampled_from([0, 1, -1]),
+                    st.integers(-10 ** 40, 10 ** 40), st.floats(), _KEYS)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=4)), max_leaves=25))
+def test_dumps_is_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, object()], ids=["set", "object"])
+def test_dumps_rejects_what_json_rejects(bad):
+    for obj in (bad, [1, bad], {"k": {"j": bad}}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            cli._dumps(obj)
+        assert str(got.value) == str(want.value)
 
 
 def test_witt_command_deterministic(tmp_path):
@@ -587,7 +702,7 @@ def test_upsilon_of_a_digitless_theta_has_no_digit(argv):
     # full group it stands for: theta_m
     # = pi^(-s) * 0 with a numerator known mod pi^s, so `upsilon` of its
     # series is known mod pi^0, though gamma carries all M digits
-    params = vars(cli.build_parser().parse_args(argv.split()))
+    params = cli.parse_args(argv.split())
     spec = BaseRingSpec(params["p"], params["e"])
     D = params["deg"]
     M = log_denominator_exponent(spec, D) + 1

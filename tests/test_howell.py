@@ -105,6 +105,21 @@ def test_right_kernel_takes_digit_rows(spec, seed):
         == [[x.digits for x in v] for v in want]
 
 
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_right_kernel_takes_int_rows(seed):
+    # at e = 1 the lattice solve hands over ints already reduced mod p^M,
+    # with scalar rows mixed in; the kernel is that of the scalar rows
+    rng = random.Random(seed)
+    rows = [[_random_scalar(SPEC, rng) for _ in range(4)] for _ in range(3)]
+    mixed = [[x.digits[0] % SPEC.p ** M for x in row] for row in rows]
+    mixed[-1] = rows[-1]
+    want = right_kernel_basis(SPEC, rows, 4, M)
+    got = right_kernel_basis(SPEC, mixed, 4, M)
+    assert [[x.digits for x in v] for v in got] \
+        == [[x.digits for x in v] for v in want]
+
+
 @SPECS
 def test_module_rank(spec):
     def rank(rows):
