@@ -12,9 +12,10 @@ Inside the reduction an entry is a bare residue (`_entries`).  At e = 1 it
 is an int modulo p^M (`_howell_ints`): a row operation is one `%` per
 entry, the valuation of a nonzero a is read off gcd(a, p^M) = p^v, and a
 pivot is normalized by pow(u, -1, p^M).  At e >= 2 it is the canonical
-digit tuple of a `PadicScalar` at M (`_howell_digits`), and a row
-operation reduces each entry once through the digit functions of `ring`;
-the pivot inverses of a pass are scalars.  The digit path runs at e = 1
+digit tuple of a `PadicScalar` at M (`_howell_digits`), a row operation
+reduces each entry once through the digit functions of `ring` and keeps
+its zero entries as they are, and a pivot is normalized by the digit
+inverse `ring.digit_unit_inverse`.  The digit path runs at e = 1
 too, as the reference for the int path: both take the same pivots in the
 same order and make the same row operations, so their rows, pivots and
 kernel generators are equal.  `PadicScalar`s appear at the boundary only:
@@ -33,10 +34,12 @@ at M = 1 on each entry's digit 0 modulo p, whose pivots are all units.
 from __future__ import annotations
 
 from math import gcd
+from operator import mod, sub
 
 from .errors import IncompatibleSpec, PrecisionExhausted
 from .ring import (BaseRingSpec, PadicScalar, _vp, digit_div_pi,
-                   digit_mul_pi, digit_product, digit_valuation)
+                   digit_mul_pi, digit_product, digit_unit_inverse,
+                   digit_valuation)
 
 
 def _nonzero(row) -> bool:
@@ -45,16 +48,17 @@ def _nonzero(row) -> bool:
 
 
 def _scaled(spec: BaseRingSpec, s, row, mods):
-    """The row s * row for a digit tuple s, each entry reduced once."""
-    return [tuple(x % m for x, m in zip(digit_product(spec, s, a), mods))
+    """The row s * row for a digit tuple s, each entry reduced once; a zero
+    entry stays as it is."""
+    return [tuple(map(mod, digit_product(spec, s, a), mods)) if any(a) else a
             for a in row]
 
 
 def _minus_multiple(spec: BaseRingSpec, row, f, prow, mods):
-    """The row row - f * prow for a digit tuple f, each entry reduced once."""
-    return [tuple((x - y) % m
-                  for x, y, m in zip(a, digit_product(spec, f, b), mods))
-            for a, b in zip(row, prow)]
+    """The row row - f * prow for a digit tuple f, each entry reduced once;
+    an entry facing a zero in prow stays as it is."""
+    return [tuple(map(mod, map(sub, a, digit_product(spec, f, b)), mods))
+            if any(b) else a for a, b in zip(row, prow)]
 
 
 class HowellForm:
@@ -96,6 +100,7 @@ def _howell_digits(spec: BaseRingSpec, rows, ncols: int, M: int):
     in the span of the rows with pivot column >= c (the Howell property).
     """
     mods = spec.moduli(M)
+    unit = (1,) + (0,) * (spec.e - 1)
     work = [row for row in rows if _nonzero(row)]
     pivots = []
     top = 0
@@ -103,31 +108,31 @@ def _howell_digits(spec: BaseRingSpec, rows, ncols: int, M: int):
         best = None
         best_v = None
         for i in range(top, len(work)):
-            v = digit_valuation(spec, work[i][c])
-            if v is not None and (best_v is None or v < best_v):
-                best, best_v = i, v
-                if v == 0:
-                    break
+            a = work[i][c]
+            if any(a):
+                v = digit_valuation(spec, a)
+                if best_v is None or v < best_v:
+                    best, best_v = i, v
+                    if v == 0:
+                        break
         if best is None:
             continue
         work[top], work[best] = work[best], work[top]
         v = best_v
         # normalize the pivot entry to exactly pi^v
-        u_inv = PadicScalar(spec, digit_div_pi(spec, work[top][c], v),
-                            M).inverse()
-        prow = work[top] = _scaled(spec, u_inv.digits, work[top], mods)
+        u_inv = digit_unit_inverse(
+            spec, digit_div_pi(spec, work[top][c], v), M)
+        prow = work[top] = _scaled(spec, u_inv, work[top], mods)
         # eliminate the column everywhere else (entries with val >= v)
-        for i in range(len(work)):
-            if i == top:
+        for i, row in enumerate(work):
+            a = row[c]
+            if i == top or not any(a) or digit_valuation(spec, a) < v:
                 continue
-            ev = digit_valuation(spec, work[i][c])
-            if ev is None or ev < v:
-                continue
-            factor = digit_div_pi(spec, work[i][c], v)
-            work[i] = _minus_multiple(spec, work[i], factor, prow, mods)
+            factor = digit_div_pi(spec, a, v)
+            work[i] = _minus_multiple(spec, row, factor, prow, mods)
         # Howell closure: pi^(M-v) * row kills the pivot, keeps the tail
         if v > 0:
-            shift = digit_mul_pi(spec, spec.one(M).digits, M - v)
+            shift = digit_mul_pi(spec, unit, M - v)
             closure = _scaled(spec, shift, prow, mods)
             if _nonzero(closure):
                 work.append(closure)

@@ -3,10 +3,12 @@
 Elements are canonical residues modulo pi^N stored as integer digit vectors
 of length e in the basis 1, pi, ..., pi^(e-1).  With that representation
 exact division by pi is a shift-and-borrow, never a rational division.
-Digit vectors are multiplied, shifted, divided by pi and valued here only
-(`digit_*`, `reduce_digits`); `series` and `howell` call these.  Every
-precision is explicit (there is no default), carried per element, and
-only ever decreases, except under multiplication by pi^k.
+Digit vectors are multiplied, shifted, divided by pi, valued and inverted
+here only (`digit_*`, `reduce_digits`); `series` and `howell` call these,
+and at e >= 2 an inverse or a quadratic root loops on digit vectors, with
+no `PadicScalar` inside.  Every precision is explicit (there is no
+default), carried per element, and only ever decreases, except under
+multiplication by pi^k.
 
 The modulus of each digit at a precision comes from the spec's modulus
 table (`BaseRingSpec.moduli`), built per precision on first use, so
@@ -19,7 +21,7 @@ identity (x == x^q mod pi); the pi-derivation is delta(x) = (phi(x) - x^q)/pi.
 
 from __future__ import annotations
 
-from operator import mod
+from operator import mod, sub
 
 from .errors import IncompatibleSpec, NotDivisible, PrecisionExhausted
 
@@ -106,6 +108,24 @@ def digit_valuation(spec: "BaseRingSpec", digits) -> int | None:
             if v is None or vi < v:
                 v = vi
     return v
+
+
+def digit_unit_inverse(spec: "BaseRingSpec", digits, prec: int) -> tuple:
+    """Canonical digits of the inverse of a unit digit vector modulo
+    pi^prec, prec >= 1.  The inverse of digit 0 modulo its own modulus is
+    right modulo pi (and exact when no other digit is nonzero); each
+    Newton step x <- x - x(ax - 1) doubles the digits known."""
+    mods = spec.moduli(prec)
+    x = [pow(digits[0], -1, mods[0])] + [0] * (spec.e - 1)
+    known = 1
+    while known < prec:
+        r = list(map(mod, digit_product(spec, digits, x), mods))
+        r[0] -= 1
+        if not any(r):
+            break
+        x = list(map(mod, map(sub, x, digit_product(spec, x, r)), mods))
+        known *= 2
+    return tuple(x)
 
 
 class BaseRingSpec:
@@ -261,22 +281,18 @@ class PadicScalar:
         """Inverse modulo pi^prec; requires a unit.
 
         At e = 1 the element is an integer modulo p^prec and the builtin
-        modular inverse gives it; otherwise Newton lifting from mod pi."""
+        modular inverse gives it; otherwise `digit_unit_inverse` lifts it
+        on the digit vector."""
         if not self.is_unit():
             raise NotDivisible("cannot invert a non-unit")
-        p = self.spec.p
         if self.spec.e == 1:
             return PadicScalar(
                 self.spec,
                 (pow(self.digits[0], -1, self.spec.moduli(self.prec)[0]),),
                 self.prec)
-        x = self.spec.scalar(pow(self.digits[0] % p, -1, p), self.prec)
-        two = self.spec.scalar(2, self.prec)
-        # quadratic convergence: k doublings reach precision 2^k
-        steps = max(1, (self.prec - 1).bit_length() + 1)
-        for _ in range(steps):
-            x = x * (two - self * x)
-        return x
+        return PadicScalar(
+            self.spec, digit_unit_inverse(self.spec, self.digits, self.prec),
+            self.prec)
 
     def scale_int(self, n: int) -> "PadicScalar":
         return PadicScalar(self.spec, [n * d for d in self.digits], self.prec)
@@ -348,9 +364,9 @@ def unit_quadratic_root(lam: PadicScalar, c: PadicScalar) -> PadicScalar:
 
     Newton's iteration from x = lam, at precision min(lam.prec, c.prec):
     f'(x) = 2x - lam = lam (mod pi) is a unit, so the root modulo pi^prec
-    depends only on lam and c modulo pi^prec.  At e = 1 the same steps run
-    on ints modulo p^prec.  A derivative that is not a unit raises
-    NotDivisible.
+    depends only on lam and c modulo pi^prec.  The steps run on ints
+    modulo p^prec at e = 1, on digit vectors otherwise.  A derivative that
+    is not a unit raises NotDivisible.
     """
     prec = min(lam.prec, c.prec)
     lam, c = lam.reduce_prec(prec), c.reduce_prec(prec)
@@ -368,10 +384,16 @@ def unit_quadratic_root(lam: PadicScalar, c: PadicScalar) -> PadicScalar:
                 raise NotDivisible("cannot invert a non-unit")
             x = (x - f * pow(d, -1, mod)) % mod
         return PadicScalar(spec, (x,), prec)
-    x = lam
+    a, b = lam.digits, c.digits
+    x = a
     for _ in range(prec + 2):
-        f = x * x - lam * x + c
-        if f.is_zero():
+        f = spec.reduce_digits([u - v + w for u, v, w in zip(
+            digit_product(spec, x, x), digit_product(spec, a, x), b)], prec)
+        if not any(f):
             break
-        x = x - f * (x.scale_int(2) - lam).inverse()
-    return x
+        d = [2 * u - v for u, v in zip(x, a)]
+        if d[0] % spec.p == 0:
+            raise NotDivisible("cannot invert a non-unit")
+        x = spec.reduce_digits(map(sub, x, digit_product(
+            spec, f, digit_unit_inverse(spec, d, prec))), prec)
+    return PadicScalar(spec, x, prec)

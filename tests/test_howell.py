@@ -1,6 +1,8 @@
 import itertools
 import random
+from operator import mod, sub
 
+import howell_oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,8 @@ from arithjet.howell import (
     right_kernel_basis,
     unit_vectors,
 )
-from arithjet.ring import BaseRingSpec, PadicScalar
+from arithjet.ring import (BaseRingSpec, PadicScalar, digit_mul_pi,
+                           digit_product)
 
 SPEC = BaseRingSpec(5, 1)
 M = 3
@@ -306,3 +309,80 @@ def test_howell_property(p, e, shape):
             tail = {v for v in span if all(x == zero for x in v[:c])}
             below = [h for h, (col, _) in zip(hrows, hf.pivots) if col >= c]
             assert _span(below, ncols, len(elems), add, mul, zero) == tail
+
+
+ORACLE_SPECS = pytest.mark.parametrize(
+    "spec", [BaseRingSpec(5, 2), BaseRingSpec(5, 3), BaseRingSpec(7, 2)],
+    ids=str)
+
+
+def _oracle_cases(spec, seed, per_M=200):
+    """Seeded (rows, ncols, M), M = 1..6: canonical digit tuples at M of
+    mixed valuation (zeros, and pi^k, k <= M, times a random digit vector),
+    with now and then a zero row or a zero column, so that pivots of v > 0
+    add closures."""
+    rng = random.Random(seed)
+    zero = (0,) * spec.e
+    for M in range(1, 7):
+        for _ in range(per_M):
+            nrows, ncols = rng.randrange(0, 5), rng.randrange(1, 5)
+            zero_col = rng.randrange(2 * ncols)
+            rows = []
+            for _ in range(nrows):
+                if rng.random() < 0.15:
+                    rows.append([zero] * ncols)
+                    continue
+                rows.append([
+                    zero if c == zero_col or rng.random() < 0.3
+                    else spec.reduce_digits(digit_mul_pi(
+                        spec, tuple(rng.randrange(-10 ** 6, 10 ** 6)
+                                    for _ in range(spec.e)),
+                        rng.randrange(M + 1)), M)
+                    for c in range(ncols)])
+            yield rows, ncols, M
+
+
+def _kernel_digits(spec, rows, ncols, M):
+    return [[x.digits for x in v]
+            for v in right_kernel_basis(spec, rows, ncols, M)]
+
+
+@ORACLE_SPECS
+def test_digit_sweep_equals_the_oracle(spec, monkeypatch):
+    # e >= 2: the digit sweep takes the pre-change sweep's pivots in the same
+    # order and makes the same row operations: equal rows and pivots, and
+    # equal kernel generators with the oracle swapped in
+    positive = 0
+    for rows, ncols, M in _oracle_cases(spec, 900 + 10 * spec.p + spec.e):
+        got = _howell_digits(spec, rows, ncols, M)
+        assert got == howell_oracle._howell_digits(spec, rows, ncols, M)
+        positive += any(v for _, v in got[1])
+        kernel = _kernel_digits(spec, rows, ncols, M)
+        with monkeypatch.context() as mp:
+            mp.setattr(howell, "_howell_digits", howell_oracle._howell_digits)
+            assert kernel == _kernel_digits(spec, rows, ncols, M)
+    assert positive > 300  # pivots of v > 0, which add closures
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_int_path_equals_the_oracle(p):
+    # e = 1: the int path against the pre-change digit sweep
+    spec = BaseRingSpec(p, 1)
+    for rows, ncols, M in _oracle_cases(spec, 950 + p, per_M=50):
+        want = howell_oracle._howell_digits(spec, rows, ncols, M)
+        got = _howell_ints(p, [[a for (a,) in r] for r in rows], ncols, M)
+        assert got == ([[a for (a,) in r] for r in want[0]], want[1])
+
+
+def test_oracle_catches_a_skipped_pivot_row_entry(monkeypatch):
+    # a sweep that keeps an entry facing a nonzero pivot-row entry (it
+    # tests the row's entry for zero, not the pivot row's) is told apart
+    def skips_row_zeros(spec, row, f, prow, mods):
+        return [tuple(map(mod, map(sub, a, digit_product(spec, f, b)), mods))
+                if any(a) else a for a, b in zip(row, prow)]
+
+    spec = BaseRingSpec(5, 2)
+    monkeypatch.setattr(howell, "_minus_multiple", skips_row_zeros)
+    assert any(_howell_digits(spec, rows, ncols, M)
+               != howell_oracle._howell_digits(spec, rows, ncols, M)
+               for rows, ncols, M in _oracle_cases(spec, 1000, per_M=20))

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from howell_oracle import newton_inverse
 
 from arithjet.errors import IncompatibleSpec, NotDivisible, PrecisionExhausted
 from arithjet.ring import (
@@ -11,6 +13,7 @@ from arithjet.ring import (
     digit_div_pi,
     digit_mul_pi,
     digit_product,
+    digit_unit_inverse,
     digit_valuation,
     unit_quadratic_root,
 )
@@ -78,6 +81,56 @@ def test_unramified_inverse_every_precision(p):
             assert inv.prec == prec
             assert 0 <= inv.digits[0] < p ** prec
             assert x * inv == spec.one(prec)
+
+
+RAMIFIED = [BaseRingSpec(5, 2), BaseRingSpec(5, 3), BaseRingSpec(7, 2),
+            BaseRingSpec(7, 5), BaseRingSpec(11, 3)]
+
+
+def _raw_digit(rng, p):
+    """A digit that is negative, huge or far from reduced as often as not."""
+    return rng.choice([rng.randrange(p), rng.randrange(p ** 14),
+                       -rng.randrange(p ** 14), rng.randrange(10 ** 40),
+                       -rng.randrange(10 ** 40), 0])
+
+
+@pytest.mark.parametrize("spec", RAMIFIED, ids=str)
+def test_ramified_inverse_matches_scalar_newton(spec):
+    # elements with nonzero pi-digits: the digit inverse gives the digits of
+    # the scalar Newton it replaced, at every precision, from raw digits too
+    p = spec.p
+    rng = random.Random(100 * p + spec.e)
+    for prec in range(14):
+        for trial in range(16):
+            raw = [_raw_digit(rng, p) for _ in range(spec.e)]
+            if trial % 5:
+                raw[0] = raw[0] * p + rng.randrange(1, p)
+            x = PadicScalar(spec, raw, prec)
+            if prec == 0 or raw[0] % p == 0:
+                with pytest.raises(NotDivisible):
+                    x.inverse()
+                continue
+            inv = x.inverse()
+            assert inv.prec == prec
+            assert inv.digits == newton_inverse(x).digits
+            assert x * inv == spec.one(prec)
+            assert digit_unit_inverse(spec, raw, prec) == inv.digits
+
+
+def test_ramified_inverse_makes_no_scalar_product(monkeypatch):
+    # e >= 2 inverses and quadratic roots run on digit vectors only
+    spec = BaseRingSpec(7, 5)
+    x = PadicScalar(spec, [3, 1, 4, 1, 5], 13)
+    lam, c = spec.scalar(2, 13), spec.pi(13)
+    want = newton_inverse(x).digits
+    root = unit_quadratic_root(lam, c).digits
+
+    def product(self, other):
+        raise AssertionError("PadicScalar.__mul__ called")
+
+    monkeypatch.setattr(PadicScalar, "__mul__", product)
+    assert x.inverse().digits == want
+    assert unit_quadratic_root(lam, c).digits == root
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
@@ -230,6 +283,30 @@ def test_unit_quadratic_root_on_ints(p):
             roots = [y for y in range(a % p, mod, p)
                      if (y * y - a * y + b) % mod == 0]
             assert roots == [r]
+
+
+def test_unit_quadratic_root_on_digits():
+    # e = 2: the root is the only x = lam (mod pi) with x^2 - lam x + c = 0
+    # mod pi^prec, found here by search over its residue class
+    spec = BaseRingSpec(5, 2)
+    p = spec.p
+    rng = random.Random(52)
+    for prec in (1, 2, 3, 4):
+        mods = spec.moduli(prec)
+        for _ in range(6):
+            a = [rng.randrange(m) for m in mods]
+            a[0] = a[0] // p * p + rng.randrange(1, p)
+            lam = PadicScalar(spec, a, prec)
+            c = spec.pi(prec) * PadicScalar(
+                spec, [rng.randrange(m) for m in mods], prec)
+            x = unit_quadratic_root(lam, c)
+            assert x.prec == prec
+            roots = []
+            for y in itertools.product(*map(range, mods)):
+                z = PadicScalar(spec, y, prec)
+                if (y[0] - a[0]) % p == 0 and (z * z - lam * z + c).is_zero():
+                    roots.append(y)
+            assert roots == [x.digits]
 
 
 @pytest.mark.parametrize("spec", [BaseRingSpec(3, 1), BaseRingSpec(5, 1),
