@@ -23,8 +23,8 @@ The l_i are read off L = pi^(-s) sum_k c_k T^k with no series product:
 the numerator of L(w_i) has the coefficient c_k C(k, b) multinomial(b;
 a_1, ..., a_i) pi^(sum_j j a_j) at prod_j x_j^(a_j q^(i-j)), where b =
 a_1 + ... + a_i and k = a_0 + b (`_log_ghost`).  The lattice rows are the
-numerators' digit tuples, and a solved delta-character builds its series
-on the first read.
+numerators' stored digit tuples, which the Howell layer reduces to M, and
+a solved delta-character builds its series on the first read.
 
 The logarithm, the l_i, the unit root alpha and the solved modules are
 computed once per formal group law and kept in the law's own memo
@@ -310,24 +310,17 @@ def _lattice_solve(spec, gens, M: int, extra_rows=()):
     numerators of generators sharing one denominator exponent (each
     carries at least M digits: `_solve_log` checks it).
 
-    A row is a monomial's coefficients reduced to M: ints mod p^M at
-    e = 1, digit tuples otherwise (`howell._entries` takes both as they
-    are), and zero where a coefficient is absent; a monomial zero mod pi^M
-    gets no row.  `extra_rows` are additional linear conditions on d at
+    A row is a monomial's stored digit tuples, one per numerator, and one
+    shared zero tuple where a coefficient is absent; `howell._entries`
+    reduces them to M.  A monomial zero mod pi^M gives a zero row, which
+    the transposed sweep sees as a zero column: no pivot and no row
+    operation.  `extra_rows` are additional linear conditions on d at
     the same modulus (used for the global extension-class constraint on
     jet characters)."""
-    ints, mod = spec.e == 1, spec.moduli(M)[0]
-    zero = 0 if ints else (0,) * spec.e
-    cols = []
-    for g in gens:
-        col = {}
-        for m, d in g.num.coeffs.items():
-            r = d[0] % mod if ints else spec.reduce_digits(d, M)
-            if r != zero:
-                col[m] = r
-        cols.append(col)
-    monomials = sorted({m for col in cols for m in col}, key=monomial_key)
-    rows = [[col.get(m, zero) for col in cols] for m in monomials]
+    zero = (0,) * spec.e
+    monomials = sorted({m for g in gens for m in g.num.coeffs},
+                       key=monomial_key)
+    rows = [[g.num.coeffs.get(m, zero) for g in gens] for m in monomials]
     rows.extend(list(r) for r in extra_rows)
     return right_kernel_basis(spec, rows, len(gens), M)
 

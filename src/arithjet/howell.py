@@ -19,13 +19,12 @@ inverse `ring.digit_unit_inverse`.  The digit path runs at e = 1
 too, as the reference for the int path: both take the same pivots in the
 same order and make the same row operations, so their rows, pivots and
 kernel generators are equal.  `PadicScalar`s appear at the boundary only:
-input entries known to a higher precision are reduced to M on entry (an
-input entry may also be a digit tuple already canonical at M, or at e = 1
-an int already reduced modulo p^M), and every returned row or kernel
-vector holds scalars at M.  Exact division by pi^v is only defined
-modulo pi^(M-v); its digits are read at M, which is consistent because
-every place a division result is used multiplies it back by something
-of valuation >= v.
+input entries, scalars or digit tuples known to M digits or more, are
+reduced to M on entry, and every returned row or kernel vector holds
+scalars at M.  Exact division by pi^v is only defined modulo pi^(M-v);
+its digits are read at M, which is consistent because every place a
+division result is used multiplies it back by something of valuation
+>= v.
 
 `module_rank` is the F_p rank of the generators modulo pi: the int sweep
 at M = 1 on each entry's digit 0 modulo p, whose pivots are all units.
@@ -183,9 +182,8 @@ def _howell_ints(p: int, rows, ncols: int, M: int):
 
 def _entries(spec: BaseRingSpec, rows, ncols: int, M: int):
     """The rows reduced to M: ints modulo p^M at e = 1, digit tuples
-    otherwise.  An entry is a `PadicScalar`, or a digit tuple already
-    canonical at M, taken as is; at e = 1 also an int already reduced
-    modulo p^M."""
+    otherwise.  An entry is a `PadicScalar` or a digit tuple, raw or
+    canonical, known to M digits or more."""
     ints = spec.e == 1
     mod = spec.moduli(M)[0]
     out = []
@@ -194,19 +192,14 @@ def _entries(spec: BaseRingSpec, rows, ncols: int, M: int):
             raise IncompatibleSpec("ragged matrix")
         row = []
         for x in r:
-            if type(x) is int:
-                row.append(x)
-                continue
-            if type(x) is tuple:
-                row.append(x[0] if ints else x)
-                continue
-            if x.spec is not spec and x.spec != spec:
-                raise IncompatibleSpec("scalars over different base rings")
-            if x.prec < M:
-                raise PrecisionExhausted(
-                    f"cannot raise precision {x.prec} -> {M}")
-            row.append(x.digits[0] % mod if ints
-                       else spec.reduce_digits(x.digits, M))
+            if type(x) is not tuple:
+                if x.spec is not spec and x.spec != spec:
+                    raise IncompatibleSpec("scalars over different base rings")
+                if x.prec < M:
+                    raise PrecisionExhausted(
+                        f"cannot raise precision {x.prec} -> {M}")
+                x = x.digits
+            row.append(x[0] % mod if ints else spec.reduce_digits(x, M))
         out.append(row)
     return out
 
@@ -244,8 +237,7 @@ def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
 
 def right_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
     """Generators of {b : rows . b = 0}; transpose + left kernel.  Entries
-    are scalars, digit tuples canonical at M, or at e = 1 ints reduced
-    modulo p^M (`_entries`)."""
+    are scalars or digit tuples known to M digits or more (`_entries`)."""
     nrows = len(rows)
     cols = [[rows[i][c] for i in range(nrows)] for c in range(ncols)]
     return left_kernel_basis(spec, cols, nrows, M)

@@ -5,7 +5,7 @@ of length e in the basis 1, pi, ..., pi^(e-1).  With that representation
 exact division by pi is a shift-and-borrow, never a rational division.
 Digit vectors are multiplied, shifted, divided by pi, valued and inverted
 here only (`digit_*`, `reduce_digits`); `series` and `howell` call these,
-and at e >= 2 an inverse or a quadratic root loops on digit vectors, with
+and an inverse or a quadratic root loops on digit vectors at every e, with
 no `PadicScalar` inside.  Every precision is explicit (there is no
 default), carried per element, and only ever decreases, except under
 multiplication by pi^k.
@@ -13,7 +13,8 @@ multiplication by pi^k.
 The modulus of each digit at a precision comes from the spec's modulus
 table (`BaseRingSpec.moduli`), built per precision on first use, so
 reducing a digit is one `%` with no exponentiation; at e = 1 an element
-is one int under one modulus p^prec.
+is one int under one modulus p^prec, which `digit_product` and
+`reduce_digits` multiply and reduce without a loop over digits.
 
 The residue field is F_p, so q = p and the Frobenius lift phi is the
 identity (x == x^q mod pi); the pi-derivation is delta(x) = (phi(x) - x^q)/pi.
@@ -278,18 +279,11 @@ class PadicScalar:
         return result
 
     def inverse(self) -> "PadicScalar":
-        """Inverse modulo pi^prec; requires a unit.
-
-        At e = 1 the element is an integer modulo p^prec and the builtin
-        modular inverse gives it; otherwise `digit_unit_inverse` lifts it
-        on the digit vector."""
+        """Inverse modulo pi^prec; requires a unit.  `digit_unit_inverse`
+        lifts it on the digit vector (at e = 1 its start value, the
+        builtin modular inverse, is already exact)."""
         if not self.is_unit():
             raise NotDivisible("cannot invert a non-unit")
-        if self.spec.e == 1:
-            return PadicScalar(
-                self.spec,
-                (pow(self.digits[0], -1, self.spec.moduli(self.prec)[0]),),
-                self.prec)
         return PadicScalar(
             self.spec, digit_unit_inverse(self.spec, self.digits, self.prec),
             self.prec)
@@ -364,26 +358,13 @@ def unit_quadratic_root(lam: PadicScalar, c: PadicScalar) -> PadicScalar:
 
     Newton's iteration from x = lam, at precision min(lam.prec, c.prec):
     f'(x) = 2x - lam = lam (mod pi) is a unit, so the root modulo pi^prec
-    depends only on lam and c modulo pi^prec.  The steps run on ints
-    modulo p^prec at e = 1, on digit vectors otherwise.  A derivative that
-    is not a unit raises NotDivisible.
+    depends only on lam and c modulo pi^prec.  The steps run on digit
+    vectors at every e.  A derivative that is not a unit raises
+    NotDivisible.
     """
     prec = min(lam.prec, c.prec)
     lam, c = lam.reduce_prec(prec), c.reduce_prec(prec)
     spec = lam.spec
-    if spec.e == 1:
-        mod, p = spec.moduli(prec)[0], spec.p
-        (a,), (b,) = lam.digits, c.digits
-        x = a
-        for _ in range(prec + 2):
-            f = (x * x - a * x + b) % mod
-            if f == 0:
-                break
-            d = 2 * x - a
-            if d % p == 0:
-                raise NotDivisible("cannot invert a non-unit")
-            x = (x - f * pow(d, -1, mod)) % mod
-        return PadicScalar(spec, (x,), prec)
     a, b = lam.digits, c.digits
     x = a
     for _ in range(prec + 2):
@@ -394,6 +375,6 @@ def unit_quadratic_root(lam: PadicScalar, c: PadicScalar) -> PadicScalar:
         d = [2 * u - v for u, v in zip(x, a)]
         if d[0] % spec.p == 0:
             raise NotDivisible("cannot invert a non-unit")
-        x = spec.reduce_digits(map(sub, x, digit_product(
-            spec, f, digit_unit_inverse(spec, d, prec))), prec)
+        x = spec.reduce_digits(list(map(sub, x, digit_product(
+            spec, f, digit_unit_inverse(spec, d, prec)))), prec)
     return PadicScalar(spec, x, prec)

@@ -21,10 +21,11 @@ changes a result.
 The digit arithmetic itself (products, pi-shifts, valuations, reduction)
 is that of `ring`, and so are the moduli: an operation fetches its
 precision's moduli once from the spec's table (`BaseRingSpec.moduli`).
-At e = 1 a stored coefficient is still a 1-tuple, but the loops over
-coefficients work on its bare int and reduce by the one modulus p^N: the
-reducing constructor, `+`, negation, `int_mul`, `scalar_mul`, the
-`substitute` accumulator and the product.
+At e = 1 a stored coefficient is still a 1-tuple, but the loops that
+carry a workload's traffic work on its bare int and reduce by the one
+modulus p^N: the reducing constructor, `+`, the `substitute` accumulator
+and the product.  Negation, `int_mul` and `scalar_mul` take the digit
+path at every e and reduce through the constructor.
 """
 
 from __future__ import annotations
@@ -256,13 +257,6 @@ class TruncSeries:
 
     # -- ring operations ------------------------------------------------------
 
-    def _from_ints(self, ints: dict, prec: int) -> "TruncSeries":
-        """The e = 1 series in self's context whose coefficients are the
-        bare-int sums `ints` of terms within the cap, at prec."""
-        return TruncSeries(self.spec, self.vars,
-                           _reduce_ints(ints, self.spec.moduli(prec)[0]),
-                           self.cap, prec, _canonical=True)
-
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
         prec = min(self.prec, other.prec)
@@ -271,7 +265,9 @@ class TruncSeries:
             get = out.get
             for m, d in other.coeffs.items():
                 out[m] = get(m, 0) + d[0]
-            return self._from_ints(out, prec)
+            return TruncSeries(self.spec, self.vars,
+                               _reduce_ints(out, self.spec.moduli(prec)[0]),
+                               self.cap, prec, _canonical=True)
         out = dict(self.coeffs)
         for m, d in other.coeffs.items():
             cur = out.get(m)
@@ -279,11 +275,6 @@ class TruncSeries:
         return TruncSeries(self.spec, self.vars, out, self.cap, prec)
 
     def __neg__(self) -> "TruncSeries":
-        if self.spec.e == 1:  # canonical digits x in (0, p^prec)
-            modulus = self.spec.moduli(self.prec)[0]
-            out = {m: (modulus - d[0],) for m, d in self.coeffs.items()}
-            return TruncSeries(self.spec, self.vars, out, self.cap, self.prec,
-                               _canonical=True)
         out = {m: [-x for x in d] for m, d in self.coeffs.items()}
         return TruncSeries(self.spec, self.vars, out, self.cap, self.prec)
 
@@ -300,19 +291,12 @@ class TruncSeries:
         return TruncSeries(spec, self.vars, out, cap, prec, _canonical=True)
 
     def scalar_mul(self, c: PadicScalar) -> "TruncSeries":
-        prec = min(self.prec, c.prec)
-        if self.spec.e == 1:
-            x = c.digits[0]
-            return self._from_ints(
-                {m: x * d[0] for m, d in self.coeffs.items()}, prec)
         out = {m: digit_product(self.spec, d, c.digits)
                for m, d in self.coeffs.items()}
-        return TruncSeries(self.spec, self.vars, out, self.cap, prec)
+        return TruncSeries(self.spec, self.vars, out, self.cap,
+                           min(self.prec, c.prec))
 
     def int_mul(self, n: int) -> "TruncSeries":
-        if self.spec.e == 1:
-            return self._from_ints(
-                {m: n * d[0] for m, d in self.coeffs.items()}, self.prec)
         out = {m: [n * x for x in d] for m, d in self.coeffs.items()}
         return TruncSeries(self.spec, self.vars, out, self.cap, self.prec)
 

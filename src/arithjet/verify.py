@@ -58,11 +58,13 @@ def ghost_components(x: WittVector):
     return out
 
 
-def ghost_mismatch(x: WittVector, y: WittVector):
-    """The first ghost slot at which x [+] y or x [*] y differs from the
-    ghost-side sum or product, as ("add" or "mul", slot); else None."""
+def ghost_mismatch(x: WittVector, y: WittVector, s: WittVector,
+                   m: WittVector):
+    """The first ghost slot at which the sum s or the product m of x and y
+    differs from the ghost-side sum or product, as ("add" or "mul",
+    slot); else None."""
     wx, wy = ghost_components(x), ghost_components(y)
-    ws, wp = ghost_components(x + y), ghost_components(x * y)
+    ws, wp = ghost_components(s), ghost_components(m)
     for i in range(x.length):
         if not (ws[i] - (wx[i] + wy[i])).is_zero():
             return "add", i
@@ -82,7 +84,7 @@ def suite_ghost_oracle(spec: BaseRingSpec, seed: int) -> dict:
     rng = random.Random(seed)
     for t in range(TRIALS):
         x, y = _random_vector(spec, rng), _random_vector(spec, rng)
-        bad = ghost_mismatch(x, y)
+        bad = ghost_mismatch(x, y, x + y, x * y)
         if bad:
             return _report("ghost_oracle", anchor, False,
                            f"{bad[0]} trial {t} ghost slot {bad[1]}")

@@ -1,16 +1,20 @@
-"""The digit Howell sweep of `arithjet.howell` and the scalar Newton
-inverse of `arithjet.ring.PadicScalar` as they were before both ran on
-digit vectors, kept verbatim as the reference for them: `_howell_digits`,
-`_scaled` and `_minus_multiple` from `howell`, and `PadicScalar.inverse`
-as `newton_inverse`.  The sweep's `PadicScalar` is the ring's class with
-`newton_inverse` as its inverse, so no part of the reference runs the
-digit inverse it checks."""
+"""The digit Howell sweep of `arithjet.howell`, the scalar Newton
+inverse of `arithjet.ring.PadicScalar`, the e = 1 Newton loop of
+`ring.unit_quadratic_root` and the lattice rows of
+`characters._lattice_solve`, as they were before each ran on digit
+vectors, kept verbatim as the reference for them: `_howell_digits`,
+`_scaled` and `_minus_multiple` from `howell`, `PadicScalar.inverse` as
+`newton_inverse`, the int loop as `int_quadratic_root`, and the rows
+reduced to M before the kernel as `lattice_solve`.  The sweep's
+`PadicScalar` is the ring's class with `newton_inverse` as its inverse,
+so no part of the reference runs the digit inverse it checks."""
 
 from arithjet import ring
 from arithjet.errors import NotDivisible
-from arithjet.howell import _nonzero
+from arithjet.howell import _nonzero, right_kernel_basis
 from arithjet.ring import (BaseRingSpec, digit_div_pi, digit_mul_pi,
                            digit_product, digit_valuation)
+from arithjet.series import monomial_key
 
 
 def newton_inverse(self) -> ring.PadicScalar:
@@ -38,6 +42,50 @@ def newton_inverse(self) -> ring.PadicScalar:
 class PadicScalar(ring.PadicScalar):
     __slots__ = ()
     inverse = newton_inverse
+
+
+def int_quadratic_root(lam, c) -> ring.PadicScalar:
+    """`ring.unit_quadratic_root` at e = 1: Newton's steps on ints modulo
+    p^prec."""
+    prec = min(lam.prec, c.prec)
+    lam, c = lam.reduce_prec(prec), c.reduce_prec(prec)
+    spec = lam.spec
+    mod, p = spec.moduli(prec)[0], spec.p
+    (a,), (b,) = lam.digits, c.digits
+    x = a
+    for _ in range(prec + 2):
+        f = (x * x - a * x + b) % mod
+        if f == 0:
+            break
+        d = 2 * x - a
+        if d % p == 0:
+            raise NotDivisible("cannot invert a non-unit")
+        x = (x - f * pow(d, -1, mod)) % mod
+    return PadicScalar(spec, (x,), prec)
+
+
+def lattice_solve(spec, gens, M: int, extra_rows=()):
+    """`characters._lattice_solve` with its rows reduced to M before the
+    kernel: ints mod p^M at e = 1, digit tuples otherwise, zero where a
+    coefficient is absent, and no row for a monomial zero mod pi^M.  The
+    rows reach `right_kernel_basis` as scalars at M."""
+    ints, mod = spec.e == 1, spec.moduli(M)[0]
+    zero = 0 if ints else (0,) * spec.e
+    cols = []
+    for g in gens:
+        col = {}
+        for m, d in g.num.coeffs.items():
+            r = d[0] % mod if ints else spec.reduce_digits(d, M)
+            if r != zero:
+                col[m] = r
+        cols.append(col)
+    monomials = sorted({m for col in cols for m in col}, key=monomial_key)
+    rows = [[col.get(m, zero) for col in cols] for m in monomials]
+    rows.extend(list(r) for r in extra_rows)
+    rows = [[x if isinstance(x, ring.PadicScalar)
+             else ring.PadicScalar(spec, (x,) if ints else x, M) for x in row]
+            for row in rows]
+    return right_kernel_basis(spec, rows, len(gens), M)
 
 
 def _scaled(spec: BaseRingSpec, s, row, mods):

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
+from operator import mod
 
+import howell_oracle
 import pytest
 
 from arithjet import characters, witt
@@ -25,6 +28,7 @@ from arithjet.characters import (
     upsilon,
 )
 from arithjet.errors import (
+    BadReduction,
     BasisExpansionFailed,
     DegreeCapTooSmall,
     IncompatibleSpec,
@@ -142,6 +146,43 @@ def test_solve_returns_a_fresh_list():
     assert rank_again == rank == 1
     assert len(again) == len(kept)
     assert all(a is b for a, b in zip(again, kept))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (5, 2)])
+@pytest.mark.parametrize("D", [11, 27])
+def test_lattice_solve_equals_the_reduced_rows(p, e, D):
+    # generators known to N = M + 3 digits, their stored digit tuples as
+    # rows, give the generators of the rows reduced to M before the kernel,
+    # which had no row for a monomial zero mod pi^M (e = 2 needs p >= 5)
+    spec = BaseRingSpec(p, e)
+    M = log_denominator_exponent(spec, D) + 1
+    mods = spec.moduli(M)
+    rng = random.Random(100 * p + 10 * e + D)
+    laws, zero_rows, solved = [multiplicative_law(spec, D, M + 3)], 0, 0
+    while len(laws) < 4:
+        a4, a6 = rng.randrange(-50, 50), rng.randrange(-50, 50)
+        try:
+            laws.append(formal_group_from_weierstrass(
+                spec, spec.scalar(a4, M + 3), spec.scalar(a6, M + 3), D))
+        except BadReduction:
+            pass
+    for F in laws:
+        for n in (1, 2, 3):
+            _, gens = log_ghost_generators(F, n, "jet")
+            assert {g.num.prec for g in gens} == {M + 3}
+            assert gens[0].shift + 1 == M
+            row = characters.unit_root_row(F, n, M)
+            extra = () if row is None else (row,)
+            got = characters._lattice_solve(spec, gens, M, extra)
+            want = howell_oracle.lattice_solve(spec, gens, M, extra)
+            assert [[x.digits for x in v] for v in got] \
+                == [[x.digits for x in v] for v in want]
+            solved += len(got)
+            zero_rows += sum(
+                not any(any(map(mod, g.num.coeffs.get(m, ()), mods))
+                        for g in gens)
+                for m in {m for g in gens for m in g.num.coeffs})
+    assert solved and zero_rows
 
 
 @pytest.mark.parametrize("p,e,D", [(5, 1, 27), (3, 1, 11), (5, 2, 27)])

@@ -96,29 +96,26 @@ def test_right_kernel_random(spec, seed):
 @given(seed=st.integers(0, 10 ** 6))
 @settings(max_examples=30, deadline=None)
 def test_right_kernel_takes_digit_rows(spec, seed):
-    # the lattice solve hands over digit tuples already reduced to M, with
-    # scalar entries mixed in; the kernel is that of the scalar rows
+    # the lattice solve hands over stored digit tuples known to more than M
+    # digits, which `_entries` reduces to M, as it does raw (negative,
+    # unreduced) tuples; with scalar entries mixed in, the kernel is that
+    # of the scalar rows.  Entries of every valuation up to M give zeros
+    # mod pi^M with nonzero lifts, and pivots of v > 0: there an entry
+    # left unreduced would change the sweep
     rng = random.Random(seed)
-    rows = [[_random_scalar(spec, rng) for _ in range(4)] for _ in range(3)]
-    mixed = [[spec.reduce_digits(x.digits, M) for x in row] for row in rows]
-    mixed[-1] = rows[-1]
+    pi = spec.pi(M)
+    rows = [[_random_scalar(spec, rng) * pi ** rng.randrange(M + 1)
+             for _ in range(4)] for _ in range(3)]
+    mods = spec.moduli(M)
+
+    def raw(x):
+        return tuple(d + rng.randrange(-10 ** 30, 10 ** 30) * m
+                     for d, m in zip(x.digits, mods))
+
+    mixed = [[PadicScalar(spec, raw(x), M + 3).digits for x in rows[0]],
+             [raw(x) for x in rows[1]], rows[2]]
     want = right_kernel_basis(spec, rows, 4, M)
     got = right_kernel_basis(spec, mixed, 4, M)
-    assert [[x.digits for x in v] for v in got] \
-        == [[x.digits for x in v] for v in want]
-
-
-@given(seed=st.integers(0, 10 ** 6))
-@settings(max_examples=30, deadline=None)
-def test_right_kernel_takes_int_rows(seed):
-    # at e = 1 the lattice solve hands over ints already reduced mod p^M,
-    # with scalar rows mixed in; the kernel is that of the scalar rows
-    rng = random.Random(seed)
-    rows = [[_random_scalar(SPEC, rng) for _ in range(4)] for _ in range(3)]
-    mixed = [[x.digits[0] % SPEC.p ** M for x in row] for row in rows]
-    mixed[-1] = rows[-1]
-    want = right_kernel_basis(SPEC, rows, 4, M)
-    got = right_kernel_basis(SPEC, mixed, 4, M)
     assert [[x.digits for x in v] for v in got] \
         == [[x.digits for x in v] for v in want]
 

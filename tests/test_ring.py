@@ -3,7 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from howell_oracle import newton_inverse
+from howell_oracle import int_quadratic_root, newton_inverse
 
 from arithjet.errors import IncompatibleSpec, NotDivisible, PrecisionExhausted
 from arithjet.ring import (
@@ -283,6 +283,32 @@ def test_unit_quadratic_root_on_ints(p):
             roots = [y for y in range(a % p, mod, p)
                      if (y * y - a * y + b) % mod == 0]
             assert roots == [r]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_unit_quadratic_root_matches_the_int_loop(p):
+    # e = 1: the digit loop gives the int loop's root, or raises as it does,
+    # on raw lam and c known to different precisions
+    spec = BaseRingSpec(p, 1)
+    rng = random.Random(300 + p)
+    raised = 0
+    for prec in range(10):
+        for trial in range(24):
+            a, b = _raw_digit(rng, p), _raw_digit(rng, p)
+            if trial % 4:
+                a, b = a * p + rng.randrange(1, p), b * p
+            lam = PadicScalar(spec, [a], prec + rng.randrange(3))
+            c = PadicScalar(spec, [b], prec + rng.randrange(3))
+            try:
+                want = int_quadratic_root(lam, c)
+            except NotDivisible:
+                raised += 1
+                with pytest.raises(NotDivisible):
+                    unit_quadratic_root(lam, c)
+                continue
+            x = unit_quadratic_root(lam, c)
+            assert (x.digits, x.prec) == (want.digits, want.prec)
+    assert raised > 10
 
 
 def test_unit_quadratic_root_on_digits():
