@@ -14,18 +14,21 @@ packed monomials: an exponent tuple is one int in base cap + 1 (a
 one-variable monomial packs to its degree), so a monomial product is one
 int addition, and at e = 1 a coefficient is a bare int reduced once per
 output monomial.  `**` builds a power as the product of two known powers
-(`_power`); `substitute` builds only the powers of each image that its
-monomials use, sums raw digit products and reduces once.  Truncated sums
-and products are exact in R[x]/(pi^N, degree > cap), so no shortcut
-changes a result.
+(`_power`).  `substitute` relabels when every image is 0 or one term
+c x^k (a generator, a swap, pi x1): each monomial maps to one monomial,
+its coefficient times powers of the c's, with no series product
+(`_relabel`).  Otherwise it builds only the powers of each image that its
+monomials use.  Either way it sums raw digit products and reduces once.
+Truncated sums and products are exact in R[x]/(pi^N, degree > cap), so no
+shortcut changes a result.
 The digit arithmetic itself (products, pi-shifts, valuations, reduction)
 is that of `ring`, and so are the moduli: an operation fetches its
 precision's moduli once from the spec's table (`BaseRingSpec.moduli`).
 At e = 1 a stored coefficient is still a 1-tuple, but the loops that
 carry a workload's traffic work on its bare int and reduce by the one
-modulus p^N: the reducing constructor, `+`, the `substitute` accumulator
-and the product.  Negation, `int_mul` and `scalar_mul` take the digit
-path at every e and reduce through the constructor.
+modulus p^N: the reducing constructor, `+`, the `substitute`
+accumulators and the product.  Negation, `int_mul` and `scalar_mul` take
+the digit path at every e and reduce through the constructor.
 """
 
 from __future__ import annotations
@@ -132,6 +135,46 @@ def _power(known: dict, n: int):
             _power(known, k)
             _power(known, n - k)
         known[n] = known[k] * known[n - k]
+
+
+def _relabel(spec: BaseRingSpec, coeffs: dict, images: list, nvars: int,
+             prec: int) -> dict:
+    """Unreduced, uncapped coefficients of a substitution whose images, one
+    per variable in order and over `nvars` variables, are each 0 or one
+    term c x^k: the monomial m maps to the one monomial sum m_v k_v, with
+    coefficient d_m prod c_v^(m_v), and drops out when it uses a zero
+    image.  Bare ints at e = 1; each power of a c other than 1 is built
+    once."""
+    unit = (1,) + (0,) * (spec.e - 1)
+    unramified = spec.e == 1
+    terms = [next(iter(s.coeffs.items()), None) for s in images]
+    powers: dict = {}
+    out: dict = {}
+    get = out.get
+    for m, d in coeffs.items():
+        key = [0] * nvars
+        x = d[0] if unramified else d
+        for expo, term in zip(m, terms):
+            if not expo:
+                continue
+            if term is None:
+                break
+            k, c = term
+            key = [a + expo * b for a, b in zip(key, k)]
+            if c != unit:
+                cn = powers.get((c, expo))
+                if cn is None:
+                    cn = powers[c, expo] = \
+                        (PadicScalar(spec, c, prec) ** expo).digits
+                x = x * cn[0] if unramified else digit_product(spec, x, cn)
+        else:
+            key = tuple(key)
+            if unramified:
+                out[key] = get(key, 0) + x
+            else:
+                cur = get(key)
+                out[key] = _raw_add(cur, x) if cur is not None else x
+    return out
 
 
 class TruncSeries:
@@ -354,7 +397,11 @@ class TruncSeries:
         When self is truncated (cap not None) every image must have zero
         constant term, else discarded high-degree terms of self would feed
         low degrees of the result.  Exact polynomials accept any images.
-        All images must share one context, which becomes the result context.
+        All images must share self's spec and one variable list and cap
+        (else IncompatibleSpec), which become the result's; its precision is
+        the least of self's and the images'.  When every image is zero or one
+        term, each monomial maps to one monomial (`_relabel`), with no
+        power of an image and no series product.
         """
         images = {}
         ctx = None
@@ -364,6 +411,9 @@ class TruncSeries:
             if self.cap is not None and not s.constant_term().is_zero():
                 raise NonNilpotentComposition(
                     f"image of {v!r} has a nonzero constant term")
+            if s.spec != self.spec or ctx is not None and (
+                    s.vars, s.cap) != (ctx.vars, ctx.cap):
+                raise IncompatibleSpec(f"image of {v!r} is in another context")
             images[v] = s
             ctx = s
         if ctx is None:
@@ -376,46 +426,52 @@ class TruncSeries:
                 images[v] = TruncSeries.gen(ctx.spec, ctx.vars, v, ctx.cap,
                                             ctx.prec)
         prec = min([self.prec] + [s.prec for s in images.values()])
+        spec = ctx.spec
         cap = ctx.cap
-        one = TruncSeries.const(ctx.spec, ctx.vars, ctx.spec.one(prec), cap,
-                                prec)
-        # build only the powers of each image that a monomial uses; sum raw
-        # digit products (bare ints at e = 1), reduce once
-        powers = {}
-        for i, v in enumerate(self.vars):
-            used = {m[i] for m in self.coeffs} - {0}
-            if used:
-                image = images[v]
-                known = {1: image if image.prec == prec
-                         else image.reduce_prec(prec)}
-                for n in sorted(used):
-                    _power(known, n)
-                powers[v] = known
-        unramified = ctx.spec.e == 1
-        out: dict = {}
-        get = out.get
-        for m, d in self.coeffs.items():
-            term = one
-            for v, expo in zip(self.vars, m):
-                if expo == 0:
-                    continue
-                piece = powers[v][expo]
-                term = piece if term is one else term * piece
-            if unramified:
-                x = d[0]
-                for mm, dd in term.coeffs.items():
-                    out[mm] = get(mm, 0) + x * dd[0]
-            else:
-                for mm, dd in term.coeffs.items():
-                    prod = digit_product(ctx.spec, d, dd)
-                    cur = get(mm)
-                    out[mm] = _raw_add(cur, prod) if cur is not None else prod
+        unramified = spec.e == 1
+        if all(len(s.coeffs) <= 1 for s in images.values()):
+            out = _relabel(spec, self.coeffs,
+                           [images[v] for v in self.vars], len(ctx.vars),
+                           prec)
+        else:
+            one = TruncSeries.const(spec, ctx.vars, spec.one(prec), cap,
+                                    prec)
+            # build only the powers of each image that a monomial uses; sum
+            # raw digit products (bare ints at e = 1), reduce once
+            powers = {}
+            for i, v in enumerate(self.vars):
+                used = {m[i] for m in self.coeffs} - {0}
+                if used:
+                    image = images[v]
+                    known = {1: image if image.prec == prec
+                             else image.reduce_prec(prec)}
+                    for n in sorted(used):
+                        _power(known, n)
+                    powers[v] = known
+            out = {}
+            get = out.get
+            for m, d in self.coeffs.items():
+                term = one
+                for v, expo in zip(self.vars, m):
+                    if expo == 0:
+                        continue
+                    piece = powers[v][expo]
+                    term = piece if term is one else term * piece
+                if unramified:
+                    x = d[0]
+                    for mm, dd in term.coeffs.items():
+                        out[mm] = get(mm, 0) + x * dd[0]
+                else:
+                    for mm, dd in term.coeffs.items():
+                        prod = digit_product(spec, d, dd)
+                        cur = get(mm)
+                        out[mm] = _raw_add(cur, prod) if cur is not None \
+                            else prod
         if unramified:
             return TruncSeries(
-                ctx.spec, ctx.vars,
-                _reduce_ints(out, ctx.spec.moduli(prec)[0], cap), cap, prec,
-                _canonical=True)
-        return TruncSeries(ctx.spec, ctx.vars, out, cap, prec)
+                spec, ctx.vars, _reduce_ints(out, spec.moduli(prec)[0], cap),
+                cap, prec, _canonical=True)
+        return TruncSeries(spec, ctx.vars, out, cap, prec)
 
     def evaluate(self, values: dict) -> PadicScalar:
         """Evaluate an exact polynomial (cap=None) at scalar arguments."""

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+import substitute_oracle
 from hypothesis import given, settings, strategies as st
 
-from arithjet.errors import NotDivisible, PrecisionExhausted
+from arithjet.characters import (jet_group_law, kernel_group_law,
+                                 solve_additive)
+from arithjet.errors import IncompatibleSpec, NotDivisible, PrecisionExhausted
+from arithjet.fgl import formal_group_from_weierstrass
 from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.series import FracSeries, TruncSeries
 
@@ -489,3 +493,140 @@ def test_power_builds_on_known_powers(monkeypatch):
                                        f.prec)
     with pytest.raises(ValueError):
         f ** -1
+
+
+def test_substitute_images_share_one_context():
+    # images over different variable lists or caps, or over another spec
+    # than the series, are refused; precisions may differ, and the result
+    # takes the least
+    spec = BaseRingSpec(5, 1)
+    ab, abc = ("a", "b"), ("a", "b", "c")
+    f = TruncSeries.gen(spec, VARS, "x", None, 4) \
+        + TruncSeries.gen(spec, VARS, "y", None, 4)
+    with pytest.raises(IncompatibleSpec):
+        f.substitute({"x": TruncSeries.gen(spec, ab, "a", None, 4),
+                      "y": TruncSeries.gen(spec, abc, "c", None, 4)})
+    g = f.with_cap(6)
+    with pytest.raises(IncompatibleSpec):
+        g.substitute({"x": TruncSeries.gen(spec, ab, "a", 4, 4),
+                      "y": TruncSeries.gen(spec, ab, "b", 6, 4)})
+    ramified = BaseRingSpec(5, 2)
+    with pytest.raises(IncompatibleSpec):
+        g.substitute({"x": TruncSeries.gen(spec, ab, "a", 6, 4),
+                      "y": TruncSeries.gen(ramified, ab, "b", 6, 4)})
+    with pytest.raises(IncompatibleSpec):
+        g.substitute({"x": TruncSeries.gen(ramified, ab, "a", 6, 4),
+                      "y": TruncSeries.gen(ramified, ab, "b", 6, 4)})
+    a = TruncSeries.gen(spec, ab, "a", 6, 3)
+    b = TruncSeries.gen(spec, ab, "b", 6, 4)
+    result = g.substitute({"x": a, "y": b})
+    assert (result.vars, result.cap, result.prec) == (ab, 6, 3)
+    assert result == a + b.reduce_prec(3)
+
+
+ORACLE_SPECS = [BaseRingSpec(3, 1), BaseRingSpec(5, 1), BaseRingSpec(5, 2)]
+# x, y, z map into a context with an extra variable t; z is left unmapped
+TARGET = ("x", "y", "z", "t")
+
+
+def _oracle_mappings(spec, cap, prec):
+    """Substitutions of each kind the relabeling serves, then one mapping
+    with a two-term image, which takes the general loop."""
+    def term(m, c, at=prec):
+        return TruncSeries.from_scalar_dict(spec, TARGET, {m: c}, cap, at)
+
+    def gen(v, at=prec):
+        return TruncSeries.gen(spec, TARGET, v, cap, at)
+
+    pi = PadicScalar(spec, [spec.p] if spec.e == 1 else [0, 1], prec)
+    unit = PadicScalar(spec, [2] + [1] * (spec.e - 1), prec)
+    zero = TruncSeries.zero(spec, TARGET, cap, prec)
+    mappings = [
+        {"x": zero},
+        {"x": gen("y"), "y": gen("x")},
+        {"x": gen("t"), "y": gen("t")},
+        {"x": term((0, 0, 0, 2), unit), "y": term((0, 3, 0, 0), pi ** 2)},
+        {"x": term((1, 0, 0, 0), pi), "y": zero,
+         "z": term((1, 0, 0, 1), -unit)},
+        {"x": gen("y", prec - 1), "y": term((0, 0, 2, 1), pi, prec - 2)},
+    ]
+    if cap is None:
+        mappings.append({"x": term((0, 0, 0, 0), unit),
+                         "y": term((0, 0, 0, 0), pi),
+                         "z": term((0, 0, 0, 2), unit)})
+    mixed = gen("t") + term((2, 0, 0, 0), unit)
+    mappings.append({"x": mixed, "y": term((0, 1, 0, 0), pi)})
+    return mappings
+
+
+@pytest.mark.parametrize("cap", [5, None])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=repr)
+def test_substitute_matches_the_general_loop(spec, cap):
+    # every kind of image on random series, against the general loop kept
+    # in tests/substitute_oracle.py: zero images, generators, swaps,
+    # images sharing a target, c x^k with c a unit or of positive
+    # valuation (high powers of pi vanish mod pi^prec), lower image
+    # precisions, constants on polynomials; terms of degree up to the cap
+    # push past it
+    rng = random.Random(f"{spec.p},{spec.e},{cap}")
+    prec = 6
+    for _ in range(4):
+        items = {}
+        for _ in range(25):
+            m = tuple(rng.randrange(4) for _ in range(3))
+            if cap is None or sum(m) <= cap:
+                digits = [rng.randrange(-spec.p ** 7, spec.p ** 7)
+                          for _ in range(spec.e)]
+                items[m] = PadicScalar(spec, digits, prec + 1)
+        f = TruncSeries.from_scalar_dict(spec, ("x", "y", "z"), items, cap,
+                                         prec + 1)
+        for mapping in _oracle_mappings(spec, cap, prec):
+            got = f.substitute(mapping)
+            want = substitute_oracle.general_substitute(f, mapping)
+            assert (got.vars, got.cap, got.prec) == \
+                (want.vars, want.cap, want.prec)
+            assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("p,e,D", [(3, 1, 9), (5, 2, 7)])
+def test_one_term_images_make_no_series_product(monkeypatch, p, e, D):
+    # validating a chord-tangent law substitutes 0 and the swapped
+    # generators, and check_additive's px and py sides substitute
+    # generators: each relabels monomials, with no TruncSeries product,
+    # while its left side substitutes the law's components
+    spec = BaseRingSpec(p, e)
+    E = formal_group_from_weierstrass(spec, spec.scalar(1, 10),
+                                      spec.scalar(1, 10), D)
+    chord_tangent = E.law
+    chars = []
+    for law in (kernel_group_law(E, 2), jet_group_law(E, 1)):
+        law.laws  # built on first read, by substitutions of their own
+        for ch in solve_additive(law)[0]:
+            ch.frac  # likewise
+            chars.append((law, ch))
+    products = []
+    plain = TruncSeries.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    E._validate(chord_tangent)
+    assert not products
+    calls = []
+    plain_substitute = TruncSeries.substitute
+
+    def recording(self, mapping):
+        before = len(products)
+        out = plain_substitute(self, mapping)
+        terms = max(len(s.coeffs) for s in mapping.values())
+        calls.append((terms <= 1, len(products) - before))
+        return out
+
+    monkeypatch.setattr(TruncSeries, "substitute", recording)
+    for law, ch in chars:
+        calls.clear()
+        assert ch.check_additive(law)
+        assert [one_term for one_term, _ in calls] == [False, True, True]
+        assert calls[0][1] > 0 and calls[1][1] == calls[2][1] == 0
