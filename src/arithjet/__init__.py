@@ -35,7 +35,6 @@ from .lateral import (
     tilde_unpack,
 )
 from .howell import (
-    howell_form,
     left_kernel_basis,
     module_rank,
     right_kernel_basis,
@@ -85,8 +84,8 @@ __all__ = [
     "build_crystal", "c_pi", "de_rham_shadow", "expand_in_psi_basis",
     "extract_lambda_gamma", "f_tilde", "formal_group_from_weierstrass",
     "formal_logarithm", "frobenius_W", "frobenius_pullback",
-    "frobenius_unit_root", "from_witt", "generic_tilde", "howell_form",
-    "i_star", "jet_group_law", "kernel_group_law", "lateral_frobenius",
+    "frobenius_unit_root", "from_witt", "generic_tilde", "i_star",
+    "jet_group_law", "kernel_group_law", "lateral_frobenius",
     "lateral_pullback", "left_kernel_basis", "module_rank",
     "multiplicative_law", "polygons", "psi_basis", "rank_table",
     "right_kernel_basis", "solve_additive", "solve_delta_characters",

@@ -311,7 +311,7 @@ def _lattice_solve(spec, gens, M: int, extra_rows=()):
     carries at least M digits: `_solve_log` checks it).
 
     A row is a monomial's stored digit tuples, one per numerator, and one
-    shared zero tuple where a coefficient is absent; `howell._entries`
+    shared zero tuple where a coefficient is absent; `howell._restrict`
     reduces them to M.  A monomial zero mod pi^M gives a zero row, which
     the transposed sweep sees as a zero column: no pivot and no row
     operation.  `extra_rows` are additional linear conditions on d at

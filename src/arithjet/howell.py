@@ -1,152 +1,53 @@
 """Linear algebra over the chain ring R/pi^M (Howell / strong echelon form).
 
-Every nonzero element of R/pi^M is a unit times pi^v, so Gaussian
-elimination works with valuation-minimal pivots, in one pass over the
-columns; each pivot row of valuation v > 0 adds its closure pi^(M-v) times
-the row, which the later columns reduce, so the row span ends closed under
-"multiply and project" (Howell completeness).  Kernels are read off an
-augmented [A | I] reduction: rows whose A-part vanishes give a generating
-set of the left kernel.
+Kernels come from one sweep on ints modulo p^k, at every e, by
+restriction of scalars.  As a Z_p-module, R/pi^M is the sum over the
+digits t < e of Z/p^(k_t), k_t = ceil((M - t)/e) (`BaseRingSpec.moduli`),
+and k = k_0 is the largest; scaling digit t by p^(k - k_t) embeds it in
+Z/p^k, so R/pi^M sits in (Z/p^k)^e and no relation rows are needed.  An
+x in R is sum_j x_j pi^j with x_j in Z, so x . a = 0 is a Z-linear
+condition on the x_j against the rows pi^j a, j < e (`_restrict`): the
+Z-kernel of those rows maps onto the R-kernel, digit j of x_i being the
+coefficient of the row pi^j a_i.  At M < e the digits t >= M and the rows
+j >= M vanish, so only d = min(e, M) of each are kept.  At e = 1 there is
+one row per row, k = M and no scaling: an entry is an int modulo p^M,
+reduced by one `%`.
 
-Inside the reduction an entry is a bare residue (`_entries`).  At e = 1 it
-is an int modulo p^M (`_howell_ints`): a row operation is one `%` per
-entry, the valuation of a nonzero a is read off gcd(a, p^M) = p^v, and a
-pivot is normalized by pow(u, -1, p^M).  At e >= 2 it is the canonical
-digit tuple of a `PadicScalar` at M (`_howell_digits`), a row operation
-reduces each entry once through the digit functions of `ring` and keeps
-its zero entries as they are, and a pivot is normalized by the digit
-inverse `ring.digit_unit_inverse`.  The digit path runs at e = 1
-too, as the reference for the int path: both take the same pivots in the
-same order and make the same row operations, so their rows, pivots and
-kernel generators are equal.  `PadicScalar`s appear at the boundary only:
-input entries, scalars or digit tuples known to M digits or more, are
-reduced to M on entry, and every returned row or kernel vector holds
-scalars at M.  Exact division by pi^v is only defined modulo pi^(M-v);
-its digits are read at M, which is consistent because every place a
-division result is used multiplies it back by something of valuation
->= v.
+The sweep (`_howell_ints`) eliminates with valuation-minimal pivots, in
+one pass over the columns; each pivot row of valuation v > 0 adds its
+closure p^(k-v) times the row, which the later columns reduce, so the row
+span ends closed under "multiply and project" (Howell completeness).
+Kernels are read off an augmented [A | I] reduction: rows whose A-part
+vanishes give a generating set of the left kernel, read back in groups of
+d digits as `PadicScalar`s at M.  Input entries, scalars or digit tuples
+known to M digits or more, are reduced to M on entry.
 
-`module_rank` is the F_p rank of the generators modulo pi: the int sweep
-at M = 1 on each entry's digit 0 modulo p, whose pivots are all units.
+`module_rank` is the F_p rank of the generators modulo pi: the same
+restriction at M = 1, where d = 1, only digit 0 modulo p survives, and
+every pivot is a unit.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mod, sub
 
 from .errors import IncompatibleSpec, PrecisionExhausted
-from .ring import (BaseRingSpec, PadicScalar, _vp, digit_div_pi,
-                   digit_mul_pi, digit_product, digit_unit_inverse,
-                   digit_valuation)
+from .ring import BaseRingSpec, PadicScalar, _vp
 
 
-def _nonzero(row) -> bool:
-    """Whether a row of ints or of digit tuples has a nonzero entry."""
-    return any(x if type(x) is int else any(x) for x in row)
-
-
-def _scaled(spec: BaseRingSpec, s, row, mods):
-    """The row s * row for a digit tuple s, each entry reduced once; a zero
-    entry stays as it is."""
-    return [tuple(map(mod, digit_product(spec, s, a), mods)) if any(a) else a
-            for a in row]
-
-
-def _minus_multiple(spec: BaseRingSpec, row, f, prow, mods):
-    """The row row - f * prow for a digit tuple f, each entry reduced once;
-    an entry facing a zero in prow stays as it is."""
-    return [tuple(map(mod, map(sub, a, digit_product(spec, f, b)), mods))
-            if any(b) else a for a, b in zip(row, prow)]
-
-
-class HowellForm:
-    """Result of a Howell reduction: canonical rows plus pivot data."""
-
-    def __init__(self, spec: BaseRingSpec, M: int, rows, pivots):
-        self.spec = spec
-        self.M = M
-        self.rows = rows              # list of rows of PadicScalar at M
-        self.pivots = pivots          # list of (column, valuation)
-
-    @property
-    def rank(self) -> int:
-        """Number of unit pivots (free-module rank of the row span)."""
-        return sum(1 for _, v in self.pivots if v == 0)
-
-    @property
-    def pivot_valuations(self):
-        return [v for _, v in self.pivots]
-
-
-def _howell(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """(rows, pivots) of the Howell form of `_entries` rows at M, in one
-    pass: on ints at e = 1, on digit tuples otherwise."""
-    if M < 1:
-        raise IncompatibleSpec("modulus exponent must be >= 1")
-    if spec.e == 1:
-        return _howell_ints(spec.p, rows, ncols, M)
-    return _howell_digits(spec, rows, ncols, M)
-
-
-def _howell_digits(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """(rows, pivots) of the Howell form of digit rows at M >= 1.
+def _howell_ints(p: int, rows, ncols: int, k: int):
+    """(rows, pivots) of the Howell form of rows of ints modulo p^k,
+    k >= 1, in one pass over the columns.  A nonzero entry a has
+    p^v = gcd(a, p^k) with v < k, so pivot search, the elimination test
+    and the closure factor p^(k-v) compare and divide powers of p.
 
     The pivot at column c has the least valuation v below the frontier, so
-    it clears column c there; its closure pi^(M-v) * row is zero through
+    it clears column c there; its closure p^(k-v) * row is zero through
     column c, and the later columns reduce it.  So no nonzero row is left
     below the frontier, and any span element supported on columns >= c lies
     in the span of the rows with pivot column >= c (the Howell property).
     """
-    mods = spec.moduli(M)
-    unit = (1,) + (0,) * (spec.e - 1)
-    work = [row for row in rows if _nonzero(row)]
-    pivots = []
-    top = 0
-    for c in range(ncols):
-        best = None
-        best_v = None
-        for i in range(top, len(work)):
-            a = work[i][c]
-            if any(a):
-                v = digit_valuation(spec, a)
-                if best_v is None or v < best_v:
-                    best, best_v = i, v
-                    if v == 0:
-                        break
-        if best is None:
-            continue
-        work[top], work[best] = work[best], work[top]
-        v = best_v
-        # normalize the pivot entry to exactly pi^v
-        u_inv = digit_unit_inverse(
-            spec, digit_div_pi(spec, work[top][c], v), M)
-        prow = work[top] = _scaled(spec, u_inv, work[top], mods)
-        # eliminate the column everywhere else (entries with val >= v)
-        for i, row in enumerate(work):
-            a = row[c]
-            if i == top or not any(a) or digit_valuation(spec, a) < v:
-                continue
-            factor = digit_div_pi(spec, a, v)
-            work[i] = _minus_multiple(spec, row, factor, prow, mods)
-        # Howell closure: pi^(M-v) * row kills the pivot, keeps the tail
-        if v > 0:
-            shift = digit_mul_pi(spec, unit, M - v)
-            closure = _scaled(spec, shift, prow, mods)
-            if _nonzero(closure):
-                work.append(closure)
-        pivots.append((c, v))
-        top += 1
-    return work[:top], pivots
-
-
-def _howell_ints(p: int, rows, ncols: int, M: int):
-    """`_howell_digits` at e = 1 on rows of ints modulo p^M, M >= 1: the
-    same pivots in the same order, and the same row operations.  A nonzero
-    entry a has p^v = gcd(a, p^M) with v < M, so pivot search, the
-    elimination test and the closure factor p^(M-v) compare and divide
-    powers of p."""
-    mod = p ** M
+    mod = p ** k
     work = [row for row in rows if any(row)]
     pivots = []
     top = 0
@@ -180,12 +81,16 @@ def _howell_ints(p: int, rows, ncols: int, M: int):
     return work[:top], pivots
 
 
-def _entries(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """The rows reduced to M: ints modulo p^M at e = 1, digit tuples
-    otherwise.  An entry is a `PadicScalar` or a digit tuple, raw or
-    canonical, known to M digits or more."""
-    ints = spec.e == 1
-    mod = spec.moduli(M)[0]
+def _restrict(spec: BaseRingSpec, rows, ncols: int, M: int):
+    """The int rows over Z/p^k, k = ceil(M/e), of R-rows at M.  Only the
+    digits t < d = min(e, M) survive modulo pi^M, and only the multiples
+    pi^j, j < d: each row gives d rows, row j holding those digits of pi^j
+    times it, digit t scaled by p^(k - k_t).  An entry is a `PadicScalar`
+    or a digit tuple of length e, raw or canonical, known to M digits or
+    more."""
+    e = spec.e
+    mods = spec.moduli(M)[:M]
+    mod = mods[0]
     out = []
     for r in rows:
         if len(r) != ncols:
@@ -199,45 +104,50 @@ def _entries(spec: BaseRingSpec, rows, ncols: int, M: int):
                     raise PrecisionExhausted(
                         f"cannot raise precision {x.prec} -> {M}")
                 x = x.digits
-            row.append(x[0] % mod if ints else spec.reduce_digits(x, M))
+            elif len(x) != e:
+                raise IncompatibleSpec(
+                    f"digit tuple of length {len(x)} at e = {e}")
+            row.append(x[0] % mod if e == 1 else x)
         out.append(row)
-    return out
-
-
-def _scalars(spec: BaseRingSpec, row, M: int):
-    if spec.e == 1:
-        return [PadicScalar(spec, (a,), M) for a in row]
-    return [PadicScalar(spec, d, M) for d in row]
-
-
-def howell_form(spec: BaseRingSpec, rows, ncols: int, M: int) -> HowellForm:
-    """Howell form of the row span of `rows` inside (R/pi^M)^ncols."""
-    work, pivots = _howell(spec, _entries(spec, rows, ncols, M), ncols, M)
-    return HowellForm(spec, M, [_scalars(spec, row, M) for row in work],
-                      pivots)
+    if e == 1:
+        return out
+    # digit t of pi^j x, j < e, is digit (t - j) mod e of x, times p if it
+    # wraps: `ring.digit_mul_pi` as a table, with no call per entry
+    shifts = [[((t - j) % e, (spec.p if t < j else 1) * (mod // m))
+               for t, m in enumerate(mods)] for j in range(len(mods))]
+    return [[x[s] * f % mod for x in row for s, f in shift]
+            for row in out for shift in shifts]
 
 
 def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
     """Generators of {x : x . rows = 0 in (R/pi^M)^ncols}.
 
-    Reduces the augmented matrix [rows | I]; Howell rows whose left part
-    vanishes have right parts generating the left kernel.
+    Reduces the restricted [rows | I] over Z/p^k; Howell rows whose left
+    part vanishes have right parts whose groups of d = min(e, M) digits
+    generate the left kernel.  A right part that is zero modulo pi^M is
+    dropped.
     """
-    nrows = len(rows)
-    if spec.e == 1:
-        one, zero = 1, 0
-    else:
-        one, zero = spec.one(M).digits, (0,) * spec.e
-    aug = [row + [one if j == i else zero for j in range(nrows)]
-           for i, row in enumerate(_entries(spec, rows, ncols, M))]
-    work, _ = _howell(spec, aug, ncols + nrows, M)
-    return [_scalars(spec, row[ncols:], M) for row in work
-            if not _nonzero(row[:ncols]) and _nonzero(row[ncols:])]
+    if M < 1:
+        raise IncompatibleSpec("modulus exponent must be >= 1")
+    d = min(spec.e, M)
+    n, left = len(rows) * d, ncols * d
+    aug = [row + [1 if j == i else 0 for j in range(n)]
+           for i, row in enumerate(_restrict(spec, rows, ncols, M))]
+    work, _ = _howell_ints(spec.p, aug, left + n, -(-M // spec.e))
+    pad = (0,) * (spec.e - d)
+    kernel = []
+    for row in work:
+        if not any(row[:left]):
+            vec = [PadicScalar(spec, (*row[c:c + d], *pad), M)
+                   for c in range(left, left + n, d)]
+            if not all(x.is_zero() for x in vec):
+                kernel.append(vec)
+    return kernel
 
 
 def right_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
     """Generators of {b : rows . b = 0}; transpose + left kernel.  Entries
-    are scalars or digit tuples known to M digits or more (`_entries`)."""
+    are scalars or digit tuples known to M digits or more (`_restrict`)."""
     nrows = len(rows)
     cols = [[rows[i][c] for i in range(nrows)] for c in range(ncols)]
     return left_kernel_basis(spec, cols, nrows, M)
@@ -260,10 +170,8 @@ def module_rank(spec: BaseRingSpec, vectors, ncols: int) -> int:
 
     Equals the number of unit elementary divisors (Smith form over the
     chain ring), which is the F_p-rank of the generator matrix modulo pi:
-    the pivot count of the int sweep at M = 1 on each entry's digit 0
-    modulo p, where every pivot is a unit.
+    the pivot count of the restricted sweep at M = 1, where only digit 0
+    survives, modulo p, and every pivot is a unit.
     """
-    p, ints = spec.p, spec.e == 1
-    rows = [[(x if ints else x[0]) % p for x in row]
-            for row in _entries(spec, vectors, ncols, 1)]
-    return len(_howell_ints(p, rows, ncols, 1)[1])
+    return len(_howell_ints(spec.p, _restrict(spec, vectors, ncols, 1),
+                            ncols, 1)[1])

@@ -4,11 +4,12 @@ Elements are canonical residues modulo pi^N stored as integer digit vectors
 of length e in the basis 1, pi, ..., pi^(e-1).  With that representation
 exact division by pi is a shift-and-borrow, never a rational division.
 Digit vectors are multiplied, shifted, divided by pi, valued and inverted
-here only (`digit_*`, `reduce_digits`); `series` and `howell` call these,
-and an inverse or a quadratic root loops on digit vectors at every e, with
-no `PadicScalar` inside.  Every precision is explicit (there is no
-default), carried per element, and only ever decreases, except under
-multiplication by pi^k.
+here only (`digit_*`, `reduce_digits`); `series` calls these, `howell`
+applies the shift rule of `digit_mul_pi` as a table when it restricts
+scalars to Z/p^k, and an inverse or a quadratic root loops on digit
+vectors at every e, with no `PadicScalar` inside.  Every precision is
+explicit (there is no default), carried per element, and only ever
+decreases, except under multiplication by pi^k.
 
 The modulus of each digit at a precision comes from the spec's modulus
 table (`BaseRingSpec.moduli`), built per precision on first use, so

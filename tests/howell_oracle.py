@@ -1,17 +1,20 @@
-"""The digit Howell sweep of `arithjet.howell`, the scalar Newton
-inverse of `arithjet.ring.PadicScalar`, the e = 1 Newton loop of
-`ring.unit_quadratic_root` and the lattice rows of
-`characters._lattice_solve`, as they were before each ran on digit
-vectors, kept verbatim as the reference for them: `_howell_digits`,
-`_scaled` and `_minus_multiple` from `howell`, `PadicScalar.inverse` as
+"""The digit Howell sweep that `arithjet.howell` ran at e >= 2 before its
+one int sweep, the scalar Newton inverse of `arithjet.ring.PadicScalar`,
+the e = 1 Newton loop of `ring.unit_quadratic_root` and the lattice rows
+of `characters._lattice_solve`, as they were before each was replaced,
+kept verbatim as the reference for them: `_howell_digits`, `_scaled`,
+`_minus_multiple` and `_nonzero` from `howell`, `PadicScalar.inverse` as
 `newton_inverse`, the int loop as `int_quadratic_root`, and the rows
-reduced to M before the kernel as `lattice_solve`.  The sweep's
-`PadicScalar` is the ring's class with `newton_inverse` as its inverse,
-so no part of the reference runs the digit inverse it checks."""
+reduced to M before the kernel as `lattice_solve`.  The digit sweep is
+only the reference now: it takes R-pivots on digit tuples, where the
+library restricts scalars to ints modulo p^k, so the two give kernels
+with equal R-spans, not equal generators.  The sweep's `PadicScalar` is
+the ring's class with `newton_inverse` as its inverse, so no part of the
+reference runs the digit inverse it checks."""
 
 from arithjet import ring
 from arithjet.errors import NotDivisible
-from arithjet.howell import _nonzero, right_kernel_basis
+from arithjet.howell import right_kernel_basis
 from arithjet.ring import (BaseRingSpec, digit_div_pi, digit_mul_pi,
                            digit_product, digit_valuation)
 from arithjet.series import monomial_key
@@ -86,6 +89,11 @@ def lattice_solve(spec, gens, M: int, extra_rows=()):
              else ring.PadicScalar(spec, (x,) if ints else x, M) for x in row]
             for row in rows]
     return right_kernel_basis(spec, rows, len(gens), M)
+
+
+def _nonzero(row) -> bool:
+    """Whether a row of ints or of digit tuples has a nonzero entry."""
+    return any(x if type(x) is int else any(x) for x in row)
 
 
 def _scaled(spec: BaseRingSpec, s, row, mods):

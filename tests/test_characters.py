@@ -421,7 +421,10 @@ def test_group_laws_pinned(p, e, D, kind, n):
 # the solved characters on y^2 = x^3 + x + 1 at precision N_DESK + 4,
 # computed while `_combine` summed one FracSeries per generator; the reports
 # read only some of these characters.  (5, 2, 7) stops at kernel n = 2: the
-# n = 3 kernel needs D >= q^2 + 1.
+# n = 3 kernel needs D >= q^2 + 1.  The (5, 2, 7) jet pins at n = 2 and 3
+# were taken again when the Howell sweep became one int sweep by
+# restriction of scalars: each generator is the old one times a unit
+# (`test_e2_jet_pins_are_unit_multiples`).
 PINNED_CHARACTERS = {
     (3, 1, 11, "jet", 1):
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
@@ -450,9 +453,9 @@ PINNED_CHARACTERS = {
     (5, 2, 7, "jet", 1):
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     (5, 2, 7, "jet", 2):
-        "299903c12c7524670bd646c0a92319f02275c63d97ed8ad6577b4568750179a1",
+        "a4a5a4cabbb1f44e65ed4948f51281244c54401dbd1f819e1751053b05c1a397",
     (5, 2, 7, "jet", 3):
-        "72fb29adf3b1cb1a398cf14e036a374429060b899f14385b304ab6fa0939ea48",
+        "ad48c3a63a7c5b80afc6aa9a8b9bfb996dfab0ea37690205b2a49711c6712666",
     (5, 2, 7, "kernel", 1):
         "48ef8642b0338b70c4e272fefee013ff2575dd777c7e06ce34e33f9275816173",
     (5, 2, 7, "kernel", 2):
@@ -465,6 +468,29 @@ def test_solved_characters_pinned(p, e, D, kind, n):
     build = kernel_group_law if kind == "kernel" else jet_group_law
     chars, _ = solve_additive(build(_curve(p, e, D), n))
     assert _characters_digest(chars) == PINNED_CHARACTERS[(p, e, D, kind, n)]
+
+
+# The (5, 2, 7) jet solution vectors over their last entry, mod pi^3, as
+# the digit sweep gave them: at n = 2 this is (gamma, -lambda, 1), so
+# lambda = 22 and gamma = 5.
+E2_JET_NORMALIZED = {
+    2: [[(5, 0), (3, 0), (1, 0)]],
+    3: [[(10, 0), (21, 0), (0, 0), (1, 0)],
+        [(0, 0), (0, 0), (18, 0), (1, 0)]],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_e2_jet_pins_are_unit_multiples(n):
+    chars, _ = solve_additive(jet_group_law(_curve(5, 2, 7), n))
+    normalized = []
+    for ch in chars:
+        inv = ch.lcoeffs[-1].inverse()
+        normalized.append([(x * inv).digits for x in ch.lcoeffs])
+    assert normalized == E2_JET_NORMALIZED[n]
+    if n == 2:
+        lam, gamma = extract_lambda_gamma(chars[0])
+        assert (lam.digits, gamma.digits, lam.prec) == ((22, 0), (5, 0), 3)
 
 
 def _characters_digest(chars):
