@@ -41,11 +41,9 @@ from .howell import (
 )
 from .fgl import (
     FormalGroupLaw,
-    additive_law,
     formal_group_from_weierstrass,
     formal_logarithm,
     frobenius_unit_root,
-    multiplicative_law,
     trace_of_frobenius,
 )
 from .characters import (
@@ -80,18 +78,16 @@ __all__ = [
     "FracSeries", "IncompatibleSpec", "Inconclusive", "IntegralityViolation",
     "InvalidParameters", "NonNilpotentComposition", "NotDivisible",
     "NotInVImage", "PadicScalar", "PrecisionExhausted", "RankTable",
-    "TildeWittVector", "TruncSeries", "WittVector", "additive_law",
-    "build_crystal", "c_pi", "de_rham_shadow", "expand_in_psi_basis",
-    "extract_lambda_gamma", "f_tilde", "formal_group_from_weierstrass",
-    "formal_logarithm", "frobenius_W", "frobenius_pullback",
-    "frobenius_unit_root", "from_witt", "generic_tilde", "i_star",
-    "jet_group_law", "kernel_group_law", "lateral_frobenius",
-    "lateral_pullback", "left_kernel_basis", "module_rank",
-    "multiplicative_law", "polygons", "psi_basis", "rank_table",
-    "right_kernel_basis", "solve_additive", "solve_delta_characters",
-    "splitting_number", "structural_polynomials", "teichmuller", "tilde_pack",
-    "tilde_unpack", "trace_of_frobenius", "u_star", "upsilon", "verschiebung",
-    "weak_admissibility",
+    "TildeWittVector", "TruncSeries", "WittVector", "build_crystal", "c_pi",
+    "de_rham_shadow", "expand_in_psi_basis", "extract_lambda_gamma", "f_tilde",
+    "formal_group_from_weierstrass", "formal_logarithm", "frobenius_W",
+    "frobenius_pullback", "frobenius_unit_root", "from_witt", "generic_tilde",
+    "i_star", "jet_group_law", "kernel_group_law", "lateral_frobenius",
+    "lateral_pullback", "left_kernel_basis", "module_rank", "polygons",
+    "psi_basis", "rank_table", "right_kernel_basis", "solve_additive",
+    "solve_delta_characters", "splitting_number", "structural_polynomials",
+    "teichmuller", "tilde_pack", "tilde_unpack", "trace_of_frobenius",
+    "u_star", "upsilon", "verschiebung", "weak_admissibility",
 ]
 
 __version__ = "0.1.0"

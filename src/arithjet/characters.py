@@ -410,14 +410,21 @@ def solve_additive(law: KernelGroupLaw):
     shared characters are never mutated.  DegreeCapTooSmall is raised
     again on every call.
     """
-    spec = law.spec
     n = law.n
-    if law.kind == "kernel" and law.cap < spec.q ** (n - 1) + 1:
-        raise DegreeCapTooSmall(
-            f"degree cap {law.cap} < q^(n-1) + 1 = {spec.q ** (n - 1) + 1}")
+    if law.kind == "kernel":
+        _check_psi_cap(law.F, n)
     chars, rank = _memoized(law.F, ("solve", law.kind, n),
                             lambda: _solve_log(law))
     return list(chars), rank
+
+
+def _check_psi_cap(F: FormalGroupLaw, n: int):
+    """DegreeCapTooSmall unless F's degree cap reaches q^(n-1) + 1, the
+    least at which the kernel module of order n is solved."""
+    least = F.spec.q ** (n - 1) + 1
+    if F.cap < least:
+        raise DegreeCapTooSmall(
+            f"degree cap {F.cap} < q^(n-1) + 1 = {least}")
 
 
 def _solve_log(law: KernelGroupLaw):
@@ -624,7 +631,7 @@ class RankTable:
     """Ranks of the character modules for n = 0..n_max (g = 1).
 
     rk_X[n]   -- rank of the order-n delta-character module
-    rk_hom[n] -- rank of Hom(N^n, Ga-hat) (equals n)
+    rk_hom[n] -- rank of Hom(N^n, Ga-hat): n, the Psi basis, counted
     rk_I[n]   -- rank of the image of the boundary map, n*g - rk_X[n]
     h[n]      -- rk_I[n] - rk_I[n-1]        (n >= 1)
     l[n]      -- independent quotient ranks (n >= 1); l[n] = h[n-1] - h[n]
@@ -670,7 +677,10 @@ class RankTable:
 
 
 def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
-    """Solve for the character modules at n = 0..n_max and tabulate ranks.
+    """Solve the delta-character modules at n = 1..n_max and tabulate
+    ranks.  The kernel modules are not solved: Hom(N^n, Ga-hat) is free on
+    Psi_1..Psi_n, so rk_hom[n] = n, once the degree cap reaches
+    q^(n-1) + 1 (DegreeCapTooSmall after the order-n solve otherwise).
 
     The l-ranks are computed independently as ranks of the quotients by
     u^* and phi^* images (in log-ghost coordinates: padding and shifting
@@ -679,14 +689,13 @@ def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
     spec = F.spec
     g = 1
     rk_X = [0]
-    rk_hom = [0]
     sols = {0: []}
     for n in range(1, n_max + 1):
         chars, r = solve_delta_characters(F, n)
         rk_X.append(r)
         sols[n] = chars
-        _, rk = solve_additive(kernel_group_law(F, n))
-        rk_hom.append(rk)
+        _check_psi_cap(F, n)
+    rk_hom = list(range(n_max + 1))
     # rk_X[n] > 0 exactly when the order-n solve returned characters
     m_low = next((n for n in range(1, n_max + 1) if sols[n]), None)
     if m_low is None:

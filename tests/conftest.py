@@ -1,7 +1,9 @@
 import pytest
 
+from law_oracle import multiplicative_law
+
 from arithjet.characters import psi_basis, rank_table, solve_delta_characters
-from arithjet.fgl import formal_group_from_weierstrass, multiplicative_law
+from arithjet.fgl import formal_group_from_weierstrass
 from arithjet.ring import BaseRingSpec
 
 N_DESK = 6

@@ -23,7 +23,6 @@ from arithjet.crystal import build_crystal, weak_admissibility
 from arithjet.fgl import (
     formal_group_from_weierstrass,
     formal_logarithm,
-    multiplicative_law,
     trace_of_frobenius,
 )
 from arithjet.ring import BaseRingSpec

@@ -6,6 +6,7 @@ from operator import mod
 
 import howell_oracle
 import pytest
+from law_oracle import additive_law, multiplicative_law
 
 from arithjet import characters, witt
 from arithjet.characters import (
@@ -39,11 +40,9 @@ from arithjet.errors import (
 )
 from arithjet.fgl import (
     FormalGroupLaw,
-    additive_law,
     formal_group_from_weierstrass,
     formal_logarithm,
     log_denominator_exponent,
-    multiplicative_law,
 )
 from arithjet.howell import module_rank
 from arithjet.ring import BaseRingSpec, PadicScalar

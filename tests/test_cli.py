@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from argparse_oracle import build_parser
 from hypothesis import given, settings, strategies as st
+from law_oracle import multiplicative_law
 
 from arithjet import characters, cli, fgl, verify
 from arithjet.characters import (
@@ -257,6 +258,15 @@ def test_help_prints_the_flags_and_no_report(tmp_path, flag):
     assert all(f"--{name} " in text for name in cli.FLAGS)
 
 
+def test_help_takes_no_value():
+    code, text, err = _printed(["--help=x"])
+    assert code == 1 and not err
+    rep = json.loads(text)
+    assert (rep["status"], rep["params"]) == ("fail", None)
+    assert rep["error"] == ("InvalidParameters: argument -h/--help: ignored "
+                            "explicit argument 'x'")
+
+
 def test_import_loads_no_argparse():
     # pytest imports argparse and gettext itself: ask a fresh interpreter
     src = Path(cli.__file__).resolve().parents[1]
@@ -477,20 +487,22 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_crystal_solves_each_module_once(tmp_path, monkeypatch):
-    # m = 2 and nmax = 3: jet orders 1..3 and kernel orders 1..3 are the
-    # six distinct modules, all on one formal group law; only the three
-    # delta-character modules need a lattice
+    # m = 2 and nmax = 3: jet orders 1..3 are the three distinct modules,
+    # all on one formal group law, each solved by a lattice; the rank
+    # table counts the kernel modules' Psi bases and builds no kernel law
     kernels = _count_calls(monkeypatch, characters, "right_kernel_basis")
     logs = _count_calls(monkeypatch, characters, "formal_logarithm")
     solves = _count_calls(monkeypatch, characters, "_solve_log")
+    kernel_laws = _count_calls(monkeypatch, characters, "kernel_group_law")
     code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5", "--a4", "1",
                                 "--a6", "1", "--deg", "27", "--nmax", "3"])
     assert code == 0 and rep["m"] == 2
     assert len(kernels) == 3
     assert len(logs) == 1
     built = sorted((law.kind, law.n) for (law,) in solves)
-    assert built == [("jet", 1), ("jet", 2), ("jet", 3),
-                     ("kernel", 1), ("kernel", 2), ("kernel", 3)]
+    assert built == [("jet", 1), ("jet", 2), ("jet", 3)]
+    assert kernel_laws == []
+    assert rep["rank_table"]["rk_hom"] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("argv,ordinary", [
@@ -567,7 +579,6 @@ def test_crystal_makes_no_series_product(tmp_path, monkeypatch, argv):
 
     for module in (fgl, cli):
         monkeypatch.setattr(module, "formal_group_from_weierstrass", refused)
-    monkeypatch.setattr(fgl, "multiplicative_law", refused)
     products = _count_calls(monkeypatch, TruncSeries, "__mul__")
     substitutions = _count_calls(monkeypatch, TruncSeries, "substitute")
     code, rep = _run(tmp_path, ["--cmd", "crystal"] + argv.split())
@@ -707,7 +718,7 @@ def test_upsilon_of_a_digitless_theta_has_no_digit(argv):
     D = params["deg"]
     M = log_denominator_exponent(spec, D) + 1
     if params["a4"] is None:
-        groups = (fgl.multiplicative_law(spec, D, M),
+        groups = (multiplicative_law(spec, D, M),
                   fgl.ptypical_multiplicative(spec, D, M))
     else:
         groups = (cli._curve(spec, params, M),

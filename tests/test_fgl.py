@@ -2,6 +2,13 @@ import hashlib
 import json
 
 import pytest
+from law_oracle import (
+    additive_law,
+    check_associativity,
+    check_law,
+    check_log_linearizes,
+    multiplicative_law,
+)
 
 from arithjet import fgl
 from arithjet.errors import (
@@ -12,13 +19,10 @@ from arithjet.errors import (
 from arithjet.fgl import (
     VARS,
     FormalGroupLaw,
-    additive_law,
-    check_log_linearizes,
     formal_group_from_weierstrass,
     formal_logarithm,
     frobenius_unit_root,
     log_denominator_exponent,
-    multiplicative_law,
     trace_of_frobenius,
 )
 from arithjet.ring import BaseRingSpec
@@ -40,7 +44,8 @@ def test_additive_law():
     F = additive_law(SPEC3, 8, 5)
     assert F.law.linear_coeff("X") == SPEC3.one(5)
     assert F.law.linear_coeff("Y") == SPEC3.one(5)
-    assert F.check_associativity()
+    check_law(F, F.law)
+    assert check_associativity(F)
     assert check_log_linearizes(F, formal_logarithm(F))
     assert not check_log_linearizes(
         F, formal_logarithm(multiplicative_law(SPEC3, 8, 5)))
@@ -50,7 +55,8 @@ def test_multiplicative_law():
     F = multiplicative_law(SPEC3, 8, 5)
     # X + Y + XY
     assert F.law.coeff((1, 1)) == SPEC3.one(5)
-    assert F.check_associativity()
+    check_law(F, F.law)
+    assert check_associativity(F)
     # the log integrates omega = 1/(1 + T), not the law
     L = formal_logarithm(F)
     # log(1+T) = T - T^2/2 + T^3/3 - ..., carried as pi^(-1) * num at D = 8:
@@ -61,12 +67,15 @@ def test_multiplicative_law():
     assert check_log_linearizes(F, L)
 
 
-@pytest.mark.parametrize("a4,a6", [(1, 1), (2, 1)])
-def test_weierstrass_law_and_log(a4, a6):
-    a4, a6 = SPEC5.scalar(a4, 10), SPEC5.scalar(a6, 10)
-    E = formal_group_from_weierstrass(SPEC5, a4, a6, 12)
+@pytest.mark.parametrize("a4,a6,e", [(1, 1, 1), (2, 1, 1), (1, 1, 2)],
+                         ids=["1-1", "2-1", "1-1-e2"])
+def test_weierstrass_law_and_log(a4, a6, e):
+    spec = BaseRingSpec(5, e)
+    a4, a6 = spec.scalar(a4, 10), spec.scalar(a6, 10)
+    E = formal_group_from_weierstrass(spec, a4, a6, 12)
     assert E.curve == (a4, a6)
-    assert E.check_associativity(cap=8)
+    check_law(E, E.law)
+    assert check_associativity(E, cap=8)
     L = formal_logarithm(E)
     assert check_log_linearizes(E, L)
 
@@ -95,6 +104,12 @@ def test_trace_of_frobenius_hand_count():
     # x=2 -> 8+2=10=1 -> y=1,2 (2); affine 3, plus infinity = 4 = 3+1-0
     assert trace_of_frobenius(
         SPEC3, SPEC3.scalar(1, 6), SPEC3.scalar(0, 6)) == 0
+
+
+def test_trace_of_frobenius_refuses_p_2():
+    spec = BaseRingSpec(2)
+    with pytest.raises(BadReduction, match="singular mod 2"):
+        trace_of_frobenius(spec, spec.scalar(1, 4), spec.scalar(1, 4))
 
 
 def test_frobenius_unit_root():
@@ -212,44 +227,58 @@ def test_weierstrass_log_does_not_build_law(monkeypatch):
         E.law
 
 
-def test_law_is_validated_once_when_built(monkeypatch):
+def test_law_is_built_once_when_read(monkeypatch):
     calls = []
-    validate = FormalGroupLaw._validate
+    build = fgl._chord_tangent_law
 
-    def spy(self, law):
-        calls.append(self.name)
-        validate(self, law)
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(FormalGroupLaw, "_validate", spy)
+    monkeypatch.setattr(fgl, "_chord_tangent_law", spy)
     E = formal_group_from_weierstrass(
         SPEC3, SPEC3.scalar(1, 8), SPEC3.scalar(1, 8), 9)
     assert calls == []
     assert E.law is E.law
-    assert calls == [E.name]
+    assert len(calls) == 1
 
 
-def test_built_law_is_validated():
+def test_check_law_refuses_each_broken_law():
+    G = additive_law(SPEC3, 6, 5)
     X = TruncSeries.gen(SPEC3, VARS, "X", 6, 5)
     Y = TruncSeries.gen(SPEC3, VARS, "Y", 6, 5)
-    omega = TruncSeries.const(SPEC3, ("T",), SPEC3.one(5), 6, 5)
-    not_commutative = FormalGroupLaw(SPEC3, 6, 5, omega,
-                                     lambda: X + Y + X * X * Y)
-    with pytest.raises(IncompatibleSpec, match="commutative"):
-        not_commutative.law
-    wrong_cap = FormalGroupLaw(SPEC3, 7, 5, omega.with_cap(7), lambda: X + Y)
+    one = TruncSeries.const(SPEC3, VARS, SPEC3.one(5), 6, 5)
+    T = TruncSeries.gen(SPEC3, ("T",), "T", 6, 5)
+    refused = [
+        (T, r"must be a series in \(X, Y\)"),
+        ((X + Y).with_cap(5), "does not match its group's context"),
+        ((X + Y).reduce_prec(4), "does not match its group's context"),
+        (X + Y + one, "has a constant term"),
+        (X + X + Y, r"not X \+ Y to first order"),
+        (X + Y + X * X, r"does not satisfy F\(X, 0\) = X"),
+        (X + Y + X * X * Y, "not commutative"),
+    ]
+    for F, match in refused:
+        with pytest.raises(IncompatibleSpec, match=match):
+            check_law(G, F)
+    # a law at the wrong cap, read off a group built at another one
     with pytest.raises(IncompatibleSpec, match="context"):
-        wrong_cap.law
+        check_law(additive_law(SPEC3, 7, 5), X + Y)
+    check_law(G, X + Y + X * Y)
 
 
 def test_group_without_builder_has_no_law():
     omega = TruncSeries.const(SPEC3, ("T",), SPEC3.one(5), 6, 5)
     F = FormalGroupLaw(SPEC3, 6, 5, omega, name="bare")
+    assert repr(F) == "FormalGroupLaw(bare, p=3, D=6, N=5)"
     with pytest.raises(IncompatibleSpec, match="bare .*law is not built"):
         F.law
     L = formal_logarithm(F)  # T, carried as pi^(-1) * 3T at D = 6
     assert (L.shift, L.num.coeffs) == (1, {(1,): (3,)})
     with pytest.raises(TypeError):
         FormalGroupLaw(SPEC3, 6, 5)  # omega is required
+    with pytest.raises(TypeError):  # a caller attaches no law
+        FormalGroupLaw(SPEC3, 6, 5, omega, build=lambda: omega)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2)])

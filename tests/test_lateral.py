@@ -362,3 +362,36 @@ def test_from_witt_pinned(key):
                        "tail": [c.to_json() for c in t.tail.components]},
                       sort_keys=True)
     assert hashlib.sha256(body.encode()).hexdigest() == PINNED_FROM_WITT[key]
+
+
+def test_tilde_constructor_refusals():
+    z = WittVector.from_ints(SPEC3, [1, 2], 6)
+    with pytest.raises(IncompatibleSpec, match="R-slot must be a scalar"):
+        TildeWittVector(SPEC3, 4, z)
+    with pytest.raises(IncompatibleSpec, match="R-slot must be a scalar"):
+        TildeWittVector(SPEC3, SPEC2.scalar(1, 6), z)
+    with pytest.raises(IncompatibleSpec, match="tail over wrong base ring"):
+        TildeWittVector(SPEC3, SPEC3.scalar(1, 6),
+                        WittVector.from_ints(SPEC2, [1, 1], 6))
+
+
+def test_tilde_operand_refusals():
+    r = SPEC3.scalar(4, 8)
+    t = tilde_pack(r, WittVector.from_ints(SPEC3, [1, 2], 6))
+    others = [tilde_pack(r, WittVector.from_ints(SPEC3, [1], 6)),
+              tilde_pack(SPEC2.scalar(4, 8),
+                         WittVector.from_ints(SPEC2, [1, 2], 6))]
+    for u in others:
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(IncompatibleSpec, match="context mismatch"):
+                op(t, u)
+
+
+def test_tilde_negation_and_subtraction():
+    t = tilde_pack(SPEC3.scalar(4, 10), WittVector.from_ints(SPEC3, [1, 2], 6))
+    u = tilde_pack(SPEC3.scalar(7, 10), WittVector.from_ints(SPEC3, [5, 8], 6))
+    zero = t + (-t)
+    assert zero.r.is_zero() and zero.tail.is_zero()
+    back = (t - u) + u
+    assert back == t
+    assert (zero.tail.prec(), back.tail.prec()) == (6, 6)

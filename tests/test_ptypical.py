@@ -4,6 +4,7 @@ Hasse and Dwork congruences it satisfies, and the characters it gives
 against those of the full group."""
 
 import pytest
+from law_oracle import multiplicative_law
 
 from arithjet import fgl
 from arithjet.characters import (
@@ -17,7 +18,6 @@ from arithjet.fgl import (
     formal_group_from_weierstrass,
     frobenius_unit_root,
     log_denominator_exponent,
-    multiplicative_law,
     ptypical_multiplicative,
     ptypical_weierstrass,
     trace_of_frobenius,

@@ -3,6 +3,7 @@ import random
 import pytest
 import substitute_oracle
 from hypothesis import given, settings, strategies as st
+from law_oracle import check_law
 
 from arithjet.characters import (jet_group_law, kernel_group_law,
                                  solve_additive)
@@ -612,7 +613,7 @@ def test_one_term_images_make_no_series_product(monkeypatch, p, e, D):
         return plain(self, other)
 
     monkeypatch.setattr(TruncSeries, "__mul__", counting)
-    E._validate(chord_tangent)
+    check_law(E, chord_tangent)
     assert not products
     calls = []
     plain_substitute = TruncSeries.substitute
@@ -630,3 +631,51 @@ def test_one_term_images_make_no_series_product(monkeypatch, p, e, D):
         assert ch.check_additive(law)
         assert [one_term for one_term, _ in calls] == [False, True, True]
         assert calls[0][1] > 0 and calls[1][1] == calls[2][1] == 0
+
+
+def test_series_refusals():
+    x = TruncSeries.gen(SPEC, VARS, "x", 6, 4)
+    t = TruncSeries.gen(SPEC, ("t",), "t", 6, 4)
+    with pytest.raises(IncompatibleSpec, match="series context mismatch"):
+        x + x.with_cap(5)
+    with pytest.raises(IncompatibleSpec, match="series context mismatch"):
+        x * TruncSeries.gen(SPEC, ("x", "z"), "x", 6, 4)
+    with pytest.raises(PrecisionExhausted, match="cannot raise series prec"):
+        x.reduce_prec(5)
+    with pytest.raises(IncompatibleSpec, match="cannot remove a truncation"):
+        x.with_cap(None)
+    with pytest.raises(IncompatibleSpec, match="unknown variable 'z'"):
+        x.substitute({"z": t})
+    with pytest.raises(IncompatibleSpec,
+                       match="unmapped variable 'y' missing from target"):
+        x.substitute({"x": t})
+
+
+def test_evaluate_refusals():
+    f = poly(SPEC, {(2, 0): 1, (0, 1): 1})
+    with pytest.raises(IncompatibleSpec, match="requires an exact"):
+        f.evaluate({"x": SPEC.scalar(2, 4), "y": SPEC.scalar(3, 4)})
+    exact = TruncSeries(SPEC, VARS, f.coeffs, None, 4)
+    with pytest.raises(IncompatibleSpec, match="missing value for 'y'"):
+        exact.evaluate({"x": SPEC.scalar(2, 4)})
+
+
+def test_series_repr():
+    assert repr(TruncSeries.zero(SPEC, VARS, 6, 4)) == "0 (vars=x,y, prec=4)"
+    f = poly(SPEC, {(0, 0): 1, (1, 0): 2, (1, 2): -1})
+    assert repr(f) == "((1,))*1 + ((2,))*x^1 + ((80,))*x^1*y^2 (mod pi^4)"
+    g = poly(SPEC, {(k, 0): 1 for k in range(1, 7)}
+             | {(0, k): 1 for k in range(1, 7)})
+    # the first 8 terms, from the leading one up
+    assert repr(g) == " + ".join(
+        f"((1,))*{v}^{k}" for k in range(1, 5) for v in VARS) \
+        + " + ... (12 terms) (mod pi^4)"
+
+
+def test_frac_series_align_and_integrality_edges():
+    x = TruncSeries.gen(SPEC, VARS, "x", 6, 4)
+    with pytest.raises(ValueError, match="cannot lower the denominator"):
+        FracSeries(x, 2).aligned(1)
+    # pi x / pi = x: integral though its shift is 1
+    assert FracSeries(x.mul_pi(1), 1).is_integral()
+    assert FracSeries(x, 0).is_integral()

@@ -506,3 +506,44 @@ def test_scalar_ops_at_precision_zero(e):
         assert result == zeros and result.prec() == 0
     fx = frobenius_W(x)
     assert fx.length == 2 and fx.is_zero() and fx.prec() == 0
+
+
+def test_witt_vector_constructor_refusals():
+    a = SPEC3.scalar(1, 4)
+    x = TruncSeries.gen(SPEC3, ("x",), "x", 4, 4)
+    refused = [
+        ([], "empty Witt vector"),
+        ([a, x], "mixed scalar/series components"),
+        ([a, SPEC5.scalar(1, 4)], "component over wrong base ring"),
+        ([x, x.with_cap(5)], "components in different series contexts"),
+    ]
+    for components, match in refused:
+        with pytest.raises(IncompatibleSpec, match=match):
+            WittVector(SPEC3, components)
+
+
+def test_witt_vector_operand_refusals():
+    x = TruncSeries.gen(SPEC3, ("x",), "x", 4, 4)
+    y = TruncSeries.gen(SPEC3, ("y",), "y", 4, 4)
+    scalars = vec(SPEC3, [1, 2])
+    refused = [
+        (vec(SPEC5, [1, 2]), "Witt vector mismatch"),
+        (vec(SPEC3, [1, 2, 3]), "Witt vector mismatch"),
+        (WittVector(SPEC3, [x, x]), "mixed scalar/series Witt vectors"),
+    ]
+    for other, match in refused:
+        for op in (lambda u, v: u + v, lambda u, v: u * v):
+            with pytest.raises(IncompatibleSpec, match=match):
+                op(scalars, other)
+    series = WittVector(SPEC3, [x, x])
+    for other in (WittVector(SPEC3, [y, y]),
+                  WittVector(SPEC3, [x.with_cap(5), x.with_cap(5)])):
+        with pytest.raises(IncompatibleSpec, match="series context mismatch"):
+            series + other
+
+
+def test_structural_polynomial_refusals():
+    with pytest.raises(IncompatibleSpec, match="unknown structural op 'div'"):
+        structural_polynomials(SPEC3, 1, "div", 4)
+    with pytest.raises(IncompatibleSpec, match="frobenius needs length >= 2"):
+        structural_polynomials(SPEC3, 0, "frobenius", 4)
