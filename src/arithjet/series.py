@@ -9,16 +9,19 @@ every coefficient.
 Monomial order is graded lex with the first variable smallest; leading terms
 are minimal in that order (so x1 leads x1 + higher-degree corrections).
 
-Every product, in any number of variables, is one sparse product on
-packed monomials: an exponent tuple is one int in base cap + 1 (a
-one-variable monomial packs to its degree), so a monomial product is one
-int addition, and at e = 1 a coefficient is a bare int reduced once per
-output monomial.  `**` builds a power as the product of two known powers
-(`_power`).  `substitute` relabels when every image is 0 or one term
+Every product runs one kernel on packed monomials (`_Packing`): with
+B = top + 1, top the cap or, uncapped, a bound on the result's degree,
+the monomial m is the int sum m_i (B^i + B^n), exponents in the low digits
+and total degree in the top one, so a monomial product is one int
+addition and the cap is one bound on the key.  `*`, `**` and
+`substitute` each pack their inputs once and unpack their result once;
+`**` builds a power as the product of two known powers (`_power`), on
+packed series.  `substitute` relabels when every image is 0 or one term
 c x^k (a generator, a swap, pi x1): each monomial maps to one monomial,
 its coefficient times powers of the c's, with no series product
-(`_relabel`).  Otherwise it builds only the powers of each image that its
-monomials use.  Either way it sums raw digit products and reduces once.
+(`_relabel`).  Otherwise it packs each image once, builds only the powers
+of it that its monomials use, and multiplies them per monomial.  Either
+way it sums raw digit products and reduces once.
 Truncated sums and products are exact in R[x]/(pi^N, degree > cap), so no
 shortcut changes a result.
 The digit arithmetic itself (products, pi-shifts, valuations, reduction)
@@ -27,14 +30,15 @@ precision's moduli once from the spec's table (`BaseRingSpec.moduli`).
 At e = 1 a stored coefficient is still a 1-tuple, but the loops that
 carry a workload's traffic work on its bare int and reduce by the one
 modulus p^N: the reducing constructor, `+`, the `substitute`
-accumulators and the product.  Negation, `int_mul` and `scalar_mul` take
-the digit path at every e and reduce through the constructor.
+accumulators and the product kernel.  Negation, `int_mul` and
+`scalar_mul` take the digit path at every e and reduce through the
+constructor.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from operator import itemgetter, mul
+from bisect import bisect_left
+from operator import mul
 
 from .errors import (
     IncompatibleSpec,
@@ -66,65 +70,85 @@ def _reduce_ints(ints: dict, modulus: int, cap: int | None = None) -> dict:
     return out
 
 
-def _packed_mul(spec: BaseRingSpec, a: dict, b: dict, cap: int | None,
-                prec: int) -> dict:
-    """Canonical coefficients of the product of two series in any number
-    of variables, given by canonical coefficient dicts, truncated above
-    `cap`.  This is the one product of `TruncSeries`.
+class _Packing:
+    """Products of series over `nvars` variables at precision `prec`, with
+    no degree above `top` (the cap, when `capped`), on packed keys: with
+    B = top + 1, m packs to sum m_i (B^i + B^nvars), and under a cap a key
+    lies below B^(nvars + 1) exactly when its degree is at most the cap.
+    Coefficients are canonical, bare ints at e = 1."""
 
-    Each exponent tuple becomes one int in base B = cap + 1 (uncapped: the
-    two top total degrees plus 1), first variable lowest, so no exponent
-    of a kept product reaches B and a monomial product is one int
-    addition; a one-variable monomial packs to its degree.  The larger
-    operand is sorted by degree and cut at the cap by bisection; at e = 1
-    a coefficient is a bare int.  Sums are reduced and keys unpacked once
-    per output monomial, in order of first appearance.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    nvars = len(next(iter(a)))
-    if cap is None:
-        base = max(map(sum, a)) + max(map(sum, b)) + 1
-    else:
-        base = cap + 1
-    weights = [base ** i for i in range(nvars)]
-    unramified = spec.e == 1
-    rows = sorted(((sum(m), sum(map(mul, m, weights)),
-                    d[0] if unramified else d) for m, d in b.items()),
-                  key=itemgetter(0))
-    degrees = [r[0] for r in rows]
-    rows = [r[1:] for r in rows]
-    out: dict = {}
-    get = out.get
-    for m1, d1 in a.items():
-        row = rows if cap is None else \
-            rows[:bisect_right(degrees, cap - sum(m1))]
-        k1 = sum(map(mul, m1, weights))
-        if unramified:
-            x = d1[0]
-            for k2, y in row:
-                k = k1 + k2
-                out[k] = get(k, 0) + x * y
-        else:
-            for k2, d2 in row:
-                k = k1 + k2
-                prod = digit_product(spec, d1, d2)
-                cur = get(k)
-                out[k] = _raw_add(cur, prod) if cur is not None else prod
-    modulus = spec.moduli(prec)[0]
-    result = {}
-    for k, d in out.items():
-        r = (d % modulus,) if unramified else spec.reduce_digits(d, prec)
-        if any(r):
+    __slots__ = ("spec", "prec", "base", "weights", "limit", "unramified")
+
+    def __init__(self, spec: BaseRingSpec, prec: int, nvars: int, top: int,
+                 capped: bool):
+        self.spec = spec
+        self.prec = prec
+        self.base = base = top + 1
+        self.weights = [base ** i + base ** nvars for i in range(nvars)]
+        self.limit = base ** (nvars + 1) if capped else None
+        self.unramified = spec.e == 1
+
+    def pack(self, coeffs: dict) -> dict:
+        weights = self.weights
+        if self.unramified:
+            return {sum(map(mul, m, weights)): d[0]
+                    for m, d in coeffs.items()}
+        return {sum(map(mul, m, weights)): d for m, d in coeffs.items()}
+
+    def unpack(self, packed: dict) -> dict:
+        base, unramified = self.base, self.unramified
+        out = {}
+        for k, d in packed.items():
             m = []
-            for _ in range(nvars):
+            for _ in self.weights:
                 k, x = divmod(k, base)
                 m.append(x)
-            result[tuple(m)] = r
-    return result
+            out[tuple(m)] = (d,) if unramified else d
+        return out
+
+    def reduce(self, raw: dict) -> dict:
+        """Canonical packed coefficients of raw sums: zeros dropped."""
+        if self.unramified:
+            modulus = self.spec.moduli(self.prec)[0]
+            return {k: r for k, x in raw.items() if (r := x % modulus)}
+        out = {}
+        for k, d in raw.items():
+            r = self.spec.reduce_digits(d, self.prec)
+            if any(r):
+                out[k] = r
+        return out
+
+    def product(self, a: dict, b: dict) -> dict:
+        """The product of two packed series, its terms above the cap
+        dropped.  This is the one loop over monomial pairs of `TruncSeries`:
+        the larger operand is sorted and cut for each monomial of the
+        smaller by one bisection; sums are reduced once per key."""
+        if len(a) > len(b):
+            a, b = b, a
+        limit = self.limit
+        if limit is not None:
+            rows = sorted(b.items())
+            keys = [k for k, _ in rows]
+        spec, unramified = self.spec, self.unramified
+        out: dict = {}
+        get = out.get
+        for k1, x in a.items():
+            row = b.items() if limit is None else \
+                rows[:bisect_left(keys, limit - k1)]
+            if unramified:
+                for k2, y in row:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + x * y
+            else:
+                for k2, y in row:
+                    k = k1 + k2
+                    prod = digit_product(spec, x, y)
+                    cur = get(k)
+                    out[k] = _raw_add(cur, prod) if cur is not None else prod
+        return self.reduce(out)
 
 
-def _power(known: dict, n: int):
+def _power(known: dict, n: int, product):
     """Add power n of a series to `known` (exponent -> power, power 1 at
     least) as the product of two known powers: the largest known k whose
     n - k is known, else n // 2 and n - n // 2, each added the same way."""
@@ -132,9 +156,9 @@ def _power(known: dict, n: int):
         k = max((k for k in known if n - k in known), default=None)
         if k is None:
             k = n // 2
-            _power(known, k)
-            _power(known, n - k)
-        known[n] = known[k] * known[n - k]
+            _power(known, k, product)
+            _power(known, n - k, product)
+        known[n] = product(known[k], known[n - k])
 
 
 def _relabel(spec: BaseRingSpec, coeffs: dict, images: list, nvars: int,
@@ -326,12 +350,17 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        spec = self.spec
         prec = min(self.prec, other.prec)
-        cap = self.cap
         a, b = self.coeffs, other.coeffs
-        out = _packed_mul(spec, a, b, cap, prec) if a and b else {}
-        return TruncSeries(spec, self.vars, out, cap, prec, _canonical=True)
+        out = {}
+        if a and b:
+            top = self.cap if self.cap is not None else \
+                max(map(sum, a)) + max(map(sum, b))
+            ring = _Packing(self.spec, prec, len(self.vars), top,
+                            self.cap is not None)
+            out = ring.unpack(ring.product(ring.pack(a), ring.pack(b)))
+        return TruncSeries(self.spec, self.vars, out, self.cap, prec,
+                           _canonical=True)
 
     def scalar_mul(self, c: PadicScalar) -> "TruncSeries":
         out = {m: digit_product(self.spec, d, c.digits)
@@ -350,9 +379,15 @@ class TruncSeries:
             return TruncSeries.const(self.spec, self.vars,
                                      self.spec.one(self.prec), self.cap,
                                      self.prec)
-        known = {1: self}
-        _power(known, n)
-        return known[n]
+        if n == 1 or not self.coeffs:
+            return self
+        capped = self.cap is not None
+        ring = _Packing(self.spec, self.prec, len(self.vars),
+                        self.cap if capped else n * self.max_degree(), capped)
+        known = {1: ring.pack(self.coeffs)}
+        _power(known, n, ring.product)
+        return TruncSeries(self.spec, self.vars, ring.unpack(known[n]),
+                           self.cap, self.prec, _canonical=True)
 
     # -- pi bookkeeping -------------------------------------------------------
 
@@ -425,53 +460,52 @@ class TruncSeries:
                         f"unmapped variable {v!r} missing from target context")
                 images[v] = TruncSeries.gen(ctx.spec, ctx.vars, v, ctx.cap,
                                             ctx.prec)
-        prec = min([self.prec] + [s.prec for s in images.values()])
+        images = [images[v] for v in self.vars]
+        prec = min([self.prec] + [s.prec for s in images])
         spec = ctx.spec
         cap = ctx.cap
-        unramified = spec.e == 1
-        if all(len(s.coeffs) <= 1 for s in images.values()):
-            out = _relabel(spec, self.coeffs,
-                           [images[v] for v in self.vars], len(ctx.vars),
-                           prec)
-        else:
-            one = TruncSeries.const(spec, ctx.vars, spec.one(prec), cap,
-                                    prec)
-            # build only the powers of each image that a monomial uses; sum
-            # raw digit products (bare ints at e = 1), reduce once
-            powers = {}
-            for i, v in enumerate(self.vars):
-                used = {m[i] for m in self.coeffs} - {0}
-                if used:
-                    image = images[v]
-                    known = {1: image if image.prec == prec
-                             else image.reduce_prec(prec)}
-                    for n in sorted(used):
-                        _power(known, n)
-                    powers[v] = known
-            out = {}
-            get = out.get
-            for m, d in self.coeffs.items():
-                term = one
-                for v, expo in zip(self.vars, m):
-                    if expo == 0:
-                        continue
-                    piece = powers[v][expo]
-                    term = piece if term is one else term * piece
-                if unramified:
-                    x = d[0]
-                    for mm, dd in term.coeffs.items():
-                        out[mm] = get(mm, 0) + x * dd[0]
-                else:
-                    for mm, dd in term.coeffs.items():
-                        prod = digit_product(spec, d, dd)
-                        cur = get(mm)
-                        out[mm] = _raw_add(cur, prod) if cur is not None \
-                            else prod
-        if unramified:
-            return TruncSeries(
-                spec, ctx.vars, _reduce_ints(out, spec.moduli(prec)[0], cap),
-                cap, prec, _canonical=True)
-        return TruncSeries(spec, ctx.vars, out, cap, prec)
+        if all(len(s.coeffs) <= 1 for s in images):
+            out = _relabel(spec, self.coeffs, images, len(ctx.vars), prec)
+            if spec.e == 1:
+                out = _reduce_ints(out, spec.moduli(prec)[0], cap)
+                return TruncSeries(spec, ctx.vars, out, cap, prec,
+                                   _canonical=True)
+            return TruncSeries(spec, ctx.vars, out, cap, prec)
+        top = cap
+        if cap is None:
+            degrees = [s.max_degree() or 0 for s in images]
+            top = max((sum(map(mul, m, degrees)) for m in self.coeffs),
+                      default=0)
+        ring = _Packing(spec, prec, len(ctx.vars), top, cap is not None)
+        # pack each image once and build only the powers of it that a
+        # monomial uses; sum raw products of packed terms, reduce once (at
+        # prec, so an image's extra digits change nothing)
+        powers = []
+        for i, image in enumerate(images):
+            known = {1: ring.pack(image.coeffs)}
+            for n in sorted({m[i] for m in self.coeffs} - {0}):
+                _power(known, n, ring.product)
+            powers.append(known)
+        one = {0: 1 if ring.unramified else (1,) + (0,) * (spec.e - 1)}
+        out = {}
+        get = out.get
+        for m, d in self.coeffs.items():
+            term = one
+            for known, expo in zip(powers, m):
+                if expo:
+                    term = known[expo] if term is one \
+                        else ring.product(term, known[expo])
+            if ring.unramified:
+                x = d[0]
+                for k, y in term.items():
+                    out[k] = get(k, 0) + x * y
+            else:
+                for k, y in term.items():
+                    prod = digit_product(spec, d, y)
+                    cur = get(k)
+                    out[k] = _raw_add(cur, prod) if cur is not None else prod
+        return TruncSeries(spec, ctx.vars, ring.unpack(ring.reduce(out)),
+                           cap, prec, _canonical=True)
 
     def evaluate(self, values: dict) -> PadicScalar:
         """Evaluate an exact polynomial (cap=None) at scalar arguments."""

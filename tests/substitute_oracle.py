@@ -1,11 +1,39 @@
-"""The general loop of `arithjet.series.TruncSeries.substitute`, as it was
-before images of one term were relabeled, kept verbatim as the reference
-for the relabeling: it builds the powers of each image that a monomial
-uses and multiplies them by `TruncSeries.__mul__`, whatever the images."""
+"""Reference series products and substitutions on PadicScalar arithmetic.
+
+`reference_product` multiplies two series by the schoolbook sum of
+PadicScalar products over monomial pairs.  `general_substitute` is the
+general loop of `arithjet.series.TruncSeries.substitute`, whatever the
+images: every power of an image and every term product is built by
+`reference_product`, and the terms are summed in PadicScalar, so neither
+the series product nor its power chain is used to check them."""
 
 from arithjet.errors import IncompatibleSpec, NonNilpotentComposition
-from arithjet.ring import digit_product
-from arithjet.series import TruncSeries, _power, _raw_add, _reduce_ints
+from arithjet.ring import PadicScalar
+from arithjet.series import TruncSeries
+
+
+def nonzero_digits(scalars: dict) -> dict:
+    return {m: c.digits for m, c in scalars.items() if not c.is_zero()}
+
+
+def reference_product(f, g):
+    """f * g as a sum of PadicScalar products over monomial pairs, each
+    pair of total degree above the cap dropped: {monomial: digits}."""
+    spec, cap = f.spec, f.cap
+    acc = {}
+    for m1 in f.coeffs:
+        for m2 in g.coeffs:
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if cap is not None and sum(m) > cap:
+                continue
+            term = f.coeff(m1) * g.coeff(m2)
+            acc[m] = acc[m] + term if m in acc else term
+    return nonzero_digits(acc)
+
+
+def _times(f, g):
+    return TruncSeries(f.spec, f.vars, reference_product(f, g), f.cap,
+                       min(f.prec, g.prec))
 
 
 def general_substitute(self, mapping: dict) -> TruncSeries:
@@ -35,44 +63,24 @@ def general_substitute(self, mapping: dict) -> TruncSeries:
                     f"unmapped variable {v!r} missing from target context")
             images[v] = TruncSeries.gen(ctx.spec, ctx.vars, v, ctx.cap,
                                         ctx.prec)
+    spec, cap = ctx.spec, ctx.cap
     prec = min([self.prec] + [s.prec for s in images.values()])
-    cap = ctx.cap
-    one = TruncSeries.const(ctx.spec, ctx.vars, ctx.spec.one(prec), cap,
-                            prec)
-    # build only the powers of each image that a monomial uses; sum raw
-    # digit products (bare ints at e = 1), reduce once
-    powers = {}
+    one = TruncSeries.const(spec, ctx.vars, spec.one(prec), cap, prec)
+    # powers[i][k] = image_i^k, each from the one before it
+    powers = []
     for i, v in enumerate(self.vars):
-        used = {m[i] for m in self.coeffs} - {0}
-        if used:
-            image = images[v]
-            known = {1: image if image.prec == prec
-                     else image.reduce_prec(prec)}
-            for n in sorted(used):
-                _power(known, n)
-            powers[v] = known
-    unramified = ctx.spec.e == 1
-    out: dict = {}
-    get = out.get
+        image = images[v].reduce_prec(prec)
+        table = [one]
+        for _ in range(max((m[i] for m in self.coeffs), default=0)):
+            table.append(_times(table[-1], image))
+        powers.append(table)
+    acc = {}
     for m, d in self.coeffs.items():
         term = one
-        for v, expo in zip(self.vars, m):
-            if expo == 0:
-                continue
-            piece = powers[v][expo]
-            term = piece if term is one else term * piece
-        if unramified:
-            x = d[0]
-            for mm, dd in term.coeffs.items():
-                out[mm] = get(mm, 0) + x * dd[0]
-        else:
-            for mm, dd in term.coeffs.items():
-                prod = digit_product(ctx.spec, d, dd)
-                cur = get(mm)
-                out[mm] = _raw_add(cur, prod) if cur is not None else prod
-    if unramified:
-        return TruncSeries(
-            ctx.spec, ctx.vars,
-            _reduce_ints(out, ctx.spec.moduli(prec)[0], cap), cap, prec,
-            _canonical=True)
-    return TruncSeries(ctx.spec, ctx.vars, out, cap, prec)
+        for table, expo in zip(powers, m):
+            term = _times(term, table[expo])
+        c = PadicScalar(spec, d, self.prec)
+        for mm, dd in term.coeffs.items():
+            t = c * PadicScalar(spec, dd, prec)
+            acc[mm] = acc[mm] + t if mm in acc else t
+    return TruncSeries.from_scalar_dict(spec, ctx.vars, acc, cap, prec)

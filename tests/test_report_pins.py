@@ -1,4 +1,5 @@
-"""Exit code and sha256 of `cli.run`'s stdout on a sweep of command lines.
+"""Exit code and sha256 of `cli.run`'s stdout on a sweep of command lines,
+and sha256 pins of the group laws and sum tables the benchmark builds.
 
 The pins were computed before the kernel solves left the rank table and
 the law checks left `fgl`; a change that keeps every report byte for
@@ -10,10 +11,16 @@ read.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
+from arithjet.characters import (jet_group_law, kernel_group_law,
+                                 solve_additive)
 from arithjet.cli import run
+from arithjet.fgl import formal_group_from_weierstrass
+from arithjet.ring import BaseRingSpec
+from arithjet.witt import structural_polynomials
 
 RINGS = [(3, 1), (5, 1), (5, 2), (7, 1), (5, 3), (7, 5)]   # (p, e)
 CURVES = [(1, 1), (0, 1), (2, 0)]                           # (a4, a6)
@@ -190,3 +197,61 @@ def test_report_pinned(argv):
 
 def test_every_argv_is_pinned():
     assert sorted(PINS) == sorted(ARGVS)
+
+
+def _digest(series) -> str:
+    """sha256 of the sorted-key JSON of a list of series."""
+    blob = json.dumps([s.to_json() for s in series], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# the componentwise laws of the group-law workload's shapes on the curve
+# y^2 = x^3 + x + 1 at precision 12, pinned before series products were
+# run on packed keys end to end: (p, D, kind, n) -> (characters, sha256)
+LAW_PINS = {
+    (3, 11, "kernel", 1): (
+        1, "a5c64094c35c3e1fb1b8f4af2259f35cf671ae04d6ae92976c142a3f4762fe40"),
+    (3, 11, "kernel", 2): (
+        2, "6ac78e5f66d4977eee788870b6b25e611de825e90aea670935973c992214fd68"),
+    (3, 11, "jet", 1): (
+        0, "5401633a1b0f35c906a49c0150a903f80d0759e54a3937db47f130e2a602d4f2"),
+    (5, 18, "kernel", 1): (
+        1, "a4b143d2477c14bc256f8f48fd1b5fcef9f03684755df5097b57b449f39ac867"),
+    (5, 18, "kernel", 2): (
+        2, "1e2789896ee0e27fc0b5c5824e4a21a248d22f42267b51ab40e36c76c1f49d13"),
+    (5, 18, "jet", 1): (
+        0, "1f5b6ed04bafd2eda61fb5990546901f862923328a3fe9f31becd53ae68d9a5b"),
+}
+
+
+@pytest.mark.parametrize("p,D", [(3, 11), (5, 18)])
+def test_group_laws_pinned(p, D):
+    spec = BaseRingSpec(p, 1)
+    E = formal_group_from_weierstrass(spec, spec.scalar(1, 12),
+                                      spec.scalar(1, 12), D)
+    for law in (kernel_group_law(E, 1), kernel_group_law(E, 2),
+                jet_group_law(E, 1)):
+        chars = solve_additive(law)[0]
+        assert all(ch.check_additive(law) for ch in chars)
+        assert (len(chars), _digest(law.laws)) \
+            == LAW_PINS[p, D, law.kind, law.n]
+
+
+# the W_n sum tables of the witt-scalar workload, built uncapped at
+# precision 8: (p, e, n) -> sha256
+SUM_TABLE_PINS = {
+    (2, 1, 3):
+        "f3f5f27569de399abbc9827bd6d05f11aefe34db5ff0281320ee9c51fb69a0b9",
+    (3, 1, 3):
+        "2b33402f7223c999496d11bec3b9867da77e434a916e3b0d747ed215a1944571",
+    (5, 1, 2):
+        "19dd880173e8d9b0d36348814de29f4c16d20d32e718b95586dfef91b3252342",
+    (5, 2, 2):
+        "b066b2e8a99e60d620f47e7a3af57e6ca7c4ae4e5860f9da057af7837b9c37a2",
+}
+
+
+@pytest.mark.parametrize("p,e,n", sorted(SUM_TABLE_PINS))
+def test_sum_tables_pinned(p, e, n):
+    polys = structural_polynomials(BaseRingSpec(p, e), n, "sum", 8)
+    assert _digest(polys) == SUM_TABLE_PINS[p, e, n]

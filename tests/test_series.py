@@ -4,7 +4,9 @@ import pytest
 import substitute_oracle
 from hypothesis import given, settings, strategies as st
 from law_oracle import check_law
+from substitute_oracle import nonzero_digits, reference_product
 
+from arithjet import series
 from arithjet.characters import (jet_group_law, kernel_group_law,
                                  solve_additive)
 from arithjet.errors import IncompatibleSpec, NotDivisible, PrecisionExhausted
@@ -210,36 +212,17 @@ def test_one_variable_product_matches_padded(spec):
             assert product.extend_vars(two).coeffs == generic.coeffs
 
 
-def _nonzero_digits(scalars: dict) -> dict:
-    return {m: c.digits for m, c in scalars.items() if not c.is_zero()}
-
-
-def reference_product(f, g):
-    """f * g as a sum of PadicScalar products over monomial pairs, each
-    pair of total degree above the cap dropped: {monomial: digits}."""
-    spec, cap = f.spec, f.cap
-    acc = {}
-    for m1 in f.coeffs:
-        for m2 in g.coeffs:
-            m = tuple(x + y for x, y in zip(m1, m2))
-            if cap is not None and sum(m) > cap:
-                continue
-            term = f.coeff(m1) * g.coeff(m2)
-            acc[m] = acc[m] + term if m in acc else term
-    return _nonzero_digits(acc)
-
-
 def reference_sum(f, g, sign):
     """f + sign * g monomial by monomial in PadicScalar, a missing term
     being 0 at its series' precision: {monomial: digits}."""
-    return _nonzero_digits({
+    return nonzero_digits({
         m: f.coeff(m) + (g.coeff(m) if sign > 0 else -g.coeff(m))
         for m in set(f.coeffs) | set(g.coeffs)})
 
 
 def reference_termwise(f, op):
     """op applied to each PadicScalar coefficient of f: {monomial: digits}."""
-    return _nonzero_digits({m: op(f.coeff(m)) for m in f.coeffs})
+    return nonzero_digits({m: op(f.coeff(m)) for m in f.coeffs})
 
 
 def check_linear_ops(rng, spec, f, g, raw):
@@ -247,7 +230,7 @@ def check_linear_ops(rng, spec, f, g, raw):
     constructor against the termwise PadicScalar computation; `raw` holds
     the raw digits f was built from."""
     cap, prec = f.cap, min(f.prec, g.prec)
-    assert f.coeffs == _nonzero_digits(
+    assert f.coeffs == nonzero_digits(
         {m: PadicScalar(spec, d, f.prec) for m, d in raw.items()
          if cap is None or sum(m) <= cap})
     for result, want in [(f + g, reference_sum(f, g, 1)),
@@ -396,6 +379,20 @@ def test_packed_product_at_the_packing_base():
     assert (f * g).coeffs == reference_product(f, g)
     assert (f * g).coeff((8, 0, 0)) == spec.one(4)
     assert (f * g).coeff((0, 2, 5)) == spec.one(4)
+    # uncapped, top is n times the top degree for f ** n, and the largest
+    # sum m_v deg(image_v) for substitute: x^3 cubed, and x^3 at
+    # x = x^2 + x, land on exponents 9 and 6, each the whole bound
+    cube = f
+    for _ in range(2):
+        cube = TruncSeries(spec, xy, reference_product(cube, f), None, 4)
+    assert (f ** 3).coeffs == cube.coeffs
+    assert cube.coeff((9, 0, 0)) == spec.one(4)
+    mapping = {"x": TruncSeries(spec, xy, {(2, 0, 0): [1], (1, 0, 0): [1]},
+                                None, 4)}
+    result = f.substitute(mapping)
+    assert result.coeffs \
+        == substitute_oracle.general_substitute(f, mapping).coeffs
+    assert result.coeff((6, 0, 0)) == spec.one(4)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -449,6 +446,20 @@ def test_substitute_matches_termwise_sum(a, b, c):
     assert result.coeffs == expected.coeffs
 
 
+def _count_products(monkeypatch) -> list:
+    """Record each call of the packed product kernel, which every `*`,
+    `**` and general `substitute` runs: a list of 1s."""
+    products = []
+    plain = series._Packing.product
+
+    def counting(self, a, b):
+        products.append(1)
+        return plain(self, a, b)
+
+    monkeypatch.setattr(series._Packing, "product", counting)
+    return products
+
+
 def test_substitute_builds_only_the_powers_it_uses(monkeypatch):
     # x^5 + x^10 + x^15 needs powers 5, 10 and 15 of the image: 2 and 3
     # build 5, then 10 = 5 + 5 and 15 = 10 + 5, five products in all
@@ -457,16 +468,9 @@ def test_substitute_builds_only_the_powers_it_uses(monkeypatch):
     f = x ** 5 + x ** 10 + x ** 15
     image = x + (x * x).int_mul(3)
     expected = image ** 5 + image ** 10 + image ** 15
-    products = []
-    plain = TruncSeries.__mul__
-
-    def counting(self, other):
-        products.append((self.max_degree(), other.max_degree()))
-        return plain(self, other)
-
-    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    products = _count_products(monkeypatch)
     result = f.substitute({"x": image})
-    assert len(products) <= 5
+    assert 0 < len(products) <= 5
     assert result == expected
 
 
@@ -477,14 +481,7 @@ def test_power_builds_on_known_powers(monkeypatch):
     expected = {1: f}
     for n in range(2, 6):
         expected[n] = expected[n - 1] * f
-    products = []
-    plain = TruncSeries.__mul__
-
-    def counting(self, other):
-        products.append(1)
-        return plain(self, other)
-
-    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    products = _count_products(monkeypatch)
     assert f ** 5 == expected[5]
     assert len(products) == 3
     products.clear()
@@ -528,16 +525,21 @@ def test_substitute_images_share_one_context():
 ORACLE_SPECS = [BaseRingSpec(3, 1), BaseRingSpec(5, 1), BaseRingSpec(5, 2)]
 # x, y, z map into a context with an extra variable t; z is left unmapped
 TARGET = ("x", "y", "z", "t")
+# or into the variables of a kernel group law of order 2
+LAW_TARGET = ("x1", "x2", "y1", "y2")
 
 
 def _oracle_mappings(spec, cap, prec):
-    """Substitutions of each kind the relabeling serves, then one mapping
-    with a two-term image, which takes the general loop."""
-    def term(m, c, at=prec):
-        return TruncSeries.from_scalar_dict(spec, TARGET, {m: c}, cap, at)
+    """Substitutions of each kind the relabeling serves, then mappings
+    with images of two or more terms, which take the general loop: one
+    such image, every image, images in the variables of a group law,
+    images at lower precisions and, uncapped, images with a constant
+    term."""
+    def term(m, c, at=prec, target=TARGET):
+        return TruncSeries.from_scalar_dict(spec, target, {m: c}, cap, at)
 
-    def gen(v, at=prec):
-        return TruncSeries.gen(spec, TARGET, v, cap, at)
+    def gen(v, at=prec, target=TARGET):
+        return TruncSeries.gen(spec, target, v, cap, at)
 
     pi = PadicScalar(spec, [spec.p] if spec.e == 1 else [0, 1], prec)
     unit = PadicScalar(spec, [2] + [1] * (spec.e - 1), prec)
@@ -557,6 +559,22 @@ def _oracle_mappings(spec, cap, prec):
                          "z": term((0, 0, 0, 2), unit)})
     mixed = gen("t") + term((2, 0, 0, 0), unit)
     mappings.append({"x": mixed, "y": term((0, 1, 0, 0), pi)})
+    mappings.append({"x": mixed, "y": gen("x") + term((0, 1, 1, 0), pi),
+                     "z": term((0, 0, 1, 0), unit)
+                     + term((1, 1, 0, 1), -unit)})
+    x1, x2, y1, y2 = (gen(v, target=LAW_TARGET) for v in LAW_TARGET)
+    mappings.append({
+        "x": x1 + y1 + term((1, 0, 1, 0), unit, target=LAW_TARGET),
+        "y": x2 + y2 + term((2, 0, 1, 0), pi, target=LAW_TARGET),
+        "z": x1 * y2 - x2 * y1})
+    mappings.append({
+        "x": gen("t", prec - 1) + term((2, 0, 0, 0), unit, prec - 1),
+        "y": gen("x", prec - 2) + term((0, 0, 1, 1), pi, prec - 2)})
+    if cap is None:
+        mappings.append({
+            "x": term((0, 0, 0, 0), unit) + gen("t"),
+            "y": term((0, 0, 0, 0), pi) + term((0, 1, 0, 1), unit),
+            "z": gen("z", prec - 1) + term((0, 0, 0, 0), -unit)})
     return mappings
 
 
@@ -567,8 +585,9 @@ def test_substitute_matches_the_general_loop(spec, cap):
     # in tests/substitute_oracle.py: zero images, generators, swaps,
     # images sharing a target, c x^k with c a unit or of positive
     # valuation (high powers of pi vanish mod pi^prec), lower image
-    # precisions, constants on polynomials; terms of degree up to the cap
-    # push past it
+    # precisions, constants on polynomials, and images of several terms,
+    # into the variables of a group law among others; terms of degree up
+    # to the cap push past it
     rng = random.Random(f"{spec.p},{spec.e},{cap}")
     prec = 6
     for _ in range(4):
@@ -593,8 +612,8 @@ def test_substitute_matches_the_general_loop(spec, cap):
 def test_one_term_images_make_no_series_product(monkeypatch, p, e, D):
     # validating a chord-tangent law substitutes 0 and the swapped
     # generators, and check_additive's px and py sides substitute
-    # generators: each relabels monomials, with no TruncSeries product,
-    # while its left side substitutes the law's components
+    # generators: each relabels monomials, with no series product, while
+    # its left side substitutes the law's components
     spec = BaseRingSpec(p, e)
     E = formal_group_from_weierstrass(spec, spec.scalar(1, 10),
                                       spec.scalar(1, 10), D)
@@ -605,14 +624,7 @@ def test_one_term_images_make_no_series_product(monkeypatch, p, e, D):
         for ch in solve_additive(law)[0]:
             ch.frac  # likewise
             chars.append((law, ch))
-    products = []
-    plain = TruncSeries.__mul__
-
-    def counting(self, other):
-        products.append(1)
-        return plain(self, other)
-
-    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    products = _count_products(monkeypatch)
     check_law(E, chord_tangent)
     assert not products
     calls = []
