@@ -233,6 +233,8 @@ class PadicScalar:
         if prec > self.prec:
             raise PrecisionExhausted(
                 f"cannot raise precision {self.prec} -> {prec}")
+        if prec == self.prec:
+            return self  # digits are canonical and never mutated
         return PadicScalar(self.spec, self.digits, prec)
 
     def is_zero(self) -> bool:

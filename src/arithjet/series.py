@@ -13,10 +13,10 @@ Every product runs one kernel on packed monomials (`_Packing`): with
 B = top + 1, top the cap or, uncapped, a bound on the result's degree,
 the monomial m is the int sum m_i (B^i + B^n), exponents in the low digits
 and total degree in the top one, so a monomial product is one int
-addition and the cap is one bound on the key.  `*`, `**` and
-`substitute` each pack their inputs once and unpack their result once;
-`**` builds a power as the product of two known powers (`_power`), on
-packed series.  `substitute` relabels when every image is 0 or one term
+addition and the cap is one bound on the key.  `*`, `**`, `substitute`
+and the Witt ghost map and its inversion (`witt._ghost`) each pack their
+inputs once and unpack their results once; powers are products of two
+known powers (`_power`), on packed series.  `substitute` relabels when every image is 0 or one term
 c x^k (a generator, a swap, pi x1): each monomial maps to one monomial,
 its coefficient times powers of the c's, with no series product
 (`_relabel`).  Otherwise it packs each image once, builds only the powers
@@ -106,17 +106,33 @@ class _Packing:
             out[tuple(m)] = (d,) if unramified else d
         return out
 
-    def reduce(self, raw: dict) -> dict:
-        """Canonical packed coefficients of raw sums: zeros dropped."""
+    def reduce(self, raw: dict, prec: int | None = None) -> dict:
+        """Canonical packed coefficients of raw sums mod pi^prec (the
+        packing's own precision by default): zeros dropped."""
+        prec = self.prec if prec is None else prec
         if self.unramified:
-            modulus = self.spec.moduli(self.prec)[0]
+            modulus = self.spec.moduli(prec)[0]
             return {k: r for k, x in raw.items() if (r := x % modulus)}
         out = {}
         for k, d in raw.items():
-            r = self.spec.reduce_digits(d, self.prec)
+            r = self.spec.reduce_digits(d, prec)
             if any(r):
                 out[k] = r
         return out
+
+    def add_multiple(self, acc: dict, c, packed: dict) -> None:
+        """acc += c * packed on raw coefficients, c a digit vector."""
+        get = acc.get
+        if self.unramified:
+            c = c[0]
+            for k, x in packed.items():
+                acc[k] = get(k, 0) + c * x
+            return
+        spec = self.spec
+        for k, d in packed.items():
+            prod = digit_product(spec, c, d)
+            cur = get(k)
+            acc[k] = _raw_add(cur, prod) if cur is not None else prod
 
     def product(self, a: dict, b: dict) -> dict:
         """The product of two packed series, its terms above the cap
@@ -148,10 +164,10 @@ class _Packing:
         return self.reduce(out)
 
 
-def _power(known: dict, n: int, product):
+def _power(known: dict, n: int, product) -> dict:
     """Add power n of a series to `known` (exponent -> power, power 1 at
-    least) as the product of two known powers: the largest known k whose
-    n - k is known, else n // 2 and n - n // 2, each added the same way."""
+    least) and return it: the product of the known powers k and n - k for
+    the largest such k, else of n // 2 and n - n // 2, added the same way."""
     if n not in known:
         k = max((k for k in known if n - k in known), default=None)
         if k is None:
@@ -159,6 +175,7 @@ def _power(known: dict, n: int, product):
             _power(known, k, product)
             _power(known, n - k, product)
         known[n] = product(known[k], known[n - k])
+    return known[n]
 
 
 def _relabel(spec: BaseRingSpec, coeffs: dict, images: list, nvars: int,
@@ -292,6 +309,8 @@ class TruncSeries:
     def reduce_prec(self, prec: int) -> "TruncSeries":
         if prec > self.prec:
             raise PrecisionExhausted("cannot raise series precision")
+        if prec == self.prec:
+            return self  # coeffs are canonical and never mutated
         return TruncSeries(self.spec, self.vars, self.coeffs, self.cap, prec)
 
     def with_cap(self, cap: int | None) -> "TruncSeries":
@@ -384,9 +403,8 @@ class TruncSeries:
         capped = self.cap is not None
         ring = _Packing(self.spec, self.prec, len(self.vars),
                         self.cap if capped else n * self.max_degree(), capped)
-        known = {1: ring.pack(self.coeffs)}
-        _power(known, n, ring.product)
-        return TruncSeries(self.spec, self.vars, ring.unpack(known[n]),
+        power = _power({1: ring.pack(self.coeffs)}, n, ring.product)
+        return TruncSeries(self.spec, self.vars, ring.unpack(power),
                            self.cap, self.prec, _canonical=True)
 
     # -- pi bookkeeping -------------------------------------------------------
@@ -487,23 +505,14 @@ class TruncSeries:
                 _power(known, n, ring.product)
             powers.append(known)
         one = {0: 1 if ring.unramified else (1,) + (0,) * (spec.e - 1)}
-        out = {}
-        get = out.get
+        out: dict = {}
         for m, d in self.coeffs.items():
             term = one
             for known, expo in zip(powers, m):
                 if expo:
                     term = known[expo] if term is one \
                         else ring.product(term, known[expo])
-            if ring.unramified:
-                x = d[0]
-                for k, y in term.items():
-                    out[k] = get(k, 0) + x * y
-            else:
-                for k, y in term.items():
-                    prod = digit_product(spec, d, y)
-                    cur = get(k)
-                    out[k] = _raw_add(cur, prod) if cur is not None else prod
+            ring.add_multiple(out, d, term)
         return TruncSeries(spec, ctx.vars, ring.unpack(ring.reduce(out)),
                            cap, prec, _canonical=True)
 

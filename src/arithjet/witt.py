@@ -10,22 +10,20 @@ the ghost components slot by slot and inverts them (`_from_ghosts`); the
 Witt polynomials have R-coefficients, so the N digits do not depend on how
 the operands were lifted.
 
-- * and F of every vector, and series +: slotwise ghost product, left
-  shift and sum.
-- Negation and the R-action r.x = f~(r) x of every vector: the ghosts
-  times -1 or r.
-- f~(r), `fgl_eval_witt` and the lateral embedding and its inverse: ghosts.
-- Scalar + alone evaluates an exact structural polynomial table, built once
-  per (spec, n, prec) by the same ghost inversion over generic variables at
-  prec + n.  A ghost path gives the same values faster, but it waits for
-  the benchmark to read each worker's own peak RSS (ROADMAP item 5): a
-  worker's `ru_maxrss` carries over the benchmark process's growth, about
-  55 KB per stored round.  On an all-ghost copy (seed 1, 20-s runs)
-  witt-scalar went from 14 to 88 rounds and its `peak_rss_mb` from 16.96
-  to 20.93 MB (+23%); moving only * and F cost +1.5 to +2.2% over 5 seeds.
-- `structural_polynomials` keeps the sum, product and Frobenius tables as
-  the generic-variable reference that the tests compare the ghost path
-  with.
+- The ghost map and its inversion each run one loop on one
+  `series._Packing` per call, for scalars (no variables: one key, 0) and
+  series: each component is packed once and its tower x^(q^k) built
+  packed; each slot is summed raw, reduced once (the inversion divides it
+  by pi^i once) and unpacked once.  Uncapped, `_packing` bounds the
+  degree of every power built, whatever cancels in the ghosts.
+- Slotwise on the ghosts: * and F of every vector and series + (product,
+  left shift, sum); negation and r.x = f~(r) x (times -1 or r); f~(r),
+  `fgl_eval_witt`, and the lateral embedding and its inverse.
+- Scalar + evaluates an exact structural table, built once per
+  (spec, n, prec) by the same inversion over generic variables at
+  prec + n; its ghost path waits for the benchmark to read each worker's
+  own peak RSS (ROADMAP items 5 and 6).  The sum, product and Frobenius
+  tables are the reference the tests compare the ghost path with.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from .errors import (
     NonNilpotentComposition,
     NotDivisible,
 )
-from .ring import BaseRingSpec, PadicScalar
-from .series import TruncSeries
+from .ring import BaseRingSpec, PadicScalar, digit_div_pi, digit_mul_pi
+from .series import TruncSeries, _Packing, _power
 
 
 # --------------------------------------------------------------------------
@@ -49,65 +47,102 @@ from .series import TruncSeries
 _TABLE_CACHE: dict = {}
 
 
-def _at(c, prec: int):
-    """c read at precision prec; raising it keeps its canonical digits."""
-    if prec <= c.prec:
-        return c.reduce_prec(prec)
-    if _is_series(c):
-        return TruncSeries(c.spec, c.vars, c.coeffs, c.cap, prec,
+def _packing(spec, elems, prec: int) -> _Packing:
+    """The one packing of a ghost-map call on `elems`, the components or
+    the ghosts; a scalar is the zero-variable case (one key, 0).  Uncapped,
+    top = D_n, D_i = max(deg v_i, q D_(i-1)), bounds every power either
+    loop builds, whatever cancels in the ghosts: x = (2t, -2t^2) at p = 2
+    has w_1 = 0, yet its inversion squares 2t."""
+    like = elems[0]
+    if not _is_series(like):
+        return _Packing(spec, prec, 0, 0, False)
+    top = like.cap
+    if top is None:
+        top = 0
+        for v in elems:
+            top = max(v.max_degree() or 0, spec.q * top)
+    return _Packing(spec, prec, len(like.vars), top, like.cap is not None)
+
+
+def _pack(ring: _Packing, c) -> dict:
+    """c read at the packing's precision (a raised c keeps its digits)."""
+    packed = ring.pack(c.coeffs if _is_series(c) else {(): c.digits})
+    return packed if c.prec <= ring.prec else ring.reduce(packed)
+
+
+def _unpack(ring: _Packing, like, packed: dict, prec: int):
+    coeffs = ring.unpack(packed)
+    if _is_series(like):
+        return TruncSeries(ring.spec, like.vars, coeffs, like.cap, prec,
                            _canonical=True)
-    return PadicScalar(c.spec, c.digits, prec)
+    return PadicScalar(ring.spec, coeffs.get((), (0,) * ring.spec.e), prec)
 
 
 def _ghost(spec, comps, prec):
-    """Ghost components w_i = sum_j pi^j x_j^(q^(i-j)) mod pi^prec, with
-    every x_j read at prec (`_at`).  Inverted at prec they give prec - n
-    digits that do not depend on how a raised x_j was lifted, since the
-    Witt polynomials have R-coefficients."""
-    q = spec.q
+    """Ghost components w_i = sum_j pi^j x_j^(q^(i-j)) mod pi^prec, each x_j
+    read at prec.  Inverted at prec they give prec - n digits independent
+    of how a raised x_j was lifted: Witt polynomials have R-coefficients."""
+    q, n, like = spec.q, len(comps) - 1, comps[0]
+    ring = _packing(spec, comps, prec)
+    shifts = [digit_mul_pi(spec, spec.one(1).digits, j) for j in range(n + 1)]
     powers, out = [], []
     for x in comps:
         # powers[j] = x_j^(q^(i-j)), each from the previous one by ^q
-        powers = [y ** q for y in powers] + [_at(x, prec)]
-        acc = powers[0]
+        powers = [_power({1: y}, q, ring.product) for y in powers]
+        powers.append(_pack(ring, x))
+        acc = dict(powers[0])
         for j in range(1, len(powers)):
-            acc = acc + powers[j].mul_pi(j).reduce_prec(prec)
-        out.append(acc)
+            ring.add_multiple(acc, shifts[j], powers[j])
+        out.append(_unpack(ring, like, ring.reduce(acc), prec))
     return out
 
 
-def _ghost_invert(spec, ghosts):
-    """Recover components from ghost components in a pi-torsion-free
-    algebra (series, or the scalars R); slot i loses i digits.
+def _ghost_invert(spec, ghosts, N: int):
+    """Components mod pi^N from ghost components in a pi-torsion-free
+    algebra (series, or the scalars R): the remainder
+    g_i - sum_(j<i) pi^j y_j^(q^(i-j)), reduced at the least of its terms'
+    precisions and divided by pi^i, is y_i, known to i digits fewer.
 
-    Division failures here mean the ghost vector has no integral Witt
-    preimage; for every ghost vector built in this package (ring
-    operations, F, f~, group laws, the lateral embedding and its inverse)
-    the existence theorem forbids that: report a red alert.
+    A division failure means the ghost vector has no integral Witt
+    preimage, which the existence theorem forbids for every ghost vector
+    this package builds: report a red alert.
     """
-    q = spec.q
-    powers, comps = [], []
+    q, like = spec.q, ghosts[0]
+    ring = _packing(spec, ghosts, max(g.prec for g in ghosts))
+    minus = (-1,) + (0,) * (spec.e - 1)
+    shifts = [digit_mul_pi(spec, minus, j) for j in range(len(ghosts))]
+    powers, comps, precs = [], [], []
     for i, g in enumerate(ghosts):
-        powers = [y ** q for y in powers]  # comps[j]^(q^(i-j))
-        acc = g
-        for j, y in enumerate(powers):
-            acc = acc - y.mul_pi(j)
+        powers = [_power({1: y}, q, ring.product) for y in powers]
+        acc, prec = _pack(ring, g), g.prec
         if i:
+            for j, y in enumerate(powers):
+                ring.add_multiple(acc, shifts[j], y)
+                prec = min(prec, precs[j] + j)
+            acc = ring.reduce(acc, prec)
+            if prec <= i:  # too few digits: raise as exact_div_pi does
+                _unpack(ring, like, acc, prec).exact_div_pi(i)
             try:
-                acc = acc.exact_div_pi(i)
+                acc = {k: digit_div_pi(spec, (x,), i)[0] for k, x in
+                       acc.items()} if ring.unramified else \
+                    {k: digit_div_pi(spec, d, i) for k, d in acc.items()}
             except NotDivisible as exc:
                 raise IntegralityViolation(
                     f"slot {i} component not divisible by pi^{i}") from exc
-        comps.append(acc)
+            prec -= i
         powers.append(acc)
-    return comps
+        comps.append(acc)
+        precs.append(prec)
+    # a slot known below N raises as its own reduce_prec does
+    return [_unpack(ring, like, ring.reduce(y, N), N) if N < prec
+            else _unpack(ring, like, y, prec).reduce_prec(N)
+            for y, prec in zip(comps, precs)]
 
 
 def _from_ghosts(spec, ghosts, N: int) -> "WittVector":
     """The Witt vector with these ghost components, mod pi^N; the ghosts
     must be known to N + n digits (slot i of the inversion loses i)."""
-    return WittVector(spec, [c.reduce_prec(N)
-                             for c in _ghost_invert(spec, ghosts)])
+    return WittVector(spec, _ghost_invert(spec, ghosts, N))
 
 
 def structural_polynomials(spec: BaseRingSpec, n: int, op: str,
@@ -132,7 +167,7 @@ def structural_polynomials(spec: BaseRingSpec, n: int, op: str,
     else:
         gy = _ghost(spec, gens[n + 1:], budget)
         target = [a + b if op == "sum" else a * b for a, b in zip(gx, gy)]
-    polys = [p.reduce_prec(prec) for p in _ghost_invert(spec, target)]
+    polys = _ghost_invert(spec, target, prec)
     _TABLE_CACHE[key] = polys
     return polys
 

@@ -597,6 +597,18 @@ def test_group_law_integrality_violation_propagates(monkeypatch):
         jet_group_law(_curve(3, 1, 11), 1).laws
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 2)])
+def test_non_integral_ghosts_raise_the_red_alert(p, e):
+    # the ghosts (0, 1) have no integral Witt preimage: y_1 = 1 / pi; at
+    # e = 2 the failed division is that of `digit_div_pi`
+    spec = BaseRingSpec(p, e)
+    with pytest.raises(IntegralityViolation, match="slot 1"):
+        witt._from_ghosts(spec, [spec.zero(4), spec.one(4)], 3)
+    t = TruncSeries.gen(spec, ("t",), "t", 4, 4)
+    with pytest.raises(IntegralityViolation, match="slot 1"):
+        witt._from_ghosts(spec, [t.int_mul(0), t], 3)
+
+
 def test_kernel_law_slot_zero_check(monkeypatch):
     # a kernel law whose Witt value leaks into slot 0 is refused
     def leaky(F, a, b):

@@ -219,6 +219,9 @@ def test_reduce_prec_and_eq():
     assert x.reduce_prec(3) == spec.scalar(2, 3)
     with pytest.raises(PrecisionExhausted):
         x.reduce_prec(7)
+    # at its own precision a scalar is already canonical: no rebuild
+    for y in (x, BaseRingSpec(5, 2).pi(4)):
+        assert y.reduce_prec(y.prec) is y
 
 
 def test_cross_spec_guard():

@@ -645,6 +645,16 @@ def test_one_term_images_make_no_series_product(monkeypatch, p, e, D):
         assert calls[0][1] > 0 and calls[1][1] == calls[2][1] == 0
 
 
+@pytest.mark.parametrize("spec", [SPEC, BaseRingSpec(5, 2)])
+def test_reduce_prec_at_its_own_precision_is_the_series(spec):
+    x = TruncSeries.gen(spec, VARS, "x", 6, 4)
+    f = (x + x * x).int_mul(spec.p + 2)
+    assert f.reduce_prec(4) is f
+    g = f.reduce_prec(2)
+    assert g.prec == 2 and g is not f and g.reduce_prec(2) is g
+    assert g.coeffs == TruncSeries(spec, VARS, f.coeffs, 6, 2).coeffs
+
+
 def test_series_refusals():
     x = TruncSeries.gen(SPEC, VARS, "x", 6, 4)
     t = TruncSeries.gen(SPEC, ("t",), "t", 6, 4)

@@ -13,7 +13,7 @@ from arithjet.lateral import (
     lateral_frobenius,
     tilde_pack,
 )
-from arithjet.ring import BaseRingSpec
+from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.series import TruncSeries
 from arithjet.verify import ghost_components
 from arithjet.witt import (
@@ -174,11 +174,12 @@ def _digest(x):
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def _series_operands(p, e, n):
-    """Capped series operands over z1..zn (cap q + 1).  x = I(r, z) and
-    y = I(r', z^2 + c) have constant terms; the tails z and w do not."""
+def _series_operands(p, e, n, capped=True):
+    """Series operands over z1..zn, capped at q + 1 or exact polynomials.
+    x = I(r, z) and y = I(r', z^2 + c) have constant terms; the tails z
+    and w do not."""
     spec = BaseRingSpec(p, e)
-    cap = spec.q + 1
+    cap = spec.q + 1 if capped else None
     vars_ = tuple(f"z{i}" for i in range(1, n + 1))
     gens = [TruncSeries.gen(spec, vars_, v, cap, 4) for v in vars_]
     const = [TruncSeries.const(spec, vars_, spec.scalar(i + 1, 3), cap, 3)
@@ -448,13 +449,20 @@ def test_scalar_ops_pinned(key):
 # series operations against the naive ghost oracle, and their routing
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("config", [(2, 1, 3), (3, 1, 2), (5, 2, 1)])
+@pytest.mark.parametrize("config", [(2, 1, 3), (3, 1, 2), (5, 2, 1),
+                                    (7, 3, 1), (2, 1, 2, False),
+                                    (3, 1, 2, False), (5, 2, 1, False)])
 def test_series_ops_ghost_oracle(config):
-    # x and y have constant terms; every identity holds mod pi^N
+    # x and y have constant terms, capped or exact polynomials; every
+    # identity holds mod pi^N, and the ghosts at N + n invert to the vector
     v = _series_operands(*config)
     x, y, r = v["x"], v["y"], v["r"]
     wx, wy = ghost_components(x), ghost_components(y)
     assert witt._ghost(x.spec, x.components, x.prec()) == wx
+    for z in (x, y):
+        N = z.prec()
+        assert witt._from_ghosts(
+            z.spec, witt._ghost(z.spec, z.components, N + z.n), N) == z
 
     def agree(result, expected):
         got = ghost_components(result)
@@ -466,6 +474,44 @@ def test_series_ops_ghost_oracle(config):
     agree(-x, [-a for a in wx])
     agree(frobenius_W(x), wx[1:])
     agree(y.scalar_mul(r), [a.scalar_mul(r) for a in wy])
+
+
+@pytest.mark.parametrize("config", [(2, 1, 3), (3, 1, 2), (5, 2, 2),
+                                    (7, 3, 1)])
+def test_scalar_ghosts_at_a_raised_precision(config):
+    # the ghost map reads every component at P > N with its digits kept,
+    # and inverts back to the vector at N
+    p, e, n = config
+    spec = BaseRingSpec(p, e)
+    rng = random.Random(p * 10 + e)
+    N = 6
+    x = WittVector(spec, [PadicScalar(spec, [rng.randrange(p ** 4)
+                                             for _ in range(e)], N)
+                          for _ in range(n + 1)])
+    for P in (N, N + n, N + n + 3):
+        raised = WittVector(spec, [PadicScalar(spec, c.digits, P)
+                                   for c in x.components])
+        ghosts = witt._ghost(spec, x.components, P)
+        assert all(g.prec == P for g in ghosts)
+        assert all((a - b).is_zero()
+                   for a, b in zip(ghosts, ghost_components(raised)))
+        assert witt._from_ghosts(spec, ghosts, P - n) == raised
+
+
+def test_cancelling_uncapped_vector_inverts():
+    # x = (2t, -2t^2) at p = 2 has w_1 = (2t)^2 - 4t^2 = 0, yet inverting
+    # its ghosts squares 2t: the packing bound comes from the ghosts'
+    # recurrence, not from their degrees alone
+    spec = BaseRingSpec(2, 1)
+    t = TruncSeries.gen(spec, ("t",), "t", None, 7)
+    x = WittVector(spec, [t.int_mul(2), (t * t).int_mul(-2)])
+    ghosts = witt._ghost(spec, x.components, 8)
+    assert ghosts[1].is_zero()
+    y = witt._from_ghosts(spec, ghosts, 7)
+    assert [c.coeffs for c in y.components] == [{(1,): (2,)},
+                                                 {(2,): (126,)}]
+    assert [(c.prec, c.cap) for c in y.components] == [(7, None), (7, None)]
+    assert y == x
 
 
 def test_series_ops_skip_the_tables(monkeypatch):
