@@ -16,12 +16,16 @@ and total degree in the top one, so a monomial product is one int
 addition and the cap is one bound on the key.  `*`, `**`, `substitute`
 and the Witt ghost map and its inversion (`witt._ghost`) each pack their
 inputs once and unpack their results once; powers are products of two
-known powers (`_power`), on packed series.  `substitute` relabels when every image is 0 or one term
-c x^k (a generator, a swap, pi x1): each monomial maps to one monomial,
-its coefficient times powers of the c's, with no series product
-(`_relabel`).  Otherwise it packs each image once, builds only the powers
-of it that its monomials use, and multiplies them per monomial.  Either
-way it sums raw digit products and reduces once.
+known powers (`_power`), on packed series.  `substitute` relabels when
+every image is 0 or one term c x^k (a generator, a swap, pi x1): each
+monomial maps to one monomial, its coefficient times powers of the c's,
+with no series product (`_relabel`).  Otherwise it packs each image once,
+builds only the powers of it that its monomials use, and multiplies them
+per monomial.  Either way it sums raw digit products and reduces once.
+Its digits come on demand: c x mod pi^N depends only on x mod
+pi^(N - v(c)), so power n of an image is built, from factors reduced to
+as many digits, only to the most digits N - v(d_m) that a monomial m
+with exponent n or more keeps.
 Truncated sums and products are exact in R[x]/(pi^N, degree > cap), so no
 shortcut changes a result.
 The digit arithmetic itself (products, pi-shifts, valuations, reduction)
@@ -38,6 +42,7 @@ constructor.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
 from operator import mul
 
 from .errors import (
@@ -134,11 +139,12 @@ class _Packing:
             cur = get(k)
             acc[k] = _raw_add(cur, prod) if cur is not None else prod
 
-    def product(self, a: dict, b: dict) -> dict:
-        """The product of two packed series, its terms above the cap
-        dropped.  This is the one loop over monomial pairs of `TruncSeries`:
-        the larger operand is sorted and cut for each monomial of the
-        smaller by one bisection; sums are reduced once per key."""
+    def product(self, a: dict, b: dict, prec: int | None = None) -> dict:
+        """The product of two packed series mod pi^prec (the packing's own
+        precision by default), its terms above the cap dropped.  This is the
+        one loop over monomial pairs of `TruncSeries`: the larger operand is
+        sorted and cut for each monomial of the smaller by one bisection;
+        sums are reduced once per key."""
         if len(a) > len(b):
             a, b = b, a
         limit = self.limit
@@ -161,7 +167,7 @@ class _Packing:
                     prod = digit_product(spec, x, y)
                     cur = get(k)
                     out[k] = _raw_add(cur, prod) if cur is not None else prod
-        return self.reduce(out)
+        return self.reduce(out, prec)
 
 
 def _power(known: dict, n: int, product) -> dict:
@@ -461,7 +467,7 @@ class TruncSeries:
         for v, s in mapping.items():
             if v not in self.vars:
                 raise IncompatibleSpec(f"unknown variable {v!r}")
-            if self.cap is not None and not s.constant_term().is_zero():
+            if self.cap is not None and (0,) * len(s.vars) in s.coeffs:
                 raise NonNilpotentComposition(
                     f"image of {v!r} has a nonzero constant term")
             if s.spec != self.spec or ctx is not None and (
@@ -496,13 +502,28 @@ class TruncSeries:
                       default=0)
         ring = _Packing(spec, prec, len(ctx.vars), top, cap is not None)
         # pack each image once and build only the powers of it that a
-        # monomial uses; sum raw products of packed terms, reduce once (at
-        # prec, so an image's extra digits change nothing)
+        # monomial uses, power n to prec up to the top exponent of a unit
+        # d_m and past it to the most prec - v(d_m) over the d_m with
+        # exponent n or more (non-units all), which never grows with n: the
+        # powers known so far are reduced once each time it drops.  Sum raw
+        # products of packed terms, reduce once (at prec, so extra digits
+        # change nothing)
+        units = [m for m, d in self.coeffs.items() if d[0] % spec.p]
+        tops = [max(col) for col in zip(*(units or [(0,) * len(self.vars)]))]
         powers = []
         for i, image in enumerate(images):
-            known = {1: ring.pack(image.coeffs)}
-            for n in sorted({m[i] for m in self.coeffs} - {0}):
-                _power(known, n, ring.product)
+            work = {1: ring.pack(image.coeffs)}
+            known, at, product = dict(work), prec, ring.product
+            for n in sorted({m[i] for m in self.coeffs} - {0, 1}):
+                if n > tops[i]:
+                    t = max([0] + [prec - digit_valuation(spec, d)
+                                   for m, d in self.coeffs.items()
+                                   if m[i] >= n])
+                    if t < at:
+                        at = t
+                        work = {k: ring.reduce(x, t) for k, x in work.items()}
+                        product = partial(ring.product, prec=t)
+                known[n] = _power(work, n, product)
             powers.append(known)
         one = {0: 1 if ring.unramified else (1,) + (0,) * (spec.e - 1)}
         out: dict = {}

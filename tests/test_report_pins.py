@@ -2,8 +2,10 @@
 and sha256 pins of the group laws and sum tables the benchmark builds.
 
 The pins were computed before the kernel solves left the rank table and
-the law checks left `fgl`; a change that keeps every report byte for
-byte leaves them as they are.  The supersingular digits of the p = 3
+the law checks left `fgl`; the p = 5 `verify` pins and the left sides of
+`check_additive`, before `substitute` built the powers of an image to
+fewer digits.  A change that keeps every report byte for byte leaves them
+as they are.  The supersingular digits of the p = 3
 cross-D runs are pinned as they are printed today, not as they should
 read.
 """
@@ -40,6 +42,12 @@ ARGVS = (
        "--cmd witt --p 5 --e 2 --nmax 1",
        "--cmd verify --p 3 --a4 1 --a6 1 --prec 1 --deg 27",
        "--cmd verify --p 3 --a4 1 --a6 1 --prec 1 --deg 9"]
+    # pullbacks that substitute into characters with non-unit coefficients,
+    # at e = 1, 2 and 3, ordinary and supersingular
+    + ["--cmd verify --p 5 --a4 1 --a6 1 --deg 125 --prec 2",
+       "--cmd verify --p 5 --e 2 --a4 1 --a6 1 --deg 27 --prec 2",
+       "--cmd verify --p 5 --e 3 --a4 1 --a6 1 --deg 27 --prec 2",
+       "--cmd verify --p 5 --a4 0 --a6 1 --deg 27 --prec 3"]
 )
 
 PINS = {
@@ -183,6 +191,14 @@ PINS = {
         0, "f3d38897a930e7f285b01b48e45ffcf1f082c6e82d1bc3a8ddeb0905aeb4cced"),
     "--cmd verify --p 3 --a4 1 --a6 1 --prec 1 --deg 9": (
         0, "b49a4428f7bfdf50f182df0e4afa6c4a079627e4fb0795c831cd71a721d25ddc"),
+    "--cmd verify --p 5 --a4 1 --a6 1 --deg 125 --prec 2": (
+        0, "ab5ad60597fedfd231030d74fc90d479ac797ed9eceb38989a0dcc64136ed048"),
+    "--cmd verify --p 5 --e 2 --a4 1 --a6 1 --deg 27 --prec 2": (
+        0, "e6e44b1386ce6687e5447f3bdf04e0dc498d5aeff728fb0d7829d360129d86fe"),
+    "--cmd verify --p 5 --e 3 --a4 1 --a6 1 --deg 27 --prec 2": (
+        0, "c60031fb48f75709c856bbd556a40bec075d8f2f7c8d59eead358b0c51fdfc35"),
+    "--cmd verify --p 5 --a4 0 --a6 1 --deg 27 --prec 3": (
+        0, "f7f6026e1158d4156bd6656a9e53ce02363f0262ca2c3801db216899b2993c3a"),
 }
 
 
@@ -224,6 +240,25 @@ LAW_PINS = {
 }
 
 
+# the left sides of check_additive on those shapes: each character's
+# numerator with the law's components substituted in: (p, D, kind, n) ->
+# sha256 (the jet laws have no character)
+LEFT_SIDE_PINS = {
+    (3, 11, "kernel", 1):
+        "02a5f6ff9aad285ae8f977289c85e385c34011c526df48aa29a350a9a9fb02c3",
+    (3, 11, "kernel", 2):
+        "3dc9e01d2d48157b8ddf707418dc37064a3b5706df8edd56e01fd7a6f5063282",
+    (3, 11, "jet", 1):
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    (5, 18, "kernel", 1):
+        "5ceb7b44e0467bbabc6c087b2378b31af6c686c7fa60fb0adaab094e33b4986d",
+    (5, 18, "kernel", 2):
+        "be88cbaf66b6a2a940102cdf0ad1455b95e0ec772fb553cbbadf45978400748f",
+    (5, 18, "jet", 1):
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+}
+
+
 @pytest.mark.parametrize("p,D", [(3, 11), (5, 18)])
 def test_group_laws_pinned(p, D):
     spec = BaseRingSpec(p, 1)
@@ -235,6 +270,9 @@ def test_group_laws_pinned(p, D):
         assert all(ch.check_additive(law) for ch in chars)
         assert (len(chars), _digest(law.laws)) \
             == LAW_PINS[p, D, law.kind, law.n]
+        left = [ch.frac.num.substitute(dict(zip(law.vars_x, law.laws)))
+                for ch in chars]
+        assert _digest(left) == LEFT_SIDE_PINS[p, D, law.kind, law.n]
 
 
 # the W_n sum tables of the witt-scalar workload, built uncapped at

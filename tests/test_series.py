@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -452,9 +453,9 @@ def _count_products(monkeypatch) -> list:
     products = []
     plain = series._Packing.product
 
-    def counting(self, a, b):
+    def counting(self, a, b, *args, **kwargs):
         products.append(1)
-        return plain(self, a, b)
+        return plain(self, a, b, *args, **kwargs)
 
     monkeypatch.setattr(series._Packing, "product", counting)
     return products
@@ -472,6 +473,28 @@ def test_substitute_builds_only_the_powers_it_uses(monkeypatch):
     result = f.substitute({"x": image})
     assert 0 < len(products) <= 5
     assert result == expected
+
+
+def test_substitute_builds_each_power_to_the_digits_it_keeps(monkeypatch):
+    # in x^5 + p^3 x^10 at precision 4 the monomial x^10 keeps 4 - 3 = 1
+    # digit of its term: powers 2, 3 and 5 of the image are built to 4
+    # digits, and power 10 = 5 + 5 to one
+    spec = BaseRingSpec(5, 1)
+    x = TruncSeries.gen(spec, ("x",), "x", 16, 4)
+    f = x ** 5 + (x ** 10).int_mul(5 ** 3)
+    image = x + (x * x).int_mul(3)
+    expected = substitute_oracle.general_substitute(f, {"x": image})
+    precs = []
+    plain = series._Packing.product
+
+    def recording(self, a, b, prec=None):
+        precs.append(self.prec if prec is None else prec)
+        return plain(self, a, b, prec)
+
+    monkeypatch.setattr(series._Packing, "product", recording)
+    result = f.substitute({"x": image})
+    assert precs == [4, 4, 4, 1]
+    assert result.coeffs == expected.coeffs
 
 
 def test_power_builds_on_known_powers(monkeypatch):
@@ -522,7 +545,8 @@ def test_substitute_images_share_one_context():
     assert result == a + b.reduce_prec(3)
 
 
-ORACLE_SPECS = [BaseRingSpec(3, 1), BaseRingSpec(5, 1), BaseRingSpec(5, 2)]
+ORACLE_SPECS = [BaseRingSpec(3, 1), BaseRingSpec(5, 1), BaseRingSpec(5, 2),
+                BaseRingSpec(5, 3)]
 # x, y, z map into a context with an extra variable t; z is left unmapped
 TARGET = ("x", "y", "z", "t")
 # or into the variables of a kernel group law of order 2
@@ -541,7 +565,7 @@ def _oracle_mappings(spec, cap, prec):
     def gen(v, at=prec, target=TARGET):
         return TruncSeries.gen(spec, target, v, cap, at)
 
-    pi = PadicScalar(spec, [spec.p] if spec.e == 1 else [0, 1], prec)
+    pi = spec.pi(prec)
     unit = PadicScalar(spec, [2] + [1] * (spec.e - 1), prec)
     zero = TruncSeries.zero(spec, TARGET, cap, prec)
     mappings = [
@@ -578,6 +602,31 @@ def _oracle_mappings(spec, cap, prec):
     return mappings
 
 
+def _graded_source(rng, spec, cap, prec):
+    """A series in x, y, z at prec + 1 with unit coefficients on monomials
+    of exponents at most 1, and pi^v u (u a unit) for v = 1, ..., prec on
+    monomials with an exponent 2 or 3: every power of an image past the
+    first is built to fewer than prec digits, and pi^prec u is nonzero at
+    prec + 1 but zero at the images' precision."""
+    def unit():
+        return PadicScalar(spec, [rng.randrange(1, spec.p)]
+                           + [rng.randrange(spec.p ** 7)
+                              for _ in range(spec.e - 1)], prec + 1)
+
+    items = {m: unit() for m in itertools.product(range(2), repeat=3)
+             if rng.random() < 0.5}
+    pi = spec.pi(prec + 1)
+    for v in range(1, prec + 1):
+        m = [0, 0, 0]
+        m[v % 3], m[(v + 1) % 3] = 2 + v // 3 % 2, v // 6 % 2
+        items[tuple(m)] = pi ** v * unit()
+        m = [0, 0, 0]
+        m[rng.randrange(3)] = rng.randint(2, 3)
+        items.setdefault(tuple(m), pi ** v * unit())
+    return TruncSeries.from_scalar_dict(spec, ("x", "y", "z"), items, cap,
+                                        prec + 1)
+
+
 @pytest.mark.parametrize("cap", [5, None])
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=repr)
 def test_substitute_matches_the_general_loop(spec, cap):
@@ -587,7 +636,8 @@ def test_substitute_matches_the_general_loop(spec, cap):
     # valuation (high powers of pi vanish mod pi^prec), lower image
     # precisions, constants on polynomials, and images of several terms,
     # into the variables of a group law among others; terms of degree up
-    # to the cap push past it
+    # to the cap push past it.  Random sources, and graded ones whose
+    # powers of an image are built to fewer digits
     rng = random.Random(f"{spec.p},{spec.e},{cap}")
     prec = 6
     for _ in range(4):
@@ -600,9 +650,11 @@ def test_substitute_matches_the_general_loop(spec, cap):
                 items[m] = PadicScalar(spec, digits, prec + 1)
         f = TruncSeries.from_scalar_dict(spec, ("x", "y", "z"), items, cap,
                                          prec + 1)
-        for mapping in _oracle_mappings(spec, cap, prec):
-            got = f.substitute(mapping)
-            want = substitute_oracle.general_substitute(f, mapping)
+        for source, mapping in itertools.product(
+                [f, _graded_source(rng, spec, cap, prec)],
+                _oracle_mappings(spec, cap, prec)):
+            got = source.substitute(mapping)
+            want = substitute_oracle.general_substitute(source, mapping)
             assert (got.vars, got.cap, got.prec) == \
                 (want.vars, want.cap, want.prec)
             assert got.coeffs == want.coeffs
