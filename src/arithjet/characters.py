@@ -23,8 +23,9 @@ The l_i are read off L = pi^(-s) sum_k c_k T^k with no series product:
 the numerator of L(w_i) has the coefficient c_k C(k, b) multinomial(b;
 a_1, ..., a_i) pi^(sum_j j a_j) at prod_j x_j^(a_j q^(i-j)), where b =
 a_1 + ... + a_i and k = a_0 + b (`_log_ghost`).  The lattice rows are the
-numerators' stored digit tuples, which the Howell layer reduces to M, and
-a solved delta-character builds its series on the first read.
+stored digit tuples of the unpadded numerators, which the Howell layer
+reduces to M, and a solved delta-character builds its series, and the
+padded generators, on the first read.
 
 The logarithm, the l_i, the unit root alpha and the solved modules are
 computed once per formal group law and kept in the law's own memo
@@ -52,7 +53,7 @@ from .fgl import (
     trace_of_frobenius,
 )
 from .howell import module_rank, right_kernel_basis, unit_vectors
-from .ring import PadicScalar, digit_mul_pi
+from .ring import PadicScalar, digit_mul_pi, digit_valuation
 from .series import FracSeries, TruncSeries, monomial_key
 from .witt import WittVector, fgl_eval_witt, frobenius_W
 
@@ -240,9 +241,10 @@ def _log_ghost(F: FormalGroupLaw, i: int) -> FracSeries:
     With L = pi^(-s) sum_k c_k T^k and w_i = sum_j pi^j x_j^(q^(i-j)), the
     numerator's coefficient of prod_j x_j^(a_j q^(i-j)) is
         c_k C(k, b) multinomial(b; a_1, ..., a_i) pi^(sum_j j a_j),
-    b = a_1 + ... + a_i, k = a_0 + b.  Only the tails with sum_j j a_j < N
-    survive mod pi^N: they are enumerated first, then a_0 over the degrees
-    k of L's nonzero coefficients c_k, up to the cap.  This is
+    b = a_1 + ... + a_i, k = a_0 + b.  Only the tails with t = sum_j j a_j
+    < N survive mod pi^N: they are enumerated first, then a_0 over the
+    degrees k of L's nonzero coefficients c_k, up to the cap, skipping each
+    k with t + v(c_k) >= N, whose term is 0 mod pi^N.  This is
     L.substitute({"T": w_i}) exactly, truncation included.
     """
     def compute():
@@ -251,7 +253,10 @@ def _log_ghost(F: FormalGroupLaw, i: int) -> FracSeries:
         q, D = spec.q, F.cap
         N = min(L.num.prec, F.prec)
         top = q ** i
-        degrees = sorted(k for (k,) in c)
+        vals = {k: digit_valuation(spec, d) for (k,), d in c.items()}
+        # live[t]: the degrees k with t + v(c_k) < N, ascending
+        live = [sorted(k for k, v in vals.items() if t + v < N)
+                for t in range(N)]
         out = {}
         for tail, t, deg in _tails(i, N, q, D):
             b = sum(tail)
@@ -262,8 +267,8 @@ def _log_ghost(F: FormalGroupLaw, i: int) -> FracSeries:
                 rest -= a
             mono = tuple(a * q ** (i - j) for j, a in enumerate(tail, 1))
             last = b + (D - deg) // top
-            for k in degrees[bisect_left(degrees, b):
-                             bisect_right(degrees, last)]:
+            ks = live[t]
+            for k in ks[bisect_left(ks, b):bisect_right(ks, last)]:
                 n = mult * comb(k, b)
                 out[((k - b) * top,) + mono] = digit_mul_pi(
                     spec, tuple(n * x for x in c[(k,)]), t)
@@ -284,7 +289,10 @@ def log_ghost_generators(F: FormalGroupLaw, n: int, kind: str):
 
     Each l_i is computed once per law, over jet_vars(i), and shared by
     every order and kind; the generators returned here are new series
-    padded from it, and the shared l_i is never mutated.  The kernel side
+    padded from it, and the shared l_i is never mutated.  The jet lattice
+    is solved on the unpadded l_i (`_lattice_solve`); the padded jet
+    generators are built on the first read of a solved character's series
+    (`_combine`), so a crystal run builds none.  The kernel side
     restricts l_i to x0 = 0: that is a ring map keeping degrees, so
     L(w_i)|x0=0 = L(kappa_i) exactly, truncation included.  All of them
     come from one L = pi^(-s) * num and share one denominator exponent:
@@ -310,17 +318,28 @@ def _lattice_solve(spec, gens, M: int, extra_rows=()):
     numerators of generators sharing one denominator exponent (each
     carries at least M digits: `_solve_log` checks it).
 
-    A row is a monomial's stored digit tuples, one per numerator, and one
-    shared zero tuple where a coefficient is absent; `howell._restrict`
-    reduces them to M.  A monomial zero mod pi^M gives a zero row, which
-    the transposed sweep sees as a zero column: no pivot and no row
-    operation.  `extra_rows` are additional linear conditions on d at
-    the same modulus (used for the global extension-class constraint on
-    jet characters)."""
+    The numerators may have fewer variables than the widest one, as the
+    l_i = L(w_i) over jet_vars(i) do: their monomials are zero-padded to
+    its width, which is what `TruncSeries.extend_vars` does, so the rows
+    are those of the padded generators.  A row is a monomial's stored
+    digit tuples, one per numerator, and one shared zero tuple where a
+    coefficient is absent; the rows are in `monomial_key` order, and
+    `howell._restrict` reduces them to M.  A monomial zero mod pi^M gives
+    a zero row, which the transposed sweep sees as a zero column: no
+    pivot and no row operation.  `extra_rows` are additional linear
+    conditions on d at the same modulus (used for the global
+    extension-class constraint on jet characters)."""
     zero = (0,) * spec.e
-    monomials = sorted({m for g in gens for m in g.num.coeffs},
-                       key=monomial_key)
-    rows = [[g.num.coeffs.get(m, zero) for g in gens] for m in monomials]
+    width = max(len(g.num.vars) for g in gens)
+    by_monomial = {}
+    for j, g in enumerate(gens):
+        pad = (0,) * (width - len(g.num.vars))
+        for m, d in g.num.coeffs.items():
+            row = by_monomial.get(m + pad)
+            if row is None:
+                row = by_monomial[m + pad] = [zero] * len(gens)
+            row[j] = d
+    rows = [by_monomial[m] for m in sorted(by_monomial, key=monomial_key)]
     rows.extend(list(r) for r in extra_rows)
     return right_kernel_basis(spec, rows, len(gens), M)
 
@@ -382,17 +401,24 @@ def _combined_series(gens, coeffs) -> FracSeries:
     return FracSeries(sum(terms[1:], terms[0]), gens[0].shift + 1)
 
 
-def _combine(n, gens, coeffs):
-    """Delta-character pi^(-1) * sum(d_i * l_i) from a solution vector.
+def _combine(n, F: FormalGroupLaw, coeffs):
+    """Delta-character pi^(-1) * sum(d_i * l_i) of order n on F from a
+    solution vector.
 
     Its series (`_combined_series`) is built, and normalized by
-    `Character`, on the first read of `.frac`: a crystal run reads only
-    the solution vectors, and builds no series.
+    `Character`, on the first read of `.frac`; the jet generators l_i
+    padded to jet_vars(n) are built on that read too, once per law and
+    order (`log_ghost_generators`).  A crystal run reads only the
+    solution vectors, and builds neither.
     """
     if all(c.is_zero() for c in coeffs):
         raise IncompatibleSpec("zero solution vector")
-    return Character("jet", n, lambda: _combined_series(gens, coeffs),
-                     lcoeffs=coeffs)
+
+    def series():
+        gens = _memoized(F, ("jet_generators", n),
+                         lambda: log_ghost_generators(F, n, "jet")[1])
+        return _combined_series(gens, coeffs)
+    return Character("jet", n, series, lcoeffs=coeffs)
 
 
 def solve_additive(law: KernelGroupLaw):
@@ -428,9 +454,13 @@ def _check_psi_cap(F: FormalGroupLaw, n: int):
 
 
 def _solve_log(law: KernelGroupLaw):
-    """The additive-series module over the log-ghost generators of the law."""
-    n = law.n
-    _, gens = log_ghost_generators(law.F, n, law.kind)
+    """The additive-series module over the log-ghost generators of the law:
+    the Psi_i on the kernel side, the unpadded l_i on the jet side."""
+    n, F = law.n, law.F
+    if law.kind == "kernel":
+        _, gens = log_ghost_generators(F, n, "kernel")
+    else:
+        gens = [_log_ghost(F, i) for i in range(n + 1)]
     # the module of N^n is free on the integral Psi_i; delta-characters may
     # carry one more pi in the denominator, and must satisfy the global
     # extension-class constraint of the curve
@@ -445,10 +475,10 @@ def _solve_log(law: KernelGroupLaw):
         if any(ch.frac.shift for ch in chars):
             raise IntegralityViolation("a Psi_i is not integral")
         return chars, n
-    row = unit_root_row(law.F, n, M)
+    row = unit_root_row(F, n, M)
     units, _ = unit_vectors(_lattice_solve(
         law.spec, gens, M, extra_rows=() if row is None else (row,)))
-    return ([_combine(n, gens, d) for d in units],
+    return ([_combine(n, F, d) for d in units],
             module_rank(law.spec, units, len(gens)))
 
 
@@ -685,7 +715,12 @@ def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
     The l-ranks are computed independently as ranks of the quotients by
     u^* and phi^* images (in log-ghost coordinates: padding and shifting
     the solved coefficient vectors), then cross-checked against
-    l_n = h_(n-1) - h_n by check()."""
+    l_n = h_(n-1) - h_n by check().  An order n with no images (no
+    characters of order n - 1) sweeps nothing, and both ranks are exact
+    without a sweep: the rank of no images is 0, and the full rank is that
+    of the order-n vectors alone, rk_X[n], which the order-n solve took by
+    `module_rank` on the same vectors.  Every order with images is swept
+    twice."""
     spec = F.spec
     g = 1
     rk_X = [0]
@@ -707,6 +742,9 @@ def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
     h = [g] + [rk_I[n] - rk_I[n - 1] for n in range(1, n_max + 1)]
     l = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
+        if not sols[n - 1]:
+            l[n] = rk_X[n]
+            continue
         images = []
         for ch in sols[n - 1]:
             images.append(ch.lcoeffs + [zero])          # u^* padding

@@ -328,7 +328,9 @@ def run(argv=None) -> int:
 def _dumps(obj, indent: str = "\n") -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, without
     the pure-Python encoder `indent` selects.  Dict keys are str, as in
-    every report; a scalar but str, int, bool or None goes to json."""
+    every report; a scalar but str, int, bool or None goes to json.  An
+    int leaf (not a bool) of a list or dict is written inline, with no
+    call per leaf."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or type(obj) is bool:
@@ -338,10 +340,12 @@ def _dumps(obj, indent: str = "\n") -> str:
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         return "[" + inner + ("," + inner).join([
-            _dumps(x, inner) for x in obj]) + indent + "]" if obj else "[]"
+            int.__repr__(x) if type(x) is int else _dumps(x, inner)
+            for x in obj]) + indent + "]" if obj else "[]"
     if isinstance(obj, dict):
         return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + _dumps(v, inner)
+            encode_basestring_ascii(k) + ": "
+            + (int.__repr__(v) if type(v) is int else _dumps(v, inner))
             for k, v in sorted(obj.items())]) + indent + "}" if obj else "{}"
     return json.dumps(obj)
 

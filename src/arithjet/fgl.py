@@ -23,7 +23,15 @@ from __future__ import annotations
 from math import comb
 
 from .errors import BadReduction, IncompatibleSpec, PrecisionExhausted
-from .ring import BaseRingSpec, PadicScalar, _vp, unit_quadratic_root
+from .ring import (
+    BaseRingSpec,
+    PadicScalar,
+    _vp,
+    digit_mul_pi,
+    digit_product,
+    digit_unit_inverse,
+    unit_quadratic_root,
+)
 from .series import FracSeries, TruncSeries
 
 VARS = ("X", "Y")
@@ -48,10 +56,10 @@ class FormalGroupLaw:
     does.  The built law is returned as it is, with no check.
 
     `_memo` holds what `characters` derives from omega once: the formal
-    logarithm, the log-ghost generators L(w_i), the unit root of
-    Frobenius and the solved character modules.  It lives and dies with
-    the instance; its entries are shared between callers and never
-    mutated.
+    logarithm, the log-ghost generators L(w_i) (padded to an order n
+    once a character's series is read), the unit root of Frobenius and
+    the solved character modules.  It lives and dies with the instance;
+    its entries are shared between callers and never mutated.
     """
 
     def __init__(self, spec: BaseRingSpec, cap: int, prec: int,
@@ -114,8 +122,11 @@ def _good_reduction(a4: PadicScalar, a6: PadicScalar):
     discriminant -16(4 a4^3 + 27 a6^2) is a unit."""
     N = min(a4.prec, a6.prec)
     a4, a6 = a4.reduce_prec(N), a6.reduce_prec(N)
-    disc = ((a4 ** 3).scale_int(4) + (a6 ** 2).scale_int(27)).scale_int(-16)
-    if not disc.is_unit():
+    # modulo pi, a sum or product of digit vectors is that of their digits
+    # 0 (a wrapped pi-power carries a factor p), and digit 0 is a unit
+    # exactly when it is prime to p; at N = 0 every digit is 0
+    a, b = a4.digits[0], a6.digits[0]
+    if -16 * (4 * a ** 3 + 27 * b ** 2) % a4.spec.p == 0:
         raise BadReduction("discriminant -16(4 a4^3 + 27 a6^2) is not a "
                            "unit: bad reduction")
     return N, a4, a6
@@ -331,16 +342,21 @@ def formal_logarithm(F: FormalGroupLaw) -> FracSeries:
     N = F.prec
     P = F.omega
     shift = log_denominator_exponent(spec, D)
+    pad = (0,) * (spec.e - 1)
     out = {}
     for (k,), d in P.coeffs.items():
         deg = k + 1
         if deg > D:
             continue
-        c = PadicScalar(spec, d, P.prec)
+        # deg = unit * pi^v; the numerator c_k pi^(s - v) / unit is known
+        # to P.prec + s - v digits, and kept to N, on digit vectors
         v = spec.e * _vp(deg, spec.p) if deg % spec.p == 0 else 0
-        unit = spec.scalar(deg // spec.p ** (v // spec.e), N + shift)
-        num = c.mul_pi(shift - v) * unit.inverse()
-        out[(deg,)] = num.reduce_prec(N).digits
+        if P.prec + shift - v < N:
+            raise PrecisionExhausted(
+                f"cannot raise precision {P.prec + shift - v} -> {N}")
+        unit = (deg // spec.p ** (v // spec.e),) + pad
+        out[(deg,)] = digit_product(spec, digit_mul_pi(spec, d, shift - v),
+                                    digit_unit_inverse(spec, unit, N))
     num_series = TruncSeries(spec, ("T",), out, D, N)
     return FracSeries(num_series, shift)
 

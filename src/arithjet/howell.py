@@ -19,7 +19,11 @@ closure p^(k-v) times the row, which the later columns reduce, so the row
 span ends closed under "multiply and project" (Howell completeness).
 Kernels are read off an augmented [A | I] reduction: rows whose A-part
 vanishes give a generating set of the left kernel, read back in groups of
-d digits as `PadicScalar`s at M.  Input entries, scalars or digit tuples
+d digits as `PadicScalar`s at M.  Each group, padded to e digits, is
+reduced to M once (`BaseRingSpec.reduce_digits`); a vector whose reduced
+digits are all 0 is dropped by an int test, and the kept digit tuples,
+canonical already, are wrapped with no second reduction
+(`PadicScalar._canonical`).  Input entries, scalars or digit tuples
 known to M digits or more, are reduced to M on entry.
 
 `module_rank` is the F_p rank of the generators modulo pi: the same
@@ -135,13 +139,15 @@ def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
            for i, row in enumerate(_restrict(spec, rows, ncols, M))]
     work, _ = _howell_ints(spec.p, aug, left + n, -(-M // spec.e))
     pad = (0,) * (spec.e - d)
+    reduce = spec.reduce_digits
+    wrap = PadicScalar._canonical
     kernel = []
     for row in work:
         if not any(row[:left]):
-            vec = [PadicScalar(spec, (*row[c:c + d], *pad), M)
+            vec = [reduce((*row[c:c + d], *pad), M)
                    for c in range(left, left + n, d)]
-            if not all(x.is_zero() for x in vec):
-                kernel.append(vec)
+            if any(map(any, vec)):
+                kernel.append([wrap(spec, x, M) for x in vec])
     return kernel
 
 

@@ -223,6 +223,16 @@ class PadicScalar:
         self.prec = prec
         self.digits = spec.reduce_digits(digits, prec)
 
+    @classmethod
+    def _canonical(cls, spec: BaseRingSpec, digits: tuple, prec: int):
+        """Wrap a digit tuple of length e that is already canonical
+        modulo pi^prec, prec >= 0: no check and no reduction."""
+        x = object.__new__(cls)
+        x.spec = spec
+        x.digits = digits
+        x.prec = prec
+        return x
+
     # -- bookkeeping ----------------------------------------------------------
 
     def _check(self, other: "PadicScalar"):

@@ -184,6 +184,39 @@ def test_lattice_solve_equals_the_reduced_rows(p, e, D):
     assert solved and zero_rows
 
 
+@pytest.mark.parametrize("p,e,D", [(3, 1, 27), (5, 1, 27), (5, 2, 27),
+                                   (7, 2, 51)])
+def test_lattice_solve_pads_the_unpadded_generators(p, e, D):
+    # the l_i over jet_vars(i) give the rows, in the same monomial order,
+    # and so the same kernel digits, as the l_i padded to jet_vars(n)
+    spec = BaseRingSpec(p, e)
+    M = log_denominator_exponent(spec, D) + 1
+    rng = random.Random(1000 * p + 100 * e + D)
+    laws = [multiplicative_law(spec, D, M)]
+    while len(laws) < 4:
+        a4, a6 = rng.randrange(-50, 50), rng.randrange(-50, 50)
+        try:
+            laws.append(formal_group_from_weierstrass(
+                spec, spec.scalar(a4, M + 1), spec.scalar(a6, M + 1), D))
+        except BadReduction:
+            pass
+    solved = 0
+    for F in laws:
+        for n in (0, 1, 2, 3):
+            _, padded = log_ghost_generators(F, n, "jet")
+            unpadded = [characters._log_ghost(F, i) for i in range(n + 1)]
+            assert [len(g.num.vars) for g in unpadded] == list(
+                range(1, n + 2))
+            row = characters.unit_root_row(F, n, M)
+            extra = () if row is None else (row,)
+            got = characters._lattice_solve(spec, unpadded, M, extra)
+            want = characters._lattice_solve(spec, padded, M, extra)
+            assert [[(x.digits, x.prec) for x in v] for v in got] \
+                == [[(x.digits, x.prec) for x in v] for v in want]
+            solved += len(got)
+    assert solved
+
+
 @pytest.mark.parametrize("p,e,D", [(5, 1, 27), (3, 1, 11), (5, 2, 27)])
 def test_kernel_module_is_the_psi_basis(p, e, D, monkeypatch):
     # the module of N^n is free on Psi_1..Psi_n: no lattice is solved
@@ -545,10 +578,9 @@ def test_verify_suites_read_the_pinned_series(monkeypatch):
 def test_zero_solution_vector_is_refused_on_creation(monkeypatch):
     built = _count_combined_series(monkeypatch)
     E = _curve(5, 1, 27)
-    _, gens = log_ghost_generators(E, 2, "jet")
     zero = [E.spec.zero(3)] * 3
     with pytest.raises(IncompatibleSpec, match="zero solution vector"):
-        characters._combine(2, gens, zero)
+        characters._combine(2, E, zero)
     assert built == []
 
 

@@ -505,6 +505,53 @@ def test_crystal_solves_each_module_once(tmp_path, monkeypatch):
     assert rep["rank_table"]["rk_hom"] == [0, 1, 2, 3]
 
 
+def test_crystal_sweeps_only_orders_with_images(tmp_path, monkeypatch):
+    # m = 2: orders 1 and 2 have no images (no characters below them), so
+    # their quotient ranks are 0 and rk_X[n] with no sweep; order 3 sweeps
+    # the full and the image module.  Three solves and two sweeps.
+    ranks = _count_calls(monkeypatch, characters, "module_rank")
+    kernels = _count_calls(monkeypatch, characters, "right_kernel_basis")
+    code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5", "--a4", "1",
+                                "--a6", "1", "--deg", "27", "--nmax", "3"])
+    assert code == 0 and rep["m"] == 2
+    assert rep["rank_table"]["rk_X"] == [0, 0, 1, 2]
+    assert rep["rank_table"]["l"] == [0, 1, 0]
+    assert len(ranks) == 5
+    assert len(kernels) == 3
+
+
+# sha256 of the stdout of `--cmd crystal` + argv, taken before the jet
+# lattices were solved on the unpadded log-ghost generators
+UNPADDED_CRYSTAL_REPORTS = {
+    "--p 5 --a4 1 --a6 1 --deg 27":                    # ordinary
+        "3a0651007577e609aa942344f973d3105865d41b6002edbbf91f08cfb7c523d7",
+    "--p 3 --a4 1 --a6 1 --deg 81":                    # supersingular
+        "d7fd9cbcffc9e963facea80c4cf4a9e4ee2d92639d181b70f483916487e37bd6",
+    "--p 5 --e 2 --a4 1 --a6 1 --deg 27":              # ramified
+        "258b35d4f6f3a56042742b9a40207dcf879da6ce2d547f84ef912d495629634e",
+    "--p 3 --deg 27":                                  # multiplicative
+        "352c50b29c744273cd4cb5e6ac7a04ff210d81c981ec88e65659eeccdf1667b4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(UNPADDED_CRYSTAL_REPORTS))
+def test_crystal_builds_no_padded_generator(monkeypatch, argv):
+    # the jet rows come from the unpadded l_i, and the padded generators
+    # are built only when a character's series is read, which crystal
+    # never does
+    def refuse(*args):
+        raise AssertionError("crystal built a padded generator or a series")
+
+    monkeypatch.setattr(characters, "log_ghost_generators", refuse)
+    monkeypatch.setattr(characters, "_combined_series", refuse)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(["--cmd", "crystal"] + argv.split())
+    assert code == 0
+    assert (hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            == UNPADDED_CRYSTAL_REPORTS[argv])
+
+
 @pytest.mark.parametrize("argv,ordinary", [
     ("--p 5 --e 2 --a4 7 --a6 11 --deg 27", True),
     ("--p 5 --a4 1 --a6 1 --deg 27 --nmax 3", True),

@@ -189,6 +189,33 @@ def test_int_path_equals_digit_path(p, monkeypatch):
 
 
 @pytest.mark.parametrize("spec", [BaseRingSpec(5, 1), BaseRingSpec(5, 2),
+                                  BaseRingSpec(5, 3)], ids=str)
+def test_kernel_entries_are_canonical(spec):
+    # the kernel digits are reduced once and wrapped with no second
+    # reduction: each entry is canonical at M, of length e, and no
+    # returned vector is zero
+    rng = random.Random(900 + 10 * spec.p + spec.e)
+    kept = 0
+    for M in range(1, 6):
+        pi = spec.pi(M)
+        for _ in range(30):
+            nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
+            rows = [[PadicScalar(spec, [rng.randrange(spec.p ** 3)
+                                        for _ in range(spec.e)], M)
+                     * pi ** rng.randrange(3) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            for vec in (left_kernel_basis(spec, rows, ncols, M)
+                        + right_kernel_basis(spec, rows, ncols, M)):
+                assert any(not x.is_zero() for x in vec)
+                for x in vec:
+                    assert type(x.digits) is tuple and len(x.digits) == spec.e
+                    assert x.prec == M
+                    assert x.digits == spec.reduce_digits(x.digits, M)
+                kept += 1
+    assert kept > 100
+
+
+@pytest.mark.parametrize("spec", [BaseRingSpec(5, 1), BaseRingSpec(5, 2),
                                   BaseRingSpec(7, 3)], ids=str)
 def test_module_rank_is_howell_rank_at_one_digit(spec):
     # the F_p rank mod pi counts the unit pivots of the reference Howell
