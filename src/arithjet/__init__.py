@@ -4,7 +4,6 @@ finite pi-adic precision."""
 
 from .errors import (
     BadReduction,
-    BasisExpansionFailed,
     DegreeCapTooSmall,
     EngineError,
     IncompatibleSpec,
@@ -16,7 +15,7 @@ from .errors import (
     NotInVImage,
     PrecisionExhausted,
 )
-from .ring import BaseRingSpec, PadicScalar, c_pi
+from .ring import BaseRingSpec, PadicScalar
 from .series import FracSeries, TruncSeries
 from .witt import (
     WittVector,
@@ -32,7 +31,6 @@ from .lateral import (
     generic_tilde,
     lateral_frobenius,
     tilde_pack,
-    tilde_unpack,
 )
 from .howell import (
     left_kernel_basis,
@@ -49,7 +47,6 @@ from .fgl import (
 from .characters import (
     Character,
     RankTable,
-    expand_in_psi_basis,
     extract_lambda_gamma,
     frobenius_pullback,
     i_star,
@@ -73,21 +70,21 @@ from .crystal import (
 )
 
 __all__ = [
-    "BadReduction", "BaseRingSpec", "BasisExpansionFailed", "Character",
-    "DegreeCapTooSmall", "EngineError", "FilteredIsocrystal", "FormalGroupLaw",
-    "FracSeries", "IncompatibleSpec", "Inconclusive", "IntegralityViolation",
+    "BadReduction", "BaseRingSpec", "Character", "DegreeCapTooSmall",
+    "EngineError", "FilteredIsocrystal", "FormalGroupLaw", "FracSeries",
+    "IncompatibleSpec", "Inconclusive", "IntegralityViolation",
     "InvalidParameters", "NonNilpotentComposition", "NotDivisible",
     "NotInVImage", "PadicScalar", "PrecisionExhausted", "RankTable",
-    "TildeWittVector", "TruncSeries", "WittVector", "build_crystal", "c_pi",
-    "de_rham_shadow", "expand_in_psi_basis", "extract_lambda_gamma", "f_tilde",
+    "TildeWittVector", "TruncSeries", "WittVector", "build_crystal",
+    "de_rham_shadow", "extract_lambda_gamma", "f_tilde",
     "formal_group_from_weierstrass", "formal_logarithm", "frobenius_W",
     "frobenius_pullback", "frobenius_unit_root", "from_witt", "generic_tilde",
     "i_star", "jet_group_law", "kernel_group_law", "lateral_frobenius",
     "lateral_pullback", "left_kernel_basis", "module_rank", "polygons",
     "psi_basis", "rank_table", "right_kernel_basis", "solve_additive",
     "solve_delta_characters", "splitting_number", "structural_polynomials",
-    "teichmuller", "tilde_pack", "tilde_unpack", "trace_of_frobenius",
-    "u_star", "upsilon", "verschiebung", "weak_admissibility",
+    "teichmuller", "tilde_pack", "trace_of_frobenius", "u_star", "upsilon",
+    "verschiebung", "weak_admissibility",
 ]
 
 __version__ = "0.1.0"

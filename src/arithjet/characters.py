@@ -15,9 +15,8 @@ Psi_i are the Psi basis of the lateral tower, a basis of the character
 module, so nothing is solved there.  Delta-characters are the solutions
 of an integrality lattice over R/pi^M, handled by Howell forms, and
 their (lambda, gamma) are read off the solved vector over the l_i,
-modulo pi^M (`extract_lambda_gamma`).  The pullbacks and the expansion
-in the Psi basis stay as the series-level reference for the tests and
-the verify suites.
+modulo pi^M (`extract_lambda_gamma`).  The pullbacks stay as the
+series-level reference for the tests and the verify suites.
 
 The l_i are read off L = pi^(-s) sum_k c_k T^k with no series product:
 the numerator of L(w_i) has the coefficient c_k C(k, b) multinomial(b;
@@ -38,12 +37,10 @@ from bisect import bisect_left, bisect_right
 from math import comb
 
 from .errors import (
-    BasisExpansionFailed,
     DegreeCapTooSmall,
     IncompatibleSpec,
     Inconclusive,
     IntegralityViolation,
-    NotDivisible,
     PrecisionExhausted,
 )
 from .fgl import (
@@ -180,9 +177,6 @@ class Character:
     def linear_coeff(self, name: str):
         """K-valued linear coefficient, as (numerator scalar, shift)."""
         return self.frac.num.linear_coeff(name), self.frac.shift
-
-    def scalar_mul(self, c: PadicScalar) -> "Character":
-        return Character(self.kind, self.n, self.frac.scalar_mul(c))
 
     def __sub__(self, other: "Character") -> "Character":
         return Character(self.kind, self.n, self.frac - other.frac)
@@ -563,37 +557,6 @@ def psi_basis(F: FormalGroupLaw, n: int):
     x_1, x_1^q, x_1^(q^2), ...)."""
     _, gens = log_ghost_generators(F, n, "kernel")
     return [Character("kernel", n, g) for g in gens]
-
-
-def expand_in_psi_basis(psi: Character, psis):
-    """Coefficients a_i with psi = sum a_i Psi_i, solved top-down.
-
-    Uses that the linear part of Psi_i is pi^(i-1) x_i: a_i is the x_i
-    coefficient of the remainder divided by pi^(i-1).  Raises
-    BasisExpansionFailed when the remainder does not vanish."""
-    n = psi.n
-    if len(psis) != n:
-        raise IncompatibleSpec("basis length does not match order")
-    try:
-        r = psi.series()
-    except NotDivisible as exc:
-        raise BasisExpansionFailed(f"character is not integral: {exc}")
-    coeffs = []
-    for i in range(n, 0, -1):
-        c = r.linear_coeff(f"x{i}")
-        try:
-            a = c.exact_div_pi(i - 1) if i > 1 else c
-        except NotDivisible as exc:
-            raise BasisExpansionFailed(
-                f"x{i} coefficient not divisible by pi^{i - 1}: {exc}")
-        coeffs.append(a)
-        term = psis[i - 1].series().scalar_mul(a)
-        P = min(r.prec, term.prec)
-        r = r.reduce_prec(P) - term.reduce_prec(P)
-    if not r.is_zero():
-        raise BasisExpansionFailed(
-            f"nonzero remainder, leading monomial {r.leading_monomial()}")
-    return list(reversed(coeffs))
 
 
 # --------------------------------------------------------------------------

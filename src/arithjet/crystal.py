@@ -61,11 +61,6 @@ class FilteredIsocrystal:
             self.frobenius_matrix = ((zero, -gamma), (one, lam))
             self.fil1 = (-lam, one)
 
-    @property
-    def det(self) -> PadicScalar:
-        """det of the Frobenius matrix; equals gamma in both shapes."""
-        return self.gamma
-
     def to_json(self):
         return {
             "m": self.m,

@@ -43,10 +43,6 @@ class DegreeCapTooSmall(EngineError):
     """The degree cap cannot see the leading monomials the computation needs."""
 
 
-class BasisExpansionFailed(EngineError):
-    """A character did not expand exactly in the expected basis."""
-
-
 class Inconclusive(EngineError):
     """The finite precision/degree window cannot decide the question."""
 

@@ -4,7 +4,9 @@ An element is stored as the pair (r, tail) of the bijection
 (r, z) |-> f~(r) + V(z); the embedded Witt vector is computed on demand
 by one ghost inversion, as w(f~(r)) = (r, ..., r), w(V(z)) = (0, pi w(z)).
 The lateral Frobenius acts by F~(f~(r) + V(z)) = f~(r) + V(F(z)): it fixes
-the exact R-slot and applies the ordinary Frobenius to the tail.
+the exact R-slot and applies the ordinary Frobenius to the tail.  An
+element has no operators of its own: its ring operations are those of
+the embedded vector (`embed`, then `from_witt` for the way back).
 """
 
 from __future__ import annotations
@@ -65,36 +67,10 @@ class TildeWittVector:
     def __repr__(self):
         return f"Wtilde(r={self.r!r}, tail={self.tail!r})"
 
-    # -- ring structure (inherited from the embedded Witt ring) ---------------
-
-    def _binary(self, other: "TildeWittVector", op) -> "TildeWittVector":
-        if self.spec != other.spec or self.order != other.order:
-            raise IncompatibleSpec("Wtilde context mismatch")
-        r = op(self.r, other.r)
-        res = op(self.embed(), other.embed())
-        return from_witt(res, r)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    def __neg__(self):
-        return from_witt(-self.embed(), -self.r)
-
-    def __sub__(self, other):
-        return self + (-other)
-
 
 def tilde_pack(r: PadicScalar, z: WittVector | None) -> TildeWittVector:
     """(r, z) |-> the element with embedded vector f~(r) + V(z)."""
     return TildeWittVector(r.spec, r, z)
-
-
-def tilde_unpack(t: TildeWittVector):
-    """Inverse of tilde_pack."""
-    return t.r, t.tail
 
 
 def from_witt(x: WittVector, r: PadicScalar) -> TildeWittVector:

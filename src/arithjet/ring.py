@@ -18,7 +18,7 @@ is one int under one modulus p^prec, which `digit_product` and
 `reduce_digits` multiply and reduce without a loop over digits.
 
 The residue field is F_p, so q = p and the Frobenius lift phi is the
-identity (x == x^q mod pi); the pi-derivation is delta(x) = (phi(x) - x^q)/pi.
+identity on R (x == x^q mod pi).
 """
 
 from __future__ import annotations
@@ -173,10 +173,6 @@ class BaseRingSpec:
                 for i in range(self.e))
         return mods
 
-    def digit_modulus(self, i: int, prec: int) -> int:
-        """Modulus p^m for digit i of an element known modulo pi^prec."""
-        return self.moduli(prec)[i]
-
     def reduce_digits(self, digits, prec: int) -> tuple:
         """Canonically reduce a raw digit vector modulo pi^prec."""
         mods = self.moduli(prec)
@@ -326,16 +322,6 @@ class PadicScalar:
         return PadicScalar(self.spec, digit_mul_pi(self.spec, self.digits, k),
                            self.prec + k)
 
-    def phi(self) -> "PadicScalar":
-        """The Frobenius lift on R; the identity in tier-1 configurations."""
-        return self
-
-    def delta(self) -> "PadicScalar":
-        """The pi-derivation delta(x) = (phi(x) - x^q)/pi."""
-        if self.prec < 2:
-            raise PrecisionExhausted("delta needs precision >= 2")
-        return (self.phi() - self ** self.spec.q).exact_div_pi(1)
-
     # -- comparison / io ------------------------------------------------------
 
     def __eq__(self, other):
@@ -358,12 +344,6 @@ class PadicScalar:
     def to_json(self):
         return {"digits": list(self.digits), "prec": self.prec,
                 "pi_power_basis": self.spec.e}
-
-
-def c_pi(spec: BaseRingSpec, x: PadicScalar, y: PadicScalar) -> PadicScalar:
-    """C_pi(x, y) = (x^q + y^q - (x+y)^q)/pi, the sum-rule correction."""
-    q = spec.q
-    return (x ** q + y ** q - (x + y) ** q).exact_div_pi(1)
 
 
 def unit_quadratic_root(lam: PadicScalar, c: PadicScalar) -> PadicScalar:

@@ -48,7 +48,6 @@ from operator import mul
 from .errors import (
     IncompatibleSpec,
     NonNilpotentComposition,
-    NotDivisible,
     PrecisionExhausted,
 )
 from .ring import (BaseRingSpec, PadicScalar, digit_div_pi, digit_mul_pi,
@@ -643,18 +642,6 @@ class FracSeries:
     def scalar_mul(self, c: PadicScalar) -> "FracSeries":
         return FracSeries(self.num.scalar_mul(c), self.shift)
 
-    def substitute(self, mapping: dict) -> "FracSeries":
-        return FracSeries(self.num.substitute(mapping), self.shift)
-
     def to_integral(self) -> TruncSeries:
         """Clear the denominator exactly; raises NotDivisible if it is real."""
         return self.num.exact_div_pi(self.shift) if self.shift else self.num
-
-    def is_integral(self) -> bool:
-        if self.shift == 0:
-            return True
-        try:
-            self.num.exact_div_pi(self.shift)
-            return True
-        except NotDivisible:
-            return False

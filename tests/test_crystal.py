@@ -27,7 +27,6 @@ def test_companion_shape():
     assert b == SPEC.scalar(-5, 4)
     assert d == SPEC.one(4)
     assert e == SPEC.scalar(-3, 4)
-    assert c.det == SPEC.scalar(5, 4)
     assert c.fil1 == (SPEC.scalar(3, 4), SPEC.one(4))
 
 

@@ -39,7 +39,7 @@ def _annihilates(rows, vec):
 
 
 def _random_scalar(spec, rng):
-    digits = [rng.randrange(spec.digit_modulus(i, M)) for i in range(spec.e)]
+    digits = [rng.randrange(spec.moduli(M)[i]) for i in range(spec.e)]
     return PadicScalar(spec, digits, M)
 
 

@@ -4,10 +4,11 @@ and sha256 pins of the group laws and sum tables the benchmark builds.
 The pins were computed before the kernel solves left the rank table and
 the law checks left `fgl`; the p = 5 `verify` pins and the left sides of
 `check_additive`, before `substitute` built the powers of an image to
-fewer digits.  A change that keeps every report byte for byte leaves them
-as they are.  The supersingular digits of the p = 3
-cross-D runs are pinned as they are printed today, not as they should
-read.
+fewer digits; the inconclusive `verify`, `--help` and `--config` pins,
+before the functions no command reached left `src`.  A change that keeps
+every report byte for byte leaves them as they are.  The supersingular
+digits of the p = 3 cross-D runs are pinned as they are printed today,
+not as they should read.
 """
 
 import contextlib
@@ -48,6 +49,10 @@ ARGVS = (
        "--cmd verify --p 5 --e 2 --a4 1 --a6 1 --deg 27 --prec 2",
        "--cmd verify --p 5 --e 3 --a4 1 --a6 1 --deg 27 --prec 2",
        "--cmd verify --p 5 --a4 0 --a6 1 --deg 27 --prec 3"]
+    # below the Psi_3 cap q^(n-1) = 9: psi_tower is inconclusive, exit 2;
+    # and the usage text
+    + ["--cmd verify --p 3 --a4 1 --a6 1 --prec 1 --deg 8",
+       "--help"]
 )
 
 PINS = {
@@ -199,20 +204,47 @@ PINS = {
         0, "c60031fb48f75709c856bbd556a40bec075d8f2f7c8d59eead358b0c51fdfc35"),
     "--cmd verify --p 5 --a4 0 --a6 1 --deg 27 --prec 3": (
         0, "f7f6026e1158d4156bd6656a9e53ce02363f0262ca2c3801db216899b2993c3a"),
+    "--cmd verify --p 3 --a4 1 --a6 1 --prec 1 --deg 8": (
+        2, "173158f78efb36886cc7e225dfb131b0b1bccb7b807dbf20522b0b525a5881b7"),
+    "--help": (
+        0, "5fb67abea36d50913e227426b2114830df881f1209aa14c471fc0e04ecb7b6d3"),
 }
+
+# a --config file: its lines are read as flags, and the report's params
+# leave out the path, so stdout is the same wherever the file lies (and
+# equals that of the same flags on the command line)
+CONFIG_TEXT = ("# y^2 = x^3 + x + 1 over Z_5, its crystal at D = 27\n"
+               "cmd = crystal\np = 5\na4 = 1\na6 = 1\ndeg = 27\n")
+CONFIG_PIN = (
+    0, "3a0651007577e609aa942344f973d3105865d41b6002edbbf91f08cfb7c523d7")
+
+
+def config_argv(directory) -> list:
+    """The argv of a run of CONFIG_TEXT, written to a file in directory."""
+    path = directory / "run.cfg"
+    path.write_text(CONFIG_TEXT)
+    return ["--config", str(path)]
+
+
+def _report(argv: list):
+    """(exit code, sha256 of stdout) of `cli.run` on argv."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(argv)
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("argv", ARGVS)
 def test_report_pinned(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = run(argv.split())
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-    assert (code, digest) == PINS[argv]
+    assert _report(argv.split()) == PINS[argv]
 
 
 def test_every_argv_is_pinned():
     assert sorted(PINS) == sorted(ARGVS)
+
+
+def test_config_report_pinned(tmp_path):
+    assert _report(config_argv(tmp_path)) == CONFIG_PIN
 
 
 def _digest(series) -> str:

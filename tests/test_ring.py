@@ -9,7 +9,6 @@ from arithjet.errors import IncompatibleSpec, NotDivisible, PrecisionExhausted
 from arithjet.ring import (
     BaseRingSpec,
     PadicScalar,
-    c_pi,
     digit_div_pi,
     digit_mul_pi,
     digit_product,
@@ -229,21 +228,6 @@ def test_cross_spec_guard():
     b = BaseRingSpec(5, 1).scalar(1, 4)
     with pytest.raises(IncompatibleSpec):
         a + b
-
-
-@pytest.mark.parametrize("spec", SPECS, ids=str)
-@given(a=ints, b=ints)
-@settings(max_examples=40, deadline=None)
-def test_c_pi_and_delta(spec, a, b):
-    # C_pi(x, y) = (x^q + y^q - (x+y)^q)/pi is exact, and the derivation
-    # delta satisfies pi*delta(x) = phi(x) - x^q
-    prec = 5
-    x = spec.scalar(a, prec + 1)
-    y = spec.scalar(b, prec + 1)
-    cp = c_pi(spec, x, y)
-    assert cp.mul_pi(1) == x ** spec.q + y ** spec.q - (x + y) ** spec.q
-    d = x.delta()
-    assert d.mul_pi(1) == x.phi() - x ** spec.q
 
 
 def test_to_json_shape():

@@ -527,7 +527,6 @@ def test_series_ops_skip_the_tables(monkeypatch):
     t = generic_tilde(SPEC3, SPEC3.scalar(11, 8), 2, 4, 4)
     assert from_witt(t.embed(), t.r) == t
     assert lateral_frobenius(t).tail.is_series()
-    assert (t + t).tail.is_series() and (t * t).tail.is_series()
     # scalar negation, the R-action and from_witt need no table either
     z = vec(SPEC3, [4, 1, 7])
     assert (-z).prec() == 6
