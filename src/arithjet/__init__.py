@@ -33,7 +33,6 @@ from .lateral import (
     tilde_pack,
 )
 from .howell import (
-    left_kernel_basis,
     module_rank,
     right_kernel_basis,
 )
@@ -80,7 +79,7 @@ __all__ = [
     "formal_group_from_weierstrass", "formal_logarithm", "frobenius_W",
     "frobenius_pullback", "frobenius_unit_root", "from_witt", "generic_tilde",
     "i_star", "jet_group_law", "kernel_group_law", "lateral_frobenius",
-    "lateral_pullback", "left_kernel_basis", "module_rank", "polygons",
+    "lateral_pullback", "module_rank", "polygons",
     "psi_basis", "rank_table", "right_kernel_basis", "solve_additive",
     "solve_delta_characters", "splitting_number", "structural_polynomials",
     "teichmuller", "tilde_pack", "trace_of_frobenius", "u_star", "upsilon",

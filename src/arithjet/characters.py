@@ -21,14 +21,14 @@ series-level reference for the tests and the verify suites.
 The l_i are read off L = pi^(-s) sum_k c_k T^k with no series product:
 the numerator of L(w_i) has the coefficient c_k C(k, b) multinomial(b;
 a_1, ..., a_i) pi^(sum_j j a_j) at prod_j x_j^(a_j q^(i-j)), where b =
-a_1 + ... + a_i and k = a_0 + b (`_log_ghost`).  The lattice rows are the
-stored digit tuples of the unpadded numerators, which the Howell layer
-reduces to M, and a solved delta-character builds its series, and the
-padded generators, on the first read.
+a_1 + ... + a_i and k = a_0 + b (`_log_ghost`).  One lattice, restricted
+to ints once, serves every order (`jet_lattice`), and a solved
+delta-character builds its series, and the padded generators, on the
+first read.
 
-The logarithm, the l_i, the unit root alpha and the solved modules are
-computed once per formal group law and kept in the law's own memo
-(`FormalGroupLaw._memo`).
+The logarithm, the l_i, the jet lattice, a_p, the unit root alpha and
+the solved modules are computed once per formal group law and kept in
+the law's own memo (`FormalGroupLaw._memo`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .fgl import (
     frobenius_unit_root,
     trace_of_frobenius,
 )
-from .howell import module_rank, right_kernel_basis, unit_vectors
+from .howell import (module_rank, restrict, right_kernel_basis,
+                     unit_vectors)
 from .ring import PadicScalar, digit_mul_pi, digit_valuation
 from .series import FracSeries, TruncSeries, monomial_key
 from .witt import WittVector, fgl_eval_witt, frobenius_W
@@ -229,6 +230,17 @@ def _tails(i: int, N: int, q: int, D: int):
     return tails
 
 
+def _log_scan(F: FormalGroupLaw):
+    """(L, N, live): the logarithm, its N digits, and for each t < N the
+    degrees k of its nonzero coefficients c_k with t + v(c_k) < N,
+    ascending."""
+    L = formal_logarithm(F)
+    N = min(L.num.prec, F.prec)
+    vals = {k: digit_valuation(F.spec, d) for (k,), d in L.num.coeffs.items()}
+    return L, N, [sorted(k for k, v in vals.items() if t + v < N)
+                  for t in range(N)]
+
+
 def _log_ghost(F: FormalGroupLaw, i: int) -> FracSeries:
     """l_i = L(w_i) over jet_vars(i), in closed form, once per law.
 
@@ -238,31 +250,29 @@ def _log_ghost(F: FormalGroupLaw, i: int) -> FracSeries:
     b = a_1 + ... + a_i, k = a_0 + b.  Only the tails with t = sum_j j a_j
     < N survive mod pi^N: they are enumerated first, then a_0 over the
     degrees k of L's nonzero coefficients c_k, up to the cap, skipping each
-    k with t + v(c_k) >= N, whose term is 0 mod pi^N.  This is
+    k with t + v(c_k) >= N, whose term is 0 mod pi^N (`_log_scan`, once
+    per law); a tail with no such k is skipped whole.  This is
     L.substitute({"T": w_i}) exactly, truncation included.
     """
     def compute():
-        L = _memoized(F, "log", lambda: formal_logarithm(F))
+        L, N, live = _memoized(F, "log", lambda: _log_scan(F))
         spec, c = F.spec, L.num.coeffs
         q, D = spec.q, F.cap
-        N = min(L.num.prec, F.prec)
         top = q ** i
-        vals = {k: digit_valuation(spec, d) for (k,), d in c.items()}
-        # live[t]: the degrees k with t + v(c_k) < N, ascending
-        live = [sorted(k for k, v in vals.items() if t + v < N)
-                for t in range(N)]
         out = {}
         for tail, t, deg in _tails(i, N, q, D):
             b = sum(tail)
+            ks = live[t]
+            ks = ks[bisect_left(ks, b):bisect_right(ks, b + (D - deg) // top)]
+            if not ks:
+                continue
             # multinomial(b; a_1..a_i), over the small tail entries only
             mult, rest = 1, b
             for a in tail:
                 mult *= comb(rest, a)
                 rest -= a
             mono = tuple(a * q ** (i - j) for j, a in enumerate(tail, 1))
-            last = b + (D - deg) // top
-            ks = live[t]
-            for k in ks[bisect_left(ks, b):bisect_right(ks, last)]:
+            for k in ks:
                 n = mult * comb(k, b)
                 out[((k - b) * top,) + mono] = digit_mul_pi(
                     spec, tuple(n * x for x in c[(k,)]), t)
@@ -284,7 +294,7 @@ def log_ghost_generators(F: FormalGroupLaw, n: int, kind: str):
     Each l_i is computed once per law, over jet_vars(i), and shared by
     every order and kind; the generators returned here are new series
     padded from it, and the shared l_i is never mutated.  The jet lattice
-    is solved on the unpadded l_i (`_lattice_solve`); the padded jet
+    is solved on the unpadded l_i (`jet_lattice`); the padded jet
     generators are built on the first read of a solved character's series
     (`_combine`), so a crystal run builds none.  The kernel side
     restricts l_i to x0 = 0: that is a ring map keeping degrees, so
@@ -307,35 +317,45 @@ def log_ghost_generators(F: FormalGroupLaw, n: int, kind: str):
 # solvers
 # --------------------------------------------------------------------------
 
-def _lattice_solve(spec, gens, M: int, extra_rows=()):
-    """Solutions d (mod pi^M) of sum d_i * num_i = 0 mod pi^M over the
-    numerators of generators sharing one denominator exponent (each
-    carries at least M digits: `_solve_log` checks it).
+def jet_lattice(F: FormalGroupLaw, n: int):
+    """(k, M, columns): the jet lattice of l_0, ..., l_k, some k >= n,
+    restricted at M = s + 1 once per law (`howell.restrict`).
 
-    The numerators may have fewer variables than the widest one, as the
-    l_i = L(w_i) over jet_vars(i) do: their monomials are zero-padded to
-    its width, which is what `TruncSeries.extend_vars` does, so the rows
-    are those of the padded generators.  A row is a monomial's stored
-    digit tuples, one per numerator, and one shared zero tuple where a
-    coefficient is absent; the rows are in `monomial_key` order, and
-    `howell._restrict` reduces them to M.  A monomial zero mod pi^M gives
-    a zero row, which the transposed sweep sees as a zero column: no
-    pivot and no row operation.  `extra_rows` are additional linear
-    conditions on d at the same modulus (used for the global
-    extension-class constraint on jet characters)."""
-    zero = (0,) * spec.e
-    width = max(len(g.num.vars) for g in gens)
-    by_monomial = {}
-    for j, g in enumerate(gens):
-        pad = (0,) * (width - len(g.num.vars))
+    Its rows are the monomials of the l_i, zero-padded to jet_vars(k), in
+    `monomial_key` order, then the extension-class row when one applies
+    (`unit_root_row`); column i, d = min(e, M) int rows, holds l_i's
+    stored digits, then alpha^i.  Padding keeps the key order, and a
+    monomial absent from l_0..l_n is zero on their columns, so it takes no
+    pivot and no row operation in `howell._howell_ints`: the first n + 1
+    columns give the order-n solutions byte for byte.  A higher order
+    builds the lattice again; `cmd_crystal` asks for its top order first.
+    """
+    memo = F._memo.get("jet_lattice")
+    if memo is not None and memo[0] >= n:
+        return memo
+    gens = [_log_ghost(F, i) for i in range(n + 1)]
+    M = gens[0].shift + 1
+    pads = [(0,) * (n - i) for i in range(n + 1)]
+    keys = sorted({m + pad for g, pad in zip(gens, pads)
+                   for m in g.num.coeffs}, key=monomial_key)
+    index = {m: r for r, m in enumerate(keys)}
+    root = unit_root_row(F, n, M) or []
+    zero = (0,) * F.spec.e
+    columns = []
+    for i, (g, pad) in enumerate(zip(gens, pads)):
+        col = [zero] * len(keys) + root[i:i + 1]  # alpha^i, if it applies
         for m, d in g.num.coeffs.items():
-            row = by_monomial.get(m + pad)
-            if row is None:
-                row = by_monomial[m + pad] = [zero] * len(gens)
-            row[j] = d
-    rows = [by_monomial[m] for m in sorted(by_monomial, key=monomial_key)]
-    rows.extend(list(r) for r in extra_rows)
-    return right_kernel_basis(spec, rows, len(gens), M)
+            col[index[m + pad]] = d
+        columns.append(col)
+    memo = F._memo["jet_lattice"] = (
+        n, M, restrict(F.spec, columns, len(columns[0]), M))
+    return memo
+
+
+def curve_trace(F: FormalGroupLaw) -> int:
+    """a_p = p + 1 - #E(F_p) of the law's curve, counted once per law."""
+    return _memoized(F, "trace_of_frobenius",
+                     lambda: trace_of_frobenius(F.spec, *F.curve))
 
 
 def unit_root_row(F: FormalGroupLaw, n: int, M: int):
@@ -364,7 +384,7 @@ def unit_root_row(F: FormalGroupLaw, n: int, M: int):
     spec = F.spec
 
     def unit_root():
-        ap = trace_of_frobenius(spec, *F.curve)
+        ap = curve_trace(F)
         return None if ap % spec.p == 0 else frobenius_unit_root(spec, ap, M)
 
     alpha = _memoized(F, ("unit_root", M), unit_root)
@@ -449,31 +469,26 @@ def _check_psi_cap(F: FormalGroupLaw, n: int):
 
 def _solve_log(law: KernelGroupLaw):
     """The additive-series module over the log-ghost generators of the law:
-    the Psi_i on the kernel side, the unpadded l_i on the jet side."""
+    the Psi_i on the kernel side, the unpadded l_i of the law's jet lattice
+    on the jet side."""
     n, F = law.n, law.F
-    if law.kind == "kernel":
-        _, gens = log_ghost_generators(F, n, "kernel")
-    else:
-        gens = [_log_ghost(F, i) for i in range(n + 1)]
-    # the module of N^n is free on the integral Psi_i; delta-characters may
-    # carry one more pi in the denominator, and must satisfy the global
-    # extension-class constraint of the curve
-    s = gens[0].shift
-    M = s if law.kind == "kernel" else s + 1
-    for g in gens:
-        if g.num.prec < M:
-            raise PrecisionExhausted(
-                f"generator precision {g.num.prec} below modulus {M}")
-    if law.kind == "kernel":
-        chars = [Character("kernel", n, g) for g in gens]
-        if any(ch.frac.shift for ch in chars):
-            raise IntegralityViolation("a Psi_i is not integral")
-        return chars, n
-    row = unit_root_row(F, n, M)
-    units, _ = unit_vectors(_lattice_solve(
-        law.spec, gens, M, extra_rows=() if row is None else (row,)))
-    return ([_combine(n, F, d) for d in units],
-            module_rank(law.spec, units, len(gens)))
+    # every generator has L's N digits; the integral Psi_i = pi^(-s-1) num
+    # and the delta-characters pi^(-1) sum d_i l_i are known mod pi^(s+1)
+    L, N, _ = _memoized(F, "log", lambda: _log_scan(F))
+    if N < L.shift + 1:
+        raise PrecisionExhausted(
+            f"generator precision {N} below modulus {L.shift + 1}")
+    if law.kind == "jet":
+        _, M, columns = jet_lattice(F, n)
+        units, _ = unit_vectors(right_kernel_basis(
+            law.spec, columns[:(n + 1) * min(law.spec.e, M)], M))
+        return ([_combine(n, F, d) for d in units],
+                module_rank(law.spec, units, n + 1))
+    chars = [Character("kernel", n, g)
+             for g in log_ghost_generators(F, n, "kernel")[1]]
+    if any(ch.frac.shift for ch in chars):
+        raise IntegralityViolation("a Psi_i is not integral")
+    return chars, n
 
 
 # --------------------------------------------------------------------------
@@ -667,6 +682,14 @@ class RankTable:
     def __repr__(self):
         return (f"RankTable(rk_X={self.rk_X}, h={self.h[1:]}, "
                 f"l={self.l[1:]}, m={self.m_low})")
+
+
+def rank_table_top(F: FormalGroupLaw, n_max: int) -> int:
+    """The highest order `rank_table(F, n_max)` solves: n_max, or the
+    first order whose kernel module the degree cap does not reach, where
+    it stops (`_check_psi_cap`)."""
+    return next((n for n in range(1, n_max)
+                 if F.spec.q ** (n - 1) + 1 > F.cap), n_max)
 
 
 def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:

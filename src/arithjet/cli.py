@@ -44,11 +44,14 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .characters import (
+    curve_trace,
     extract_lambda_gamma,
+    jet_lattice,
     # unused here: perfbench/spans.py wraps cli.psi_basis, and
     # tests/test_trace_targets.py checks that the name resolves
     psi_basis,
     rank_table,
+    rank_table_top,
     solve_delta_characters,
     splitting_number,
 )
@@ -70,7 +73,6 @@ from .fgl import (
     log_denominator_exponent,
     ptypical_multiplicative,
     ptypical_weierstrass,
-    trace_of_frobenius,
 )
 from .ring import BaseRingSpec
 from .verify import (
@@ -213,13 +215,15 @@ def cmd_crystal(spec: BaseRingSpec, params) -> dict:
     M = log_denominator_exponent(spec, D) + 1
     if params["a4"] is not None:
         F = ptypical_weierstrass(spec, params["a4"], params["a6"], D, M)
-        ap = trace_of_frobenius(spec, *F.curve)
+        ap = curve_trace(F)
         extra = {"curve": {"a4": params["a4"], "a6": params["a6"],
                            "trace_of_frobenius": ap,
                            "ordinary": ap % spec.p != 0}}
     else:
         F = ptypical_multiplicative(spec, D, M)
         extra = {"law": "multiplicative"}
+    # one jet lattice for every order the run solves
+    jet_lattice(F, rank_table_top(F, params["nmax"]))
     m = splitting_number(F)
     chars, _ = solve_delta_characters(F, m)
     lam, gamma = extract_lambda_gamma(chars[0])
@@ -327,26 +331,27 @@ def run(argv=None) -> int:
 
 def _dumps(obj, indent: str = "\n") -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, without
-    the pure-Python encoder `indent` selects.  Dict keys are str, as in
-    every report; a scalar but str, int, bool or None goes to json.  An
-    int leaf (not a bool) of a list or dict is written inline, with no
-    call per leaf."""
-    if isinstance(obj, str):
+    the pure-Python encoder `indent` selects.  Dispatch is on the exact
+    type: dict keys are str, as in every report; a value but str, int,
+    bool, None, list, tuple or dict goes to json.  An int leaf of a list
+    or dict is written inline, with no call per leaf."""
+    t = type(obj)
+    if t is str:
         return encode_basestring_ascii(obj)
-    if obj is None or type(obj) is bool:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        return "[" + inner + ("," + inner).join([
-            int.__repr__(x) if type(x) is int else _dumps(x, inner)
-            for x in obj]) + indent + "]" if obj else "[]"
-    if isinstance(obj, dict):
+    if t is dict:
         return "{" + inner + ("," + inner).join([
             encode_basestring_ascii(k) + ": "
             + (int.__repr__(v) if type(v) is int else _dumps(v, inner))
             for k, v in sorted(obj.items())]) + indent + "}" if obj else "{}"
+    if t is list or t is tuple:
+        return "[" + inner + ("," + inner).join([
+            int.__repr__(x) if type(x) is int else _dumps(x, inner)
+            for x in obj]) + indent + "]" if obj else "[]"
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
     return json.dumps(obj)
 
 

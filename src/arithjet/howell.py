@@ -6,7 +6,7 @@ digits t < e of Z/p^(k_t), k_t = ceil((M - t)/e) (`BaseRingSpec.moduli`),
 and k = k_0 is the largest; scaling digit t by p^(k - k_t) embeds it in
 Z/p^k, so R/pi^M sits in (Z/p^k)^e and no relation rows are needed.  An
 x in R is sum_j x_j pi^j with x_j in Z, so x . a = 0 is a Z-linear
-condition on the x_j against the rows pi^j a, j < e (`_restrict`): the
+condition on the x_j against the rows pi^j a, j < e (`restrict`): the
 Z-kernel of those rows maps onto the R-kernel, digit j of x_i being the
 coefficient of the row pi^j a_i.  At M < e the digits t >= M and the rows
 j >= M vanish, so only d = min(e, M) of each are kept.  At e = 1 there is
@@ -17,14 +17,17 @@ The sweep (`_howell_ints`) eliminates with valuation-minimal pivots, in
 one pass over the columns; each pivot row of valuation v > 0 adds its
 closure p^(k-v) times the row, which the later columns reduce, so the row
 span ends closed under "multiply and project" (Howell completeness).
-Kernels are read off an augmented [A | I] reduction: rows whose A-part
-vanishes give a generating set of the left kernel, read back in groups of
-d digits as `PadicScalar`s at M.  Each group, padded to e digits, is
-reduced to M once (`BaseRingSpec.reduce_digits`); a vector whose reduced
-digits are all 0 is dropped by an int test, and the kept digit tuples,
-canonical already, are wrapped with no second reduction
-(`PadicScalar._canonical`).  Input entries, scalars or digit tuples
-known to M digits or more, are reduced to M on entry.
+The right kernel {b : A b = 0} is read off an augmented [A^T | I]
+reduction of A's columns, restricted once (`restrict`), so a caller can
+solve the submatrices of A's first columns, as `characters` does on the
+jet lattice of a law: rows whose A^T-part vanishes give a generating set
+of the kernel, read back in groups of d digits as `PadicScalar`s at M.
+Each group, padded to e digits, is reduced to M once
+(`BaseRingSpec.reduce_digits`); a vector whose reduced digits are all 0
+is dropped by an int test, and the kept digit tuples, canonical already,
+are wrapped with no second reduction (`PadicScalar._canonical`).  Input
+entries, scalars or digit tuples known to M digits or more, are reduced
+to M on entry.
 
 `module_rank` is the F_p rank of the generators modulo pi: the same
 restriction at M = 1, where d = 1, only digit 0 modulo p survives, and
@@ -85,13 +88,15 @@ def _howell_ints(p: int, rows, ncols: int, k: int):
     return work[:top], pivots
 
 
-def _restrict(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """The int rows over Z/p^k, k = ceil(M/e), of R-rows at M.  Only the
-    digits t < d = min(e, M) survive modulo pi^M, and only the multiples
-    pi^j, j < d: each row gives d rows, row j holding those digits of pi^j
-    times it, digit t scaled by p^(k - k_t).  An entry is a `PadicScalar`
-    or a digit tuple of length e, raw or canonical, known to M digits or
-    more."""
+def restrict(spec: BaseRingSpec, rows, ncols: int, M: int):
+    """The int rows over Z/p^k, k = ceil(M/e), of R-rows at M >= 1.  Only
+    the digits t < d = min(e, M) survive modulo pi^M, and only the
+    multiples pi^j, j < d: each row gives d rows, row j holding those
+    digits of pi^j times it, digit t scaled by p^(k - k_t).  An entry is a
+    `PadicScalar` or a digit tuple of length e, raw or canonical, known to
+    M digits or more."""
+    if M < 1:
+        raise IncompatibleSpec("modulus exponent must be >= 1")
     e = spec.e
     mods = spec.moduli(M)[:M]
     mod = mods[0]
@@ -123,20 +128,19 @@ def _restrict(spec: BaseRingSpec, rows, ncols: int, M: int):
             for row in out for shift in shifts]
 
 
-def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """Generators of {x : x . rows = 0 in (R/pi^M)^ncols}.
+def right_kernel_basis(spec: BaseRingSpec, columns, M: int):
+    """Generators of {b : A b = 0 in (R/pi^M)^k} for the k columns of A
+    restricted at M by `restrict`, d = min(e, M) int rows each.
 
-    Reduces the restricted [rows | I] over Z/p^k; Howell rows whose left
-    part vanishes have right parts whose groups of d = min(e, M) digits
-    generate the left kernel.  A right part that is zero modulo pi^M is
-    dropped.
+    Reduces [columns | I] over Z/p^k; Howell rows whose left part vanishes
+    have right parts whose groups of d digits generate the kernel.  A
+    right part that is zero modulo pi^M is dropped.
     """
-    if M < 1:
-        raise IncompatibleSpec("modulus exponent must be >= 1")
     d = min(spec.e, M)
-    n, left = len(rows) * d, ncols * d
+    n = len(columns)
+    left = len(columns[0]) if columns else 0
     aug = [row + [1 if j == i else 0 for j in range(n)]
-           for i, row in enumerate(_restrict(spec, rows, ncols, M))]
+           for i, row in enumerate(columns)]
     work, _ = _howell_ints(spec.p, aug, left + n, -(-M // spec.e))
     pad = (0,) * (spec.e - d)
     reduce = spec.reduce_digits
@@ -149,14 +153,6 @@ def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
             if any(map(any, vec)):
                 kernel.append([wrap(spec, x, M) for x in vec])
     return kernel
-
-
-def right_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
-    """Generators of {b : rows . b = 0}; transpose + left kernel.  Entries
-    are scalars or digit tuples known to M digits or more (`_restrict`)."""
-    nrows = len(rows)
-    cols = [[rows[i][c] for i in range(nrows)] for c in range(ncols)]
-    return left_kernel_basis(spec, cols, nrows, M)
 
 
 def unit_vectors(vectors):
@@ -179,5 +175,5 @@ def module_rank(spec: BaseRingSpec, vectors, ncols: int) -> int:
     the pivot count of the restricted sweep at M = 1, where only digit 0
     survives, modulo p, and every pivot is a unit.
     """
-    return len(_howell_ints(spec.p, _restrict(spec, vectors, ncols, 1),
+    return len(_howell_ints(spec.p, restrict(spec, vectors, ncols, 1),
                             ncols, 1)[1])

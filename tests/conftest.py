@@ -1,7 +1,13 @@
+import contextlib
+import hashlib
+import io
+import sys
+
 import pytest
 
 from law_oracle import multiplicative_law
 
+from arithjet import cli, witt
 from arithjet.characters import psi_basis, rank_table, solve_delta_characters
 from arithjet.fgl import formal_group_from_weierstrass
 from arithjet.ring import BaseRingSpec
@@ -65,3 +71,38 @@ def psis3_5(curve5):
 @pytest.fixture(scope="session")
 def table5(curve5):
     return rank_table(curve5, 3)
+
+
+@pytest.fixture(scope="session")
+def pinned_runs(tmp_path_factory):
+    """One run of every command line `test_report_pins.py` pins, and of its
+    `--config` file (key "--config"), through `cli.run` in this process
+    under `sys.setprofile`: ({argv: (exit code, sha256 of stdout)}, the
+    code objects that ran).  `test_report_pins.py` checks the reports,
+    `test_reachability.py` the code objects."""
+    from test_report_pins import ARGVS, config_argv
+
+    argvs = {argv: argv.split() for argv in ARGVS}
+    argvs["--config"] = config_argv(tmp_path_factory.mktemp("config"))
+    seen, reports = set(), {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    # start from no cached Witt table, as a new process does, so that the
+    # code objects do not depend on the tests that ran before
+    tables, witt._TABLE_CACHE = witt._TABLE_CACHE, {}
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for key, argv in argvs.items():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.run(argv)
+            reports[key] = (
+                code, hashlib.sha256(buf.getvalue().encode()).hexdigest())
+    finally:
+        sys.setprofile(previous)
+        witt._TABLE_CACHE = tables
+    return reports, seen

@@ -1,23 +1,43 @@
 """The digit Howell sweep that `arithjet.howell` ran at e >= 2 before its
 one int sweep, the scalar Newton inverse of `arithjet.ring.PadicScalar`,
-the e = 1 Newton loop of `ring.unit_quadratic_root` and the lattice rows
-of `characters._lattice_solve`, as they were before each was replaced,
+the e = 1 Newton loop of `ring.unit_quadratic_root`, and the per-order
+jet lattices of `characters`, as they were before each was replaced,
 kept verbatim as the reference for them: `_howell_digits`, `_scaled`,
 `_minus_multiple` and `_nonzero` from `howell`, `PadicScalar.inverse` as
-`newton_inverse`, the int loop as `int_quadratic_root`, and the rows
-reduced to M before the kernel as `lattice_solve`.  The digit sweep is
-only the reference now: it takes R-pivots on digit tuples, where the
-library restricts scalars to ints modulo p^k, so the two give kernels
-with equal R-spans, not equal generators.  The sweep's `PadicScalar` is
-the ring's class with `newton_inverse` as its inverse, so no part of the
-reference runs the digit inverse it checks."""
+`newton_inverse`, the int loop as `int_quadratic_root`, the rows of one
+order's lattice as `per_order_lattice_solve`, and those rows reduced to M
+before the kernel as `lattice_solve`.  The digit sweep is only the
+reference now: it takes R-pivots on digit tuples, where the library
+restricts scalars to ints modulo p^k, so the two give kernels with equal
+R-spans, not equal generators.  The sweep's `PadicScalar` is the ring's
+class with `newton_inverse` as its inverse, so no part of the reference
+runs the digit inverse it checks.
 
-from arithjet import ring
+`left_kernel_basis` and `right_kernel_basis` are the kernels of R-rows
+that `howell` exported before the jet lattice was restricted once per
+law: they restrict the rows and call the library's kernel of restricted
+columns, which the tests of `howell` exercise through them."""
+
+from arithjet import howell, ring
 from arithjet.errors import NotDivisible
-from arithjet.howell import right_kernel_basis
 from arithjet.ring import (BaseRingSpec, digit_div_pi, digit_mul_pi,
                            digit_product, digit_valuation)
 from arithjet.series import monomial_key
+
+
+def left_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
+    """Generators of {x : x . rows = 0 in (R/pi^M)^ncols}, rows of scalars
+    or digit tuples known to M digits or more: the right kernel of the
+    transpose, whose columns are the rows."""
+    return howell.right_kernel_basis(
+        spec, howell.restrict(spec, rows, ncols, M), M)
+
+
+def right_kernel_basis(spec: BaseRingSpec, rows, ncols: int, M: int):
+    """Generators of {b : rows . b = 0}; transpose + left kernel."""
+    nrows = len(rows)
+    cols = [[rows[i][c] for i in range(nrows)] for c in range(ncols)]
+    return left_kernel_basis(spec, cols, nrows, M)
 
 
 def newton_inverse(self) -> ring.PadicScalar:
@@ -67,8 +87,37 @@ def int_quadratic_root(lam, c) -> ring.PadicScalar:
     return PadicScalar(spec, (x,), prec)
 
 
+def per_order_lattice_solve(spec, gens, M: int, extra_rows=()):
+    """Solutions d (mod pi^M) of sum d_i * num_i = 0 mod pi^M over the
+    numerators of generators sharing one denominator exponent (each
+    carries at least M digits), as `characters._lattice_solve` found them
+    on one order's rows before the jet lattice was shared by every order.
+
+    The numerators may have fewer variables than the widest one, as the
+    l_i = L(w_i) over jet_vars(i) do: their monomials are zero-padded to
+    its width, which is what `TruncSeries.extend_vars` does, so the rows
+    are those of the padded generators.  A row is a monomial's stored
+    digit tuples, one per numerator, and one shared zero tuple where a
+    coefficient is absent; the rows are in `monomial_key` order.
+    `extra_rows` are additional linear conditions on d at the same
+    modulus (the extension-class constraint on jet characters)."""
+    zero = (0,) * spec.e
+    width = max(len(g.num.vars) for g in gens)
+    by_monomial = {}
+    for j, g in enumerate(gens):
+        pad = (0,) * (width - len(g.num.vars))
+        for m, d in g.num.coeffs.items():
+            row = by_monomial.get(m + pad)
+            if row is None:
+                row = by_monomial[m + pad] = [zero] * len(gens)
+            row[j] = d
+    rows = [by_monomial[m] for m in sorted(by_monomial, key=monomial_key)]
+    rows.extend(list(r) for r in extra_rows)
+    return right_kernel_basis(spec, rows, len(gens), M)
+
+
 def lattice_solve(spec, gens, M: int, extra_rows=()):
-    """`characters._lattice_solve` with its rows reduced to M before the
+    """`per_order_lattice_solve` with its rows reduced to M before the
     kernel: ints mod p^M at e = 1, digit tuples otherwise, zero where a
     coefficient is absent, and no row for a monomial zero mod pi^M.  The
     rows reach `right_kernel_basis` as scalars at M."""

@@ -42,8 +42,9 @@ from arithjet.fgl import (
     formal_group_from_weierstrass,
     formal_logarithm,
     log_denominator_exponent,
+    trace_of_frobenius,
 )
-from arithjet.howell import module_rank
+from arithjet.howell import module_rank, right_kernel_basis
 from arithjet.ring import BaseRingSpec, PadicScalar
 from arithjet.series import FracSeries, TruncSeries
 from arithjet.verify import ghost_components, run_character_suites
@@ -146,6 +147,58 @@ def test_solve_returns_a_fresh_list():
     assert all(a is b for a, b in zip(again, kept))
 
 
+def _shared_kernel(F, n):
+    """The order-n solutions on the first n + 1 columns of F's jet
+    lattice, as `_solve_log` takes them."""
+    _, M, columns = characters.jet_lattice(F, n)
+    return right_kernel_basis(F.spec, columns[:(n + 1) * min(F.spec.e, M)],
+                              M)
+
+
+def _digits(kernel):
+    return [[(x.digits, x.prec) for x in v] for v in kernel]
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_shared_lattice_equals_the_per_order_lattices(e):
+    # one lattice, built for the top order, gives at every order n <= 4
+    # the vectors, in the same order, of the lattice of l_0..l_n alone, on
+    # seeded ordinary and supersingular curves and the multiplicative law;
+    # at D = 126 the supersingular l_1 has monomials that l_0 lacks
+    spec, D, nmax = BaseRingSpec(5, e), 126, 4
+    M = log_denominator_exponent(spec, D) + 1
+    rng = random.Random(5000 + e)
+    laws = [multiplicative_law(spec, D, M + 1)]
+    while len(laws) < 4:
+        # two ordinary curves, then y^2 = x^3 + a6, supersingular at p = 5
+        a4 = rng.randrange(-50, 50) if len(laws) < 3 else 0
+        a6 = rng.randrange(-50, 50)
+        try:
+            F = formal_group_from_weierstrass(
+                spec, spec.scalar(a4, M + 1), spec.scalar(a6, M + 1), D)
+        except BadReduction:
+            continue
+        if (trace_of_frobenius(spec, *F.curve) % 5 != 0) == (len(laws) < 3):
+            laws.append(F)
+    solved = grown = 0
+    for F in laws:
+        lattice = characters.jet_lattice(F, nmax)
+        _, _, columns = lattice
+        d = min(e, M)
+        grown += sum(not any(col[r] for col in columns[:d])
+                     and any(col[r] for col in columns[d:])
+                     for r in range(len(columns[0])))
+        for n in range(nmax + 1):
+            gens = [characters._log_ghost(F, i) for i in range(n + 1)]
+            row = characters.unit_root_row(F, n, M)
+            want = howell_oracle.per_order_lattice_solve(
+                spec, gens, M, () if row is None else (row,))
+            assert _digits(_shared_kernel(F, n)) == _digits(want)
+            assert characters.jet_lattice(F, n) is lattice
+            solved += len(want)
+    assert solved and grown
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (5, 2)])
 @pytest.mark.parametrize("D", [11, 27])
 def test_lattice_solve_equals_the_reduced_rows(p, e, D):
@@ -171,7 +224,7 @@ def test_lattice_solve_equals_the_reduced_rows(p, e, D):
             assert gens[0].shift + 1 == M
             row = characters.unit_root_row(F, n, M)
             extra = () if row is None else (row,)
-            got = characters._lattice_solve(spec, gens, M, extra)
+            got = _shared_kernel(F, n)
             want = howell_oracle.lattice_solve(spec, gens, M, extra)
             assert [[x.digits for x in v] for v in got] \
                 == [[x.digits for x in v] for v in want]
@@ -208,10 +261,10 @@ def test_lattice_solve_pads_the_unpadded_generators(p, e, D):
                 range(1, n + 2))
             row = characters.unit_root_row(F, n, M)
             extra = () if row is None else (row,)
-            got = characters._lattice_solve(spec, unpadded, M, extra)
-            want = characters._lattice_solve(spec, padded, M, extra)
-            assert [[(x.digits, x.prec) for x in v] for v in got] \
-                == [[(x.digits, x.prec) for x in v] for v in want]
+            got = _shared_kernel(F, n)
+            want = howell_oracle.per_order_lattice_solve(spec, padded, M,
+                                                         extra)
+            assert _digits(got) == _digits(want)
             solved += len(got)
     assert solved
 

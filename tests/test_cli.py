@@ -12,7 +12,7 @@ from argparse_oracle import build_parser
 from hypothesis import given, settings, strategies as st
 from law_oracle import multiplicative_law
 
-from arithjet import characters, cli, fgl, series, verify
+from arithjet import characters, cli, fgl, howell, series, verify
 from arithjet.characters import (
     extract_lambda_gamma,
     solve_delta_characters,
@@ -486,18 +486,27 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _kernel_sweeps(sweeps):
+    """The Howell sweeps of the jet lattices at M = 3 (p = 5, D = 27): 3
+    digits, where each `module_rank` sweeps at 1."""
+    return [k for (_, _, _, k) in sweeps if k == 3]
+
+
 def test_crystal_solves_each_module_once(tmp_path, monkeypatch):
     # m = 2 and nmax = 3: jet orders 1..3 are the three distinct modules,
-    # all on one formal group law, each solved by a lattice; the rank
-    # table counts the kernel modules' Psi bases and builds no kernel law
-    kernels = _count_calls(monkeypatch, characters, "right_kernel_basis")
+    # all on one formal group law, each solved by a sweep of the law's one
+    # restricted jet lattice; the rank table counts the kernel modules'
+    # Psi bases and builds no kernel law
+    sweeps = _count_calls(monkeypatch, howell, "_howell_ints")
+    lattices = _count_calls(monkeypatch, characters, "restrict")
     logs = _count_calls(monkeypatch, characters, "formal_logarithm")
     solves = _count_calls(monkeypatch, characters, "_solve_log")
     kernel_laws = _count_calls(monkeypatch, characters, "kernel_group_law")
     code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5", "--a4", "1",
                                 "--a6", "1", "--deg", "27", "--nmax", "3"])
     assert code == 0 and rep["m"] == 2
-    assert len(kernels) == 3
+    assert len(_kernel_sweeps(sweeps)) == 3
+    assert len(lattices) == 1
     assert len(logs) == 1
     built = sorted((law.kind, law.n) for (law,) in solves)
     assert built == [("jet", 1), ("jet", 2), ("jet", 3)]
@@ -510,14 +519,15 @@ def test_crystal_sweeps_only_orders_with_images(tmp_path, monkeypatch):
     # their quotient ranks are 0 and rk_X[n] with no sweep; order 3 sweeps
     # the full and the image module.  Three solves and two sweeps.
     ranks = _count_calls(monkeypatch, characters, "module_rank")
-    kernels = _count_calls(monkeypatch, characters, "right_kernel_basis")
+    sweeps = _count_calls(monkeypatch, howell, "_howell_ints")
     code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5", "--a4", "1",
                                 "--a6", "1", "--deg", "27", "--nmax", "3"])
     assert code == 0 and rep["m"] == 2
     assert rep["rank_table"]["rk_X"] == [0, 0, 1, 2]
     assert rep["rank_table"]["l"] == [0, 1, 0]
     assert len(ranks) == 5
-    assert len(kernels) == 3
+    assert len(_kernel_sweeps(sweeps)) == 3
+    assert len(sweeps) == 3 + 5
 
 
 # sha256 of the stdout of `--cmd crystal` + argv, taken before the jet
@@ -559,8 +569,17 @@ def test_crystal_builds_no_padded_generator(monkeypatch, argv):
 ])
 def test_crystal_computes_the_unit_root_once(tmp_path, monkeypatch, argv,
                                              ordinary):
-    # the jet orders 1..m+1 share one point count and one Hensel root
-    counts = _count_calls(monkeypatch, characters, "trace_of_frobenius")
+    # the report's a_p and the jet orders 1..m+1 share one point count and
+    # one Hensel root: counted wherever the point count is imported
+    counts = []
+
+    def counted(*args):
+        counts.append(args)
+        return fgl.trace_of_frobenius(*args)
+
+    for module in (cli, characters):
+        monkeypatch.setattr(module, "trace_of_frobenius", counted,
+                            raising=False)
     roots = _count_calls(monkeypatch, characters, "frobenius_unit_root")
     code, rep = _run(tmp_path, ["--cmd", "crystal"] + argv.split())
     assert code == 0 and rep["curve"]["ordinary"] is ordinary

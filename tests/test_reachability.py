@@ -1,13 +1,14 @@
 """Every function of `src/arithjet` is reached by a command, or is listed
 in `PUBLIC_API` with the reason it stays.
 
-The sweep runs every command line that `test_report_pins.py` pins, its
-`--config` run included, through `cli.run` in one process under
-`sys.setprofile`, and maps each code object that runs to its `def` by
-file, first line and name.  Python 3.10 has no `co_qualname`, so the
-qualified names come from the source, by `ast`; a code object's first
-line is that of its first decorator, if it has one.  `__repr__` methods
-are exempt: they serve the reader of a failed test or a traceback.
+The sweep is the one of `test_report_pins.py` (`conftest.pinned_runs`):
+every command line it pins, its `--config` run included, through
+`cli.run` in one process under `sys.setprofile`.  Each code object that
+runs maps to its `def` by file, first line and name.  Python 3.10 has no
+`co_qualname`, so the qualified names come from the source, by `ast`; a
+code object's first line is that of its first decorator, if it has one.
+`__repr__` methods are exempt: they serve the reader of a failed test or
+a traceback.
 
 A function that no command reaches and that is not public API belongs
 next to its tests (as `tests/law_oracle.py` holds the law checks), or
@@ -15,18 +16,12 @@ nowhere.
 """
 
 import ast
-import contextlib
-import functools
 import importlib
-import io
-import sys
-import tempfile
 from pathlib import Path
 
-from test_report_pins import ARGVS, config_argv
+import pytest
 
 import arithjet
-from arithjet import cli
 
 SRC = Path(arithjet.__file__).resolve().parent
 
@@ -102,63 +97,43 @@ def _defs() -> dict:
     return out
 
 
-def _sweep(argvs) -> set:
-    """The code objects that run while `cli.run` runs each argv."""
-    seen = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            seen.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            for argv in argvs:
-                cli.run(argv)
-    finally:
-        sys.setprofile(previous)
-    return seen
-
-
-@functools.lru_cache(maxsize=None)
-def _reach():
-    """(every def's name, the names a command reaches), from one sweep."""
+@pytest.fixture(scope="module")
+def reach(pinned_runs):
+    """(every def's name, the names a command reaches)."""
     defs = _defs()
-    with tempfile.TemporaryDirectory() as tmp:
-        code_objects = _sweep([a.split() for a in ARGVS]
-                              + [config_argv(Path(tmp))])
     reached = {defs.get((str(Path(code.co_filename).resolve()),
                          code.co_firstlineno, code.co_name))
-               for code in code_objects}
+               for code in pinned_runs[1]}
     return set(defs.values()), reached - {None}
 
 
-def test_every_def_is_reached_or_public():
-    names, reached = _reach()
+def test_every_def_is_reached_or_public(reach):
+    names, reached = reach
     exempt = {n for n in names if n.endswith(".__repr__")}
     unlisted = sorted(names - reached - exempt - set(PUBLIC_API))
     assert not unlisted, ("reached by no command and not in PUBLIC_API: "
                           + ", ".join(unlisted))
 
 
-def test_no_public_api_entry_is_reached():
+def test_no_public_api_entry_is_reached(reach):
     """An entry a command reaches needs no reason: it is stale."""
-    stale = sorted(_reach()[1] & set(PUBLIC_API))
+    stale = sorted(reach[1] & set(PUBLIC_API))
     assert not stale, "PUBLIC_API entries a command reaches: " + \
         ", ".join(stale)
 
 
-def test_every_public_api_entry_names_a_def():
-    unknown = sorted(set(PUBLIC_API) - _reach()[0])
+def test_every_public_api_entry_names_a_def(reach):
+    unknown = sorted(set(PUBLIC_API) - reach[0])
     assert not unknown, "PUBLIC_API entries naming no def: " + \
         ", ".join(unknown)
 
 
 # names that no command reached and that left src: deleted, or moved to
-# tests/psi_oracle.py (expand_in_psi_basis, BasisExpansionFailed)
+# tests/psi_oracle.py (expand_in_psi_basis, BasisExpansionFailed) and
+# tests/howell_oracle.py (left_kernel_basis)
 GONE = (
     "characters.Character.scalar_mul", "characters.expand_in_psi_basis",
+    "howell.left_kernel_basis",
     "crystal.FilteredIsocrystal.det", "errors.BasisExpansionFailed",
     "lateral.TildeWittVector.__add__", "lateral.TildeWittVector.__mul__",
     "lateral.TildeWittVector.__neg__", "lateral.TildeWittVector.__sub__",

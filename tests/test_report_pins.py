@@ -1,26 +1,27 @@
 """Exit code and sha256 of `cli.run`'s stdout on a sweep of command lines,
 and sha256 pins of the group laws and sum tables the benchmark builds.
+The sweep runs once per session (`conftest.pinned_runs`), and
+`test_reachability.py` reads the code it reached.
 
 The pins were computed before the kernel solves left the rank table and
 the law checks left `fgl`; the p = 5 `verify` pins and the left sides of
 `check_additive`, before `substitute` built the powers of an image to
 fewer digits; the inconclusive `verify`, `--help` and `--config` pins,
-before the functions no command reached left `src`.  A change that keeps
+before the functions no command reached left `src`; the benchmark's
+crystal runs and the `--nmax 5` runs, before the jet lattice was
+restricted once per law.  A change that keeps
 every report byte for byte leaves them as they are.  The supersingular
 digits of the p = 3 cross-D runs are pinned as they are printed today,
 not as they should read.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 
 import pytest
 
 from arithjet.characters import (jet_group_law, kernel_group_law,
                                  solve_additive)
-from arithjet.cli import run
 from arithjet.fgl import formal_group_from_weierstrass
 from arithjet.ring import BaseRingSpec
 from arithjet.witt import structural_polynomials
@@ -53,6 +54,18 @@ ARGVS = (
     # and the usage text
     + ["--cmd verify --p 3 --a4 1 --a6 1 --prec 1 --deg 8",
        "--help"]
+    # the crystal runs of the benchmark's curve-batch and digit-climb plans
+    # at seed 3001, in their flag order
+    + [f"--cmd crystal --p {p} --e {e} --deg {D} --a4 {a4} --a6 {a6}"
+       for p, e, D, a4, a6 in [
+           (3, 1, 11, 5, 10), (3, 1, 11, 5, 1), (3, 1, 11, 5, 0),
+           (5, 1, 27, 34, 33), (5, 1, 27, 102, 26), (5, 1, 27, 0, 73),
+           (5, 1, 27, 108, 0), (5, 2, 27, 16, 63), (5, 2, 27, 0, 31),
+           (3, 1, 11, 11, 7), (3, 1, 27, 11, 7), (3, 1, 81, 11, 7),
+           (5, 1, 27, 49, 118), (7, 1, 51, 29, 67)]]
+    # five orders on one law: ordinary at e = 1 and 2, and supersingular
+    + [f"--cmd crystal --p {p} --e {e} --a4 1 --a6 1 --deg {D} --nmax 5"
+       for p, e, D in [(5, 1, 626), (5, 2, 626), (3, 1, 82)]]
 )
 
 PINS = {
@@ -208,6 +221,40 @@ PINS = {
         2, "173158f78efb36886cc7e225dfb131b0b1bccb7b807dbf20522b0b525a5881b7"),
     "--help": (
         0, "5fb67abea36d50913e227426b2114830df881f1209aa14c471fc0e04ecb7b6d3"),
+    "--cmd crystal --p 3 --e 1 --deg 11 --a4 5 --a6 10": (
+        0, "8c64e011ca2803ffb1c7c7e8cbc3d3096bcf3a4e3992b00e48816fa46f02933c"),
+    "--cmd crystal --p 3 --e 1 --deg 11 --a4 5 --a6 1": (
+        0, "26349fcc91ed1bf135ca480b8e6d88d1c0c92f48bf1d75035319953b392ae6d7"),
+    "--cmd crystal --p 3 --e 1 --deg 11 --a4 5 --a6 0": (
+        0, "4a2cafe37d0773ece654c271b21bdcb7e57ce14edac1f2a6781dd68213607b69"),
+    "--cmd crystal --p 5 --e 1 --deg 27 --a4 34 --a6 33": (
+        0, "bd4da68e02fbb95e6cf50c52e7ef0051de1ccf0f35bc8b9f457f05ecfa039965"),
+    "--cmd crystal --p 5 --e 1 --deg 27 --a4 102 --a6 26": (
+        0, "3feee4ed50ee51a223f5f2c67e8d95be80467c6ab34197863c06d99b2787b737"),
+    "--cmd crystal --p 5 --e 1 --deg 27 --a4 0 --a6 73": (
+        0, "903dd0062a27793c1ae611fdd4b9a6d1d9501098ee353e47ce2bfa133c146769"),
+    "--cmd crystal --p 5 --e 1 --deg 27 --a4 108 --a6 0": (
+        0, "964ca18c71da2e08d655b2a86bd81d5db02d5b431588fe6b7ae447da9fc02683"),
+    "--cmd crystal --p 5 --e 2 --deg 27 --a4 16 --a6 63": (
+        0, "8db9221bdec5a150b0c903e04a254219ea3831677ad5e961eeb0672e01bb753b"),
+    "--cmd crystal --p 5 --e 2 --deg 27 --a4 0 --a6 31": (
+        0, "0d2ef8e1f0d4e8736e1c32d75ec2f990eb9e9ade3a2c2e942e0cddd0afe07681"),
+    "--cmd crystal --p 3 --e 1 --deg 11 --a4 11 --a6 7": (
+        0, "42070b36d242a9a1bf62cf8af388a9e5a480bf7ebffbdb5383d0aa3b9fa71cf9"),
+    "--cmd crystal --p 3 --e 1 --deg 27 --a4 11 --a6 7": (
+        0, "ecf07274b9133e0afcbe5ba4e2f6e34e74b0d7c5d4263f1f3fefef94a6625249"),
+    "--cmd crystal --p 3 --e 1 --deg 81 --a4 11 --a6 7": (
+        0, "75bfb10c31e321d8571bb6e50d78fa323f0cffebb6e6edbf247f7cbb994f04ff"),
+    "--cmd crystal --p 5 --e 1 --deg 27 --a4 49 --a6 118": (
+        0, "eccbb02d9b84b9c1270f4efde72e7810983c6ba24255286fff4ce578c75e80b2"),
+    "--cmd crystal --p 7 --e 1 --deg 51 --a4 29 --a6 67": (
+        0, "d510a826ecb543d7e1252e9d1e02ef586390dc8d62d6d539d6e6ff2a24eb41d2"),
+    "--cmd crystal --p 5 --e 1 --a4 1 --a6 1 --deg 626 --nmax 5": (
+        0, "82f98ce4fe2417096ddcc161c66bbc1cd0e2113fcf07eb5a9b7d66b39a7bc390"),
+    "--cmd crystal --p 5 --e 2 --a4 1 --a6 1 --deg 626 --nmax 5": (
+        0, "dc6beb53bd2de6e8e72e60ea481df49c79ee06f64ea8457c867250ebf44362df"),
+    "--cmd crystal --p 3 --e 1 --a4 1 --a6 1 --deg 82 --nmax 5": (
+        0, "4e971525fba3c42b34e7abbc8b2a71dd5481d3a98a585603e7c5ec1abf90ae0b"),
 }
 
 # a --config file: its lines are read as flags, and the report's params
@@ -226,25 +273,17 @@ def config_argv(directory) -> list:
     return ["--config", str(path)]
 
 
-def _report(argv: list):
-    """(exit code, sha256 of stdout) of `cli.run` on argv."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = run(argv)
-    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
-
-
 @pytest.mark.parametrize("argv", ARGVS)
-def test_report_pinned(argv):
-    assert _report(argv.split()) == PINS[argv]
+def test_report_pinned(pinned_runs, argv):
+    assert pinned_runs[0][argv] == PINS[argv]
 
 
 def test_every_argv_is_pinned():
     assert sorted(PINS) == sorted(ARGVS)
 
 
-def test_config_report_pinned(tmp_path):
-    assert _report(config_argv(tmp_path)) == CONFIG_PIN
+def test_config_report_pinned(pinned_runs):
+    assert pinned_runs[0]["--config"] == CONFIG_PIN
 
 
 def _digest(series) -> str:
