@@ -458,10 +458,15 @@ def solve_additive(law: KernelGroupLaw):
     return list(chars), rank
 
 
+def _least_psi_cap(F: FormalGroupLaw, n: int) -> int:
+    """q^(n-1) + 1, the least degree cap at which the kernel module of
+    order n is solved."""
+    return F.spec.q ** (n - 1) + 1
+
+
 def _check_psi_cap(F: FormalGroupLaw, n: int):
-    """DegreeCapTooSmall unless F's degree cap reaches q^(n-1) + 1, the
-    least at which the kernel module of order n is solved."""
-    least = F.spec.q ** (n - 1) + 1
+    """DegreeCapTooSmall unless F's degree cap reaches `_least_psi_cap`."""
+    least = _least_psi_cap(F, n)
     if F.cap < least:
         raise DegreeCapTooSmall(
             f"degree cap {F.cap} < q^(n-1) + 1 = {least}")
@@ -484,8 +489,7 @@ def _solve_log(law: KernelGroupLaw):
             law.spec, columns[:(n + 1) * min(law.spec.e, M)], M))
         return ([_combine(n, F, d) for d in units],
                 module_rank(law.spec, units, n + 1))
-    chars = [Character("kernel", n, g)
-             for g in log_ghost_generators(F, n, "kernel")[1]]
+    chars = psi_basis(F, n)
     if any(ch.frac.shift for ch in chars):
         raise IntegralityViolation("a Psi_i is not integral")
     return chars, n
@@ -689,7 +693,7 @@ def rank_table_top(F: FormalGroupLaw, n_max: int) -> int:
     first order whose kernel module the degree cap does not reach, where
     it stops (`_check_psi_cap`)."""
     return next((n for n in range(1, n_max)
-                 if F.spec.q ** (n - 1) + 1 > F.cap), n_max)
+                 if _least_psi_cap(F, n) > F.cap), n_max)
 
 
 def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
@@ -701,12 +705,13 @@ def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
     The l-ranks are computed independently as ranks of the quotients by
     u^* and phi^* images (in log-ghost coordinates: padding and shifting
     the solved coefficient vectors), then cross-checked against
-    l_n = h_(n-1) - h_n by check().  An order n with no images (no
-    characters of order n - 1) sweeps nothing, and both ranks are exact
-    without a sweep: the rank of no images is 0, and the full rank is that
-    of the order-n vectors alone, rk_X[n], which the order-n solve took by
-    `module_rank` on the same vectors.  Every order with images is swept
-    twice."""
+    l_n = h_(n-1) - h_n by check().  The full rank, of the order-n
+    vectors and the images together, is rk_X[n]: the images solve the
+    order-n jet lattice, so they lie in the span of its kernel
+    generators, and mod pi in the span of the unit-content ones, whose
+    rank the order-n solve took by `module_rank`.  So l_n = rk_X[n] less
+    the rank of the images, and each order with images is swept once (an
+    order with none, no characters of order n - 1, is not swept)."""
     spec = F.spec
     g = 1
     rk_X = [0]
@@ -728,17 +733,11 @@ def rank_table(F: FormalGroupLaw, n_max: int) -> RankTable:
     h = [g] + [rk_I[n] - rk_I[n - 1] for n in range(1, n_max + 1)]
     l = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
-        if not sols[n - 1]:
-            l[n] = rk_X[n]
-            continue
         images = []
         for ch in sols[n - 1]:
             images.append(ch.lcoeffs + [zero])          # u^* padding
             images.append([zero] + ch.lcoeffs)          # phi^* shift
-        full = module_rank(spec, [ch.lcoeffs for ch in sols[n]] + images,
-                           n + 1)
-        sub = module_rank(spec, images, n + 1)
-        l[n] = full - sub
+        l[n] = rk_X[n] - (module_rank(spec, images, n + 1) if images else 0)
     m_up = next((n for n in range(1, n_max + 1) if h[n] == 0), n_max + 1)
     table = RankTable(n_max, rk_X, rk_hom, rk_I, h, l, m_low, m_up)
     table.check()

@@ -58,14 +58,12 @@ def ghost_components(x: WittVector):
     return out
 
 
-def ghost_mismatch(x: WittVector, y: WittVector, s: WittVector,
-                   m: WittVector):
-    """The first ghost slot at which the sum s or the product m of x and y
-    differs from the ghost-side sum or product, as ("add" or "mul",
-    slot); else None."""
-    wx, wy = ghost_components(x), ghost_components(y)
-    ws, wp = ghost_components(s), ghost_components(m)
-    for i in range(x.length):
+def ghost_mismatch(wx, wy, ws, wp):
+    """The first ghost slot at which the ghosts ws of the sum or wp of the
+    product of x and y differ from the ghost-side sum or product of their
+    ghosts wx and wy (`ghost_components`), as ("add" or "mul", slot);
+    else None."""
+    for i in range(len(wx)):
         if not (ws[i] - (wx[i] + wy[i])).is_zero():
             return "add", i
         if not (wp[i] - wx[i] * wy[i]).is_zero():
@@ -84,7 +82,7 @@ def suite_ghost_oracle(spec: BaseRingSpec, seed: int) -> dict:
     rng = random.Random(seed)
     for t in range(TRIALS):
         x, y = _random_vector(spec, rng), _random_vector(spec, rng)
-        bad = ghost_mismatch(x, y, x + y, x * y)
+        bad = ghost_mismatch(*map(ghost_components, (x, y, x + y, x * y)))
         if bad:
             return _report("ghost_oracle", anchor, False,
                            f"{bad[0]} trial {t} ghost slot {bad[1]}")
@@ -266,16 +264,17 @@ def suite_psi_tower(F: FormalGroupLaw) -> dict:
 
 
 def suite_tower_pullback(F: FormalGroupLaw) -> dict:
-    """i* (phi^n)* Theta = (frak-f^(n-1))* i* phi* Theta, n = 2..TOWER_N."""
+    """i* (phi^n)* Theta = (frak-f^(n-1))* i* phi* Theta, n = 2..TOWER_N.
+
+    Theta_2 is pulled back once per order: phi^n* Theta is phi* of
+    phi^(n-1)* Theta, and the right side is frak-f* of the one before."""
     anchor = "i* phi^n* Theta = frak-f^(n-1)* i* phi* Theta"
     try:
-        theta = _theta_2(F)
-        phi_n = theta
-        lateral_n = i_star(frobenius_pullback(theta))
+        phi_n = frobenius_pullback(_theta_2(F))
+        lateral_n = i_star(phi_n)
         for n in range(2, TOWER_N + 1):
             phi_n = frobenius_pullback(phi_n)
-            if n >= 3:
-                lateral_n = lateral_pullback(lateral_n)
+            lateral_n = lateral_pullback(lateral_n)
             diff = (i_star(phi_n) - lateral_n).frac.normalize()
             if not diff.num.is_zero():
                 return _report("tower_pullback", anchor, False,

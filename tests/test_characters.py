@@ -42,6 +42,8 @@ from arithjet.fgl import (
     formal_group_from_weierstrass,
     formal_logarithm,
     log_denominator_exponent,
+    ptypical_multiplicative,
+    ptypical_weierstrass,
     trace_of_frobenius,
 )
 from arithjet.howell import module_rank, right_kernel_basis
@@ -846,6 +848,42 @@ def test_rank_table_elliptic(table5):
     assert table5.l == [0, 0, 1, 0]
     assert table5.m_low == 2 and table5.m_up == 2
     table5.check()
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (5, 2), (7, 1)])
+@pytest.mark.parametrize("cube", [False, True])
+def test_full_rank_of_an_order_with_images_is_its_own_rank(p, e, cube):
+    # the rank table takes the rank of the order-n solutions and the u^*
+    # and phi^* images of the order n - 1 ones together to be rk_X[n],
+    # with no sweep: the images solve the order-n lattice, so mod pi they
+    # add nothing to the span of its unit-content generators.  Swept here
+    # as the rank table once did, on the multiplicative law and seeded
+    # curves, built as `crystal` builds them
+    spec, nmax = BaseRingSpec(p, e), 5
+    D = p ** 3 if cube else p * p + 2
+    M = log_denominator_exponent(spec, D) + 1
+    rng = random.Random(1000 * p + 10 * e + cube)
+    laws = [ptypical_multiplicative(spec, D, M)]
+    while len(laws) < 4:
+        try:
+            laws.append(ptypical_weierstrass(
+                spec, rng.randrange(-50, 50), rng.randrange(-50, 50), D, M))
+        except BadReduction:
+            pass
+    zero, swept = spec.scalar(0, M), 0
+    for F in laws:
+        characters.jet_lattice(F, nmax)
+        below = []
+        for n in range(1, nmax + 1):
+            chars, rank = solve_delta_characters(F, n)
+            images = [v for ch in below for v in (ch.lcoeffs + [zero],
+                                                  [zero] + ch.lcoeffs)]
+            if images:
+                vectors = [ch.lcoeffs for ch in chars] + images
+                assert module_rank(spec, vectors, n + 1) == rank
+                swept += 1
+            below = chars
+    assert swept
 
 
 def test_rank_table_multiplicative(mult5):

@@ -516,8 +516,9 @@ def test_crystal_solves_each_module_once(tmp_path, monkeypatch):
 
 def test_crystal_sweeps_only_orders_with_images(tmp_path, monkeypatch):
     # m = 2: orders 1 and 2 have no images (no characters below them), so
-    # their quotient ranks are 0 and rk_X[n] with no sweep; order 3 sweeps
-    # the full and the image module.  Three solves and two sweeps.
+    # their quotient ranks are rk_X[n] with no sweep; order 3 sweeps its
+    # image module only, the full rank being rk_X[3].  Three solves and
+    # one sweep.
     ranks = _count_calls(monkeypatch, characters, "module_rank")
     sweeps = _count_calls(monkeypatch, howell, "_howell_ints")
     code, rep = _run(tmp_path, ["--cmd", "crystal", "--p", "5", "--a4", "1",
@@ -525,9 +526,9 @@ def test_crystal_sweeps_only_orders_with_images(tmp_path, monkeypatch):
     assert code == 0 and rep["m"] == 2
     assert rep["rank_table"]["rk_X"] == [0, 0, 1, 2]
     assert rep["rank_table"]["l"] == [0, 1, 0]
-    assert len(ranks) == 5
+    assert len(ranks) == 4
     assert len(_kernel_sweeps(sweeps)) == 3
-    assert len(sweeps) == 3 + 5
+    assert len(sweeps) == 3 + 4
 
 
 # sha256 of the stdout of `--cmd crystal` + argv, taken before the jet

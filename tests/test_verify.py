@@ -46,6 +46,13 @@ def _plus_self(real):
     return wrong
 
 
+def _plus_self_from_order_4(real):
+    """`_plus_self` on characters of order 4 or more only, the first the
+    n = 3 tower identity pulls back laterally."""
+    wrong = _plus_self(real)
+    return lambda ch: wrong(ch) if ch.n >= 4 else real(ch)
+
+
 # (suite name, owner of the layer, attribute, perturbation of the layer)
 WITT_PERTURBED = [
     ("ghost_oracle", WittVector, "__add__",
@@ -99,6 +106,32 @@ def test_character_suite_fails_on_a_perturbed_layer(monkeypatch, name,
     suites = verify.run_character_suites(_curve())
     assert _by_name(suites)[name] == "fail"
     assert verify.summarize(suites) == "fail"
+
+
+def test_tower_pullback_fails_on_a_lateral_pullback_wrong_from_order_4(
+        monkeypatch):
+    assert verify.suite_tower_pullback(_curve())["status"] == "pass"
+    _perturb(monkeypatch, verify, "lateral_pullback", _plus_self_from_order_4)
+    rep = verify.suite_tower_pullback(_curve())
+    assert rep["status"] == "fail"
+    assert rep["details"] == "tower identity fails at n = 3"
+
+
+def test_tower_pullback_pulls_each_order_back_once(monkeypatch):
+    # phi* Theta_2, phi^2* Theta_2 and phi^3* Theta_2 once each, and the
+    # lateral pullbacks of i* phi* Theta_2 and of its own pullback
+    orders = {"frobenius_pullback": [], "lateral_pullback": []}
+
+    def record(name):
+        real = getattr(verify, name)
+        return lambda ch: orders[name].append(ch.n) or real(ch)
+
+    for name in orders:
+        monkeypatch.setattr(verify, name, record(name))
+    rep = verify.suite_tower_pullback(_curve())
+    assert rep["status"] == "pass" and rep["details"] == "checked n = 2..3"
+    assert orders == {"frobenius_pullback": [2, 3, 4],
+                      "lateral_pullback": [3, 4]}
 
 
 @pytest.mark.parametrize("argv,owner,attr,wrong", [
